@@ -3,60 +3,24 @@ Linear versus quadratic attention cost, measured
 ================================================
 
 Runs the three attention kernels standalone over a growing patch
-count and prints instrumented FLOPs next to the closed forms.  The
-windowed and grouped kernels grow linearly in P; full global
-attention quadruples its core term every time P doubles.
+count (the same sweep as ``dualcap bench``) and prints instrumented
+FLOPs next to the closed forms.  The windowed and grouped kernels grow
+linearly in P; full global attention quadruples its core term every
+time P doubles, which the library's linear and quadratic fits show.
 """
 
-import numpy as np
+from dualcap.cli import RunConfig, bench_rows, format_bench
 
-from dualcap import flops
-from dualcap.autograd import Tensor
-from dualcap.encoder import (
-    KernelShape,
-    channel_group_attention,
-    global_attention,
-    spatial_window_attention,
-)
+rc = RunConfig(dim=32, window_patches=8, groups=4, heads=4)
+c, p_w = rc.dim, rc.window_patches
+c_g, c_h = c // rc.groups, c // rc.heads
 
-rng = np.random.default_rng(0)
-c, p_w, n_g, n_h = 32, 8, 4, 4
-c_g, c_h = c // n_g, c // n_h
-
-print(f"C = {c}, window {p_w} patches, {n_g} channel groups, {n_h} global heads")
-print(f"{'P':>5} {'windowed':>10} {'grouped':>10} {'global':>12}   closed forms")
-rows = {}
-for p in (64, 128, 256, 512):
-    shape = KernelShape(patches=p, dim=c, window_patches=p_w, groups=n_g)
-    x = Tensor(rng.standard_normal((p, c)))
-    wq, wk, wv = (Tensor(rng.standard_normal((c, c))) for _ in range(3))
-    with flops.count_flops() as fc:
-        spatial_window_attention(x, wq, wk, wv, shape)
-    windowed = fc.total
-
-    groups = [tuple(Tensor(rng.standard_normal((c_g, c_g))) for _ in range(3)) for _ in range(n_g)]
-    with flops.count_flops() as fc:
-        channel_group_attention(x, groups, shape)
-    grouped = fc.total
-
-    heads = [tuple(Tensor(rng.standard_normal((c_h, c_h))) for _ in range(3)) for _ in range(n_h)]
-    with flops.count_flops() as fc:
-        global_attention(x, heads)
-    glob = fc.total
-
-    rows[p] = (windowed, grouped, glob)
-    match = (windowed == 6 * p * c * c + 4 * p * p_w * c
-             and grouped == 10 * p * c * c_g
-             and glob == 6 * p * c * c_h + 4 * p * p * c)
-    print(f"{p:>5} {windowed:>10} {grouped:>10} {glob:>12}   exact: {match}")
-
-# a straight line explains the local kernels perfectly; global needs P^2
-ps = np.array(sorted(rows))
-for name, idx in (("windowed", 0), ("grouped", 1), ("global", 2)):
-    y = np.array([rows[p][idx] for p in ps], dtype=float)
-    for degree in (1, 2):
-        fitted = np.polyval(np.polyfit(ps, y, degree), ps)
-        ss_res = float(((y - fitted) ** 2).sum())
-        ss_tot = float(((y - y.mean()) ** 2).sum())
-        r2 = 1.0 - ss_res / ss_tot
-        print(f"{name}: degree-{degree} fit R^2 = {r2:.6f}")
+print(f"C = {c}, window {p_w} patches, {rc.groups} channel groups, {rc.heads} global heads")
+rows = bench_rows(rc)
+for row in rows:
+    p = row["patches"]
+    match = (row["windowed_flops"] == 6 * p * c * c + 4 * p * p_w * c
+             and row["channel_flops"] == 10 * p * c * c_g
+             and row["global_flops"] == 6 * p * c * c_h + 4 * p * p * c)
+    print(f"P = {p:>3}: FLOPs match the closed forms exactly: {match}")
+print(format_bench(rows))

@@ -8,9 +8,18 @@ gradients wherever a tensor fans out into several consumers.  Outside a
 tape block the same functions run as plain numpy compute, which is how
 generation and evaluation avoid graph bookkeeping.
 
-Shapes are strict: no implicit broadcasting anywhere except
-:func:`add_bias`, which adds a length-C vector to every row of a T x C
-matrix.  A tape and the tensors recorded on it belong to one thread.
+Shapes are strict.  Ops on matrices and rows also take stacks of them,
+with leading batch axes.  :func:`matmul` multiplies (..., m, k) by
+(..., k, n) when the batch shapes are equal or one operand is a single
+2-D matrix that every item shares; the shared operand's gradient sums
+over the stack, and any other batch mismatch is a ShapeError naming both
+shapes.  :func:`transpose` swaps the last two axes.  :func:`softmax`,
+:func:`layer_norm`, :func:`l2_normalize` and :func:`cross_entropy` work
+on the last axis of any rank; cross_entropy gives one mean per (T, V)
+matrix.  The only broadcast is :func:`add_bias`, which adds a tensor to
+every trailing block of its own shape: a length-C bias to every row, a
+T x C table to every item of a stack.  A tape and the tensors recorded
+on it belong to one thread.
 """
 
 from __future__ import annotations
@@ -124,7 +133,7 @@ class Tape:
         if root.size != 1:
             raise ContractError(f"backward root must be scalar, got shape {root.shape}")
         if root.tape is not self:
-            raise ContractError("backward root was not recorded on this tape")
+            raise ContractError("backward root was not recorded on this tape, or the tape was already replayed")
         grads: dict[int, Array] = {id(root): np.ones_like(root.data)}
         holders: dict[int, Tensor] = {id(root): root}
         for rec in reversed(self._records):
@@ -144,6 +153,11 @@ class Tape:
             if tensor.requires_grad:
                 g = grads[key]
                 tensor.grad = g if tensor.grad is None else tensor.grad + g
+        # The tape is spent: unlinking the outputs breaks the tensor <-> tape
+        # cycle, so the step's graph is freed by reference counting, and a
+        # second backward from the same root fails the check above.
+        for rec in self._records:
+            rec.output.tape = None
 
 
 def backward(root: Tensor) -> None:
@@ -158,12 +172,30 @@ def zero_grads(tensors: Sequence[Tensor]) -> None:
         t.grad = None
 
 
+def _new(data: Array) -> Tensor:
+    """An op's output: a float64 array the op computed, wrapped without a copy.
+
+    Op outputs may be views of their inputs (reshape, transpose,
+    slices); no op writes into an array it did not allocate, so sharing
+    is safe.
+    """
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.requires_grad = False
+    out.grad = None
+    out.tape = None
+    return out
+
+
 def _record(output: Tensor, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
     tape = Tape._active
-    if tape is not None and any(t.requires_grad for t in inputs):
-        output.requires_grad = True
-        output.tape = tape
-        tape._records.append(_Record(output, inputs, grad_fn))
+    if tape is not None:
+        for t in inputs:
+            if t.requires_grad:
+                output.requires_grad = True
+                output.tape = tape
+                tape._records.append(_Record(output, inputs, grad_fn))
+                break
     return output
 
 
@@ -178,25 +210,25 @@ def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("add", a, b)
-    out = Tensor(a.data + b.data)
+    out = _new(a.data + b.data)
     return _record(out, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("sub", a, b)
-    out = Tensor(a.data - b.data)
+    out = _new(a.data - b.data)
     return _record(out, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("mul", a, b)
-    out = Tensor(a.data * b.data)
+    out = _new(a.data * b.data)
     return _record(out, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
     c = float(factor)
-    out = Tensor(x.data * c)
+    out = _new(x.data * c)
     return _record(out, (x,), lambda g: (g * c,))
 
 
@@ -205,7 +237,7 @@ def scale_by(x: Tensor, s: Tensor) -> Tensor:
     if s.size != 1:
         raise ShapeError(f"scale_by: scale must be a single element, got shape {s.shape}")
     sval = float(s.data.reshape(-1)[0])
-    out = Tensor(x.data * sval)
+    out = _new(x.data * sval)
 
     def grad_fn(g: Array):
         return g * sval, np.array([np.sum(g * x.data)]).reshape(s.shape)
@@ -214,38 +246,70 @@ def scale_by(x: Tensor, s: Tensor) -> Tensor:
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-C bias vector to every row of a T x C matrix.
+    """Add b to every trailing block of x that has b's shape.
 
-    This is the only broadcasting operation in the package.
+    A length-C bias goes to every row of a (..., T, C) tensor; a T x C
+    table goes to every item of a (B, T, C) stack.  This is the only
+    broadcasting operation in the package.
     """
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ShapeError(f"add_bias: need (T, C) plus (C,), got {x.shape} and {b.shape}")
-    out = Tensor(x.data + b.data[None, :])
-    return _record(out, (x, b), lambda g: (g, g.sum(axis=0)))
+    k = b.data.ndim
+    if k == 0 or x.data.ndim < k or x.shape[x.data.ndim - k:] != b.shape:
+        raise ShapeError(f"add_bias: bias shape must end the input shape, got {x.shape} and {b.shape}")
+    out = _new(x.data + b.data)
+    return _record(out, (x, b), lambda g: (g, g.reshape((-1,) + b.shape).sum(axis=0)))
 
 
 def exp(x: Tensor) -> Tensor:
-    out = Tensor(np.exp(x.data))
+    out = _new(np.exp(x.data))
     return _record(out, (x,), lambda g: (g * out.data,))
 
 
 def reciprocal(x: Tensor) -> Tensor:
     if np.any(x.data == 0.0):
         raise ContractError("reciprocal: input contains zero")
-    out = Tensor(1.0 / x.data)
+    out = _new(1.0 / x.data)
     return _record(out, (x,), lambda g: (-g * out.data * out.data,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: both operands must be 2-D, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ: {a.shape} vs {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
-    flops.add_matmul(m, k, n)
-    out = Tensor(a.data @ b.data)
-    return _record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    """Matrix product of two matrices, two stacks, or a stack and one shared matrix.
+
+    Operands are (..., m, k) and (..., k, n).  Their batch shapes must be
+    equal unless one operand is 2-D, in which case every item of the
+    other's stack multiplies it.  FLOPs count 2*m*k*n per item.
+    """
+    shape_a, shape_b = a.data.shape, b.data.shape
+    if len(shape_a) < 2 or len(shape_b) < 2:
+        raise ShapeError(f"matmul: operands must be at least 2-D, got {shape_a} and {shape_b}")
+    lead_a, (m, k) = shape_a[:-2], shape_a[-2:]
+    lead_b, n = shape_b[:-2], shape_b[-1]
+    if k != shape_b[-2]:
+        raise ShapeError(f"matmul: inner dimensions differ: {shape_a} vs {shape_b}")
+    if lead_a and lead_b and lead_a != lead_b:
+        raise ShapeError(f"matmul: batch dimensions differ: {shape_a} vs {shape_b}")
+    flops.add_matmul(math.prod(lead_a or lead_b) * m, k, n)
+    if lead_b:
+        out = _new(np.matmul(a.data, b.data))
+    else:  # one GEMM over every row of the stack
+        out = _new((a.data.reshape(-1, k) @ b.data).reshape(lead_a + (m, n)))
+
+    def grad_fn(g: Array):
+        ga = gb = None
+        if a.requires_grad:
+            if lead_b:
+                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+                if not lead_a:
+                    ga = ga.reshape(-1, m, k).sum(axis=0)
+            else:
+                ga = (g.reshape(-1, n) @ b.data.T).reshape(a.shape)
+        if b.requires_grad:
+            if lead_b:
+                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            else:
+                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
+        return ga, gb
+
+    return _record(out, (a, b), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +317,54 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-D, got {x.shape}")
-    out = Tensor(x.data.T)
-    return _record(out, (x,), lambda g: (g.T,))
+    """Swap the last two axes: a matrix transpose, item by item for a stack."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"transpose: expected at least 2-D, got {x.shape}")
+    out = _new(np.swapaxes(x.data, -1, -2))
+    return _record(out, (x,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
+    """x viewed as ``shape``; a reshape to x's own shape is x itself and records nothing."""
     shape = tuple(int(s) for s in shape)
+    if shape == x.shape:
+        return x
     if math.prod(shape) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    out = Tensor(x.data.reshape(shape))
+    out = _new(x.data.reshape(shape))
     return _record(out, (x,), lambda g: (g.reshape(x.shape),))
+
+
+def rearrange(x: Tensor, split: Sequence[int], axes: Sequence[int], shape: Sequence[int]) -> Tensor:
+    """View x as ``split``, permute those axes by ``axes``, view the result as ``shape``.
+
+    One op for the reshape / transpose / reshape chains that cut a stack
+    into windows or heads and put it back together.
+    """
+    try:
+        permuted = x.data.reshape(split).transpose(axes)
+        out = _new(permuted.reshape(shape))
+    except ValueError as e:
+        raise ShapeError(f"rearrange: cannot view {x.shape} as {tuple(split)}, permute by {tuple(axes)} "
+                         f"and view as {tuple(shape)}") from e
+
+    def grad_fn(g: Array):
+        inverse = [0] * len(axes)
+        for i, a in enumerate(axes):
+            inverse[a] = i
+        return (g.reshape(permuted.shape).transpose(inverse).reshape(x.shape),)
+
+    return _record(out, (x,), grad_fn)
+
+
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Equal-shaped tensors stacked along a new leading axis."""
+    if not tensors:
+        raise ContractError("stack: need at least one tensor")
+    for t in tensors[1:]:
+        _require_same_shape("stack", tensors[0], t)
+    out = _new(np.array([t.data for t in tensors]))
+    return _record(out, tuple(tensors), lambda g: tuple(g))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -281,7 +381,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         other = list(t.shape)
         if ref[:axis] + ref[axis + 1:] != other[:axis] + other[axis + 1:]:
             raise ShapeError(f"concat: shapes differ off-axis: {tensors[0].shape} vs {t.shape}")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    out = _new(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.shape[axis] for t in tensors]
 
     def grad_fn(g: Array):
@@ -307,7 +407,7 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     index = [np.s_[:]] * ndim
     index[axis] = np.s_[start:stop]
     index = tuple(index)
-    out = Tensor(x.data[index])
+    out = _new(x.data[index])
 
     def grad_fn(g: Array):
         full = np.zeros_like(x.data)
@@ -317,16 +417,18 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _record(out, (x,), grad_fn)
 
 
-def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows of a 2-D tensor; duplicate indices sum in the backward."""
+def take_rows(x: Tensor, indices) -> Tensor:
+    """Gather rows of a 2-D tensor; duplicate indices sum in the backward.
+
+    The output has shape indices.shape + (columns,), so a (B, T) array of
+    ids gathers a (B, T, C) stack.
+    """
     if x.data.ndim != 2:
         raise ShapeError(f"take_rows: expected 2-D, got {x.shape}")
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"take_rows: indices must be 1-D, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ShapeError(f"take_rows: index out of range for {x.shape[0]} rows")
-    out = Tensor(x.data[idx])
+    out = _new(x.data[idx])
 
     def grad_fn(g: Array):
         full = np.zeros_like(x.data)
@@ -336,7 +438,7 @@ def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     return _record(out, (x,), grad_fn)
 
 
-def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
+def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Rows of the embedding table for a sequence of token ids."""
     return take_rows(table, ids)
 
@@ -347,7 +449,7 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
 
 def mean(x: Tensor, axis: int | None = None) -> Tensor:
     if axis is None:
-        out = Tensor(np.array([x.data.mean()]))
+        out = _new(np.array([x.data.mean()]))
         n = x.size
 
         def grad_fn(g: Array):
@@ -357,7 +459,7 @@ def mean(x: Tensor, axis: int | None = None) -> Tensor:
     if axis < 0 or axis >= x.data.ndim:
         raise ShapeError(f"mean: axis {axis} out of range for rank {x.data.ndim}")
     count = x.shape[axis]
-    out = Tensor(x.data.mean(axis=axis))
+    out = _new(x.data.mean(axis=axis))
 
     def grad_fn_axis(g: Array):
         return (np.repeat(np.expand_dims(g / count, axis), count, axis=axis),)
@@ -365,12 +467,37 @@ def mean(x: Tensor, axis: int | None = None) -> Tensor:
     return _record(out, (x,), grad_fn_axis)
 
 
+def mean_rows(x: Tensor, counts=None) -> Tensor:
+    """Mean of the first ``counts`` rows of each matrix of a (..., T, C) stack.
+
+    ``counts`` is one int per matrix (a plain int for a 2-D input), or
+    None for all T rows; the output has shape (..., C).  Each mean is
+    taken exactly as ``x[:count].mean(axis=0)``.
+    """
+    if x.data.ndim < 2:
+        raise ShapeError(f"mean_rows: expected at least 2-D, got {x.shape}")
+    lead, (t, c) = x.shape[:-2], x.shape[-2:]
+    n = np.broadcast_to(np.asarray(t if counts is None else counts, dtype=np.intp), lead).reshape(-1)
+    if n.size and (n.min() < 1 or n.max() > t):
+        raise ContractError(f"mean_rows: row counts must lie in [1, {t}], got {n.tolist()}")
+    flat = x.data.reshape(-1, t, c)
+    out = _new(np.array([np.add.reduce(flat[i, :n[i]], axis=0) / n[i] for i in range(n.size)]).reshape(lead + (c,)))
+
+    def grad_fn(g: Array):
+        full = np.zeros_like(flat)
+        for i, (gi, ni) in enumerate(zip(g.reshape(-1, c), n)):
+            full[i, :ni] = gi / ni
+        return (full.reshape(x.shape),)
+
+    return _record(out, (x,), grad_fn)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Row-stochastic softmax with max subtraction for stability."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(s)
+    s = e / np.add.reduce(e, axis=axis, keepdims=True)
+    out = _new(s)
 
     def grad_fn(g: Array):
         dot = (g * s).sum(axis=axis, keepdims=True)
@@ -382,7 +509,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian error linear unit, 0.5 * x * (1 + erf(x / sqrt(2)))."""
     e = erf(x.data * _INV_SQRT2)
-    out = Tensor(0.5 * x.data * (1.0 + e))
+    out = _new(0.5 * x.data * (1.0 + e))
 
     def grad_fn(g: Array):
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
@@ -395,38 +522,38 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize the last axis to zero mean, unit variance; then scale and shift.
 
     eps sits inside the square root.  gain and bias are length-C vectors
-    applied to every row.
+    applied to every row of a tensor of any rank.
     """
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"layer_norm: expected 1-D or 2-D input, got {x.shape}")
+    if x.data.ndim < 1:
+        raise ShapeError(f"layer_norm: expected at least 1-D input, got {x.shape}")
     c = x.shape[-1]
     if gain.shape != (c,) or bias.shape != (c,):
         raise ShapeError(f"layer_norm: gain/bias must be ({c},), got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # np.mean and np.var, written out: the same sums and divisions, fewer calls
+    centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / c
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / c
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    xhat = centered * inv
+    out = _new(xhat * gain.data + bias.data)
 
     def grad_fn(g: Array):
         gy = g * gain.data
         m1 = gy.mean(axis=-1, keepdims=True)
         m2 = (gy * xhat).mean(axis=-1, keepdims=True)
         dx = inv * (gy - m1 - xhat * m2)
-        axes = tuple(range(x.data.ndim - 1))
-        dgain = (g * xhat).sum(axis=axes) if axes else g * xhat
-        dbias = g.sum(axis=axes) if axes else g
+        dgain = (g * xhat).reshape(-1, c).sum(axis=0)
+        dbias = g.reshape(-1, c).sum(axis=0)
         return dx, dgain, dbias
 
     return _record(out, (x, gain, bias), grad_fn)
 
 
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale each row (or a 1-D vector) to unit Euclidean norm."""
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"l2_normalize: expected 1-D or 2-D input, got {x.shape}")
+    """Scale each row (or a 1-D vector) to unit Euclidean norm; any rank."""
+    if x.data.ndim < 1:
+        raise ShapeError(f"l2_normalize: expected at least 1-D input, got {x.shape}")
     norm = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) + eps)
-    out = Tensor(x.data / norm)
+    out = _new(x.data / norm)
 
     def grad_fn(g: Array):
         dot = (g * out.data).sum(axis=-1, keepdims=True)
@@ -435,45 +562,48 @@ def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     return _record(out, (x,), grad_fn)
 
 
-def cross_entropy(logits: Tensor, target_ids: Sequence[int], ignore_id: int | None = None) -> Tensor:
-    """Mean negative log-likelihood of target_ids under row-wise softmax.
+def cross_entropy(logits: Tensor, target_ids, ignore_id: int | None = None) -> Tensor:
+    """Mean negative log-likelihood of target_ids under softmax over the last axis.
 
-    Rows whose target equals ignore_id are dropped from the mean.  The
-    target probability is clamped at 1e-12 before the log; a clamped row
-    contributes a constant to the loss and zero gradient.
+    T x V logits with T targets give the mean over rows, shape (1,).  A
+    stack (..., T, V) with (..., T) targets gives one mean per matrix,
+    shape (...).  Rows whose target equals ignore_id are dropped from
+    their mean.  The target probability is clamped at 1e-12 before the
+    log; a clamped row contributes a constant to the loss and zero
+    gradient.
     """
-    if logits.data.ndim != 2:
-        raise ShapeError(f"cross_entropy: logits must be 2-D, got {logits.shape}")
+    if logits.data.ndim < 2:
+        raise ShapeError(f"cross_entropy: logits must be at least 2-D, got {logits.shape}")
     targets = np.asarray(target_ids, dtype=np.intp)
-    t, v = logits.shape
-    if targets.shape != (t,):
-        raise ShapeError(f"cross_entropy: need {t} targets for logits {logits.shape}, got {targets.shape}")
-    keep = np.ones(t, dtype=bool) if ignore_id is None else targets != ignore_id
-    if not keep.any():
+    lead, v = logits.shape[:-2], logits.shape[-1]
+    if targets.shape != logits.shape[:-1]:
+        raise ShapeError(
+            f"cross_entropy: need targets of shape {logits.shape[:-1]} for logits {logits.shape}, got {targets.shape}"
+        )
+    keep = np.ones(targets.shape, dtype=bool) if ignore_id is None else targets != ignore_id
+    n_kept = keep.sum(axis=-1)
+    if np.any(n_kept == 0):
         raise ContractError("cross_entropy: every row is ignored")
     valid = targets[keep]
     if valid.min() < 0 or valid.max() >= v:
         raise ContractError(f"cross_entropy: target id out of range for {v} classes")
 
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
-    rows = np.arange(t)
-    picked = log_probs[rows, np.clip(targets, 0, v - 1)]
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    rows = np.arange(targets.size)
+    cols = np.clip(targets, 0, v - 1).reshape(-1)
+    picked = log_probs.reshape(-1, v)[rows, cols].reshape(targets.shape)
     floor = math.log(LOG_FLOOR)
-    clamped = picked < floor
+    dropped = (~keep | (picked < floor)).reshape(-1)
     picked = np.maximum(picked, floor)
-    n_kept = int(keep.sum())
-    loss = -picked[keep].mean()
-    out = Tensor(np.array([loss]))
+    loss = -np.where(keep, picked, 0.0).sum(axis=-1) / n_kept
+    out = _new(loss if lead else np.array([loss]))
 
     def grad_fn(g: Array):
-        gval = g.reshape(-1)[0]
-        soft = np.exp(log_probs)
-        dlogits = soft.copy()
-        dlogits[rows, np.clip(targets, 0, v - 1)] -= 1.0
-        dlogits[~keep] = 0.0
-        dlogits[clamped & keep] = 0.0
-        return (dlogits * (gval / n_kept),)
+        dlogits = np.exp(log_probs).reshape(-1, v)
+        dlogits[rows, cols] -= 1.0
+        dlogits[dropped] = 0.0
+        weight = np.broadcast_to((g.reshape(lead) / n_kept)[..., None], targets.shape).reshape(-1, 1)
+        return ((dlogits * weight).reshape(logits.shape),)
 
     return _record(out, (logits,), grad_fn)

@@ -14,10 +14,17 @@ baseline the windowed design avoids.
 The encoder output keeps the final block's pre-projection concatenation
 (P x 2C) as the feature map handed to the decoder, and the per-block
 attention weight stacks from which patch saliency heatmaps are read.
+
+Every function takes one image (H x W x ch, rows P x C) or a batch of
+them (B x H x W x ch, rows B x P x C) through the same code: windows,
+groups and heads are reshapes of one stack, e.g. (B*N_w, P_w, C) for
+windows and (N_g*B, P, C_g) for groups, so a batch costs one op per
+step of the computation, not one per image, window, group or head.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,10 +39,11 @@ from .autograd import (
     gelu,
     layer_norm,
     matmul,
+    rearrange,
+    reshape,
     scale,
-    slice_axis,
     softmax,
-    take_rows,
+    stack,
     transpose,
 )
 from .errors import ConfigError, ContractError, ShapeError
@@ -177,20 +185,23 @@ class KernelShape:
 
 @dataclass
 class PatchGrid:
-    """Patch-level view of one image: raw pixels, positions, embeddings."""
+    """Patch-level view of an image (or a batch): raw pixels, positions, embeddings."""
 
-    patches: Tensor  # P x patch_len, flattened row-major pixels
+    patches: Tensor  # (B x) P x patch_len, flattened row-major pixels
     positions: Tensor  # P x C
-    embeddings: Tensor  # P x C, projection + positions
+    embeddings: Tensor  # (B x) P x C, projection + positions
 
     @property
     def count(self) -> int:
-        return self.patches.shape[0]
+        return self.patches.shape[-2]
 
 
 @dataclass
 class EncoderOutput:
-    """Feature map plus the attention weights of every block."""
+    """Feature map plus the attention weights of every block.
+
+    For a batch every shape gains a leading B axis.
+    """
 
     features: Tensor  # P x 2C for depth >= 1, else the P x C embeddings
     hidden: Tensor  # final block output, P x C
@@ -206,9 +217,9 @@ def normalize_image(image: Tensor, mean, std) -> Tensor:
     mean and std are per-channel sequences; a non-positive std marks a
     degenerate channel and is rejected.
     """
-    if image.data.ndim != 3:
-        raise ShapeError(f"normalize_image: expected H x W x channels, got {image.shape}")
-    ch = image.shape[2]
+    if image.data.ndim < 3:
+        raise ShapeError(f"normalize_image: expected (B x) H x W x channels, got {image.shape}")
+    ch = image.shape[-1]
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
     std = np.asarray(std, dtype=np.float64).reshape(-1)
     if mean.shape != (ch,) or std.shape != (ch,):
@@ -216,33 +227,39 @@ def normalize_image(image: Tensor, mean, std) -> Tensor:
     bad = np.nonzero(std <= 0)[0]
     if bad.size:
         raise ContractError(f"normalize_image: channel {int(bad[0])} has non-positive std {std[bad[0]]}")
-    return Tensor((image.data - mean[None, None, :]) / std[None, None, :])
+    return Tensor((image.data - mean) / std)
 
 
 def sinusoidal_positions(count: int, dim: int) -> Tensor:
     """Fixed sin/cos positional table over patch index, shape count x dim."""
     if dim % 2 != 0:
         raise ConfigError(f"sinusoidal positions need an even dim, got {dim}")
+    return Tensor(_sinusoid_table(count, dim))
+
+
+@functools.lru_cache(maxsize=64)
+def _sinusoid_table(count: int, dim: int) -> np.ndarray:
+    """The table behind sinusoidal_positions, built once per shape (callers get a copy)."""
     pos = np.arange(count, dtype=np.float64)[:, None]
     idx = np.arange(dim // 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * idx / dim)
     table = np.zeros((count, dim))
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
-    return Tensor(table)
+    return table
 
 
 def split_patches(image: Tensor, cfg: EncoderConfig) -> np.ndarray:
-    """Cut H x W x ch pixels into P rows of row-major flattened patches."""
-    h, w, ch = image.shape
-    if (h, w, ch) != (cfg.image_size, cfg.image_size, cfg.image_channels):
+    """Cut (B x) H x W x ch pixels into P rows of row-major flattened patches."""
+    lead, (h, w, ch) = image.shape[:-3], image.shape[-3:]
+    if image.data.ndim not in (3, 4) or (h, w, ch) != (cfg.image_size, cfg.image_size, cfg.image_channels):
         raise ShapeError(
             f"image shape {image.shape} does not match config "
             f"({cfg.image_size}, {cfg.image_size}, {cfg.image_channels})"
         )
     g, ps = cfg.grid, cfg.patch_size
-    tiles = image.data.reshape(g, ps, g, ps, ch).transpose(0, 2, 1, 3, 4)
-    return tiles.reshape(cfg.patches, cfg.patch_len)
+    tiles = np.swapaxes(image.data.reshape(lead + (g, ps, g, ps, ch)), -4, -3)
+    return tiles.reshape(lead + (cfg.patches, cfg.patch_len))
 
 
 def embed_patches(image: Tensor, cfg: EncoderConfig, w_proj: Tensor, positions: Tensor) -> PatchGrid:
@@ -256,26 +273,87 @@ def embed_patches(image: Tensor, cfg: EncoderConfig, w_proj: Tensor, positions: 
         raise ShapeError(f"patch projection must be {(cfg.patch_len, cfg.dim)}, got {w_proj.shape}")
     if positions.shape != (cfg.patches, cfg.dim):
         raise ShapeError(f"positions must be {(cfg.patches, cfg.dim)}, got {positions.shape}")
-    embeddings = add(matmul(patches, w_proj), positions)
+    embeddings = add_bias(matmul(patches, w_proj), positions)
     return PatchGrid(patches=patches, positions=positions, embeddings=embeddings)
 
 
+def _window_tiles(cfg: "EncoderConfig | KernelShape") -> tuple[int, int, int, int]:
+    """The patch grid as (tile rows, rows per tile, tile columns, columns per tile).
+
+    "1d" windows are runs of window_patches consecutive patch indices,
+    i.e. 1 x P_w tiles of a N_w x P_w grid; "2d" windows are square
+    tiles of the image's patch grid.
+    """
+    if cfg.window_layout == "1d":
+        return cfg.windows, 1, 1, cfg.window_patches
+    side = math.isqrt(cfg.window_patches)
+    return cfg.grid // side, side, cfg.grid // side, side
+
+
 def window_patch_indices(cfg: "EncoderConfig | KernelShape") -> list[list[int]]:
-    """Partition of patch indices into attention windows.
+    """Partition of patch indices into attention windows, in window order.
 
     "1d" windows are contiguous runs in row-major patch order; "2d"
     windows are square tiles of the patch grid.
     """
-    if cfg.window_layout == "1d":
-        pw = cfg.window_patches
-        return [list(range(w * pw, (w + 1) * pw)) for w in range(cfg.windows)]
-    side = math.isqrt(cfg.window_patches)
-    g = cfg.grid
-    out = []
-    for br in range(g // side):
-        for bc in range(g // side):
-            out.append([(br * side + r) * g + (bc * side + c) for r in range(side) for c in range(side)])
-    return out
+    rows, tr, cols, tc = _window_tiles(cfg)
+    order = np.arange(cfg.patches).reshape(rows, tr, cols, tc).transpose(0, 2, 1, 3)
+    return order.reshape(cfg.windows, cfg.window_patches).tolist()
+
+
+def _windows(x: Tensor, cfg: "EncoderConfig | KernelShape", lead: tuple[int, ...] | None = None) -> Tensor:
+    """(*lead, P, C) rows -> (B*N_w, P_w, C) windows in window_patch_indices order.
+
+    Given ``lead``, the inverse: windows back to (*lead, P, C) rows.
+    Swapping the two middle tile axes is its own inverse.
+    """
+    rows, tr, cols, tc = _window_tiles(cfg)
+    c = x.shape[-1]
+    nb = x.size // (cfg.patches * c)
+    if lead is None:
+        return rearrange(x, (nb, rows, tr, cols, tc, c), (0, 1, 3, 2, 4, 5), (nb * cfg.windows, cfg.window_patches, c))
+    return rearrange(x, (nb, rows, cols, tr, tc, c), (0, 1, 3, 2, 4, 5), lead + (cfg.patches, c))
+
+
+def split_heads(x: Tensor, n: int) -> Tensor:
+    """(..., T, C) rows -> (n, B*T, C/n): slice i holds columns [i*C/n, (i+1)*C/n)."""
+    rows, c = x.size // x.shape[-1], x.shape[-1]
+    return rearrange(x, (rows, n, c // n), (1, 0, 2), (n, rows, c // n))
+
+
+def merge_heads(x: Tensor, lead: tuple[int, ...]) -> Tensor:
+    """(n*B, T, C_h) head outputs -> (*lead, T, n*C_h) rows, undoing split_heads."""
+    nbh, t, c_h = x.shape
+    n = nbh // math.prod(lead)
+    return rearrange(x, (n, nbh // n * t, c_h), (1, 0, 2), lead + (t, n * c_h))
+
+
+def project_heads(x: Tensor, weights: list[Tensor], rows: int) -> Tensor:
+    """Project with one weight per head; the result is (n*B, rows, C_h).
+
+    ``x`` is split_heads output (n, B*rows, C_in), head i read by weight
+    i, or one (B*rows, C_in) matrix that every head reads.  The n
+    weights are stacked at use into one (n, C_in, C_h) tensor.
+    """
+    y = matmul(x, stack(weights))
+    return reshape(y, (y.size // (rows * y.shape[-1]), rows, y.shape[-1]))
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, factor: float, mask: Tensor | None = None):
+    """softmax(q k^T * factor + mask) v over a stack; returns (output, weights)."""
+    scores = scale(matmul(q, transpose(k)), factor)
+    if mask is not None:
+        scores = add(scores, mask)
+    attn = softmax(scores, axis=-1)
+    return matmul(attn, v), attn
+
+
+def _per_item(weights: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """A copy of (n*B, a, b) weights of n heads or groups as (*lead, n, a, b)."""
+    nbh = weights.shape[0]
+    n = nbh // math.prod(lead)
+    per_item = np.swapaxes(weights.reshape((n, nbh // n) + weights.shape[1:]), 0, 1)
+    return np.array(per_item).reshape(lead + (n,) + weights.shape[1:])
 
 
 def global_attention(x: Tensor, head_weights: list[tuple[Tensor, Tensor, Tensor]]):
@@ -286,27 +364,20 @@ def global_attention(x: Tensor, head_weights: list[tuple[Tensor, Tensor, Tensor]
     scaled by 1/sqrt(C_h); head outputs concatenate back to width C.
     Returns (output P x C, weights stacked N_h x P x P).
     """
-    p, c = x.shape
+    lead, (p, c) = x.shape[:-2], x.shape[-2:]
     n_h = len(head_weights)
     if n_h == 0 or c % n_h != 0:
         raise ShapeError(f"global_attention: {n_h} heads do not divide width {c}")
     c_h = c // n_h
-    outs, weights = [], []
+    for wq, _, _ in head_weights:
+        if wq.shape != (c_h, c_h):
+            raise ShapeError(f"global_attention: head weights must be {(c_h, c_h)}, got {wq.shape}")
     with flops.scope("global"):
-        for i, (wq, wk, wv) in enumerate(head_weights):
-            if wq.shape != (c_h, c_h):
-                raise ShapeError(f"global_attention: head weights must be {(c_h, c_h)}, got {wq.shape}")
-            xi = slice_axis(x, 1, i * c_h, (i + 1) * c_h) if n_h > 1 else x
-            q = matmul(xi, wq)
-            k = matmul(xi, wk)
-            v = matmul(xi, wv)
-            with flops.scope("core"):
-                scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(c_h))
-                attn = softmax(scores, axis=1)
-                outs.append(matmul(attn, v))
-            weights.append(attn.data)
-    out = concat(outs, axis=1) if n_h > 1 else outs[0]
-    return out, np.stack(weights)
+        xh = split_heads(x, n_h)
+        q, k, v = (project_heads(xh, list(ws), p) for ws in zip(*head_weights))
+        with flops.scope("core"):
+            out, attn = attend(q, k, v, 1.0 / math.sqrt(c_h))
+    return merge_heads(out, lead), _per_item(attn.data, lead)
 
 
 def spatial_window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, cfg: "EncoderConfig | KernelShape"):
@@ -318,64 +389,45 @@ def spatial_window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, cfg:
     cost linear in P.  Returns (output P x C in original patch order,
     weights N_w x P_w x P_w in window order).
     """
-    p, c = x.shape
+    lead, (p, c) = x.shape[:-2], x.shape[-2:]
     if wq.shape != (c, c) or wk.shape != (c, c) or wv.shape != (c, c):
         raise ShapeError(f"spatial_window_attention: projections must be {(c, c)}, got {wq.shape}")
     if p != cfg.patches:
         raise ShapeError(f"spatial_window_attention: expected {cfg.patches} rows, got {p}")
-    index_sets = window_patch_indices(cfg)
-    outs, weights = [], []
     with flops.scope("spatial_window"):
-        for idx in index_sets:
-            contiguous = idx == list(range(idx[0], idx[0] + len(idx)))
-            xw = slice_axis(x, 0, idx[0], idx[0] + len(idx)) if contiguous else take_rows(x, idx)
-            q = matmul(xw, wq)
-            k = matmul(xw, wk)
-            v = matmul(xw, wv)
-            with flops.scope("core"):
-                scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(c))
-                attn = softmax(scores, axis=1)
-                outs.append(matmul(attn, v))
-            weights.append(attn.data)
-    stacked = concat(outs, axis=0) if len(outs) > 1 else outs[0]
-    order = [i for idx in index_sets for i in idx]
-    if order != list(range(p)):
-        inverse = np.empty(p, dtype=np.intp)
-        inverse[np.asarray(order)] = np.arange(p)
-        stacked = take_rows(stacked, inverse)
-    return stacked, np.stack(weights)
+        xw = _windows(x, cfg)
+        q, k, v = matmul(xw, wq), matmul(xw, wk), matmul(xw, wv)
+        with flops.scope("core"):
+            out, attn = attend(q, k, v, 1.0 / math.sqrt(c))
+    pw = cfg.window_patches
+    return _windows(out, cfg, lead), attn.data.reshape(lead + (cfg.windows, pw, pw)).copy()
 
 
 def channel_group_attention(x: Tensor, group_weights: list[tuple[Tensor, Tensor, Tensor]], cfg: "EncoderConfig | KernelShape"):
-    """Attention transposed onto the channel axis, one group at a time.
+    """Attention transposed onto the channel axis, all groups at once.
 
     Group g sees its C_g columns, projects them with its own C_g x C_g
     maps, and forms channel-to-channel scores Q^T K / sqrt(P), so the
     attention matrix is C_g x C_g regardless of patch count.  Values
-    aggregate as (A V^T)^T, returning P x C_g per group; groups
+    aggregate as (A V^T)^T = V A^T, returning P x C_g per group; groups
     concatenate back to width C.  Returns (output P x C, weights
     N_g x C_g x C_g).
     """
-    p, c = x.shape
+    lead, p = x.shape[:-2], x.shape[-2]
     if len(group_weights) != cfg.groups:
         raise ShapeError(f"channel_group_attention: expected {cfg.groups} groups, got {len(group_weights)}")
     c_g = cfg.group_dim
-    outs, weights = [], []
+    for wq, _, _ in group_weights:
+        if wq.shape != (c_g, c_g):
+            raise ShapeError(f"channel_group_attention: group weights must be {(c_g, c_g)}, got {wq.shape}")
     with flops.scope("channel_group"):
-        for g, (wq, wk, wv) in enumerate(group_weights):
-            if wq.shape != (c_g, c_g):
-                raise ShapeError(f"channel_group_attention: group weights must be {(c_g, c_g)}, got {wq.shape}")
-            xg = slice_axis(x, 1, g * c_g, (g + 1) * c_g) if cfg.groups > 1 else x
-            q = matmul(xg, wq)
-            k = matmul(xg, wk)
-            v = matmul(xg, wv)
-            with flops.scope("core"):
-                scores = scale(matmul(transpose(q), k), 1.0 / math.sqrt(p))
-                attn = softmax(scores, axis=1)
-                outs.append(transpose(matmul(attn, transpose(v))))
-            weights.append(attn.data)
-    out = concat(outs, axis=1) if cfg.groups > 1 else outs[0]
-    return out, np.stack(weights)
+        xg = split_heads(x, cfg.groups)
+        q, k, v = (project_heads(xg, list(ws), p) for ws in zip(*group_weights))
+        with flops.scope("core"):
+            scores = scale(matmul(transpose(q), k), 1.0 / math.sqrt(p))
+            attn = softmax(scores, axis=-1)
+            out = matmul(v, transpose(attn))
+    return merge_heads(out, lead), _per_item(attn.data, lead)
 
 
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, prefix: str = "enc") -> dict[str, Tensor]:
@@ -425,6 +477,7 @@ def encoder_block(x: Tensor, params: dict[str, Tensor], prefix: str, cfg: Encode
     Returns (block output P x C, pre-projection concat P x 2C, and the
     spatial / channel / global weight stacks, None for absent branches).
     """
+    last = x.data.ndim - 1
     sw = cw = gw = None
     if cfg.mode in ("dual", "spatial"):
         spatial_out, sw = spatial_window_attention(
@@ -436,13 +489,13 @@ def encoder_block(x: Tensor, params: dict[str, Tensor], prefix: str, cfg: Encode
         global_out, gw = global_attention(x, _block_heads(params, f"{prefix}.global.h", cfg.heads))
 
     if cfg.mode == "dual":
-        branches = concat([spatial_out, channel_out], axis=1)
+        branches = concat([spatial_out, channel_out], axis=last)
     elif cfg.mode == "spatial":
-        branches = concat([spatial_out, spatial_out], axis=1)
+        branches = concat([spatial_out, spatial_out], axis=last)
     elif cfg.mode == "channel":
-        branches = concat([channel_out, channel_out], axis=1)
+        branches = concat([channel_out, channel_out], axis=last)
     else:
-        branches = concat([global_out, global_out], axis=1)
+        branches = concat([global_out, global_out], axis=last)
 
     with flops.scope("block_proj"):
         projected = add_bias(matmul(branches, params[f"{prefix}.proj.w"]), params[f"{prefix}.proj.b"])
@@ -456,6 +509,8 @@ def encoder_block(x: Tensor, params: dict[str, Tensor], prefix: str, cfg: Encode
 
 def encode(image: Tensor, cfg: EncoderConfig, params: dict[str, Tensor], prefix: str = "enc") -> EncoderOutput:
     """Full encoder pass: normalize, embed patches, run depth blocks.
+
+    ``image`` is one H x W x ch image or a B x H x W x ch batch.
 
     Per-channel normalization stats live in the params dict under
     ``norm.mean`` / ``norm.std`` so checkpoints carry them; identity

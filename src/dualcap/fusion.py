@@ -24,12 +24,11 @@ from .autograd import (
     cross_entropy,
     l2_normalize,
     matmul,
-    mean,
+    mean_rows,
     reciprocal,
     reshape,
     scale,
     scale_by,
-    slice_axis,
     transpose,
 )
 from .errors import ContractError, ShapeError
@@ -37,23 +36,21 @@ from .errors import ContractError, ShapeError
 INITIAL_TEMPERATURE = 0.07
 
 
-def pool_and_project(features: Tensor, w: Tensor, b: Tensor, rows: int | None = None) -> Tensor:
+def pool_and_project(features: Tensor, w: Tensor, b: Tensor, rows=None) -> Tensor:
     """Mean-pool rows, apply a linear layer, L2-normalize; returns (D,).
 
     ``rows`` limits pooling to the first rows (used to exclude PAD
-    positions when pooling decoder states).
+    positions when pooling decoder states).  A (B, T, W) stack of
+    feature maps gives (B, D), with ``rows`` one count per item.
     """
-    if features.data.ndim != 2:
-        raise ShapeError(f"pool_and_project: features must be 2-D, got {features.shape}")
-    if rows is not None:
-        if not 1 <= rows <= features.shape[0]:
-            raise ContractError(f"pool_and_project: rows={rows} invalid for {features.shape[0]} rows")
-        features = slice_axis(features, 0, 0, rows)
-    if w.shape[0] != features.shape[1]:
+    if features.data.ndim < 2:
+        raise ShapeError(f"pool_and_project: features must be at least 2-D, got {features.shape}")
+    lead, (t, width) = features.shape[:-2], features.shape[-2:]
+    if w.shape[0] != width:
         raise ShapeError(f"pool_and_project: projection expects width {w.shape[0]}, got {features.shape}")
-    pooled = reshape(mean(features, axis=0), (1, features.shape[1]))
+    pooled = reshape(mean_rows(features, rows), (features.size // (t * width), width))
     vec = l2_normalize(add_bias(matmul(pooled, w), b))
-    return reshape(vec, (w.shape[1],))
+    return reshape(vec, lead + (w.shape[1],))
 
 
 def similarity_matrix(image_vecs: Tensor, text_vecs: Tensor, temperature: float | Tensor) -> Tensor:

@@ -117,23 +117,29 @@ def set_channel_stats(model: CaptionModel, mean, std) -> None:
 
 
 def encode_image(model: CaptionModel, image: Tensor) -> EncoderOutput:
+    """Encode one H x W x ch image or a B x H x W x ch batch."""
     return encode(image, model.cfg.encoder, model.params)
 
 
 def image_embedding(model: CaptionModel, enc_out: EncoderOutput) -> Tensor:
-    """Unit-norm joint-space embedding of an encoded image, shape (D,)."""
+    """Unit-norm joint-space embedding of an encoded image, shape (D,) or (B, D)."""
     return pool_and_project(enc_out.features, model.params["fuse.img.w"], model.params["fuse.img.b"])
 
 
-def text_embedding(model: CaptionModel, seq: TokenSequence) -> Tensor:
+def _lengths(tokens: TokenSequence | list[TokenSequence]):
+    return tokens.length if isinstance(tokens, TokenSequence) else [seq.length for seq in tokens]
+
+
+def text_embedding(model: CaptionModel, seq: TokenSequence | list[TokenSequence]) -> Tensor:
     """Unit-norm joint-space embedding of a caption on its own, shape (D,).
 
     Runs the decoder without image context and pools the non-PAD rows,
-    so the embedding describes only the text.
+    so the embedding describes only the text.  A list of sequences runs
+    as one PAD-padded batch and gives (B, D).
     """
     dec = decode_text(seq, model.params, model.cfg.decoder, context=None)
     return pool_and_project(
-        dec.hidden, model.params["fuse.txt.w"], model.params["fuse.txt.b"], rows=seq.length
+        dec.hidden, model.params["fuse.txt.w"], model.params["fuse.txt.b"], rows=_lengths(seq)
     )
 
 
@@ -143,21 +149,28 @@ def conditioned_logits(model: CaptionModel, hidden: Tensor, image_vec: Tensor) -
     Position t sees the causal mean of hidden states 0..t projected into
     the joint space (same projection as the contrastive text tower),
     fused with the image embedding, and mapped back to decoder width.
+    ``hidden`` is T x C with a (D,) image vector, or a B x T x C stack
+    with (B, D) image vectors.
     """
-    t = hidden.shape[0]
+    lead, t = hidden.shape[:-2], hidden.shape[-2]
     jd = model.cfg.joint_dim
     p = model.params
     causal_mean = Tensor(np.tril(np.ones((t, t))) / np.arange(1.0, t + 1.0)[:, None])
     pooled = matmul(causal_mean, hidden)
     text_rows = l2_normalize(add_bias(matmul(pooled, p["fuse.txt.w"]), p["fuse.txt.b"]))
-    image_rows = matmul(Tensor(np.ones((t, 1))), reshape(image_vec, (1, jd)))
-    fused = concat([image_rows, text_rows], axis=1)
+    image_rows = matmul(Tensor(np.ones((t, 1))), reshape(image_vec, lead + (1, jd)))
+    fused = concat([image_rows, text_rows], axis=len(lead) + 1)
     conditioning = add_bias(matmul(fused, p["fuse.cond.w"]), p["fuse.cond.b"])
     return matmul(add(hidden, conditioning), transpose(p["dec.emb"]))
 
 
-def caption_logits(model: CaptionModel, image: Tensor, seq: TokenSequence):
-    """Full teacher-forced pass; returns (logits, encoder output, image vec)."""
+def caption_logits(model: CaptionModel, image: Tensor, seq: TokenSequence | list[TokenSequence]):
+    """Full teacher-forced pass; returns (logits, encoder output, image vec).
+
+    One image with one sequence gives T x V logits; a B x H x W x ch
+    batch with a list of B sequences runs as one PAD-padded stack and
+    gives B x T x V logits.
+    """
     enc_out = encode_image(model, image)
     dec = decode_text(seq, model.params, model.cfg.decoder, context=enc_out.features)
     img_vec = image_embedding(model, enc_out)

@@ -29,17 +29,14 @@ from .autograd import (
     Tensor,
     add,
     add_bias,
-    concat,
     embedding_lookup,
     gelu,
     layer_norm,
     matmul,
-    scale,
-    slice_axis,
-    softmax,
+    reshape,
     transpose,
 )
-from .encoder import sinusoidal_positions
+from .encoder import attend, merge_heads, project_heads, sinusoidal_positions, split_heads
 from .errors import ConfigError, ContractError, VocabError
 from .init import ones_init, uniform_init, zeros_init
 
@@ -211,8 +208,8 @@ class DecoderConfig:
 
 @dataclass
 class DecoderOutput:
-    hidden: Tensor  # T x C
-    logits: Tensor  # T x V, tied to the embedding
+    hidden: Tensor  # (B x) T x C
+    logits: Tensor  # (B x) T x V, tied to the embedding
 
 
 def init_decoder_params(cfg: DecoderConfig, rng: np.random.Generator, prefix: str = "dec") -> dict[str, Tensor]:
@@ -242,34 +239,38 @@ def init_decoder_params(cfg: DecoderConfig, rng: np.random.Generator, prefix: st
     return params
 
 
-def attention_masks(ids: Sequence[int]) -> Tensor:
-    """Additive T x T mask: 0 where key j is visible to query i, else -1e30.
+def token_ids(tokens) -> np.ndarray:
+    """Ids of one sequence as a (T,) array, or of a batch as (B, T).
+
+    A batch is a list of TokenSequences; each is PAD-padded to the
+    longest, which the attention masks and a PAD ``ignore_id`` then
+    leave out.
+    """
+    if isinstance(tokens, TokenSequence):
+        return np.asarray(tokens.ids)
+    if tokens and all(isinstance(seq, TokenSequence) for seq in tokens):
+        t = max(len(seq.ids) for seq in tokens)
+        return np.array([seq.ids + (PAD_ID,) * (t - len(seq.ids)) for seq in tokens])
+    return np.asarray([int(i) for i in tokens], dtype=np.intp)
+
+
+def attention_masks(ids) -> Tensor:
+    """Additive (..., T, T) mask: 0 where key j is visible to query i, else -1e30.
 
     Position i sees positions j <= i whose token is not PAD.  The mask
     value is finite but large enough that softmax underflows those
-    entries to exactly zero.
+    entries to exactly zero.  A (B, T) batch of ids gives one mask per row.
     """
     ids = np.asarray(ids)
-    t = ids.shape[0]
-    mask = np.zeros((t, t))
-    future = np.triu(np.ones((t, t), dtype=bool), k=1)
-    mask[future] = MASK_VALUE
-    mask[:, ids == PAD_ID] = MASK_VALUE
-    if ids[0] == PAD_ID:
+    if np.any(ids[..., 0] == PAD_ID):
         raise ContractError("first position must not be PAD")
-    return Tensor(mask)
-
-
-def _heads_split(x: Tensor, n: int):
-    c = x.shape[1]
-    c_h = c // n
-    if n == 1:
-        return [x]
-    return [slice_axis(x, 1, i * c_h, (i + 1) * c_h) for i in range(n)]
+    positions = np.arange(ids.shape[-1])
+    future = positions[None, :] > positions[:, None]
+    return Tensor(np.where(future | (ids[..., None, :] == PAD_ID), MASK_VALUE, 0.0))
 
 
 def decode_text(
-    tokens: TokenSequence | Sequence[int],
+    tokens,
     params: dict[str, Tensor],
     cfg: DecoderConfig,
     context: Tensor | None = None,
@@ -277,47 +278,49 @@ def decode_text(
 ) -> DecoderOutput:
     """Run the decoder over a full sequence with teacher forcing.
 
-    Returns hidden states and tied logits for every position, including
-    PAD positions (mask their targets out of the loss instead).
+    ``tokens`` is one sequence (a TokenSequence or a list of ids) with a
+    P x W ``context``, or a batch of TokenSequences (see
+    :func:`token_ids`) with a B x P x W context; a batch runs as one
+    stack.  Returns hidden states and tied logits for every position,
+    including PAD positions (mask their targets out of the loss instead).
     """
-    ids = list(tokens.ids) if isinstance(tokens, TokenSequence) else [int(i) for i in tokens]
-    if not ids:
+    ids = token_ids(tokens)
+    if ids.size == 0:
         raise ContractError("decode_text: empty token sequence")
-    if any(not 0 <= i < cfg.vocab_size for i in ids):
+    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise VocabError(f"token id out of range for vocabulary of {cfg.vocab_size}")
-    if context is not None and (context.data.ndim != 2 or context.shape[1] != cfg.context_width):
+    lead, t = ids.shape[:-1], ids.shape[-1]
+    if context is not None and (
+        context.data.ndim != len(lead) + 2 or context.shape[:-2] != lead or context.shape[-1] != cfg.context_width
+    ):
         raise ConfigError(
-            f"context rows must have width {cfg.context_width}, got {context.shape}"
+            f"context must be one P x {cfg.context_width} map per token sequence (ids {ids.shape}), got {context.shape}"
         )
-    t = len(ids)
-    c, n_h, c_h = cfg.dim, cfg.heads, cfg.head_dim
+    c, n_h = cfg.dim, cfg.heads
     emb = params[f"{prefix}.emb"]
-    h = add(embedding_lookup(emb, ids), sinusoidal_positions(t, c))
-    mask = attention_masks(ids)
-    inv_sqrt = 1.0 / math.sqrt(c_h)
+    h = add_bias(embedding_lookup(emb, ids), sinusoidal_positions(t, c))
+    mask = attention_masks(ids).data
+    mask = Tensor(np.broadcast_to(mask, (n_h,) + mask.shape).reshape(-1, t, t))  # one per head and item
+    inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)
+    if context is not None:
+        patches = context.shape[-2]
+        context_rows = reshape(context, (context.size // cfg.context_width, cfg.context_width))
+
+    def heads(b: str, part: str, name: str) -> list[Tensor]:
+        return [params[f"{b}.{part}.h{hd}.{name}"] for hd in range(n_h)]
 
     for i in range(cfg.depth):
         b = f"{prefix}.b{i}"
-        outs = []
-        for hd, xh in enumerate(_heads_split(h, n_h)):
-            q = matmul(xh, params[f"{b}.self.h{hd}.wq"])
-            k = matmul(xh, params[f"{b}.self.h{hd}.wk"])
-            v = matmul(xh, params[f"{b}.self.h{hd}.wv"])
-            scores = add(scale(matmul(q, transpose(k)), inv_sqrt), mask)
-            outs.append(matmul(softmax(scores, axis=1), v))
-        self_out = concat(outs, axis=1) if n_h > 1 else outs[0]
-        h = layer_norm(add(h, self_out), params[f"{b}.ln1.g"], params[f"{b}.ln1.b"])
+        xh = split_heads(h, n_h)
+        q, k, v = (project_heads(xh, heads(b, "self", name), t) for name in ("wq", "wk", "wv"))
+        self_out, _ = attend(q, k, v, inv_sqrt, mask)
+        h = layer_norm(add(h, merge_heads(self_out, lead)), params[f"{b}.ln1.g"], params[f"{b}.ln1.b"])
 
         if context is not None:
-            outs = []
-            for hd, xh in enumerate(_heads_split(h, n_h)):
-                q = matmul(xh, params[f"{b}.cross.h{hd}.wq"])
-                k = matmul(context, params[f"{b}.cross.h{hd}.wk"])
-                v = matmul(context, params[f"{b}.cross.h{hd}.wv"])
-                scores = scale(matmul(q, transpose(k)), inv_sqrt)
-                outs.append(matmul(softmax(scores, axis=1), v))
-            cross_out = concat(outs, axis=1) if n_h > 1 else outs[0]
-            h = layer_norm(add(h, cross_out), params[f"{b}.ln2.g"], params[f"{b}.ln2.b"])
+            q = project_heads(split_heads(h, n_h), heads(b, "cross", "wq"), t)
+            k, v = (project_heads(context_rows, heads(b, "cross", name), patches) for name in ("wk", "wv"))
+            cross_out, _ = attend(q, k, v, inv_sqrt)
+            h = layer_norm(add(h, merge_heads(cross_out, lead)), params[f"{b}.ln2.g"], params[f"{b}.ln2.b"])
         else:
             # context-free pass: the attention term is exactly zero, so
             # the residual add is skipped and only the norm runs

@@ -27,17 +27,15 @@ from .autograd import (
     Tape,
     Tensor,
     add,
-    concat,
     cross_entropy,
     exp,
     mean,
-    reshape,
     scale,
     slice_axis,
     zero_grads,
 )
 from .data import CaptionDataset, Record
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, ShapeError
 from .fusion import contrastive_loss
 from .metrics import ScoredCorpus, ScoreReport, score_report
 from .model import (
@@ -60,6 +58,7 @@ from .textdec import (
     Vocabulary,
     decode_text,
     encode_caption,
+    token_ids,
 )
 
 LENGTH_NORM_POWER = 0.7  # beam scores divide by (generated tokens)**0.7
@@ -139,53 +138,69 @@ def training_pairs(ds: CaptionDataset, vocab: Vocabulary, split: str = "train") 
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update; parameters without a grad are skipped."""
+    """One bias-corrected Adam update; parameters without a grad are skipped.
+
+    The update runs once over every parameter that has a grad, flattened
+    into one vector.  The arithmetic is elementwise, so each element gets
+    exactly the value a per-parameter update would give it.
+    """
     state.step += 1
     t = state.step
-    for name, tensor in params.items():
-        g = tensor.grad
-        if g is None:
-            continue
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(tensor.data)
-            v = np.zeros_like(tensor.data)
-        m = cfg.beta1 * m + (1 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1 - cfg.beta1 ** t)
-        v_hat = v / (1 - cfg.beta2 ** t)
-        tensor.data = tensor.data - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    stepped = [(name, tensor) for name, tensor in params.items() if tensor.grad is not None]
+    if not stepped:
+        return
+
+    def flat(arrays) -> np.ndarray:
+        return np.concatenate([a.reshape(-1) for a in arrays])
+
+    def moments(store: dict[str, np.ndarray]) -> np.ndarray:
+        return flat(store[name] if name in store else np.zeros(tensor.size) for name, tensor in stepped)
+
+    g = flat(tensor.grad for _, tensor in stepped)
+    m, v = moments(state.m), moments(state.v)
+    m = cfg.beta1 * m + (1 - cfg.beta1) * g
+    v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+    m_hat = m / (1 - cfg.beta1 ** t)
+    v_hat = v / (1 - cfg.beta2 ** t)
+    theta = flat(tensor.data for _, tensor in stepped) - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    start = 0
+    for name, tensor in stepped:
+        shape = tensor.data.shape
+        stop = start + tensor.size
+        state.m[name] = m[start:stop].reshape(shape)
+        state.v[name] = v[start:stop].reshape(shape)
+        tensor.data = theta[start:stop].reshape(shape)
+        start = stop
 
 
 def train_step(model: CaptionModel, batch: list[TrainingPair], state: AdamState, cfg: TrainConfig) -> StepLosses:
-    """Forward, backward, and Adam update over one batch."""
+    """Forward, backward, and Adam update over one batch.
+
+    The batch runs as one stack: one encoder pass over its images, one
+    decoder pass with image context and one without over its captions,
+    PAD-padded to the longest.  Each pair's caption cross-entropy is the
+    mean over its own predicted tokens, and the batch's is the mean over
+    pairs.
+    """
     if not batch:
         raise ContractError("train_step: empty batch")
     if cfg.contrastive_weight > 0 and len(batch) < 2:
         raise ContractError("contrastive loss needs a batch of at least 2 pairs")
+    shapes = sorted({pair.image.shape for pair in batch})
+    if len(shapes) > 1:
+        raise ShapeError(f"train_step: batch images differ in shape: {shapes}")
     trainable = model.trainable()
     zero_grads(trainable.values())
-    jd = model.cfg.joint_dim
+    images = Tensor(np.stack([pair.image.data for pair in batch]))
+    seqs = [pair.tokens for pair in batch]
+    ids = token_ids(seqs)
     with Tape() as tape:
-        ce_terms = []
-        img_rows = []
-        txt_rows = []
-        for pair in batch:
-            logits, _, img_vec = caption_logits(model, pair.image, pair.tokens)
-            n = pair.tokens.length
-            predictions = slice_axis(logits, 0, 0, n - 1)
-            targets = pair.tokens.ids[1:n]
-            ce_terms.append(cross_entropy(predictions, targets))
-            if cfg.contrastive_weight > 0:
-                img_rows.append(reshape(img_vec, (1, jd)))
-                txt_rows.append(reshape(text_embedding(model, pair.tokens), (1, jd)))
-        ce = mean(concat(ce_terms, axis=0)) if len(ce_terms) > 1 else ce_terms[0]
+        logits, _, img_vecs = caption_logits(model, images, seqs)
+        predictions = slice_axis(logits, 1, 0, ids.shape[1] - 1)
+        ce = mean(cross_entropy(predictions, ids[:, 1:], ignore_id=PAD_ID))
         if cfg.contrastive_weight > 0:
             temperature = exp(model.params["fuse.log_temp"])
-            closs = contrastive_loss(concat(img_rows, axis=0), concat(txt_rows, axis=0), temperature)
+            closs = contrastive_loss(img_vecs, text_embedding(model, seqs), temperature)
             total = add(ce, scale(closs, cfg.contrastive_weight))
             contrastive_value = closs.item()
         else:

@@ -21,12 +21,15 @@ from dualcap.autograd import (
     layer_norm,
     matmul,
     mean,
+    mean_rows,
     mul,
+    rearrange,
     reshape,
     scale,
     scale_by,
     slice_axis,
     softmax,
+    stack,
     sub,
     take_rows,
     transpose,
@@ -150,6 +153,82 @@ class TestFiniteDifferenceOracles:
         check_grads(build, [x, w, g, b], tol=1e-6)
 
 
+class TestBatchedOps:
+    """Stacks with leading batch axes, against central differences and per-item results."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stacked_matmul(self, seed):
+        rng = np.random.default_rng(1100 + seed)
+        a, b = rand(rng, 2, 3, 4), rand(rng, 2, 4, 5)
+        shared_right, shared_left = rand(rng, 4, 5), rand(rng, 3, 3)
+        check_grads(lambda: mean(mul(matmul(a, b), matmul(a, b))), [a, b], tol=1e-6)
+        check_grads(lambda: mean(mul(matmul(a, shared_right), matmul(a, shared_right))), [a, shared_right], tol=1e-6)
+        check_grads(lambda: mean(mul(matmul(shared_left, a), matmul(shared_left, a))), [shared_left, a], tol=1e-6)
+        for i in range(2):
+            np.testing.assert_allclose(matmul(a, b).data[i], a.data[i] @ b.data[i], atol=1e-12, rtol=0)
+            np.testing.assert_allclose(matmul(a, shared_right).data[i], a.data[i] @ shared_right.data, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(matmul(shared_left, a).data[i], shared_left.data @ a.data[i], atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bias_softmax_and_layer_norm_on_the_last_axis(self, seed):
+        rng = np.random.default_rng(1200 + seed)
+        x = rand(rng, 2, 3, 4)
+        y = rand(rng, 2, 3, 4)
+        bias, table = rand(rng, 4), rand(rng, 3, 4)
+        g = Tensor(rng.uniform(0.5, 1.5, 4), requires_grad=True)
+        b = rand(rng, 4)
+        check_grads(lambda: mean(mul(add_bias(x, bias), y)), [x, bias], tol=1e-6)
+        check_grads(lambda: mean(mul(add_bias(x, table), y)), [x, table], tol=1e-6)
+        check_grads(lambda: mean(mul(softmax(x, axis=2), y)), [x], tol=1e-6)
+        check_grads(lambda: mean(mul(layer_norm(x, g, b), y)), [x, g, b], tol=1e-6)
+        for i in range(2):
+            np.testing.assert_array_equal(softmax(x, axis=2).data[i], softmax(Tensor(x.data[i]), axis=1).data)
+            np.testing.assert_array_equal(layer_norm(x, g, b).data[i], layer_norm(Tensor(x.data[i]), g, b).data)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stacked_cross_entropy_gives_one_mean_per_item(self, seed):
+        rng = np.random.default_rng(1300 + seed)
+        logits = rand(rng, 2, 4, 6)
+        targets = rng.integers(1, 6, size=(2, 4))
+        targets[1, 2:] = 0  # item 1 keeps two rows
+        weights = Tensor(rng.standard_normal(2))
+        check_grads(lambda: mean(mul(cross_entropy(logits, targets, ignore_id=0), weights)), [logits], tol=1e-6)
+        per_item = cross_entropy(logits, targets, ignore_id=0)
+        assert per_item.shape == (2,)
+        for i in range(2):
+            alone = cross_entropy(Tensor(logits.data[i]), targets[i], ignore_id=0).item()
+            assert abs(per_item.data[i] - alone) < 1e-12
+        targets[1] = 0  # every row of item 1 ignored
+        with pytest.raises(ContractError, match="every row"):
+            cross_entropy(logits, targets, ignore_id=0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_regrouping_ops(self, seed):
+        rng = np.random.default_rng(1400 + seed)
+        x = rand(rng, 2, 3, 4)
+        y = rand(rng, 4, 6)
+        parts = [rand(rng, 3, 2) for _ in range(3)]
+        probe = Tensor(rng.standard_normal((2, 4)))
+        check_grads(lambda: mean(mul(rearrange(x, (6, 2, 2), (1, 0, 2), (4, 6)), y)), [x], tol=1e-6)
+        check_grads(lambda: mean(mul(stack(parts), stack(parts[::-1]))), parts, tol=1e-6)
+        check_grads(lambda: mean(mul(mean_rows(x, [1, 3]), probe)), [x], tol=1e-6)
+        np.testing.assert_array_equal(
+            rearrange(x, (6, 2, 2), (1, 0, 2), (4, 6)).data,
+            x.data.reshape(6, 2, 2).transpose(1, 0, 2).reshape(4, 6),
+        )
+        np.testing.assert_array_equal(mean_rows(x, [1, 3]).data[0], x.data[0, :1].mean(axis=0))
+
+    def test_batch_dimension_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 2\)"):
+            stack([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2)))])
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(2, 4\)"):
+            add_bias(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4))))
+        with pytest.raises(ShapeError):
+            cross_entropy(Tensor(np.zeros((2, 3, 4))), np.zeros((3, 2), dtype=int))
+
+
 class TestTapeMechanics:
     def test_fanout_accumulates_exactly_once_per_record(self):
         """A diamond graph gives grad 2+3=5; a double visit would give 10."""
@@ -199,6 +278,19 @@ class TestTapeMechanics:
             y = scale(x, 2.0)
         with pytest.raises(ContractError):
             backward(y)
+
+    def test_second_backward_on_the_same_root_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            out = mean(mul(x, x))
+        tape.backward(out)
+        first = x.grad.copy()
+        with pytest.raises(ContractError):
+            tape.backward(out)
+        with pytest.raises(ContractError):
+            backward(out)
+        np.testing.assert_array_equal(x.grad, first)
+        assert len(tape) == 2  # a spent tape still counts its records
 
     def test_root_must_be_on_the_given_tape(self):
         x = Tensor([1.0], requires_grad=True)

@@ -6,20 +6,37 @@ resume/determinism invariants; generation against structural and
 tie-break properties on degenerate models.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
-from dualcap.autograd import Tensor
+from dualcap import autograd, flops
+from dualcap.autograd import (
+    Tape,
+    Tensor,
+    add,
+    concat,
+    cross_entropy,
+    exp,
+    mean,
+    reshape,
+    scale,
+    slice_axis,
+    zero_grads,
+)
 from dualcap.data import make_synthetic
 from dualcap.encoder import EncoderConfig
-from dualcap.errors import ConfigError, ContractError
+from dualcap.errors import ConfigError, ContractError, ShapeError
+from dualcap.fusion import contrastive_loss
 from dualcap.metrics import ScoreReport
-from dualcap.model import ModelConfig, build_model, set_channel_stats
-from dualcap.textdec import BOS_ID, EOS_ID, DecoderConfig, Vocabulary
+from dualcap.model import ModelConfig, build_model, caption_logits, set_channel_stats, text_embedding
+from dualcap.textdec import BOS_ID, EOS_ID, DecoderConfig, Vocabulary, encode_caption
 from dualcap.train import (
     ABLATION_VARIANTS,
     AdamState,
     TrainConfig,
+    TrainingPair,
     ablate,
     adam_step,
     caption_records,
@@ -147,6 +164,125 @@ class TestTrainStep:
         for _ in range(29):
             last = train_step(model, pairs, state, cfg)
         assert last.total < 0.7 * first.total
+
+
+def per_pair_step(model, batch, cfg):
+    """Loss and gradients of one step computed pair by pair: the oracle for train_step.
+
+    Every pair runs on its own through caption_logits and text_embedding,
+    as train_step did before batching; its cross-entropy covers its own
+    L-1 predictions.
+    """
+    trainable = model.trainable()
+    zero_grads(trainable.values())
+    jd = model.cfg.joint_dim
+    with Tape() as tape:
+        ce_terms, img_rows, txt_rows = [], [], []
+        for pair in batch:
+            logits, _, img_vec = caption_logits(model, pair.image, pair.tokens)
+            n = pair.tokens.length
+            ce_terms.append(cross_entropy(slice_axis(logits, 0, 0, n - 1), pair.tokens.ids[1:n]))
+            img_rows.append(reshape(img_vec, (1, jd)))
+            txt_rows.append(reshape(text_embedding(model, pair.tokens), (1, jd)))
+        total = mean(concat(ce_terms, axis=0))
+        if cfg.contrastive_weight > 0:
+            temperature = exp(model.params["fuse.log_temp"])
+            closs = contrastive_loss(concat(img_rows, axis=0), concat(txt_rows, axis=0), temperature)
+            total = add(total, scale(closs, cfg.contrastive_weight))
+        tape.backward(total)
+    return total.item(), {name: t.grad for name, t in trainable.items()}
+
+
+def ragged_batch(vocab, pairs):
+    """The pairs' images with captions of 3 to 8 tokens, one of them stored PAD-padded."""
+    batch = []
+    for i, pair in enumerate(pairs):
+        text = " ".join(pair.caption.split()[:1 + i % 6])
+        tokens = encode_caption(vocab, text, max_len=12 if i == 3 else None)
+        batch.append(TrainingPair(name=pair.name, image=pair.image, tokens=tokens, caption=text))
+    assert len({p.tokens.length for p in batch}) > 1
+    return batch
+
+
+def step_forward_flops(model, caption_tokens: int, batch_size: int) -> int:
+    """Closed-form forward matmul FLOPs of one train step on equal-length captions.
+
+    Per pair: the encoder, the decoder with image context, the image
+    pooling, the conditioned head, the context-free decoder and the text
+    pooling; per batch, the contrastive similarity matrix.
+    """
+    e, d, j = model.cfg.encoder, model.cfg.decoder, model.cfg.joint_dim
+    p, c, w, t = e.patches, e.dim, e.feature_width, caption_tokens
+    dd, v = d.dim, d.vocab_size
+    encoder = 2 * p * e.patch_len * c + e.depth * (
+        6 * p * c * c + 4 * p * e.window_patches * c  # spatial windows
+        + 10 * p * c * e.group_dim  # channel groups
+        + 2 * p * w * c  # block projection
+        + 4 * e.ffn_expansion * p * c * c  # feed-forward
+    )
+    self_block = 6 * t * dd * d.head_dim + 4 * t * t * dd + 4 * d.ffn_expansion * t * dd * dd
+    cross = 2 * t * dd * d.head_dim + 4 * p * w * dd + 4 * t * p * dd
+    tied_head = 2 * t * dd * v
+    with_context = d.depth * (self_block + cross) + tied_head
+    conditioned = 2 * t * t * dd + 2 * t * dd * j + 2 * t * j + 4 * t * j * dd + tied_head
+    without_context = d.depth * self_block + tied_head
+    per_pair = encoder + with_context + 2 * w * j + conditioned + without_context + 2 * dd * j
+    return batch_size * per_pair + 2 * batch_size * j * batch_size
+
+
+class TestBatchedStep:
+    @pytest.mark.parametrize("weight", [0.5, 0.0])
+    def test_matches_the_per_pair_oracle_on_ragged_captions(self, weight):
+        _, vocab, batched, pairs, cfg = synthetic_setup(contrastive_weight=weight)
+        _, _, oracle, _, _ = synthetic_setup(contrastive_weight=weight)
+        batch = ragged_batch(vocab, pairs)
+        expected_loss, expected_grads = per_pair_step(oracle, batch, cfg)
+        losses = train_step(batched, batch, AdamState(), cfg)
+        assert abs(losses.total - expected_loss) < 1e-12
+        for name, t in batched.trainable().items():
+            if expected_grads[name] is None:
+                assert t.grad is None, name
+            else:
+                np.testing.assert_allclose(t.grad, expected_grads[name], atol=1e-12, rtol=0, err_msg=name)
+
+    def test_records_fewer_than_200_tape_ops(self, monkeypatch):
+        _, _, model, pairs, cfg = synthetic_setup()
+        records = []
+        replay = autograd.Tape.backward
+
+        def counting_backward(tape, root):
+            records.append(len(tape))
+            replay(tape, root)
+
+        monkeypatch.setattr(autograd.Tape, "backward", counting_backward)
+        train_step(model, pairs, AdamState(), cfg)
+        assert len(records) == 1 and records[0] < 200
+
+    def test_forward_flops_match_the_closed_form(self):
+        _, _, model, pairs, cfg = synthetic_setup()
+        lengths = {len(p.tokens.ids) for p in pairs}
+        assert len(lengths) == 1  # no padding, so batched and per-pair costs agree
+        with flops.count_flops() as counter:
+            train_step(model, pairs, AdamState(), cfg)
+        assert counter.total == step_forward_flops(model, lengths.pop(), len(pairs))
+
+    def test_images_of_different_shapes_are_rejected(self):
+        _, _, model, pairs, cfg = synthetic_setup()
+        odd = TrainingPair(name="odd", image=Tensor(np.zeros((8, 8, 3))), tokens=pairs[1].tokens, caption="")
+        with pytest.raises(ShapeError, match="differ in shape"):
+            train_step(model, [pairs[0], odd], AdamState(), cfg)
+
+    def test_a_step_leaves_no_reference_cycles(self):
+        _, _, model, pairs, cfg = synthetic_setup()
+        state = AdamState()
+        train_step(model, pairs, state, cfg)
+        gc.collect()
+        gc.disable()
+        try:
+            train_step(model, pairs, state, cfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFit:
