@@ -438,11 +438,6 @@ def take_rows(x: Tensor, indices) -> Tensor:
     return _record(out, (x,), grad_fn)
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Rows of the embedding table for a sequence of token ids."""
-    return take_rows(table, ids)
-
-
 # ---------------------------------------------------------------------------
 # reductions and nonlinearities
 

@@ -15,6 +15,7 @@ state always produces byte-identical files.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +42,11 @@ class Checkpoint:
 
 
 def save_checkpoint(path, params: dict[str, Tensor], config: dict, state: AdamState | None = None) -> None:
-    """Write params (and optimizer moments, when given) to one file."""
+    """Write params (and optimizer moments, when given) to one file.
+
+    The file is replaced in one rename, so a reader sees the old file or
+    the new one, never a partial write.
+    """
     arrays: list[tuple[str, str, np.ndarray]] = [
         (name, "param", t.data) for name, t in params.items()
     ]
@@ -63,12 +68,16 @@ def save_checkpoint(path, params: dict[str, Tensor], config: dict, state: AdamSt
         "arrays": manifest,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for raw in chunks:
-            f.write(raw)
+    data = b"".join([MAGIC, struct.pack("<I", len(blob)), blob, *chunks])
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

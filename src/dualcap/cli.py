@@ -23,7 +23,6 @@ from .checkpoint import load_checkpoint, model_from_checkpoint, save_model
 from .data import CaptionDataset, load_dataset, make_synthetic, read_netpbm, write_netpbm
 from .encoder import (
     EncoderConfig,
-    KernelShape,
     channel_group_attention,
     global_attention,
     heatmap,
@@ -313,9 +312,12 @@ def bench_rows(rc: RunConfig) -> list[dict]:
     """FLOPs and wall time for each attention kernel at each patch count."""
     rows = []
     c = rc.dim
+    for key, n in (("heads", rc.heads), ("groups", rc.groups)):
+        if n < 1 or c % n != 0:
+            raise ConfigError(f"{key} {n} does not divide dim {c}")
     rng = np.random.default_rng(rc.seed)
+    c_g = c // rc.groups
     for p in BENCH_PATCHES:
-        shape = KernelShape(patches=p, dim=c, window_patches=rc.window_patches, groups=rc.groups)
         x = Tensor(rng.standard_normal((p, c)))
         heads = [
             tuple(Tensor(rng.standard_normal((c // rc.heads, c // rc.heads))) for _ in range(3))
@@ -323,14 +325,14 @@ def bench_rows(rc: RunConfig) -> list[dict]:
         ]
         spatial = [Tensor(rng.standard_normal((c, c))) for _ in range(3)]
         groups = [
-            tuple(Tensor(rng.standard_normal((shape.group_dim, shape.group_dim))) for _ in range(3))
+            tuple(Tensor(rng.standard_normal((c_g, c_g))) for _ in range(3))
             for _ in range(rc.groups)
         ]
         row = {"patches": p}
         for kernel, run in (
             ("global", lambda: global_attention(x, heads)),
-            ("windowed", lambda: spatial_window_attention(x, *spatial, shape)),
-            ("channel", lambda: channel_group_attention(x, groups, shape)),
+            ("windowed", lambda: spatial_window_attention(x, *spatial, (1, rc.window_patches))),
+            ("channel", lambda: channel_group_attention(x, groups)),
         ):
             with flops.count_flops() as counter:
                 start = time.perf_counter()

@@ -6,14 +6,17 @@ blocks then run two complementary attention branches over the same
 input: window attention mixes nearby patches (token axis, cost linear in
 P for fixed window size) and group attention mixes channels within a
 group (channel axis, also linear in P).  The branch outputs are
-concatenated to width 2C, projected back to C, and wrapped in the usual
-post-norm residual + feed-forward structure.  A conventional global
-multi-head attention branch exists for ablations and as the quadratic
-baseline the windowed design avoids.
+concatenated to width 2C; a block's tail projects them back to C and
+wraps them in the usual post-norm residual + feed-forward structure.  A
+conventional global multi-head attention branch exists for ablations
+and as the quadratic baseline the windowed design avoids.
 
-The encoder output keeps the final block's pre-projection concatenation
-(P x 2C) as the feature map handed to the decoder, and the per-block
+The encoder output is the final block's pre-projection concatenation
+(P x 2C), the feature map handed to the decoder, plus the per-block
 attention weight stacks from which patch saliency heatmaps are read.
+Only a following block reads a block's tail, so a depth-D encoder runs
+D branch stages and D-1 tails, and the final block has no tail
+parameters.
 
 Every function takes one image (H x W x ch, rows P x C) or a batch of
 them (B x H x W x ch, rows B x P x C) through the same code: windows,
@@ -65,7 +68,8 @@ class EncoderConfig:
     heads : head count of the global-attention branch; divides dim
     window_patches : patches per spatial window; divides the patch count
     groups : channel groups; divides dim
-    depth : number of encoder blocks (0 = embeddings only)
+    depth : number of encoder blocks (0 = embeddings only); every
+        block but the last has a projection + feed-forward tail
     mode : which branches a block runs ("dual" pairs spatial + channel;
         the single-branch modes duplicate their output to fill the
         2C concat width so every mode shares the block shape)
@@ -148,63 +152,25 @@ class EncoderConfig:
         """Width of the encoder output rows: 2C past any block, C otherwise."""
         return 2 * self.dim if self.depth >= 1 else self.dim
 
-
-@dataclass(frozen=True)
-class KernelShape:
-    """Just enough geometry to run the attention kernels standalone.
-
-    Benchmarks sweep patch counts that no square image grid produces
-    (e.g. 128), so this stands in for EncoderConfig where the kernels
-    only need patch/window/group arithmetic.  1-d windows only.
-    """
-
-    patches: int
-    dim: int
-    window_patches: int = 4
-    groups: int = 4
-    window_layout: str = "1d"
-
-    def __post_init__(self):
-        if self.window_layout != "1d":
-            raise ConfigError("KernelShape supports only 1d windows")
-        if self.patches < 1 or self.patches % self.window_patches != 0:
-            raise ConfigError(
-                f"window_patches {self.window_patches} must divide patches {self.patches}"
-            )
-        if self.dim < 1 or self.dim % self.groups != 0:
-            raise ConfigError(f"groups {self.groups} must divide dim {self.dim}")
-
     @property
-    def windows(self) -> int:
-        return self.patches // self.window_patches
-
-    @property
-    def group_dim(self) -> int:
-        return self.dim // self.groups
-
-
-@dataclass
-class PatchGrid:
-    """Patch-level view of an image (or a batch): raw pixels, positions, embeddings."""
-
-    patches: Tensor  # (B x) P x patch_len, flattened row-major pixels
-    positions: Tensor  # P x C
-    embeddings: Tensor  # (B x) P x C, projection + positions
-
-    @property
-    def count(self) -> int:
-        return self.patches.shape[-2]
+    def window_shape(self) -> tuple[int, int]:
+        """One spatial window as (rows, columns) of patches; see window_patch_indices."""
+        if self.window_layout == "1d":
+            return 1, self.window_patches
+        side = math.isqrt(self.window_patches)
+        return side, side
 
 
 @dataclass
 class EncoderOutput:
     """Feature map plus the attention weights of every block.
 
-    For a batch every shape gains a leading B axis.
+    For a batch every shape gains a leading B axis.  A depth-D encoder
+    has D entries in each weight list: every block runs its branches,
+    and only the D-1 blocks another block reads run their tails.
     """
 
-    features: Tensor  # P x 2C for depth >= 1, else the P x C embeddings
-    hidden: Tensor  # final block output, P x C
+    features: Tensor  # final block's pre-projection concat P x 2C for depth >= 1, else the P x C embeddings
     spatial_weights: list  # per block: (N_w, P_w, P_w) array or None
     channel_weights: list  # per block: (N_g, C_g, C_g) array or None
     global_weights: list  # per block: (N_h, P, P) array or None
@@ -262,8 +228,8 @@ def split_patches(image: Tensor, cfg: EncoderConfig) -> np.ndarray:
     return tiles.reshape(lead + (cfg.patches, cfg.patch_len))
 
 
-def embed_patches(image: Tensor, cfg: EncoderConfig, w_proj: Tensor, positions: Tensor) -> PatchGrid:
-    """Flatten patches row-major, project linearly to C, add positions.
+def embed_patches(image: Tensor, cfg: EncoderConfig, w_proj: Tensor, positions: Tensor) -> Tensor:
+    """Flatten patches row-major, project linearly to C, add positions: (B x) P x C.
 
     The projection carries no bias so a zero image with zero positions
     embeds to exactly zero.
@@ -273,46 +239,49 @@ def embed_patches(image: Tensor, cfg: EncoderConfig, w_proj: Tensor, positions: 
         raise ShapeError(f"patch projection must be {(cfg.patch_len, cfg.dim)}, got {w_proj.shape}")
     if positions.shape != (cfg.patches, cfg.dim):
         raise ShapeError(f"positions must be {(cfg.patches, cfg.dim)}, got {positions.shape}")
-    embeddings = add_bias(matmul(patches, w_proj), positions)
-    return PatchGrid(patches=patches, positions=positions, embeddings=embeddings)
+    return add_bias(matmul(patches, w_proj), positions)
 
 
-def _window_tiles(cfg: "EncoderConfig | KernelShape") -> tuple[int, int, int, int]:
-    """The patch grid as (tile rows, rows per tile, tile columns, columns per tile).
+def _window_tiles(patches: int, window: tuple[int, int]) -> tuple[int, int, int, int]:
+    """The patches as (tile rows, rows per tile, tile columns, columns per tile).
 
-    "1d" windows are runs of window_patches consecutive patch indices,
-    i.e. 1 x P_w tiles of a N_w x P_w grid; "2d" windows are square
-    tiles of the image's patch grid.
+    A 1 x n window is a run of n consecutive patch indices, i.e. a 1 x n
+    tile of a (P/n) x n grid; a taller window is a tile of the square
+    patch grid.  Windows that do not tile the patches raise ShapeError.
     """
-    if cfg.window_layout == "1d":
-        return cfg.windows, 1, 1, cfg.window_patches
-    side = math.isqrt(cfg.window_patches)
-    return cfg.grid // side, side, cfg.grid // side, side
+    wr, wc = window
+    if wr == 1 and wc >= 1 and patches % wc == 0:
+        return patches // wc, 1, 1, wc
+    side = math.isqrt(patches)
+    if wr > 1 and wc >= 1 and side * side == patches and side % wr == 0 and side % wc == 0:
+        return side // wr, wr, side // wc, wc
+    raise ShapeError(f"{wr} x {wc} windows do not tile {patches} patches")
 
 
-def window_patch_indices(cfg: "EncoderConfig | KernelShape") -> list[list[int]]:
+def window_patch_indices(patches: int, window: tuple[int, int]) -> list[list[int]]:
     """Partition of patch indices into attention windows, in window order.
 
-    "1d" windows are contiguous runs in row-major patch order; "2d"
-    windows are square tiles of the patch grid.
+    ``window`` is (rows, columns) as in EncoderConfig.window_shape: 1 x n
+    windows are contiguous runs in row-major patch order, taller ones
+    tiles of the square patch grid.
     """
-    rows, tr, cols, tc = _window_tiles(cfg)
-    order = np.arange(cfg.patches).reshape(rows, tr, cols, tc).transpose(0, 2, 1, 3)
-    return order.reshape(cfg.windows, cfg.window_patches).tolist()
+    rows, tr, cols, tc = _window_tiles(patches, window)
+    order = np.arange(patches).reshape(rows, tr, cols, tc).transpose(0, 2, 1, 3)
+    return order.reshape(rows * cols, tr * tc).tolist()
 
 
-def _windows(x: Tensor, cfg: "EncoderConfig | KernelShape", lead: tuple[int, ...] | None = None) -> Tensor:
+def _windows(x: Tensor, tiles: tuple[int, int, int, int], lead: tuple[int, ...] | None = None) -> Tensor:
     """(*lead, P, C) rows -> (B*N_w, P_w, C) windows in window_patch_indices order.
 
     Given ``lead``, the inverse: windows back to (*lead, P, C) rows.
     Swapping the two middle tile axes is its own inverse.
     """
-    rows, tr, cols, tc = _window_tiles(cfg)
+    rows, tr, cols, tc = tiles
     c = x.shape[-1]
-    nb = x.size // (cfg.patches * c)
+    nb = x.size // (rows * tr * cols * tc * c)
     if lead is None:
-        return rearrange(x, (nb, rows, tr, cols, tc, c), (0, 1, 3, 2, 4, 5), (nb * cfg.windows, cfg.window_patches, c))
-    return rearrange(x, (nb, rows, cols, tr, tc, c), (0, 1, 3, 2, 4, 5), lead + (cfg.patches, c))
+        return rearrange(x, (nb, rows, tr, cols, tc, c), (0, 1, 3, 2, 4, 5), (nb * rows * cols, tr * tc, c))
+    return rearrange(x, (nb, rows, cols, tr, tc, c), (0, 1, 3, 2, 4, 5), lead + (rows * tr * cols * tc, c))
 
 
 def split_heads(x: Tensor, n: int) -> Tensor:
@@ -380,30 +349,31 @@ def global_attention(x: Tensor, head_weights: list[tuple[Tensor, Tensor, Tensor]
     return merge_heads(out, lead), _per_item(attn.data, lead)
 
 
-def spatial_window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, cfg: "EncoderConfig | KernelShape"):
+def spatial_window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, window: tuple[int, int]):
     """Single-head attention restricted to disjoint patch windows.
 
-    All windows share one set of C x C projections; scores inside a
-    window are scaled by 1/sqrt(C).  Patches never attend outside their
-    window, which caps the score matrices at P_w x P_w and keeps the
-    cost linear in P.  Returns (output P x C in original patch order,
-    weights N_w x P_w x P_w in window order).
+    ``window`` is one window's (rows, columns) of patches, as in
+    window_patch_indices.  All windows share one set of C x C
+    projections; scores inside a window are scaled by 1/sqrt(C).
+    Patches never attend outside their window, which caps the score
+    matrices at P_w x P_w and keeps the cost linear in P.  Returns
+    (output P x C in original patch order, weights N_w x P_w x P_w in
+    window order).
     """
     lead, (p, c) = x.shape[:-2], x.shape[-2:]
     if wq.shape != (c, c) or wk.shape != (c, c) or wv.shape != (c, c):
         raise ShapeError(f"spatial_window_attention: projections must be {(c, c)}, got {wq.shape}")
-    if p != cfg.patches:
-        raise ShapeError(f"spatial_window_attention: expected {cfg.patches} rows, got {p}")
+    tiles = _window_tiles(p, window)
     with flops.scope("spatial_window"):
-        xw = _windows(x, cfg)
+        xw = _windows(x, tiles)
         q, k, v = matmul(xw, wq), matmul(xw, wk), matmul(xw, wv)
         with flops.scope("core"):
             out, attn = attend(q, k, v, 1.0 / math.sqrt(c))
-    pw = cfg.window_patches
-    return _windows(out, cfg, lead), attn.data.reshape(lead + (cfg.windows, pw, pw)).copy()
+    pw = attn.shape[-1]
+    return _windows(out, tiles, lead), attn.data.reshape(lead + (p // pw, pw, pw)).copy()
 
 
-def channel_group_attention(x: Tensor, group_weights: list[tuple[Tensor, Tensor, Tensor]], cfg: "EncoderConfig | KernelShape"):
+def channel_group_attention(x: Tensor, group_weights: list[tuple[Tensor, Tensor, Tensor]]):
     """Attention transposed onto the channel axis, all groups at once.
 
     Group g sees its C_g columns, projects them with its own C_g x C_g
@@ -413,15 +383,16 @@ def channel_group_attention(x: Tensor, group_weights: list[tuple[Tensor, Tensor,
     concatenate back to width C.  Returns (output P x C, weights
     N_g x C_g x C_g).
     """
-    lead, p = x.shape[:-2], x.shape[-2]
-    if len(group_weights) != cfg.groups:
-        raise ShapeError(f"channel_group_attention: expected {cfg.groups} groups, got {len(group_weights)}")
-    c_g = cfg.group_dim
+    lead, (p, c) = x.shape[:-2], x.shape[-2:]
+    n_g = len(group_weights)
+    if n_g == 0 or c % n_g != 0:
+        raise ShapeError(f"channel_group_attention: {n_g} groups do not divide width {c}")
+    c_g = c // n_g
     for wq, _, _ in group_weights:
         if wq.shape != (c_g, c_g):
             raise ShapeError(f"channel_group_attention: group weights must be {(c_g, c_g)}, got {wq.shape}")
     with flops.scope("channel_group"):
-        xg = split_heads(x, cfg.groups)
+        xg = split_heads(x, n_g)
         q, k, v = (project_heads(xg, list(ws), p) for ws in zip(*group_weights))
         with flops.scope("core"):
             scores = scale(matmul(transpose(q), k), 1.0 / math.sqrt(p))
@@ -451,6 +422,8 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, prefix: st
             for h in range(cfg.heads):
                 for name in ("wq", "wk", "wv"):
                     params[f"{b}.global.h{h}.{name}"] = uniform_init(rng, (c_h, c_h))
+        if i == cfg.depth - 1:
+            break  # nothing reads the final block's tail
         params[f"{b}.proj.w"] = uniform_init(rng, (2 * c, c))
         params[f"{b}.proj.b"] = zeros_init(c)
         params[f"{b}.ln1.g"] = ones_init(c)
@@ -471,20 +444,21 @@ def _block_heads(params: dict, base: str, count: int) -> list[tuple[Tensor, Tens
     ]
 
 
-def encoder_block(x: Tensor, params: dict[str, Tensor], prefix: str, cfg: EncoderConfig):
-    """One encoder block: branches, concat, project, residual norms.
+def block_branches(x: Tensor, params: dict[str, Tensor], prefix: str, cfg: EncoderConfig):
+    """A block's attention branches, concatenated to width 2C.
 
-    Returns (block output P x C, pre-projection concat P x 2C, and the
-    spatial / channel / global weight stacks, None for absent branches).
+    Returns (concat P x 2C, and the spatial / channel / global weight
+    stacks, None for absent branches).
     """
     last = x.data.ndim - 1
     sw = cw = gw = None
     if cfg.mode in ("dual", "spatial"):
         spatial_out, sw = spatial_window_attention(
-            x, params[f"{prefix}.spatial.wq"], params[f"{prefix}.spatial.wk"], params[f"{prefix}.spatial.wv"], cfg
+            x, params[f"{prefix}.spatial.wq"], params[f"{prefix}.spatial.wk"], params[f"{prefix}.spatial.wv"],
+            cfg.window_shape,
         )
     if cfg.mode in ("dual", "channel"):
-        channel_out, cw = channel_group_attention(x, _block_heads(params, f"{prefix}.channel.g", cfg.groups), cfg)
+        channel_out, cw = channel_group_attention(x, _block_heads(params, f"{prefix}.channel.g", cfg.groups))
     if cfg.mode == "global":
         global_out, gw = global_attention(x, _block_heads(params, f"{prefix}.global.h", cfg.heads))
 
@@ -496,15 +470,21 @@ def encoder_block(x: Tensor, params: dict[str, Tensor], prefix: str, cfg: Encode
         branches = concat([channel_out, channel_out], axis=last)
     else:
         branches = concat([global_out, global_out], axis=last)
+    return branches, sw, cw, gw
 
+
+def block_tail(x: Tensor, branches: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
+    """A block's output P x C: project the concat back to C, then the residual norms and FFN.
+
+    ``x`` is the block input and ``branches`` its block_branches concat.
+    """
     with flops.scope("block_proj"):
         projected = add_bias(matmul(branches, params[f"{prefix}.proj.w"]), params[f"{prefix}.proj.b"])
     y = layer_norm(add(x, projected), params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     with flops.scope("ffn"):
         inner = gelu(add_bias(matmul(y, params[f"{prefix}.ffn.w1"]), params[f"{prefix}.ffn.b1"]))
         ffn_out = add_bias(matmul(inner, params[f"{prefix}.ffn.w2"]), params[f"{prefix}.ffn.b2"])
-    out = layer_norm(add(y, ffn_out), params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    return out, branches, sw, cw, gw
+    return layer_norm(add(y, ffn_out), params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
 
 
 def encode(image: Tensor, cfg: EncoderConfig, params: dict[str, Tensor], prefix: str = "enc") -> EncoderOutput:
@@ -524,19 +504,17 @@ def encode(image: Tensor, cfg: EncoderConfig, params: dict[str, Tensor], prefix:
         positions = params[f"{prefix}.pos"]
     else:
         positions = sinusoidal_positions(cfg.patches, cfg.dim)
-    grid = embed_patches(image, cfg, params[f"{prefix}.patch.w"], positions)
-    x = grid.embeddings
+    x = features = embed_patches(image, cfg, params[f"{prefix}.patch.w"], positions)
     spatial_w, channel_w, global_w = [], [], []
-    branches = None
     for i in range(cfg.depth):
-        x, branches, sw, cw, gw = encoder_block(x, params, f"{prefix}.b{i}", cfg)
+        if i > 0:  # block i reads the output of block i-1
+            x = block_tail(x, features, params, f"{prefix}.b{i - 1}")
+        features, sw, cw, gw = block_branches(x, params, f"{prefix}.b{i}", cfg)
         spatial_w.append(sw)
         channel_w.append(cw)
         global_w.append(gw)
-    features = branches if cfg.depth >= 1 else grid.embeddings
     return EncoderOutput(
         features=features,
-        hidden=x,
         spatial_weights=spatial_w,
         channel_weights=channel_w,
         global_weights=global_w,
@@ -557,7 +535,7 @@ def patch_saliency(output: EncoderOutput, block: int = -1) -> np.ndarray:
         raise ContractError(f"patch_saliency: block {block} has no spatial branch (mode {output.cfg.mode!r})")
     cfg = output.cfg
     saliency = np.zeros(cfg.patches)
-    for w, idx in enumerate(window_patch_indices(cfg)):
+    for w, idx in enumerate(window_patch_indices(cfg.patches, cfg.window_shape)):
         saliency[np.asarray(idx)] += weights[w].sum(axis=0)
     return saliency
 

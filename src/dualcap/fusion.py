@@ -20,7 +20,6 @@ from .autograd import (
     Tensor,
     add,
     add_bias,
-    concat,
     cross_entropy,
     l2_normalize,
     matmul,
@@ -83,13 +82,6 @@ def contrastive_loss(image_vecs: Tensor, text_vecs: Tensor, temperature: float |
     image_to_text = cross_entropy(scaled, targets)
     text_to_image = cross_entropy(transpose(scaled), targets)
     return scale(add(image_to_text, text_to_image), 0.5)
-
-
-def fuse(image_vec: Tensor, text_vec: Tensor) -> Tensor:
-    """Joint representation: the two embeddings concatenated, shape (2D,)."""
-    if image_vec.data.ndim != 1 or text_vec.data.ndim != 1:
-        raise ShapeError(f"fuse: expected 1-D vectors, got {image_vec.shape} and {text_vec.shape}")
-    return concat([image_vec, text_vec], axis=0)
 
 
 def initial_log_temperature() -> float:

@@ -137,10 +137,8 @@ def text_embedding(model: CaptionModel, seq: TokenSequence | list[TokenSequence]
     so the embedding describes only the text.  A list of sequences runs
     as one PAD-padded batch and gives (B, D).
     """
-    dec = decode_text(seq, model.params, model.cfg.decoder, context=None)
-    return pool_and_project(
-        dec.hidden, model.params["fuse.txt.w"], model.params["fuse.txt.b"], rows=_lengths(seq)
-    )
+    hidden = decode_text(seq, model.params, model.cfg.decoder, context=None)
+    return pool_and_project(hidden, model.params["fuse.txt.w"], model.params["fuse.txt.b"], rows=_lengths(seq))
 
 
 def conditioned_logits(model: CaptionModel, hidden: Tensor, image_vec: Tensor) -> Tensor:
@@ -172,7 +170,7 @@ def caption_logits(model: CaptionModel, image: Tensor, seq: TokenSequence | list
     gives B x T x V logits.
     """
     enc_out = encode_image(model, image)
-    dec = decode_text(seq, model.params, model.cfg.decoder, context=enc_out.features)
+    hidden = decode_text(seq, model.params, model.cfg.decoder, context=enc_out.features)
     img_vec = image_embedding(model, enc_out)
-    logits = conditioned_logits(model, dec.hidden, img_vec)
+    logits = conditioned_logits(model, hidden, img_vec)
     return logits, enc_out, img_vec

@@ -5,8 +5,9 @@ through a frequency-ordered vocabulary with four reserved ids (PAD=0,
 BOS=1, EOS=2, UNK=3).  The decoder itself is a stack of post-norm
 transformer blocks: causal self-attention (a position sees itself and
 earlier positions only; PAD keys are masked out), cross-attention over
-encoder patch features, and a GELU feed-forward.  The output head is
-tied to the input embedding, so logits are hidden @ W_emb^T.
+encoder patch features, and a GELU feed-forward.  The decoder returns
+hidden states; the output head, tied to the input embedding, is applied
+by model.conditioned_logits after the fused image-text conditioning.
 
 The cross-attention sublayer always runs.  With context=None its
 attention term is exactly zero, which makes no-context decoding
@@ -29,12 +30,11 @@ from .autograd import (
     Tensor,
     add,
     add_bias,
-    embedding_lookup,
     gelu,
     layer_norm,
     matmul,
     reshape,
-    transpose,
+    take_rows,
 )
 from .encoder import attend, merge_heads, project_heads, sinusoidal_positions, split_heads
 from .errors import ConfigError, ContractError, VocabError
@@ -206,12 +206,6 @@ class DecoderConfig:
         return self.dim // self.heads
 
 
-@dataclass
-class DecoderOutput:
-    hidden: Tensor  # (B x) T x C
-    logits: Tensor  # (B x) T x V, tied to the embedding
-
-
 def init_decoder_params(cfg: DecoderConfig, rng: np.random.Generator, prefix: str = "dec") -> dict[str, Tensor]:
     """Fresh trainable parameters for the configured decoder."""
     c, c_h = cfg.dim, cfg.head_dim
@@ -275,13 +269,13 @@ def decode_text(
     cfg: DecoderConfig,
     context: Tensor | None = None,
     prefix: str = "dec",
-) -> DecoderOutput:
+) -> Tensor:
     """Run the decoder over a full sequence with teacher forcing.
 
     ``tokens`` is one sequence (a TokenSequence or a list of ids) with a
     P x W ``context``, or a batch of TokenSequences (see
     :func:`token_ids`) with a B x P x W context; a batch runs as one
-    stack.  Returns hidden states and tied logits for every position,
+    stack.  Returns the (B x) T x C hidden states of every position,
     including PAD positions (mask their targets out of the loss instead).
     """
     ids = token_ids(tokens)
@@ -297,8 +291,7 @@ def decode_text(
             f"context must be one P x {cfg.context_width} map per token sequence (ids {ids.shape}), got {context.shape}"
         )
     c, n_h = cfg.dim, cfg.heads
-    emb = params[f"{prefix}.emb"]
-    h = add_bias(embedding_lookup(emb, ids), sinusoidal_positions(t, c))
+    h = add_bias(take_rows(params[f"{prefix}.emb"], ids), sinusoidal_positions(t, c))
     mask = attention_masks(ids).data
     mask = Tensor(np.broadcast_to(mask, (n_h,) + mask.shape).reshape(-1, t, t))  # one per head and item
     inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)
@@ -329,6 +322,4 @@ def decode_text(
         inner = gelu(add_bias(matmul(h, params[f"{b}.ffn.w1"]), params[f"{b}.ffn.b1"]))
         ffn_out = add_bias(matmul(inner, params[f"{b}.ffn.w2"]), params[f"{b}.ffn.b2"])
         h = layer_norm(add(h, ffn_out), params[f"{b}.ln3.g"], params[f"{b}.ln3.b"])
-
-    logits = matmul(h, transpose(emb))
-    return DecoderOutput(hidden=h, logits=logits)
+    return h

@@ -262,7 +262,7 @@ def generate(model: CaptionModel, image: Tensor, max_len: int = 16, beam_width: 
     features = enc_out.features
 
     def next_logprobs(ids: tuple[int, ...]) -> np.ndarray:
-        hidden = decode_text(ids, model.params, model.cfg.decoder, context=features).hidden
+        hidden = decode_text(ids, model.params, model.cfg.decoder, context=features)
         row = conditioned_logits(model, hidden, img_vec).data[-1].copy()
         row[[PAD_ID, BOS_ID, UNK_ID]] = -np.inf
         top = row.max()

@@ -11,6 +11,7 @@ import struct
 import numpy as np
 import pytest
 
+from dualcap import checkpoint
 from dualcap.autograd import Tensor
 from dualcap.checkpoint import (
     MAGIC,
@@ -206,3 +207,41 @@ class TestCorruption:
         name = next(iter(state.m))
         state.m[name][...] = 0.0
         assert not np.array_equal(state.m[name], ckpt.adam_m[name]) or not ckpt.adam_m[name].any()
+
+
+class _TornFile:
+    """A file whose write stores half the bytes and then fails, like a full disk."""
+
+    def __init__(self, path, mode):
+        self.f = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("failure", ["write", "rename"])
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch, failure):
+        _, _, model, pairs, cfg = small_setup()
+        path = tmp_path / "model.ckpt"
+        save_model(path, model)
+        before = path.read_bytes()
+        state, _ = fit(model, pairs, cfg, steps=1)
+        if failure == "write":
+            monkeypatch.setattr(checkpoint, "open", _TornFile, raising=False)
+        else:
+            def failing_replace(src, dst):
+                raise OSError("rename failed")
+
+            monkeypatch.setattr(checkpoint.os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            save_model(path, model, state)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -282,6 +282,12 @@ class TestBenchCommand:
         assert len(text) == 1 + len(BENCH_PATCHES) + 3
         assert text[0].startswith("patches\tglobal_flops")
 
+    @pytest.mark.parametrize("bad", [dict(groups=0), dict(groups=3), dict(heads=0), dict(window_patches=0)])
+    def test_kernel_shapes_that_do_not_fit_are_config_errors(self, tmp_path, capsys, bad):
+        cfg = write_cfg(tmp_path / "run.cfg", **bad)
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_fit_quality_separates_linear_from_quadratic(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "run.cfg")
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0

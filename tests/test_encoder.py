@@ -9,10 +9,11 @@ from dualcap import flops
 from dualcap.autograd import Tensor, mean, mul
 from dualcap.encoder import (
     EncoderConfig,
+    block_branches,
+    block_tail,
     channel_group_attention,
     embed_patches,
     encode,
-    encoder_block,
     global_attention,
     heatmap,
     heatmap_to_gray,
@@ -96,8 +97,8 @@ class TestAttentionOracles:
         cfg = small_cfg()
         x = Tensor(rng.standard_normal((cfg.patches, cfg.dim)))
         wq, wk, wv = (Tensor(rng.standard_normal((8, 8))) for _ in range(3))
-        out, weights = spatial_window_attention(x, wq, wk, wv, cfg)
-        expected = oracle_window(x.data, wq.data, wk.data, wv.data, window_patch_indices(cfg))
+        out, weights = spatial_window_attention(x, wq, wk, wv, cfg.window_shape)
+        expected = oracle_window(x.data, wq.data, wk.data, wv.data, window_patch_indices(cfg.patches, cfg.window_shape))
         np.testing.assert_allclose(out.data, expected, atol=1e-12, rtol=0)
         assert weights.shape == (cfg.windows, 4, 4)
         np.testing.assert_allclose(weights.sum(axis=2), np.ones((cfg.windows, 4)), atol=1e-9, rtol=0)
@@ -108,7 +109,7 @@ class TestAttentionOracles:
         cfg = small_cfg()
         x = Tensor(rng.standard_normal((cfg.patches, cfg.dim)))
         groups = rand_heads(rng, cfg.groups, cfg.group_dim)
-        out, weights = channel_group_attention(x, groups, cfg)
+        out, weights = channel_group_attention(x, groups)
         expected = oracle_channel(x.data, [[t.data for t in g] for g in groups])
         np.testing.assert_allclose(out.data, expected, atol=1e-12, rtol=0)
         assert weights.shape == (cfg.groups, 4, 4)
@@ -120,7 +121,7 @@ class TestAttentionOracles:
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((1, 4)))
         wq, wk, wv = (Tensor(rng.standard_normal((4, 4))) for _ in range(3))
-        out, weights = spatial_window_attention(x, wq, wk, wv, cfg)
+        out, weights = spatial_window_attention(x, wq, wk, wv, cfg.window_shape)
         np.testing.assert_array_equal(weights, np.ones((1, 1, 1)))
         np.testing.assert_allclose(out.data, x.data @ wv.data, atol=1e-12, rtol=0)
 
@@ -130,7 +131,7 @@ class TestAttentionOracles:
         assert cfg.windows == 1
         x = Tensor(rng.standard_normal((16, 8)))
         wq, wk, wv = (Tensor(rng.standard_normal((8, 8))) for _ in range(3))
-        windowed, _ = spatial_window_attention(x, wq, wk, wv, cfg)
+        windowed, _ = spatial_window_attention(x, wq, wk, wv, cfg.window_shape)
         full, _ = global_attention(x, [(wq, wk, wv)])
         np.testing.assert_allclose(windowed.data, full.data, atol=1e-12, rtol=0)
 
@@ -143,8 +144,8 @@ class TestLocality:
         poked = base.copy()
         poked[5] += 10.0  # patch 5 lives in window 1
         wq, wk, wv = (Tensor(rng.standard_normal((8, 8))) for _ in range(3))
-        out_a, _ = spatial_window_attention(Tensor(base), wq, wk, wv, cfg)
-        out_b, _ = spatial_window_attention(Tensor(poked), wq, wk, wv, cfg)
+        out_a, _ = spatial_window_attention(Tensor(base), wq, wk, wv, cfg.window_shape)
+        out_b, _ = spatial_window_attention(Tensor(poked), wq, wk, wv, cfg.window_shape)
         np.testing.assert_array_equal(out_a.data[:4], out_b.data[:4])
         np.testing.assert_array_equal(out_a.data[8:], out_b.data[8:])
         assert not np.array_equal(out_a.data[4:8], out_b.data[4:8])
@@ -156,14 +157,14 @@ class TestLocality:
         poked = base.copy()
         poked[:, 6] += 10.0  # column 6 lives in group 1
         groups = rand_heads(rng, 2, 4)
-        out_a, _ = channel_group_attention(Tensor(base), groups, cfg)
-        out_b, _ = channel_group_attention(Tensor(poked), groups, cfg)
+        out_a, _ = channel_group_attention(Tensor(base), groups)
+        out_b, _ = channel_group_attention(Tensor(poked), groups)
         np.testing.assert_array_equal(out_a.data[:, :4], out_b.data[:, :4])
         assert not np.array_equal(out_a.data[:, 4:], out_b.data[:, 4:])
 
     def test_2d_windows_tile_the_grid(self):
         cfg = small_cfg(window_layout="2d")  # grid 4x4, 2x2 windows
-        assert window_patch_indices(cfg) == [
+        assert window_patch_indices(cfg.patches, cfg.window_shape) == [
             [0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]
         ]
 
@@ -174,9 +175,9 @@ class TestLocality:
         poked = base.copy()
         poked[5] += 10.0  # window [0, 1, 4, 5]
         wq, wk, wv = (Tensor(rng.standard_normal((8, 8))) for _ in range(3))
-        out_a, _ = spatial_window_attention(Tensor(base), wq, wk, wv, cfg)
-        out_b, _ = spatial_window_attention(Tensor(poked), wq, wk, wv, cfg)
-        expected = oracle_window(base, wq.data, wk.data, wv.data, window_patch_indices(cfg))
+        out_a, _ = spatial_window_attention(Tensor(base), wq, wk, wv, cfg.window_shape)
+        out_b, _ = spatial_window_attention(Tensor(poked), wq, wk, wv, cfg.window_shape)
+        expected = oracle_window(base, wq.data, wk.data, wv.data, window_patch_indices(cfg.patches, cfg.window_shape))
         np.testing.assert_allclose(out_a.data, expected, atol=1e-12, rtol=0)
         untouched = [2, 3, 6, 7, 8, 9, 12, 13, 10, 11, 14, 15]
         np.testing.assert_array_equal(out_a.data[untouched], out_b.data[untouched])
@@ -197,8 +198,8 @@ class TestPatchEmbedding:
         cfg = small_cfg()
         image = Tensor(np.zeros((8, 8, 1)))
         w = Tensor(np.random.default_rng(0).standard_normal((cfg.patch_len, cfg.dim)))
-        grid = embed_patches(image, cfg, w, Tensor(np.zeros((cfg.patches, cfg.dim))))
-        np.testing.assert_array_equal(grid.embeddings.data, np.zeros((16, 8)))
+        embeddings = embed_patches(image, cfg, w, Tensor(np.zeros((cfg.patches, cfg.dim))))
+        np.testing.assert_array_equal(embeddings.data, np.zeros((16, 8)))
 
     def test_sinusoidal_positions_basics(self):
         pos = sinusoidal_positions(16, 8)
@@ -231,11 +232,12 @@ class TestNormalizeImage:
 
 class TestEncoderBlockAndEncode:
     def test_block_output_shapes_and_weights(self):
-        cfg = small_cfg()
+        cfg = small_cfg(depth=2)
         rng = np.random.default_rng(5)
         params = init_encoder_params(cfg, rng)
         x = Tensor(rng.standard_normal((16, 8)))
-        out, branches, sw, cw, gw = encoder_block(x, params, "enc.b0", cfg)
+        branches, sw, cw, gw = block_branches(x, params, "enc.b0", cfg)
+        out = block_tail(x, branches, params, "enc.b0")
         assert out.shape == (16, 8) and branches.shape == (16, 16)
         assert sw.shape == (4, 4, 4) and cw.shape == (2, 4, 4) and gw is None
         assert np.all(np.isfinite(out.data))
@@ -246,7 +248,7 @@ class TestEncoderBlockAndEncode:
         rng = np.random.default_rng(6)
         params = init_encoder_params(cfg, rng)
         x = Tensor(rng.standard_normal((16, 8)))
-        _, branches, sw, cw, gw = encoder_block(x, params, "enc.b0", cfg)
+        branches, sw, cw, gw = block_branches(x, params, "enc.b0", cfg)
         np.testing.assert_array_equal(branches.data[:, :8], branches.data[:, 8:])
         present = {"spatial": sw, "channel": cw, "global": gw}[mode]
         assert present is not None
@@ -257,14 +259,14 @@ class TestEncoderBlockAndEncode:
         params = init_encoder_params(cfg, rng)
         image = Tensor(rng.uniform(0, 1, (8, 8, 1)))
         out = encode(image, cfg, params)
-        grid = embed_patches(image, cfg, params["enc.patch.w"], sinusoidal_positions(cfg.patches, cfg.dim))
+        embeddings = embed_patches(image, cfg, params["enc.patch.w"], sinusoidal_positions(cfg.patches, cfg.dim))
         sp, _ = spatial_window_attention(
-            grid.embeddings, params["enc.b0.spatial.wq"], params["enc.b0.spatial.wk"],
-            params["enc.b0.spatial.wv"], cfg)
+            embeddings, params["enc.b0.spatial.wq"], params["enc.b0.spatial.wk"],
+            params["enc.b0.spatial.wv"], cfg.window_shape)
         ch, _ = channel_group_attention(
-            grid.embeddings,
+            embeddings,
             [(params[f"enc.b0.channel.g{g}.wq"], params[f"enc.b0.channel.g{g}.wk"],
-              params[f"enc.b0.channel.g{g}.wv"]) for g in range(cfg.groups)], cfg)
+              params[f"enc.b0.channel.g{g}.wv"]) for g in range(cfg.groups)])
         np.testing.assert_array_equal(out.features.data, np.concatenate([sp.data, ch.data], axis=1))
 
     def test_depth_zero_features_are_embeddings(self):
@@ -274,8 +276,8 @@ class TestEncoderBlockAndEncode:
         image = Tensor(rng.uniform(0, 1, (8, 8, 1)))
         out = encode(image, cfg, params)
         assert out.features.shape == (16, 8)
-        grid = embed_patches(image, cfg, params["enc.patch.w"], sinusoidal_positions(16, 8))
-        np.testing.assert_array_equal(out.features.data, grid.embeddings.data)
+        embeddings = embed_patches(image, cfg, params["enc.patch.w"], sinusoidal_positions(16, 8))
+        np.testing.assert_array_equal(out.features.data, embeddings.data)
 
     def test_encode_applies_channel_stats_when_present(self):
         cfg = small_cfg()
@@ -295,23 +297,32 @@ class TestEncoderBlockAndEncode:
         cfg = small_cfg(depth=2)
         rng = np.random.default_rng(10)
         params = init_encoder_params(cfg, rng)
-        out = encode(Tensor(rng.uniform(0, 1, (8, 8, 1))), cfg, params)
+        image = Tensor(rng.uniform(0, 1, (8, 8, 1)))
+        out = encode(image, cfg, params)
         assert len(out.spatial_weights) == 2 and out.features.shape == (16, 16)
+        # block 1 reads block 0's tail; nothing reads block 1's, so it has none
+        embeddings = embed_patches(image, cfg, params["enc.patch.w"], sinusoidal_positions(16, 8))
+        x = block_tail(embeddings, block_branches(embeddings, params, "enc.b0", cfg)[0], params, "enc.b0")
+        np.testing.assert_array_equal(out.features.data, block_branches(x, params, "enc.b1", cfg)[0].data)
+        tails = ("proj", "ln1", "ffn", "ln2")
+        assert all(any(k.startswith(f"enc.b0.{t}.") for k in params) for t in tails)
+        assert not any(k.startswith(f"enc.b1.{t}.") for k in params for t in tails)
 
 
 class TestEncoderGradients:
     def test_block_gradients_match_finite_differences(self):
         cfg = EncoderConfig(image_size=4, patch_size=2, image_channels=1, dim=4,
-                            heads=2, window_patches=2, groups=2, depth=1)
+                            heads=2, window_patches=2, groups=2, depth=2)
         rng = np.random.default_rng(11)
         params = init_encoder_params(cfg, rng)
         x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
 
         def build():
-            out, branches, *_ = encoder_block(x, params, "enc.b0", cfg)
+            out = block_tail(x, block_branches(x, params, "enc.b0", cfg)[0], params, "enc.b0")
             return mean(mul(out, out))
 
-        check_grads(build, [x] + list(params.values()), tol=1e-5)
+        block0 = [t for name, t in params.items() if name.startswith("enc.b0.")]
+        check_grads(build, [x] + block0, tol=1e-5)
 
     def test_global_attention_gradients(self):
         rng = np.random.default_rng(12)
@@ -340,12 +351,12 @@ class TestFlopAccounting:
         heads = rand_heads(rng, 2, c // 2)
 
         with flops.count_flops() as fc:
-            spatial_window_attention(x, wq, wk, wv, cfg)
+            spatial_window_attention(x, wq, wk, wv, cfg.window_shape)
         assert fc.by_scope["spatial_window.core"] == 4 * p * p_w * c
         assert fc.total == 6 * p * c * c + 4 * p * p_w * c
 
         with flops.count_flops() as fc:
-            channel_group_attention(x, group_w, cfg)
+            channel_group_attention(x, group_w)
         assert fc.by_scope["channel_group.core"] == 4 * p * c * c_g
         assert fc.total == 10 * p * c * c_g
 
@@ -423,9 +434,22 @@ class TestConfigValidation:
             with pytest.raises(ConfigError):
                 EncoderConfig(**{**good, **bad})
 
+    def test_kernels_reject_geometry_that_does_not_fit(self):
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.standard_normal((12, 8)))
+        wq, wk, wv = (Tensor(rng.standard_normal((8, 8))) for _ in range(3))
+        for window in ((1, 5), (2, 2), (1, 0)):  # 5 does not divide 12; 12 patches are no square grid
+            with pytest.raises(ShapeError, match="windows do not tile"):
+                spatial_window_attention(x, wq, wk, wv, window)
+        for groups in (rand_heads(rng, 3, 2), []):  # 3 groups do not divide width 8
+            with pytest.raises(ShapeError, match="groups do not divide"):
+                channel_group_attention(x, groups)
+
     def test_derived_quantities(self):
         cfg = EncoderConfig(image_size=16, patch_size=4, dim=32, heads=4,
                             window_patches=4, groups=8, depth=2)
         assert (cfg.grid, cfg.patches, cfg.windows) == (4, 16, 4)
         assert (cfg.head_dim, cfg.group_dim, cfg.patch_len) == (8, 4, 48)
         assert cfg.feature_width == 64
+        assert cfg.window_shape == (1, 4)
+        assert small_cfg(window_layout="2d").window_shape == (2, 2)

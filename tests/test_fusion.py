@@ -10,7 +10,6 @@ from dualcap.errors import ContractError, ShapeError
 from dualcap.fusion import (
     INITIAL_TEMPERATURE,
     contrastive_loss,
-    fuse,
     initial_log_temperature,
     pool_and_project,
     retrieval_accuracy,
@@ -152,12 +151,6 @@ class TestContrastiveLoss:
 
 
 class TestFuseAndRetrieval:
-    def test_fuse_concatenates(self):
-        out = fuse(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
-        np.testing.assert_array_equal(out.data, [1, 2, 3, 4])
-        with pytest.raises(ShapeError):
-            fuse(Tensor(np.zeros((1, 2))), Tensor(np.zeros(2)))
-
     def test_retrieval_accuracy_extremes(self):
         eye = np.eye(4)
         assert retrieval_accuracy(eye, eye) == 1.0

@@ -147,13 +147,13 @@ def seq(*word_ids, pad_to=None):
 
 
 class TestDecodeText:
-    def test_output_shapes_and_tied_head(self):
+    def test_output_is_hidden_states(self):
         cfg = tiny_cfg()
         rng = np.random.default_rng(0)
         params = init_decoder_params(cfg, rng)
-        out = decode_text(seq(4, 5, 6), params, cfg)
-        assert out.hidden.shape == (5, 4) and out.logits.shape == (5, 9)
-        np.testing.assert_array_equal(out.logits.data, out.hidden.data @ params["dec.emb"].data.T)
+        assert decode_text(seq(4, 5, 6), params, cfg).shape == (5, 4)
+        batch = decode_text([seq(4, 5, 6), seq(7)], params, cfg, context=Tensor(rng.standard_normal((2, 3, 6))))
+        assert batch.shape == (2, 5, 4)
 
     def test_causality_is_exact(self):
         cfg = tiny_cfg()
@@ -162,8 +162,8 @@ class TestDecodeText:
         ctx = Tensor(rng.standard_normal((3, 6)))
         a = decode_text([BOS_ID, 4, 5, 6, EOS_ID], params, cfg, context=ctx)
         b = decode_text([BOS_ID, 4, 5, 8, EOS_ID], params, cfg, context=ctx)
-        np.testing.assert_array_equal(a.logits.data[:3], b.logits.data[:3])
-        assert not np.array_equal(a.logits.data[3], b.logits.data[3])
+        np.testing.assert_array_equal(a.data[:3], b.data[:3])
+        assert not np.array_equal(a.data[3], b.data[3])
 
     def test_pad_positions_do_not_leak(self):
         cfg = tiny_cfg()
@@ -171,7 +171,7 @@ class TestDecodeText:
         params = init_decoder_params(cfg, rng)
         short = decode_text(seq(4, 5), params, cfg)
         padded = decode_text(seq(4, 5, pad_to=7), params, cfg)
-        np.testing.assert_array_equal(short.logits.data, padded.logits.data[:4])
+        np.testing.assert_array_equal(short.data, padded.data[:4])
 
     def test_no_context_equals_zero_context_with_zero_values(self):
         cfg = tiny_cfg(depth=2)
@@ -183,16 +183,16 @@ class TestDecodeText:
             if ".cross." in key and key.endswith(".wv"):
                 params[key] = Tensor(np.zeros(params[key].shape), requires_grad=True)
         zeroed = decode_text(tokens, params, cfg, context=Tensor(np.zeros((4, 6))))
-        np.testing.assert_array_equal(plain.logits.data, zeroed.logits.data)
+        np.testing.assert_array_equal(plain.data, zeroed.data)
 
-    def test_context_changes_the_logits(self):
+    def test_context_changes_the_output(self):
         cfg = tiny_cfg()
         rng = np.random.default_rng(4)
         params = init_decoder_params(cfg, rng)
         tokens = seq(4, 5)
         without = decode_text(tokens, params, cfg)
         with_ctx = decode_text(tokens, params, cfg, context=Tensor(rng.standard_normal((3, 6))))
-        assert not np.array_equal(without.logits.data, with_ctx.logits.data)
+        assert not np.array_equal(without.data, with_ctx.data)
 
     def test_outputs_are_finite(self):
         cfg = tiny_cfg()
@@ -200,7 +200,7 @@ class TestDecodeText:
         params = init_decoder_params(cfg, rng)
         out = decode_text(seq(4, 5, 6, 7, pad_to=10), params, cfg,
                           context=Tensor(rng.standard_normal((4, 6)) * 10))
-        assert np.all(np.isfinite(out.logits.data))
+        assert np.all(np.isfinite(out.data))
 
     def test_rejects_bad_ids_and_context(self):
         cfg = tiny_cfg()
@@ -221,7 +221,7 @@ class TestDecodeText:
 
         def build():
             out = decode_text(tokens, params, cfg, context=ctx)
-            return mean(mul(out.logits, out.logits))
+            return mean(mul(out, out))
 
         check_grads(build, [ctx] + list(params.values()), tol=1e-5)
 

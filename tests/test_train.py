@@ -7,6 +7,7 @@ tie-break properties on degenerate models.
 """
 
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,25 +208,22 @@ def ragged_batch(vocab, pairs):
 def step_forward_flops(model, caption_tokens: int, batch_size: int) -> int:
     """Closed-form forward matmul FLOPs of one train step on equal-length captions.
 
-    Per pair: the encoder, the decoder with image context, the image
-    pooling, the conditioned head, the context-free decoder and the text
-    pooling; per batch, the contrastive similarity matrix.
+    Per pair: the encoder (every block's branches, every block's tail but
+    the last), the decoder with image context, the image pooling, the
+    conditioned head (the only tied head), the context-free decoder and
+    the text pooling; per batch, the contrastive similarity matrix.
     """
     e, d, j = model.cfg.encoder, model.cfg.decoder, model.cfg.joint_dim
     p, c, w, t = e.patches, e.dim, e.feature_width, caption_tokens
     dd, v = d.dim, d.vocab_size
-    encoder = 2 * p * e.patch_len * c + e.depth * (
-        6 * p * c * c + 4 * p * e.window_patches * c  # spatial windows
-        + 10 * p * c * e.group_dim  # channel groups
-        + 2 * p * w * c  # block projection
-        + 4 * e.ffn_expansion * p * c * c  # feed-forward
-    )
+    branches = 6 * p * c * c + 4 * p * e.window_patches * c + 10 * p * c * e.group_dim  # windows + groups
+    tail = 2 * p * w * c + 4 * e.ffn_expansion * p * c * c  # block projection + feed-forward
+    encoder = 2 * p * e.patch_len * c + e.depth * branches + (e.depth - 1) * tail
     self_block = 6 * t * dd * d.head_dim + 4 * t * t * dd + 4 * d.ffn_expansion * t * dd * dd
     cross = 2 * t * dd * d.head_dim + 4 * p * w * dd + 4 * t * p * dd
-    tied_head = 2 * t * dd * v
-    with_context = d.depth * (self_block + cross) + tied_head
-    conditioned = 2 * t * t * dd + 2 * t * dd * j + 2 * t * j + 4 * t * j * dd + tied_head
-    without_context = d.depth * self_block + tied_head
+    with_context = d.depth * (self_block + cross)
+    conditioned = 2 * t * t * dd + 2 * t * dd * j + 2 * t * j + 4 * t * j * dd + 2 * t * dd * v
+    without_context = d.depth * self_block
     per_pair = encoder + with_context + 2 * w * j + conditioned + without_context + 2 * dd * j
     return batch_size * per_pair + 2 * batch_size * j * batch_size
 
@@ -259,12 +257,25 @@ class TestBatchedStep:
         assert len(records) == 1 and records[0] < 200
 
     def test_forward_flops_match_the_closed_form(self):
-        _, _, model, pairs, cfg = synthetic_setup()
+        ds, vocab, model, pairs, cfg = synthetic_setup()
         lengths = {len(p.tokens.ids) for p in pairs}
         assert len(lengths) == 1  # no padding, so batched and per-pair costs agree
-        with flops.count_flops() as counter:
-            train_step(model, pairs, AdamState(), cfg)
-        assert counter.total == step_forward_flops(model, lengths.pop(), len(pairs))
+        deeper = build_model(replace(model.cfg, encoder=replace(model.cfg.encoder, depth=2)), vocab, seed=1)
+        set_channel_stats(deeper, ds.mean, ds.std)
+        for m in (model, deeper):
+            with flops.count_flops() as counter:
+                train_step(m, pairs, AdamState(), cfg)
+            assert counter.total == step_forward_flops(m, next(iter(lengths)), len(pairs))
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("mode", ["dual", "spatial", "channel", "global"])
+    def test_every_trainable_parameter_gets_a_gradient(self, mode, depth):
+        ds, vocab, model, pairs, cfg = synthetic_setup(contrastive_weight=0.5)
+        enc = replace(model.cfg.encoder, mode=mode, depth=depth)
+        model = build_model(replace(model.cfg, encoder=enc), vocab, seed=1)
+        set_channel_stats(model, ds.mean, ds.std)
+        train_step(model, pairs, AdamState(), cfg)
+        assert [name for name, t in model.trainable().items() if t.grad is None] == []
 
     def test_images_of_different_shapes_are_rejected(self):
         _, _, model, pairs, cfg = synthetic_setup()
