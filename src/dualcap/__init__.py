@@ -14,6 +14,7 @@ from .errors import (
     DataError,
     DualcapError,
     IntegrityError,
+    NonFiniteError,
     ShapeError,
     VocabError,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "DataError",
     "DualcapError",
     "IntegrityError",
+    "NonFiniteError",
     "ShapeError",
     "VocabError",
     "contrastive_loss",

@@ -357,16 +357,6 @@ def rearrange(x: Tensor, split: Sequence[int], axes: Sequence[int], shape: Seque
     return _record(out, (x,), grad_fn)
 
 
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Equal-shaped tensors stacked along a new leading axis."""
-    if not tensors:
-        raise ContractError("stack: need at least one tensor")
-    for t in tensors[1:]:
-        _require_same_shape("stack", tensors[0], t)
-    out = _new(np.array([t.data for t in tensors]))
-    return _record(out, tuple(tensors), lambda g: tuple(g))
-
-
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ContractError("concat: need at least one tensor")

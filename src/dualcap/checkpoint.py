@@ -4,12 +4,14 @@ Layout:
 
     magic "TFN1" | u32 little-endian header length | JSON header | payload
 
-The header carries the step count, an arbitrary JSON config snapshot,
-and a manifest of arrays (name, kind, shape, byte offset into the
-payload).  The payload is the arrays' float64 bytes, little-endian, in
-manifest order: parameters first (model insertion order), then Adam
-first moments, then second moments.  JSON keys are sorted, so the same
-state always produces byte-identical files.
+The header carries the format number (2), the step count, an
+arbitrary JSON config snapshot, a manifest of arrays (name, kind,
+shape, byte offset into the payload) and the payload's CRC-32.  The
+payload is the arrays' float64 bytes, little-endian, in manifest order:
+parameters first (model insertion order), then Adam first moments, then
+second moments.  JSON keys are sorted, so the same state always
+produces byte-identical files.  Format 1 files, whose attention weights
+were stored one array per head or group, are rejected.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +32,7 @@ from .textdec import Vocabulary
 from .train import AdamState
 
 MAGIC = b"TFN1"
+FORMAT = 2
 _KINDS = ("param", "adam_m", "adam_v")
 
 
@@ -62,10 +66,11 @@ def save_checkpoint(path, params: dict[str, Tensor], config: dict, state: AdamSt
         chunks.append(raw)
         offset += len(raw)
     header = {
-        "format": 1,
+        "format": FORMAT,
         "step": state.step if state is not None else 0,
         "config": config,
         "arrays": manifest,
+        "crc32": zlib.crc32(b"".join(chunks)),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     data = b"".join([MAGIC, struct.pack("<I", len(blob)), blob, *chunks])
@@ -81,7 +86,11 @@ def save_checkpoint(path, params: dict[str, Tensor], config: dict, state: AdamSt
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint back; any structural damage raises IntegrityError."""
+    """Read a checkpoint back; any damage found raises IntegrityError.
+
+    The manifest must tile the payload exactly and the payload must
+    match its CRC-32.  The arrays are read-only views of the file's bytes.
+    """
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -96,12 +105,14 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(data[8:8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise IntegrityError(f"{path}: corrupt header: {e}") from e
-    for key in ("format", "step", "config", "arrays"):
+    if not isinstance(header, dict):
+        raise IntegrityError(f"{path}: corrupt header: not a JSON object")
+    if header.get("format") != FORMAT:
+        raise IntegrityError(f"{path}: unsupported format {header.get('format')!r}")
+    for key in ("step", "config", "arrays", "crc32"):
         if key not in header:
             raise IntegrityError(f"{path}: header missing {key!r}")
-    if header["format"] != 1:
-        raise IntegrityError(f"{path}: unsupported format {header['format']!r}")
-    payload = data[8 + header_len:]
+    payload = memoryview(data)[8 + header_len:]
     ckpt = Checkpoint(config=header["config"], step=int(header["step"]))
     stores = {"param": ckpt.params, "adam_m": ckpt.adam_m, "adam_v": ckpt.adam_v}
     expected_offset = 0
@@ -123,10 +134,13 @@ def load_checkpoint(path) -> Checkpoint:
         if name in stores[kind]:
             raise IntegrityError(f"{path}: duplicate array {kind}/{name}")
         arr = np.frombuffer(payload, dtype="<f8", count=nbytes // 8, offset=offset)
-        stores[kind][name] = arr.reshape(shape).astype(np.float64)
+        stores[kind][name] = arr.reshape(shape)
         expected_offset = offset + nbytes
     if expected_offset != len(payload):
         raise IntegrityError(f"{path}: {len(payload) - expected_offset} trailing payload bytes")
+    crc = zlib.crc32(payload)
+    if crc != header["crc32"]:
+        raise IntegrityError(f"{path}: payload CRC-32 {crc} does not match the header's {header['crc32']!r}")
     return ckpt
 
 
@@ -141,14 +155,14 @@ def load_into(model: CaptionModel, ckpt: Checkpoint) -> None:
         arr = ckpt.params[name]
         if arr.shape != tensor.data.shape:
             raise IntegrityError(f"parameter {name!r}: checkpoint shape {arr.shape} != model shape {tensor.data.shape}")
-        tensor.data = arr.copy()
+        tensor.data = arr.astype(np.float64)
 
 
 def adam_state(ckpt: Checkpoint) -> AdamState:
     return AdamState(
         step=ckpt.step,
-        m={name: arr.copy() for name, arr in ckpt.adam_m.items()},
-        v={name: arr.copy() for name, arr in ckpt.adam_v.items()},
+        m={name: arr.astype(np.float64) for name, arr in ckpt.adam_m.items()},
+        v={name: arr.astype(np.float64) for name, arr in ckpt.adam_v.items()},
     )
 
 

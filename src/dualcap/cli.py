@@ -4,7 +4,8 @@ Configuration comes from a key=value file (one pair per line, # starts
 a comment) plus the --seed and --out overrides; unknown keys are
 rejected before any compute.  All outputs land under the --out
 directory.  Exit codes: 0 success, 1 usage or config error, 2 data
-error, 3 checkpoint integrity error.
+error, 3 checkpoint integrity error, 4 non-finite training (a loss or
+gradient that is not finite; no checkpoint is written for that epoch).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     ContractError,
     DataError,
     IntegrityError,
+    NonFiniteError,
     ShapeError,
     VocabError,
 )
@@ -316,23 +318,20 @@ def bench_rows(rc: RunConfig) -> list[dict]:
         if n < 1 or c % n != 0:
             raise ConfigError(f"{key} {n} does not divide dim {c}")
     rng = np.random.default_rng(rc.seed)
-    c_g = c // rc.groups
+
+    def qkv(*shape: int) -> list[Tensor]:
+        return [Tensor(rng.standard_normal(shape)) for _ in range(3)]
+
     for p in BENCH_PATCHES:
         x = Tensor(rng.standard_normal((p, c)))
-        heads = [
-            tuple(Tensor(rng.standard_normal((c // rc.heads, c // rc.heads))) for _ in range(3))
-            for _ in range(rc.heads)
-        ]
-        spatial = [Tensor(rng.standard_normal((c, c))) for _ in range(3)]
-        groups = [
-            tuple(Tensor(rng.standard_normal((c_g, c_g))) for _ in range(3))
-            for _ in range(rc.groups)
-        ]
+        heads = qkv(rc.heads, c // rc.heads, c // rc.heads)
+        spatial = qkv(c, c)
+        groups = qkv(rc.groups, c // rc.groups, c // rc.groups)
         row = {"patches": p}
         for kernel, run in (
-            ("global", lambda: global_attention(x, heads)),
+            ("global", lambda: global_attention(x, *heads)),
             ("windowed", lambda: spatial_window_attention(x, *spatial, (1, rc.window_patches))),
-            ("channel", lambda: channel_group_attention(x, groups)),
+            ("channel", lambda: channel_group_attention(x, *groups)),
         ):
             with flops.count_flops() as counter:
                 start = time.perf_counter()
@@ -434,6 +433,9 @@ def main(argv=None) -> int:
     except IntegrityError as e:
         print(f"integrity error: {e}", file=sys.stderr)
         return 3
+    except NonFiniteError as e:
+        print(f"non-finite training: {e}", file=sys.stderr)
+        return 4
     except (DataError, VocabError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2

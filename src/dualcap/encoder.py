@@ -23,6 +23,8 @@ them (B x H x W x ch, rows B x P x C) through the same code: windows,
 groups and heads are reshapes of one stack, e.g. (B*N_w, P_w, C) for
 windows and (N_g*B, P, C_g) for groups, so a batch costs one op per
 step of the computation, not one per image, window, group or head.
+Weights are stored the same way: the N groups or heads of a branch
+keep one (N, C/N, C/N) array per projection, e.g. ``enc.b0.channel.wq``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .autograd import (
     reshape,
     scale,
     softmax,
-    stack,
     transpose,
 )
 from .errors import ConfigError, ContractError, ShapeError
@@ -297,14 +298,14 @@ def merge_heads(x: Tensor, lead: tuple[int, ...]) -> Tensor:
     return rearrange(x, (n, nbh // n * t, c_h), (1, 0, 2), lead + (t, n * c_h))
 
 
-def project_heads(x: Tensor, weights: list[Tensor], rows: int) -> Tensor:
-    """Project with one weight per head; the result is (n*B, rows, C_h).
+def project_heads(x: Tensor, w: Tensor, rows: int) -> Tensor:
+    """Project every head by its own weight; the result is (n*B, rows, C_h).
 
-    ``x`` is split_heads output (n, B*rows, C_in), head i read by weight
-    i, or one (B*rows, C_in) matrix that every head reads.  The n
-    weights are stacked at use into one (n, C_in, C_h) tensor.
+    ``w`` is the (n, C_in, C_h) stack of head weights.  ``x`` is
+    split_heads output (n, B*rows, C_in), head i read by ``w[i]``, or
+    one (B*rows, C_in) matrix that every head reads.
     """
-    y = matmul(x, stack(weights))
+    y = matmul(x, w)
     return reshape(y, (y.size // (rows * y.shape[-1]), rows, y.shape[-1]))
 
 
@@ -325,27 +326,33 @@ def _per_item(weights: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
     return np.array(per_item).reshape(lead + (n,) + weights.shape[1:])
 
 
-def global_attention(x: Tensor, head_weights: list[tuple[Tensor, Tensor, Tensor]]):
+def _stacked_count(kernel: str, unit: str, width: int, weights: tuple[Tensor, ...]) -> int:
+    """The n of (n, C/n, C/n) q/k/v weight stacks over width C; anything else is a ShapeError."""
+    n = weights[0].shape[0]
+    if n == 0 or width % n != 0:
+        raise ShapeError(f"{kernel}: {n} {unit}s do not divide width {width}")
+    want = (n, width // n, width // n)
+    if any(w.shape != want for w in weights):
+        raise ShapeError(f"{kernel}: {unit} weights must be {want} stacks, got {[w.shape for w in weights]}")
+    return n
+
+
+def global_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor):
     """Full multi-head self-attention over all P patches.
 
     Heads slice the channel axis: head i sees columns [i*C_h, (i+1)*C_h)
-    and applies its own C_h x C_h query/key/value maps.  Scores are
-    scaled by 1/sqrt(C_h); head outputs concatenate back to width C.
-    Returns (output P x C, weights stacked N_h x P x P).
+    and applies its own C_h x C_h query/key/value maps ``wq[i]`` etc.;
+    the head count N_h is the weights' leading axis.  Scores are scaled
+    by 1/sqrt(C_h); head outputs concatenate back to width C.  Returns
+    (output P x C, weights stacked N_h x P x P).
     """
     lead, (p, c) = x.shape[:-2], x.shape[-2:]
-    n_h = len(head_weights)
-    if n_h == 0 or c % n_h != 0:
-        raise ShapeError(f"global_attention: {n_h} heads do not divide width {c}")
-    c_h = c // n_h
-    for wq, _, _ in head_weights:
-        if wq.shape != (c_h, c_h):
-            raise ShapeError(f"global_attention: head weights must be {(c_h, c_h)}, got {wq.shape}")
+    n_h = _stacked_count("global_attention", "head", c, (wq, wk, wv))
     with flops.scope("global"):
         xh = split_heads(x, n_h)
-        q, k, v = (project_heads(xh, list(ws), p) for ws in zip(*head_weights))
+        q, k, v = (project_heads(xh, w, p) for w in (wq, wk, wv))
         with flops.scope("core"):
-            out, attn = attend(q, k, v, 1.0 / math.sqrt(c_h))
+            out, attn = attend(q, k, v, 1.0 / math.sqrt(c // n_h))
     return merge_heads(out, lead), _per_item(attn.data, lead)
 
 
@@ -373,27 +380,22 @@ def spatial_window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wind
     return _windows(out, tiles, lead), attn.data.reshape(lead + (p // pw, pw, pw)).copy()
 
 
-def channel_group_attention(x: Tensor, group_weights: list[tuple[Tensor, Tensor, Tensor]]):
+def channel_group_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor):
     """Attention transposed onto the channel axis, all groups at once.
 
     Group g sees its C_g columns, projects them with its own C_g x C_g
-    maps, and forms channel-to-channel scores Q^T K / sqrt(P), so the
+    maps ``wq[g]`` etc. (the group count N_g is the weights' leading
+    axis), and forms channel-to-channel scores Q^T K / sqrt(P), so the
     attention matrix is C_g x C_g regardless of patch count.  Values
     aggregate as (A V^T)^T = V A^T, returning P x C_g per group; groups
     concatenate back to width C.  Returns (output P x C, weights
     N_g x C_g x C_g).
     """
     lead, (p, c) = x.shape[:-2], x.shape[-2:]
-    n_g = len(group_weights)
-    if n_g == 0 or c % n_g != 0:
-        raise ShapeError(f"channel_group_attention: {n_g} groups do not divide width {c}")
-    c_g = c // n_g
-    for wq, _, _ in group_weights:
-        if wq.shape != (c_g, c_g):
-            raise ShapeError(f"channel_group_attention: group weights must be {(c_g, c_g)}, got {wq.shape}")
+    n_g = _stacked_count("channel_group_attention", "group", c, (wq, wk, wv))
     with flops.scope("channel_group"):
         xg = split_heads(x, n_g)
-        q, k, v = (project_heads(xg, list(ws), p) for ws in zip(*group_weights))
+        q, k, v = (project_heads(xg, w, p) for w in (wq, wk, wv))
         with flops.scope("core"):
             scores = scale(matmul(transpose(q), k), 1.0 / math.sqrt(p))
             attn = softmax(scores, axis=-1)
@@ -415,13 +417,11 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, prefix: st
             for name in ("wq", "wk", "wv"):
                 params[f"{b}.spatial.{name}"] = uniform_init(rng, (c, c))
         if cfg.mode in ("dual", "channel"):
-            for g in range(cfg.groups):
-                for name in ("wq", "wk", "wv"):
-                    params[f"{b}.channel.g{g}.{name}"] = uniform_init(rng, (c_g, c_g))
+            for name in ("wq", "wk", "wv"):
+                params[f"{b}.channel.{name}"] = uniform_init(rng, (cfg.groups, c_g, c_g), fan_in=c_g)
         if cfg.mode == "global":
-            for h in range(cfg.heads):
-                for name in ("wq", "wk", "wv"):
-                    params[f"{b}.global.h{h}.{name}"] = uniform_init(rng, (c_h, c_h))
+            for name in ("wq", "wk", "wv"):
+                params[f"{b}.global.{name}"] = uniform_init(rng, (cfg.heads, c_h, c_h), fan_in=c_h)
         if i == cfg.depth - 1:
             break  # nothing reads the final block's tail
         params[f"{b}.proj.w"] = uniform_init(rng, (2 * c, c))
@@ -437,40 +437,25 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, prefix: st
     return params
 
 
-def _block_heads(params: dict, base: str, count: int) -> list[tuple[Tensor, Tensor, Tensor]]:
-    return [
-        (params[f"{base}{i}.wq"], params[f"{base}{i}.wk"], params[f"{base}{i}.wv"])
-        for i in range(count)
-    ]
-
-
 def block_branches(x: Tensor, params: dict[str, Tensor], prefix: str, cfg: EncoderConfig):
     """A block's attention branches, concatenated to width 2C.
 
     Returns (concat P x 2C, and the spatial / channel / global weight
     stacks, None for absent branches).
     """
-    last = x.data.ndim - 1
-    sw = cw = gw = None
-    if cfg.mode in ("dual", "spatial"):
-        spatial_out, sw = spatial_window_attention(
-            x, params[f"{prefix}.spatial.wq"], params[f"{prefix}.spatial.wk"], params[f"{prefix}.spatial.wv"],
-            cfg.window_shape,
-        )
-    if cfg.mode in ("dual", "channel"):
-        channel_out, cw = channel_group_attention(x, _block_heads(params, f"{prefix}.channel.g", cfg.groups))
-    if cfg.mode == "global":
-        global_out, gw = global_attention(x, _block_heads(params, f"{prefix}.global.h", cfg.heads))
-
-    if cfg.mode == "dual":
-        branches = concat([spatial_out, channel_out], axis=last)
-    elif cfg.mode == "spatial":
-        branches = concat([spatial_out, spatial_out], axis=last)
-    elif cfg.mode == "channel":
-        branches = concat([channel_out, channel_out], axis=last)
-    else:
-        branches = concat([global_out, global_out], axis=last)
-    return branches, sw, cw, gw
+    outs, attn = [], {}
+    for branch in ("spatial", "channel") if cfg.mode == "dual" else (cfg.mode,):
+        wq, wk, wv = (params[f"{prefix}.{branch}.{name}"] for name in ("wq", "wk", "wv"))
+        if branch == "spatial":
+            out, attn[branch] = spatial_window_attention(x, wq, wk, wv, cfg.window_shape)
+        elif branch == "channel":
+            out, attn[branch] = channel_group_attention(x, wq, wk, wv)
+        else:
+            out, attn[branch] = global_attention(x, wq, wk, wv)
+        outs.append(out)
+    # a single-branch mode duplicates its output to fill the 2C width
+    branches = concat(outs if len(outs) == 2 else outs * 2, axis=x.data.ndim - 1)
+    return branches, attn.get("spatial"), attn.get("channel"), attn.get("global")
 
 
 def block_tail(x: Tensor, branches: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:

@@ -31,3 +31,7 @@ class DataError(DualcapError, ValueError):
 
 class IntegrityError(DualcapError, ValueError):
     """A checkpoint file is corrupt or inconsistent with its manifest."""
+
+
+class NonFiniteError(DualcapError, ArithmeticError):
+    """Training produced a non-finite loss or gradient."""

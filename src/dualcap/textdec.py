@@ -5,9 +5,11 @@ through a frequency-ordered vocabulary with four reserved ids (PAD=0,
 BOS=1, EOS=2, UNK=3).  The decoder itself is a stack of post-norm
 transformer blocks: causal self-attention (a position sees itself and
 earlier positions only; PAD keys are masked out), cross-attention over
-encoder patch features, and a GELU feed-forward.  The decoder returns
-hidden states; the output head, tied to the input embedding, is applied
-by model.conditioned_logits after the fused image-text conditioning.
+encoder patch features, and a GELU feed-forward.  Each attention
+sublayer stores its heads stacked, one (N_h, C_in, C_h) weight per
+projection.  The decoder returns hidden states; the output head, tied
+to the input embedding, is applied by model.conditioned_logits after
+the fused image-text conditioning.
 
 The cross-attention sublayer always runs.  With context=None its
 attention term is exactly zero, which makes no-context decoding
@@ -208,18 +210,17 @@ class DecoderConfig:
 
 def init_decoder_params(cfg: DecoderConfig, rng: np.random.Generator, prefix: str = "dec") -> dict[str, Tensor]:
     """Fresh trainable parameters for the configured decoder."""
-    c, c_h = cfg.dim, cfg.head_dim
+    c, c_h, n_h, w = cfg.dim, cfg.head_dim, cfg.heads, cfg.context_width
     params: dict[str, Tensor] = {}
     params[f"{prefix}.emb"] = uniform_init(rng, (cfg.vocab_size, c), fan_in=c)
     hidden = c * cfg.ffn_expansion
     for i in range(cfg.depth):
         b = f"{prefix}.b{i}"
-        for h in range(cfg.heads):
-            for name in ("wq", "wk", "wv"):
-                params[f"{b}.self.h{h}.{name}"] = uniform_init(rng, (c_h, c_h))
-            params[f"{b}.cross.h{h}.wq"] = uniform_init(rng, (c_h, c_h))
-            params[f"{b}.cross.h{h}.wk"] = uniform_init(rng, (cfg.context_width, c_h))
-            params[f"{b}.cross.h{h}.wv"] = uniform_init(rng, (cfg.context_width, c_h))
+        for name in ("wq", "wk", "wv"):
+            params[f"{b}.self.{name}"] = uniform_init(rng, (n_h, c_h, c_h), fan_in=c_h)
+        params[f"{b}.cross.wq"] = uniform_init(rng, (n_h, c_h, c_h), fan_in=c_h)
+        params[f"{b}.cross.wk"] = uniform_init(rng, (n_h, w, c_h), fan_in=w)
+        params[f"{b}.cross.wv"] = uniform_init(rng, (n_h, w, c_h), fan_in=w)
         params[f"{b}.ln1.g"] = ones_init(c)
         params[f"{b}.ln1.b"] = zeros_init(c)
         params[f"{b}.ln2.g"] = ones_init(c)
@@ -299,19 +300,16 @@ def decode_text(
         patches = context.shape[-2]
         context_rows = reshape(context, (context.size // cfg.context_width, cfg.context_width))
 
-    def heads(b: str, part: str, name: str) -> list[Tensor]:
-        return [params[f"{b}.{part}.h{hd}.{name}"] for hd in range(n_h)]
-
     for i in range(cfg.depth):
         b = f"{prefix}.b{i}"
         xh = split_heads(h, n_h)
-        q, k, v = (project_heads(xh, heads(b, "self", name), t) for name in ("wq", "wk", "wv"))
+        q, k, v = (project_heads(xh, params[f"{b}.self.{name}"], t) for name in ("wq", "wk", "wv"))
         self_out, _ = attend(q, k, v, inv_sqrt, mask)
         h = layer_norm(add(h, merge_heads(self_out, lead)), params[f"{b}.ln1.g"], params[f"{b}.ln1.b"])
 
         if context is not None:
-            q = project_heads(split_heads(h, n_h), heads(b, "cross", "wq"), t)
-            k, v = (project_heads(context_rows, heads(b, "cross", name), patches) for name in ("wk", "wv"))
+            q = project_heads(split_heads(h, n_h), params[f"{b}.cross.wq"], t)
+            k, v = (project_heads(context_rows, params[f"{b}.cross.{name}"], patches) for name in ("wk", "wv"))
             cross_out, _ = attend(q, k, v, inv_sqrt)
             h = layer_norm(add(h, merge_heads(cross_out, lead)), params[f"{b}.ln2.g"], params[f"{b}.ln2.b"])
         else:

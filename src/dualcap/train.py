@@ -35,7 +35,7 @@ from .autograd import (
     zero_grads,
 )
 from .data import CaptionDataset, Record
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, NonFiniteError, ShapeError
 from .fusion import contrastive_loss
 from .metrics import ScoredCorpus, ScoreReport, score_report
 from .model import (
@@ -142,21 +142,24 @@ def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig) -> 
 
     The update runs once over every parameter that has a grad, flattened
     into one vector.  The arithmetic is elementwise, so each element gets
-    exactly the value a per-parameter update would give it.
+    exactly the value a per-parameter update would give it.  A gradient
+    that is not finite raises NonFiniteError, naming the step and the
+    first such parameter, before the step count or any value changes.
     """
-    state.step += 1
-    t = state.step
     stepped = [(name, tensor) for name, tensor in params.items() if tensor.grad is not None]
-    if not stepped:
-        return
 
     def flat(arrays) -> np.ndarray:
-        return np.concatenate([a.reshape(-1) for a in arrays])
+        return np.concatenate([a.reshape(-1) for a in arrays] or [np.zeros(0)])
 
     def moments(store: dict[str, np.ndarray]) -> np.ndarray:
         return flat(store[name] if name in store else np.zeros(tensor.size) for name, tensor in stepped)
 
     g = flat(tensor.grad for _, tensor in stepped)
+    if not np.isfinite(g).all():
+        bad = next(name for name, tensor in stepped if not np.isfinite(tensor.grad).all())
+        raise NonFiniteError(f"step {state.step + 1}: gradient of {bad!r} is not finite")
+    state.step += 1
+    t = state.step
     m, v = moments(state.m), moments(state.v)
     m = cfg.beta1 * m + (1 - cfg.beta1) * g
     v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
@@ -180,7 +183,8 @@ def train_step(model: CaptionModel, batch: list[TrainingPair], state: AdamState,
     decoder pass with image context and one without over its captions,
     PAD-padded to the longest.  Each pair's caption cross-entropy is the
     mean over its own predicted tokens, and the batch's is the mean over
-    pairs.
+    pairs.  A loss that is not finite raises NonFiniteError before the
+    update.
     """
     if not batch:
         raise ContractError("train_step: empty batch")
@@ -207,6 +211,10 @@ def train_step(model: CaptionModel, batch: list[TrainingPair], state: AdamState,
             total = ce
             contrastive_value = 0.0
         tape.backward(total)
+    if not math.isfinite(total.item()):
+        raise NonFiniteError(
+            f"step {state.step + 1}: loss is {total.item()!r} (ce {ce.item()!r}, contrastive {contrastive_value!r})"
+        )
     adam_step(trainable, state, cfg)
     return StepLosses(step=state.step, ce=ce.item(), contrastive=contrastive_value, total=total.item())
 

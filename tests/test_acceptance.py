@@ -60,6 +60,7 @@ from dualcap.textdec import DecoderConfig, Vocabulary, encode_caption
 from dualcap.train import TrainConfig, caption_records, fit, training_pairs
 
 from gradcheck import check_grads
+from test_encoder import one_head, rand_heads
 from test_metrics import (
     corpus_of,
     oracle_bleu,
@@ -219,12 +220,11 @@ def test_criterion_2_attention_algebra():
         assert not np.array_equal(base_w[1], pert_w[1])
 
         # group locality: perturbing group 1 columns leaves group 0 bit-exact
-        groups = [tuple(Tensor(rng.standard_normal((dual.group_dim, dual.group_dim)))
-                        for _ in range(3)) for _ in range(dual.groups)]
-        base_out, base_w = channel_group_attention(x, groups)
+        groups = rand_heads(rng, dual.groups, dual.group_dim)
+        base_out, base_w = channel_group_attention(x, *groups)
         bumped = x.data.copy()
         bumped[:, dual.group_dim:2 * dual.group_dim] += 1.0
-        pert_out, pert_w = channel_group_attention(Tensor(bumped), groups)
+        pert_out, pert_w = channel_group_attention(Tensor(bumped), *groups)
         np.testing.assert_array_equal(base_w[0], pert_w[0])
         np.testing.assert_array_equal(
             base_out.data[:, :dual.group_dim], pert_out.data[:, :dual.group_dim]
@@ -235,7 +235,7 @@ def test_criterion_2_attention_algebra():
         whole = EncoderConfig(image_size=8, patch_size=2, image_channels=3, dim=8,
                               heads=1, window_patches=16, groups=4, depth=1)
         win_out, _ = spatial_window_attention(x, wq, wk, wv, whole.window_shape)
-        glob_out, _ = global_attention(x, [(wq, wk, wv)])
+        glob_out, _ = global_attention(x, *one_head(wq, wk, wv))
         np.testing.assert_allclose(win_out.data, glob_out.data, atol=1e-12)
 
 
@@ -253,17 +253,15 @@ def test_criterion_3_complexity_accounting():
             assert fc.by_scope["spatial_window.core"] == 4 * p * p_w * c
             assert fc.total == 6 * p * c * c + 4 * p * p_w * c
 
-            groups = [tuple(Tensor(rng.standard_normal((c_g, c_g))) for _ in range(3))
-                      for _ in range(n_g)]
+            groups = rand_heads(rng, n_g, c_g)
             with flops.count_flops() as fc:
-                channel_group_attention(x, groups)
+                channel_group_attention(x, *groups)
             assert fc.by_scope["channel_group.core"] == 4 * p * c * c_g
             assert fc.total == 10 * p * c * c_g
 
-            heads = [tuple(Tensor(rng.standard_normal((c_h, c_h))) for _ in range(3))
-                     for _ in range(n_h)]
+            heads = rand_heads(rng, n_h, c_h)
             with flops.count_flops() as fc:
-                global_attention(x, heads)
+                global_attention(x, *heads)
             assert fc.total == 6 * p * c * c_h + 4 * p * p * c
             global_core[p] = fc.by_scope["global.core"]
         for p in (64, 128, 256):

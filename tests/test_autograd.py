@@ -28,7 +28,6 @@ from dualcap.autograd import (
     scale_by,
     slice_axis,
     softmax,
-    stack,
     sub,
     take_rows,
     transpose,
@@ -206,10 +205,8 @@ class TestBatchedOps:
         rng = np.random.default_rng(1400 + seed)
         x = rand(rng, 2, 3, 4)
         y = rand(rng, 4, 6)
-        parts = [rand(rng, 3, 2) for _ in range(3)]
         probe = Tensor(rng.standard_normal((2, 4)))
         check_grads(lambda: mean(mul(rearrange(x, (6, 2, 2), (1, 0, 2), (4, 6)), y)), [x], tol=1e-6)
-        check_grads(lambda: mean(mul(stack(parts), stack(parts[::-1]))), parts, tol=1e-6)
         check_grads(lambda: mean(mul(mean_rows(x, [1, 3]), probe)), [x], tol=1e-6)
         np.testing.assert_array_equal(
             rearrange(x, (6, 2, 2), (1, 0, 2), (4, 6)).data,
@@ -220,8 +217,6 @@ class TestBatchedOps:
     def test_batch_dimension_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
             matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 2\)"):
-            stack([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2)))])
         with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(2, 4\)"):
             add_bias(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4))))
         with pytest.raises(ShapeError):

@@ -1,8 +1,9 @@
 """Tests for the binary checkpoint format.
 
 Round trips must be bitwise; resuming from a checkpoint must continue a
-run exactly as if it had never stopped; structural damage must raise
-IntegrityError, never produce silently wrong parameters.
+run exactly as if it had never stopped; structural damage and payload
+corruption must raise IntegrityError, never produce silently wrong
+parameters.
 """
 
 import json
@@ -10,6 +11,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualcap import checkpoint
 from dualcap.autograd import Tensor
@@ -199,6 +201,15 @@ class TestCorruption:
         with pytest.raises(IntegrityError, match="shape"):
             load_into(model, ckpt)
 
+    def test_load_into_copies_the_read_only_file_views(self, tmp_path):
+        path, model = self.make_file(tmp_path)
+        ckpt = load_checkpoint(path)
+        assert not any(arr.flags.writeable for arr in ckpt.params.values())
+        load_into(model, ckpt)
+        for name, t in model.params.items():
+            assert t.data.flags.writeable and not np.shares_memory(t.data, ckpt.params[name])
+            assert t.data.tobytes() == ckpt.params[name].tobytes()
+
     def test_adam_state_copies(self, tmp_path):
         path, _ = self.make_file(tmp_path)
         ckpt = load_checkpoint(path)
@@ -245,3 +256,56 @@ class TestAtomicWrite:
             save_model(path, model, state)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    """A tiny checkpoint (two params with Adam moments): path, bytes, payload start."""
+    rng = np.random.default_rng(0)
+    params = {"a": Tensor(rng.standard_normal((2, 3))), "b": Tensor(rng.standard_normal(4))}
+    state = AdamState(step=3, m={k: rng.standard_normal(t.shape) for k, t in params.items()},
+                      v={k: rng.random(t.shape) for k, t in params.items()})
+    path = tmp_path_factory.mktemp("fuzz") / "c.ckpt"
+    save_checkpoint(path, params, {"model": {"dim": 8}, "seed": 0}, state)
+    data = path.read_bytes()
+    return path, data, 8 + struct.unpack("<I", data[4:8])[0]
+
+
+FUZZ = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+def flip(data: bytes, pos: int, bit: int) -> bytes:
+    flipped = bytearray(data)
+    flipped[pos] ^= 1 << bit
+    return bytes(flipped)
+
+
+class TestFuzz:
+    @FUZZ
+    @given(draw=st.data())
+    def test_truncation_raises_integrity_error(self, fuzz_file, draw):
+        path, data, _ = fuzz_file
+        path.write_bytes(data[:draw.draw(st.integers(0, len(data) - 1))])
+        with pytest.raises(IntegrityError):
+            load_checkpoint(path)
+
+    @FUZZ
+    @given(draw=st.data(), bit=st.integers(0, 7))
+    def test_bit_flip_raises_only_integrity_error(self, fuzz_file, draw, bit):
+        path, data, payload_start = fuzz_file
+        pos = draw.draw(st.integers(0, len(data) - 1))
+        path.write_bytes(flip(data, pos, bit))
+        try:
+            load_checkpoint(path)
+        except IntegrityError:
+            return
+        # a header flip may still parse (a name, a config value or the step)
+        assert pos < payload_start, f"payload flip at byte {pos} loaded"
+
+    @FUZZ
+    @given(draw=st.data(), bit=st.integers(0, 7))
+    def test_payload_bit_flip_always_raises(self, fuzz_file, draw, bit):
+        path, data, payload_start = fuzz_file
+        path.write_bytes(flip(data, draw.draw(st.integers(payload_start, len(data) - 1)), bit))
+        with pytest.raises(IntegrityError, match="CRC-32"):
+            load_checkpoint(path)

@@ -3,10 +3,12 @@
 Commands run in-process through main(argv); a shared fixture trains one
 small model to convergence so caption/eval tests can check real output
 quality.  Exit codes follow the contract: 0 ok, 1 usage/config, 2 data,
-3 integrity.
+3 integrity, 4 non-finite training.
 """
 
 import hashlib
+import json
+import struct
 import subprocess
 import sys
 
@@ -143,6 +145,15 @@ class TestTrainCommand:
         assert (tmp_path / "a/loss.tsv").read_bytes() == (tmp_path / "b/loss.tsv").read_bytes()
         assert (tmp_path / "a/epoch-0003.ckpt").read_bytes() == (tmp_path / "b/epoch-0003.ckpt").read_bytes()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_exits_4_without_that_epochs_checkpoint(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "run.cfg", epochs=3, lr=1e300)  # step 2's loss is nan
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+        assert "step 2: loss is nan" in capsys.readouterr().err
+        ckpts = sorted(p.name for p in (tmp_path / "run").glob("*.ckpt"))
+        assert ckpts == ["epoch-0000.ckpt", "epoch-0001.ckpt"]
+        assert len((tmp_path / "run/loss.tsv").read_text().splitlines()) == 2  # header and step 1
+
     def test_unset_dataset_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "run.cfg", synthetic=0)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
@@ -196,6 +207,21 @@ class TestCaptionCommand:
                      "--out", str(tmp_path), str(bad), str(image_path)])
         assert code == 3
         assert "integrity" in capsys.readouterr().err
+
+    def test_format_1_checkpoint_is_integrity_error(self, trained, tmp_path, capsys):
+        data = trained["ckpt"].read_bytes()
+        (hlen,) = struct.unpack("<I", data[4:8])
+        header = json.loads(data[8:8 + hlen])
+        header["format"] = 1
+        del header["crc32"]
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(data[:4] + struct.pack("<I", len(blob)) + blob + data[8 + hlen:])
+        image_path = trained["data"] / trained["ds"].records[0].name
+        code = main(["caption", "--config", str(trained["cfg"]),
+                     "--out", str(tmp_path), str(old), str(image_path)])
+        assert code == 3
+        assert "unsupported format 1" in capsys.readouterr().err
 
 
 class TestEvalCommand:

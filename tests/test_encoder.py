@@ -75,8 +75,20 @@ def small_cfg(**kw):
     return EncoderConfig(**base)
 
 
-def rand_heads(rng, n, d):
-    return [tuple(Tensor(rng.standard_normal((d, d))) for _ in range(3)) for _ in range(n)]
+def rand_heads(rng, n, d, requires_grad=False):
+    """(wq, wk, wv) stacks of n heads, drawn head by head: (wq, wk, wv) of head 0, then head 1, ..."""
+    heads = [[rng.standard_normal((d, d)) for _ in range(3)] for _ in range(n)]
+    return tuple(Tensor(np.array([h[j] for h in heads]).reshape(n, d, d), requires_grad=requires_grad)
+                 for j in range(3))
+
+
+def per_head(stacks):
+    """[(wq_i, wk_i, wv_i)] numpy arrays of each head of (wq, wk, wv) stacks."""
+    return list(zip(*(w.data for w in stacks)))
+
+
+def one_head(*weights):
+    return tuple(Tensor(w.data[None]) for w in weights)
 
 
 class TestAttentionOracles:
@@ -85,8 +97,8 @@ class TestAttentionOracles:
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((6, 8)))
         heads = rand_heads(rng, 2, 4)
-        out, weights = global_attention(x, heads)
-        expected = oracle_global(x.data, [[t.data for t in h] for h in heads])
+        out, weights = global_attention(x, *heads)
+        expected = oracle_global(x.data, per_head(heads))
         np.testing.assert_allclose(out.data, expected, atol=1e-12, rtol=0)
         assert weights.shape == (2, 6, 6)
         np.testing.assert_allclose(weights.sum(axis=2), np.ones((2, 6)), atol=1e-9, rtol=0)
@@ -109,8 +121,8 @@ class TestAttentionOracles:
         cfg = small_cfg()
         x = Tensor(rng.standard_normal((cfg.patches, cfg.dim)))
         groups = rand_heads(rng, cfg.groups, cfg.group_dim)
-        out, weights = channel_group_attention(x, groups)
-        expected = oracle_channel(x.data, [[t.data for t in g] for g in groups])
+        out, weights = channel_group_attention(x, *groups)
+        expected = oracle_channel(x.data, per_head(groups))
         np.testing.assert_allclose(out.data, expected, atol=1e-12, rtol=0)
         assert weights.shape == (cfg.groups, 4, 4)
         np.testing.assert_allclose(weights.sum(axis=2), np.ones((cfg.groups, 4)), atol=1e-9, rtol=0)
@@ -132,7 +144,7 @@ class TestAttentionOracles:
         x = Tensor(rng.standard_normal((16, 8)))
         wq, wk, wv = (Tensor(rng.standard_normal((8, 8))) for _ in range(3))
         windowed, _ = spatial_window_attention(x, wq, wk, wv, cfg.window_shape)
-        full, _ = global_attention(x, [(wq, wk, wv)])
+        full, _ = global_attention(x, *one_head(wq, wk, wv))
         np.testing.assert_allclose(windowed.data, full.data, atol=1e-12, rtol=0)
 
 
@@ -157,8 +169,8 @@ class TestLocality:
         poked = base.copy()
         poked[:, 6] += 10.0  # column 6 lives in group 1
         groups = rand_heads(rng, 2, 4)
-        out_a, _ = channel_group_attention(Tensor(base), groups)
-        out_b, _ = channel_group_attention(Tensor(poked), groups)
+        out_a, _ = channel_group_attention(Tensor(base), *groups)
+        out_b, _ = channel_group_attention(Tensor(poked), *groups)
         np.testing.assert_array_equal(out_a.data[:, :4], out_b.data[:, :4])
         assert not np.array_equal(out_a.data[:, 4:], out_b.data[:, 4:])
 
@@ -264,9 +276,7 @@ class TestEncoderBlockAndEncode:
             embeddings, params["enc.b0.spatial.wq"], params["enc.b0.spatial.wk"],
             params["enc.b0.spatial.wv"], cfg.window_shape)
         ch, _ = channel_group_attention(
-            embeddings,
-            [(params[f"enc.b0.channel.g{g}.wq"], params[f"enc.b0.channel.g{g}.wk"],
-              params[f"enc.b0.channel.g{g}.wv"]) for g in range(cfg.groups)])
+            embeddings, params["enc.b0.channel.wq"], params["enc.b0.channel.wk"], params["enc.b0.channel.wv"])
         np.testing.assert_array_equal(out.features.data, np.concatenate([sp.data, ch.data], axis=1))
 
     def test_depth_zero_features_are_embeddings(self):
@@ -327,14 +337,13 @@ class TestEncoderGradients:
     def test_global_attention_gradients(self):
         rng = np.random.default_rng(12)
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        heads = [tuple(Tensor(rng.standard_normal((2, 2)), requires_grad=True) for _ in range(3))
-                 for _ in range(2)]
+        heads = rand_heads(rng, 2, 2, requires_grad=True)
 
         def build():
-            out, _ = global_attention(x, heads)
+            out, _ = global_attention(x, *heads)
             return mean(mul(out, out))
 
-        check_grads(build, [x] + [t for h in heads for t in h], tol=1e-6)
+        check_grads(build, [x, *heads], tol=1e-6)
 
 
 class TestFlopAccounting:
@@ -356,12 +365,12 @@ class TestFlopAccounting:
         assert fc.total == 6 * p * c * c + 4 * p * p_w * c
 
         with flops.count_flops() as fc:
-            channel_group_attention(x, group_w)
+            channel_group_attention(x, *group_w)
         assert fc.by_scope["channel_group.core"] == 4 * p * c * c_g
         assert fc.total == 10 * p * c * c_g
 
         with flops.count_flops() as fc:
-            global_attention(x, heads)
+            global_attention(x, *heads)
         assert fc.by_scope["global.core"] == 4 * p * p * c
         assert fc.total == 6 * p * c * (c // 2) + 4 * p * p * c
 
@@ -369,7 +378,7 @@ class TestFlopAccounting:
         x = Tensor(np.zeros((2, 2)))
         with flops.count_flops() as fc:
             pass
-        global_attention(x, [(Tensor(np.eye(2)), Tensor(np.eye(2)), Tensor(np.eye(2)))])
+        global_attention(x, *one_head(Tensor(np.eye(2)), Tensor(np.eye(2)), Tensor(np.eye(2))))
         assert fc.total == 0
 
 
@@ -441,9 +450,9 @@ class TestConfigValidation:
         for window in ((1, 5), (2, 2), (1, 0)):  # 5 does not divide 12; 12 patches are no square grid
             with pytest.raises(ShapeError, match="windows do not tile"):
                 spatial_window_attention(x, wq, wk, wv, window)
-        for groups in (rand_heads(rng, 3, 2), []):  # 3 groups do not divide width 8
+        for groups in (rand_heads(rng, 3, 2), rand_heads(rng, 0, 2)):  # 3 groups do not divide width 8
             with pytest.raises(ShapeError, match="groups do not divide"):
-                channel_group_attention(x, groups)
+                channel_group_attention(x, *groups)
 
     def test_derived_quantities(self):
         cfg = EncoderConfig(image_size=16, patch_size=4, dim=32, heads=4,

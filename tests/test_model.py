@@ -5,6 +5,8 @@ and for causality (position t must not see tokens after t); gradients
 of the full pipeline are checked with finite differences.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,31 @@ class TestBuild:
         np.testing.assert_array_equal(model.params["norm.mean"].data, [0.1, 0.2, 0.3])
         with pytest.raises(ConfigError, match="positive"):
             set_channel_stats(model, [0, 0, 0], [1.0, 0.0, 1.0])
+
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("mode", ["dual", "spatial", "channel", "global"])
+    def test_attention_weights_are_stored_stacked(self, mode, depth):
+        enc = EncoderConfig(image_size=8, patch_size=2, image_channels=3, dim=8,
+                            heads=2, window_patches=4, groups=4, depth=depth, mode=mode)
+        dec = DecoderConfig(vocab_size=8, dim=12, heads=3, depth=2, context_width=enc.feature_width)
+        model = build_model(ModelConfig(encoder=enc, decoder=dec), Vocabulary(["red", "dot", "blue", "box"]))
+        branches = {"spatial": (8, 8), "channel": (4, 2, 2), "global": (2, 4, 4)}
+        expected = {}
+        for i in range(depth):
+            for branch in ("spatial", "channel") if mode == "dual" else (mode,):
+                expected.update({f"enc.b{i}.{branch}.{w}": branches[branch] for w in ("wq", "wk", "wv")})
+        for i in range(2):
+            expected.update({f"dec.b{i}.self.{w}": (3, 4, 4) for w in ("wq", "wk", "wv")})
+            expected.update({f"dec.b{i}.cross.wq": (3, 4, 4), f"dec.b{i}.cross.wk": (3, 16, 4),
+                             f"dec.b{i}.cross.wv": (3, 16, 4)})
+        attention = {name: t.shape for name, t in model.params.items()
+                     if re.search(r"\.(spatial|channel|global|self|cross)\.", name)}
+        assert attention == expected
+        assert not [name for name in model.params if re.search(r"\.[hg]\d+\.", name)]
+        for name in attention:  # U(-b, b) with b = 1/sqrt(input width) for every stacked head
+            bound = 1.0 / np.sqrt(attention[name][-2])
+            assert 0.8 * bound < np.abs(model.params[name].data).max() <= bound, name
 
 
 class TestEmbeddings:

@@ -28,7 +28,7 @@ from dualcap.autograd import (
 )
 from dualcap.data import make_synthetic
 from dualcap.encoder import EncoderConfig
-from dualcap.errors import ConfigError, ContractError, ShapeError
+from dualcap.errors import ConfigError, ContractError, NonFiniteError, ShapeError
 from dualcap.fusion import contrastive_loss
 from dualcap.metrics import ScoreReport
 from dualcap.model import ModelConfig, build_model, caption_logits, set_channel_stats, text_embedding
@@ -117,6 +117,18 @@ class TestAdam:
         adam_step({"used": used, "idle": idle}, state, cfg)
         np.testing.assert_array_equal(idle.data, [5.0])
         assert "idle" not in state.m
+
+    def test_non_finite_gradient_changes_nothing(self):
+        a = Tensor([1.0], requires_grad=True)
+        a.grad = np.array([0.5])
+        b = Tensor([2.0, 3.0], requires_grad=True)
+        b.grad = np.array([0.5, np.inf])
+        state = AdamState()
+        with pytest.raises(NonFiniteError, match="step 1: gradient of 'b'"):
+            adam_step({"a": a, "b": b}, state, TrainConfig())
+        assert state.step == 0 and state.m == {} and state.v == {}
+        np.testing.assert_array_equal(a.data, [1.0])
+        np.testing.assert_array_equal(b.data, [2.0, 3.0])
 
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="lr"):
@@ -276,6 +288,32 @@ class TestBatchedStep:
         set_channel_stats(model, ds.mean, ds.std)
         train_step(model, pairs, AdamState(), cfg)
         assert [name for name, t in model.trainable().items() if t.grad is None] == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_temperature_stops_before_the_update(self):
+        _, _, model, pairs, cfg = synthetic_setup()
+        state = AdamState()
+        train_step(model, pairs, state, cfg)
+        model.params["fuse.log_temp"].data = np.array([800.0])  # exp(800) overflows to inf
+        params = {name: t.data.tobytes() for name, t in model.params.items()}
+        moments = {name: (state.m[name].tobytes(), state.v[name].tobytes()) for name in state.m}
+        with pytest.raises(NonFiniteError, match="step 2: gradient of 'fuse.log_temp' is not finite"):
+            train_step(model, pairs, state, cfg)
+        assert state.step == 1
+        assert {name: t.data.tobytes() for name, t in model.params.items()} == params
+        assert {name: (state.m[name].tobytes(), state.v[name].tobytes()) for name in state.m} == moments
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_stops_before_the_update(self):
+        _, _, model, pairs, cfg = synthetic_setup()
+        cfg = replace(cfg, lr=1e300)
+        state = AdamState()
+        train_step(model, pairs, state, cfg)  # finite, but it leaves parameters near 1e300
+        params = {name: t.data.tobytes() for name, t in model.params.items()}
+        with pytest.raises(NonFiniteError, match="step 2: loss is nan"):
+            train_step(model, pairs, state, cfg)
+        assert state.step == 1
+        assert {name: t.data.tobytes() for name, t in model.params.items()} == params
 
     def test_images_of_different_shapes_are_rejected(self):
         _, _, model, pairs, cfg = synthetic_setup()
