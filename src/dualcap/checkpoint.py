@@ -2,16 +2,18 @@
 
 Layout:
 
-    magic "TFN1" | u32 little-endian header length | JSON header | payload
+    magic "TFN1" | u32 header length | u32 CRC-32 | JSON header | payload
 
-The header carries the format number (2), the step count, an
-arbitrary JSON config snapshot, a manifest of arrays (name, kind,
-shape, byte offset into the payload) and the payload's CRC-32.  The
-payload is the arrays' float64 bytes, little-endian, in manifest order:
-parameters first (model insertion order), then Adam first moments, then
-second moments.  JSON keys are sorted, so the same state always
-produces byte-identical files.  Format 1 files, whose attention weights
-were stored one array per head or group, are rejected.
+Both integers are little-endian; the CRC-32 covers the header and the
+payload.  The header carries the format number (3), the step count, an
+arbitrary JSON config snapshot and a manifest of arrays (name, kind,
+shape, byte offset into the payload).  The payload is the arrays'
+float64 bytes, little-endian, in manifest order: parameters first (model
+insertion order), then Adam first moments, then second moments.  JSON
+keys are sorted, so the same state always produces byte-identical
+files.  Earlier formats are rejected, naming their number: format 1
+stored attention weights one array per head or group, and format 2 kept
+its header right after the length, with a CRC-32 of the payload alone.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .textdec import Vocabulary
 from .train import AdamState
 
 MAGIC = b"TFN1"
-FORMAT = 2
+FORMAT = 3
+_PREFIX = 12  # magic, header length, CRC-32
 _KINDS = ("param", "adam_m", "adam_v")
 
 
@@ -70,10 +73,10 @@ def save_checkpoint(path, params: dict[str, Tensor], config: dict, state: AdamSt
         "step": state.step if state is not None else 0,
         "config": config,
         "arrays": manifest,
-        "crc32": zlib.crc32(b"".join(chunks)),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    data = b"".join([MAGIC, struct.pack("<I", len(blob)), blob, *chunks])
+    crc = zlib.crc32(b"".join(chunks), zlib.crc32(blob))
+    data = b"".join([MAGIC, struct.pack("<II", len(blob), crc), blob, *chunks])
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -88,31 +91,33 @@ def save_checkpoint(path, params: dict[str, Tensor], config: dict, state: AdamSt
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint back; any damage found raises IntegrityError.
 
-    The manifest must tile the payload exactly and the payload must
-    match its CRC-32.  The arrays are read-only views of the file's bytes.
+    The manifest must tile the payload exactly, and header and payload
+    must match the CRC-32, which is checked after the manifest walk so
+    that structural damage is named as such.  The arrays are read-only
+    views of the file's bytes.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as e:
         raise IntegrityError(f"cannot read checkpoint {path}: {e}") from e
-    if len(data) < 8 or data[:4] != MAGIC:
+    if len(data) < _PREFIX or data[:4] != MAGIC:
         raise IntegrityError(f"{path}: not a checkpoint (bad magic)")
-    (header_len,) = struct.unpack("<I", data[4:8])
-    if 8 + header_len > len(data):
+    header_len, crc = struct.unpack("<II", data[4:_PREFIX])
+    if _PREFIX + header_len > len(data):
         raise IntegrityError(f"{path}: header length {header_len} exceeds file size")
     try:
-        header = json.loads(data[8:8 + header_len].decode("utf-8"))
+        header = json.loads(data[_PREFIX:_PREFIX + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise IntegrityError(f"{path}: corrupt header: {e}") from e
+        raise IntegrityError(f"{path}: {_earlier_format(data) or f'corrupt header: {e}'}") from e
     if not isinstance(header, dict):
         raise IntegrityError(f"{path}: corrupt header: not a JSON object")
     if header.get("format") != FORMAT:
         raise IntegrityError(f"{path}: unsupported format {header.get('format')!r}")
-    for key in ("step", "config", "arrays", "crc32"):
+    for key in ("step", "config", "arrays"):
         if key not in header:
             raise IntegrityError(f"{path}: header missing {key!r}")
-    payload = memoryview(data)[8 + header_len:]
+    payload = memoryview(data)[_PREFIX + header_len:]
     ckpt = Checkpoint(config=header["config"], step=int(header["step"]))
     stores = {"param": ckpt.params, "adam_m": ckpt.adam_m, "adam_v": ckpt.adam_v}
     expected_offset = 0
@@ -138,10 +143,26 @@ def load_checkpoint(path) -> Checkpoint:
         expected_offset = offset + nbytes
     if expected_offset != len(payload):
         raise IntegrityError(f"{path}: {len(payload) - expected_offset} trailing payload bytes")
-    crc = zlib.crc32(payload)
-    if crc != header["crc32"]:
-        raise IntegrityError(f"{path}: payload CRC-32 {crc} does not match the header's {header['crc32']!r}")
+    actual = zlib.crc32(memoryview(data)[_PREFIX:])
+    if actual != crc:
+        raise IntegrityError(f"{path}: CRC-32 {actual} of header and payload does not match the stored {crc}")
     return ckpt
+
+
+def _earlier_format(data: bytes) -> str | None:
+    """Name the format of a file laid out as formats 1 and 2 were; None for any other file.
+
+    Those formats put the JSON header right after its length, with no
+    CRC-32 between; only their format number is read, to name it.
+    """
+    (header_len,) = struct.unpack("<I", data[4:8])
+    try:
+        header = json.loads(data[8:8 + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    if isinstance(header, dict) and "format" in header:
+        return f"unsupported format {header['format']!r}"
+    return None
 
 
 def load_into(model: CaptionModel, ckpt: Checkpoint) -> None:

@@ -110,8 +110,14 @@ def parse_config_file(path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} not found")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {e.start})") from e
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -210,6 +216,9 @@ def cmd_train(args) -> int:
     if rc.epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {rc.epochs}")
     out = out_dir(rc)
+    used = [p for p in (out / "loss.tsv", *sorted(out.glob("epoch-*.ckpt"))) if p.exists()]
+    if used:
+        raise ConfigError(f"--out {out} already holds a run ({used[0]} exists); give a new directory")
     ds = load_run_dataset(rc)
     captions = [c for _, c in ds.caption_pairs("train")]
     if not captions:
@@ -221,12 +230,9 @@ def cmd_train(args) -> int:
     pairs = training_pairs(ds, vocab)
     extra = {"seed": rc.seed}
     save_model(out / "epoch-0000.ckpt", model, None, extra=extra)
-    log_path = out / "loss.tsv"
-    fresh_log = not log_path.exists() or log_path.stat().st_size == 0
     state = None
-    with open(log_path, "a") as log:
-        if fresh_log:
-            log.write("step\tce\tcontrastive\ttotal\n")
+    with open(out / "loss.tsv", "w") as log:
+        log.write("step\tce\tcontrastive\ttotal\n")
 
         def on_step(h):
             log.write(f"{h.step}\t{h.ce!r}\t{h.contrastive!r}\t{h.total!r}\n")

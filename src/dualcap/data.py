@@ -71,7 +71,10 @@ def parse_netpbm(data: bytes, source: str = "<bytes>") -> tuple[np.ndarray, int]
             start = pos
             while pos < len(data) and data[pos:pos + 1].isdigit():
                 pos += 1
-            values.append(int(data[start:pos]))
+            try:
+                values.append(int(data[start:pos]))
+            except ValueError as e:  # more digits than int() converts
+                raise DataError(f"{source}: header value of {pos - start} digits") from e
         else:
             raise DataError(f"{source}: unexpected byte {byte!r} in header")
     width, height, maxval = values
@@ -216,6 +219,8 @@ def parse_caption_file(path) -> list[tuple[str, str]]:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot read captions {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text (byte {e.start})") from e
     pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

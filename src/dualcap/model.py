@@ -36,7 +36,7 @@ from .encoder import EncoderConfig, EncoderOutput, encode, init_encoder_params
 from .errors import ConfigError
 from .fusion import initial_log_temperature, pool_and_project
 from .init import uniform_init, zeros_init
-from .textdec import DecoderConfig, TokenSequence, Vocabulary, decode_text, init_decoder_params
+from .textdec import DecoderCache, DecoderConfig, TokenSequence, Vocabulary, decode_text, init_decoder_params
 
 
 @dataclass(frozen=True)
@@ -141,22 +141,33 @@ def text_embedding(model: CaptionModel, seq: TokenSequence | list[TokenSequence]
     return pool_and_project(hidden, model.params["fuse.txt.w"], model.params["fuse.txt.b"], rows=_lengths(seq))
 
 
-def conditioned_logits(model: CaptionModel, hidden: Tensor, image_vec: Tensor) -> Tensor:
+def conditioned_logits(
+    model: CaptionModel, hidden: Tensor, image_vec: Tensor, cache: DecoderCache | None = None
+) -> Tensor:
     """Tied logits with the fused image-text vector added per position.
 
     Position t sees the causal mean of hidden states 0..t projected into
     the joint space (same projection as the contrastive text tower),
     fused with the image embedding, and mapped back to decoder width.
     ``hidden`` is T x C with a (D,) image vector, or a B x T x C stack
-    with (B, D) image vectors.
+    with (B, D) image vectors.  With the ``cache`` of an incremental
+    decode_text call, ``hidden`` is that call's B x 1 x C new position
+    of B sequences of the one image ``image_vec`` (D,), its causal mean
+    is the cache's running sum over its length, and the logits are
+    B x 1 x V.
     """
     lead, t = hidden.shape[:-2], hidden.shape[-2]
     jd = model.cfg.joint_dim
     p = model.params
-    causal_mean = Tensor(np.tril(np.ones((t, t))) / np.arange(1.0, t + 1.0)[:, None])
-    pooled = matmul(causal_mean, hidden)
+    if cache is None:
+        causal_mean = Tensor(np.tril(np.ones((t, t))) / np.arange(1.0, t + 1.0)[:, None])
+        pooled = matmul(causal_mean, hidden)
+        ones, image_shape = Tensor(np.ones((t, 1))), lead + (1, jd)
+    else:
+        pooled = Tensor(cache.hidden_sum / cache.length)
+        ones, image_shape = Tensor(np.ones(lead + (t, 1))), (1, jd)
     text_rows = l2_normalize(add_bias(matmul(pooled, p["fuse.txt.w"]), p["fuse.txt.b"]))
-    image_rows = matmul(Tensor(np.ones((t, 1))), reshape(image_vec, lead + (1, jd)))
+    image_rows = matmul(ones, reshape(image_vec, image_shape))
     fused = concat([image_rows, text_rows], axis=len(lead) + 1)
     conditioning = add_bias(matmul(fused, p["fuse.cond.w"]), p["fuse.cond.b"])
     return matmul(add(hidden, conditioning), transpose(p["dec.emb"]))

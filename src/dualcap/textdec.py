@@ -15,13 +15,19 @@ The cross-attention sublayer always runs.  With context=None its
 attention term is exactly zero, which makes no-context decoding
 bitwise identical to decoding against a zero context with zero
 cross-value weights; the contrastive text pathway relies on this.
+
+Generation decodes incrementally: a :class:`DecoderCache` keeps what
+earlier positions computed (the image's cross-attention keys and
+values, every block's self-attention keys and values, and the running
+sum of the hidden states), so each call runs one new position of every
+live sequence.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,10 +38,12 @@ from .autograd import (
     Tensor,
     add,
     add_bias,
+    concat,
     gelu,
     layer_norm,
     matmul,
     reshape,
+    slice_axis,
     take_rows,
 )
 from .encoder import attend, merge_heads, project_heads, sinusoidal_positions, split_heads
@@ -110,7 +118,12 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except OSError as e:
+            raise VocabError(f"cannot read vocabulary {path}: {e}") from e
+        except UnicodeDecodeError as e:
+            raise VocabError(f"{path}: not UTF-8 text (byte {e.start})") from e
         tokens = []
         for i, line in enumerate(lines):
             tok = line.strip()
@@ -264,12 +277,56 @@ def attention_masks(ids) -> Tensor:
     return Tensor(np.where(future | (ids[..., None, :] == PAD_ID), MASK_VALUE, 0.0))
 
 
+@dataclass
+class DecoderCache:
+    """What decode_text keeps between incremental calls for one image.
+
+    Its B rows are the live sequences (beams): all hold ``length``
+    tokens and none holds PAD.  ``cross`` is each block's
+    cross-attention (K, V), projected from the image once, (n_h, P, C_h)
+    each; ``keys`` and ``values`` are each block's self-attention K and
+    V of every row so far, head-major (n_h*B, length, C_h), row
+    ``head*B + b``; ``hidden_sum`` is the (B, 1, C) sum of each row's
+    hidden states over its ``length`` positions, for the causal-mean
+    conditioning.
+    """
+
+    length: int = 0
+    cross: list[tuple[Tensor, Tensor]] = field(default_factory=list)
+    keys: list[Tensor] = field(default_factory=list)
+    values: list[Tensor] = field(default_factory=list)
+    hidden_sum: np.ndarray | None = None
+
+    def extend(self, block: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Append one position's self-attention K and V to a block; return all of them."""
+        if self.length == 0:
+            self.keys.append(k)
+            self.values.append(v)
+        else:
+            self.keys[block] = concat([self.keys[block], k], axis=1)
+            self.values[block] = concat([self.values[block], v], axis=1)
+        return self.keys[block], self.values[block]
+
+    def select(self, rows: Sequence[int]) -> None:
+        """Keep row ``rows[i]`` as row i (rows may repeat): one take per cached array."""
+        rows = np.asarray(rows, dtype=np.intp)
+        b = self.hidden_sum.shape[0]
+
+        def take(t: Tensor) -> Tensor:  # gather on the B axis of an (n_h, B, ...) view
+            return Tensor(t.data.reshape((-1, b) + t.shape[1:]).take(rows, axis=1).reshape((-1,) + t.shape[1:]))
+
+        self.keys = [take(k) for k in self.keys]
+        self.values = [take(v) for v in self.values]
+        self.hidden_sum = self.hidden_sum.take(rows, axis=0)
+
+
 def decode_text(
     tokens,
     params: dict[str, Tensor],
     cfg: DecoderConfig,
     context: Tensor | None = None,
     prefix: str = "dec",
+    cache: DecoderCache | None = None,
 ) -> Tensor:
     """Run the decoder over a full sequence with teacher forcing.
 
@@ -278,39 +335,71 @@ def decode_text(
     :func:`token_ids`) with a B x P x W context; a batch runs as one
     stack.  Returns the (B x) T x C hidden states of every position,
     including PAD positions (mask their targets out of the loss instead).
+
+    With a ``cache``, ``tokens`` holds one new id for each of the
+    cache's B rows and ``context`` is the P x W map of the one image
+    they all describe.  The ids run at position ``cache.length``; each
+    row attends over its cached keys plus its own, so no mask is
+    needed.  The call appends its keys, values and hidden states to the
+    cache, advances ``cache.length`` and returns the B x 1 x C hidden
+    states of the new position.  The first call projects the image's
+    cross-attention keys and values, which later calls read back.
     """
     ids = token_ids(tokens)
     if ids.size == 0:
         raise ContractError("decode_text: empty token sequence")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise VocabError(f"token id out of range for vocabulary of {cfg.vocab_size}")
+    start = 0
+    if cache is not None:
+        if ids.ndim != 1 or context is None or context.data.ndim != 2 or context.shape[-1] != cfg.context_width:
+            raise ConfigError(
+                f"cached decode_text takes one id per row and one P x {cfg.context_width} context, "
+                f"got ids {ids.shape} and context {None if context is None else context.shape}"
+            )
+        if cache.length and len(ids) != cache.hidden_sum.shape[0]:
+            raise ContractError(f"decode_text: {len(ids)} ids for a cache of {cache.hidden_sum.shape[0]} rows")
+        start, ids = cache.length, ids[:, None]
     lead, t = ids.shape[:-1], ids.shape[-1]
-    if context is not None and (
+    if cache is None and context is not None and (
         context.data.ndim != len(lead) + 2 or context.shape[:-2] != lead or context.shape[-1] != cfg.context_width
     ):
         raise ConfigError(
             f"context must be one P x {cfg.context_width} map per token sequence (ids {ids.shape}), got {context.shape}"
         )
     c, n_h = cfg.dim, cfg.heads
-    h = add_bias(take_rows(params[f"{prefix}.emb"], ids), sinusoidal_positions(t, c))
-    mask = attention_masks(ids).data
-    mask = Tensor(np.broadcast_to(mask, (n_h,) + mask.shape).reshape(-1, t, t))  # one per head and item
+    positions = slice_axis(sinusoidal_positions(start + t, c), 0, start, start + t)
+    h = add_bias(take_rows(params[f"{prefix}.emb"], ids), positions)
+    mask = None
+    if cache is None:
+        mask = attention_masks(ids).data
+        mask = Tensor(np.broadcast_to(mask, (n_h,) + mask.shape).reshape(-1, t, t))  # one per head and item
     inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)
     if context is not None:
         patches = context.shape[-2]
         context_rows = reshape(context, (context.size // cfg.context_width, cfg.context_width))
+    # with a cache all rows read the one image: its (n_h, P, C_h) keys take the rows as B queries
+    query_rows = t if cache is None else len(ids)
 
     for i in range(cfg.depth):
         b = f"{prefix}.b{i}"
         xh = split_heads(h, n_h)
         q, k, v = (project_heads(xh, params[f"{b}.self.{name}"], t) for name in ("wq", "wk", "wv"))
+        if cache is not None:
+            k, v = cache.extend(i, k, v)
         self_out, _ = attend(q, k, v, inv_sqrt, mask)
         h = layer_norm(add(h, merge_heads(self_out, lead)), params[f"{b}.ln1.g"], params[f"{b}.ln1.b"])
 
         if context is not None:
-            q = project_heads(split_heads(h, n_h), params[f"{b}.cross.wq"], t)
-            k, v = (project_heads(context_rows, params[f"{b}.cross.{name}"], patches) for name in ("wk", "wv"))
+            q = project_heads(split_heads(h, n_h), params[f"{b}.cross.wq"], query_rows)
+            if cache is not None and i < len(cache.cross):
+                k, v = cache.cross[i]
+            else:
+                k, v = (project_heads(context_rows, params[f"{b}.cross.{name}"], patches) for name in ("wk", "wv"))
+                if cache is not None:
+                    cache.cross.append((k, v))
             cross_out, _ = attend(q, k, v, inv_sqrt)
+            cross_out = reshape(cross_out, (cross_out.size // (t * cfg.head_dim), t, cfg.head_dim))
             h = layer_norm(add(h, merge_heads(cross_out, lead)), params[f"{b}.ln2.g"], params[f"{b}.ln2.b"])
         else:
             # context-free pass: the attention term is exactly zero, so
@@ -320,4 +409,7 @@ def decode_text(
         inner = gelu(add_bias(matmul(h, params[f"{b}.ffn.w1"]), params[f"{b}.ffn.b1"]))
         ffn_out = add_bias(matmul(inner, params[f"{b}.ffn.w2"]), params[f"{b}.ffn.b2"])
         h = layer_norm(add(h, ffn_out), params[f"{b}.ln3.g"], params[f"{b}.ln3.b"])
+    if cache is not None:
+        cache.length += 1
+        cache.hidden_sum = h.data if cache.hidden_sum is None else cache.hidden_sum + h.data
     return h

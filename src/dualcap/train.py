@@ -54,6 +54,7 @@ from .textdec import (
     EOS_ID,
     PAD_ID,
     UNK_ID,
+    DecoderCache,
     TokenSequence,
     Vocabulary,
     decode_text,
@@ -260,7 +261,13 @@ def steps_per_epoch(n_pairs: int, batch_size: int) -> int:
 
 
 def generate(model: CaptionModel, image: Tensor, max_len: int = 16, beam_width: int = 1) -> TokenSequence:
-    """Beam-search a caption for one image; max_len counts BOS and EOS."""
+    """Beam-search a caption for one image; max_len counts BOS and EOS.
+
+    Decoding is incremental: one DecoderCache holds the image's
+    cross-attention keys and values and every live beam's past, so each
+    step runs only the newest token of every live beam, all beams as one
+    batch, and ranking gathers the cache by parent beam.
+    """
     if max_len < 3:
         raise ContractError(f"generate: max_len must be >= 3, got {max_len}")
     if beam_width < 1:
@@ -268,38 +275,46 @@ def generate(model: CaptionModel, image: Tensor, max_len: int = 16, beam_width: 
     enc_out = encode_image(model, image)
     img_vec = image_embedding(model, enc_out)
     features = enc_out.features
+    cache = DecoderCache()
 
-    def next_logprobs(ids: tuple[int, ...]) -> np.ndarray:
-        hidden = decode_text(ids, model.params, model.cfg.decoder, context=features)
-        row = conditioned_logits(model, hidden, img_vec).data[-1].copy()
-        row[[PAD_ID, BOS_ID, UNK_ID]] = -np.inf
-        top = row.max()
-        return row - (top + math.log(np.exp(row - top).sum()))
+    def next_logprobs(last_ids: list[int]) -> np.ndarray:
+        """(B, V) log-probabilities of each live beam's next token."""
+        hidden = decode_text(last_ids, model.params, model.cfg.decoder, context=features, cache=cache)
+        rows = conditioned_logits(model, hidden, img_vec, cache=cache).data[:, -1].copy()
+        rows[:, [PAD_ID, BOS_ID, UNK_ID]] = -np.inf
+        top = rows.max(axis=1, keepdims=True)
+        return rows - (top + np.log(np.exp(rows - top).sum(axis=1, keepdims=True)))
 
     def norm_score(logp: float, ids: tuple[int, ...]) -> float:
         return logp / float(len(ids) - 1) ** LENGTH_NORM_POWER
 
     live = [(0.0, (BOS_ID,))]
     done = []
-    for _ in range(max_len - 2):
+    for step in range(max_len - 1):
+        lp = next_logprobs([ids[-1] for _, ids in live])
+        if step == max_len - 2:  # out of room: close every live beam with a forced EOS
+            for (logp, ids), row in zip(live, lp):
+                ids = ids + (EOS_ID,)
+                done.append((norm_score(logp + float(row[EOS_ID]), ids), ids))
+            break
         candidates = []
-        for logp, ids in live:
-            lp = next_logprobs(ids)
-            for tok in np.flatnonzero(np.isfinite(lp)):
-                candidates.append((logp + float(lp[tok]), ids + (int(tok),)))
+        for parent, ((logp, ids), row) in enumerate(zip(live, lp)):
+            scores = logp + row
+            # only a beam's own best beam_width (ties to the smaller id) can rank among all beams' best
+            for tok in np.argsort(-scores, kind="stable")[:beam_width]:
+                if np.isfinite(scores[tok]):
+                    candidates.append((float(scores[tok]), ids + (int(tok),), parent))
         candidates.sort(key=lambda c: (-c[0], c[1]))
-        live = []
-        for logp, ids in candidates[:beam_width]:
+        live, parents = [], []
+        for logp, ids, parent in candidates[:beam_width]:
             if ids[-1] == EOS_ID:
                 done.append((norm_score(logp, ids), ids))
             else:
                 live.append((logp, ids))
+                parents.append(parent)
         if not live:
             break
-    for logp, ids in live:  # out of room: close the beam with a forced EOS
-        lp = next_logprobs(ids)
-        ids = ids + (EOS_ID,)
-        done.append((norm_score(logp + float(lp[EOS_ID]), ids), ids))
+        cache.select(parents)
     done.sort(key=lambda c: (-c[0], c[1]))
     ids = done[0][1]
     return TokenSequence(ids=ids, length=len(ids))

@@ -11,6 +11,7 @@ import json
 import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -78,6 +79,14 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config_file(tmp_path / "nope.cfg")
+
+    def test_unreadable_files_are_config_errors(self, tmp_path):
+        p = tmp_path / "a.cfg"
+        p.write_bytes(b"lr=0.5\nmode=sp\xffatial\n")
+        with pytest.raises(ConfigError, match="a.cfg: not UTF-8 text"):
+            parse_config_file(p)
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            parse_config_file(tmp_path)
 
     def test_bad_line(self, tmp_path):
         p = tmp_path / "a.cfg"
@@ -154,6 +163,19 @@ class TestTrainCommand:
         assert ckpts == ["epoch-0000.ckpt", "epoch-0001.ckpt"]
         assert len((tmp_path / "run/loss.tsv").read_text().splitlines()) == 2  # header and step 1
 
+    def test_refuses_an_out_that_holds_a_run(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "run.cfg", epochs=2)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "loss.tsv" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        (out / "loss.tsv").unlink()  # a checkpoint alone also marks a used --out
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "epoch-0000.ckpt" in capsys.readouterr().err
+
     def test_unset_dataset_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "run.cfg", synthetic=0)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
@@ -208,20 +230,28 @@ class TestCaptionCommand:
         assert code == 3
         assert "integrity" in capsys.readouterr().err
 
-    def test_format_1_checkpoint_is_integrity_error(self, trained, tmp_path, capsys):
+    def caption_with_earlier_format(self, trained, tmp_path, fmt) -> int:
+        # formats 1 and 2 put the JSON header right after its length (format 2 with a payload CRC-32)
         data = trained["ckpt"].read_bytes()
         (hlen,) = struct.unpack("<I", data[4:8])
-        header = json.loads(data[8:8 + hlen])
-        header["format"] = 1
-        del header["crc32"]
+        header, payload = json.loads(data[12:12 + hlen]), data[12 + hlen:]
+        header["format"] = fmt
+        if fmt == 2:
+            header["crc32"] = zlib.crc32(payload)
         blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         old = tmp_path / "old.ckpt"
-        old.write_bytes(data[:4] + struct.pack("<I", len(blob)) + blob + data[8 + hlen:])
+        old.write_bytes(data[:4] + struct.pack("<I", len(blob)) + blob + payload)
         image_path = trained["data"] / trained["ds"].records[0].name
-        code = main(["caption", "--config", str(trained["cfg"]),
+        return main(["caption", "--config", str(trained["cfg"]),
                      "--out", str(tmp_path), str(old), str(image_path)])
-        assert code == 3
+
+    def test_format_1_checkpoint_is_integrity_error(self, trained, tmp_path, capsys):
+        assert self.caption_with_earlier_format(trained, tmp_path, 1) == 3
         assert "unsupported format 1" in capsys.readouterr().err
+
+    def test_format_2_checkpoint_is_integrity_error(self, trained, tmp_path, capsys):
+        assert self.caption_with_earlier_format(trained, tmp_path, 2) == 3
+        assert "unsupported format 2" in capsys.readouterr().err
 
 
 class TestEvalCommand:
@@ -331,6 +361,28 @@ class TestBenchCommand:
 
 
 class TestExitCodes:
+    def test_text_inputs_that_are_not_utf8(self, trained, tmp_path, capsys):
+        bad_cfg = tmp_path / "bad.cfg"
+        bad_cfg.write_bytes(b"epochs=1\xff\n")
+        assert main(["train", "--config", str(bad_cfg), "--out", str(tmp_path / "a")]) == 1
+        assert "bad.cfg: not UTF-8 text" in capsys.readouterr().err
+
+        captions = tmp_path / "captions.tsv"
+        captions.write_bytes(b"x.ppm\ta red \xff square\n")
+        cfg = write_cfg(tmp_path / "run.cfg", synthetic=0, images=str(trained["data"]), captions=str(captions))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+        assert "captions.tsv: not UTF-8 text" in capsys.readouterr().err
+
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes(trained["root"].joinpath("vocab.txt").read_bytes() + b"\xff\n")
+        image_path = trained["data"] / trained["ds"].records[0].name
+        vocab_cfg = tmp_path / "vocab.cfg"
+        vocab_cfg.write_text(trained["cfg"].read_text() + f"vocab={vocab}\n")
+        code = main(["caption", "--config", str(vocab_cfg), "--out", str(tmp_path),
+                     str(trained["ckpt"]), str(image_path)])
+        assert code == 2
+        assert "vocab.txt: not UTF-8 text" in capsys.readouterr().err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["nonsense"]) == 1
         capsys.readouterr()

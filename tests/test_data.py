@@ -74,6 +74,10 @@ class TestNetpbm:
         with pytest.raises(DataError, match="dimensions"):
             parse_netpbm(b"P5\n0 2\n255\n")
 
+    def test_header_value_past_the_int_digit_limit(self):
+        with pytest.raises(DataError, match="5000 digits"):
+            parse_netpbm(b"P5\n" + b"9" * 5000 + b" 2\n255\n")
+
     def test_encoder_rejects_bad_arrays(self):
         with pytest.raises(DataError):
             netpbm_bytes(np.zeros((2, 2, 2), dtype=np.uint8))
@@ -139,6 +143,12 @@ class TestCaptionFile:
             parse_caption_file(path)
         path.write_text("\n  \n")
         with pytest.raises(DataError, match="no caption lines"):
+            parse_caption_file(path)
+
+    def test_not_utf8_is_a_data_error(self, tmp_path):
+        path = tmp_path / "captions.tsv"
+        path.write_bytes(b"a.pgm\tfine\nb.pgm\tnot \xff fine\n")
+        with pytest.raises(DataError, match="captions.tsv: not UTF-8 text \\(byte 21\\)"):
             parse_caption_file(path)
 
 

@@ -80,6 +80,11 @@ class TestVocabulary:
         bad.write_text("a\na\n")
         with pytest.raises(VocabError, match="duplicate"):
             Vocabulary.load(bad)
+        bad.write_bytes(b"a\n\xff\n")
+        with pytest.raises(VocabError, match="vocab.txt: not UTF-8 text"):
+            Vocabulary.load(bad)
+        with pytest.raises(VocabError, match="cannot read vocabulary"):
+            Vocabulary.load(tmp_path)
 
     def test_token_id_out_of_range(self):
         with pytest.raises(VocabError):

@@ -3,15 +3,18 @@
 The Adam update is checked against an independently written numpy
 reference and a hand-derived first step; the training loop against
 resume/determinism invariants; generation against structural and
-tie-break properties on degenerate models.
+tie-break properties on degenerate models, and against a beam search
+that recomputes every prefix from scratch.
 """
 
 import gc
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import dualcap.train as train_mod
 from dualcap import autograd, flops
 from dualcap.autograd import (
     Tape,
@@ -31,8 +34,27 @@ from dualcap.encoder import EncoderConfig
 from dualcap.errors import ConfigError, ContractError, NonFiniteError, ShapeError
 from dualcap.fusion import contrastive_loss
 from dualcap.metrics import ScoreReport
-from dualcap.model import ModelConfig, build_model, caption_logits, set_channel_stats, text_embedding
-from dualcap.textdec import BOS_ID, EOS_ID, DecoderConfig, Vocabulary, encode_caption
+from dualcap.model import (
+    ModelConfig,
+    build_model,
+    caption_logits,
+    conditioned_logits,
+    encode_image,
+    image_embedding,
+    set_channel_stats,
+    text_embedding,
+)
+from dualcap.textdec import (
+    BOS_ID,
+    EOS_ID,
+    PAD_ID,
+    UNK_ID,
+    DecoderConfig,
+    Vocabulary,
+    decode_text,
+    encode_caption,
+    token_ids,
+)
 from dualcap.train import (
     ABLATION_VARIANTS,
     AdamState,
@@ -367,8 +389,6 @@ class TestFit:
         fit(model, pairs[:5], cfg_off, steps=3)
 
     def test_batches_cycle_through_all_pairs(self, monkeypatch):
-        import dualcap.train as train_mod
-
         _, _, model, pairs, _ = synthetic_setup()
         cfg = TrainConfig(lr=0.003, batch_size=3, contrastive_weight=0.0)
         assert steps_per_epoch(8, 3) == 3
@@ -390,6 +410,63 @@ class TestFit:
             fit(model, [], cfg, steps=1)
         with pytest.raises(ContractError, match="steps"):
             fit(model, pairs, cfg, steps=0)
+
+
+def log_softmax_words(row: np.ndarray) -> np.ndarray:
+    """Log-probabilities of one logit row with PAD, BOS and UNK ruled out."""
+    row = row.copy()
+    row[[PAD_ID, BOS_ID, UNK_ID]] = -np.inf
+    top = row.max()
+    return row - (top + math.log(np.exp(row - top).sum()))
+
+
+def full_recompute_generate(model, image, max_len, beam_width):
+    """Beam search that re-runs the decoder on the whole prefix of every beam.
+
+    The oracle for the incremental ``generate``: same ranking (log-prob,
+    then smaller ids, length^0.7 normalization), but every next-token
+    distribution comes from a teacher-forced pass over the full prefix,
+    one beam at a time.  Returns the ids and, per step, the (B, V)
+    log-probabilities of the live beams in rank order.
+    """
+    enc_out = encode_image(model, image)
+    img_vec = image_embedding(model, enc_out)
+
+    def next_logprobs(ids):
+        hidden = decode_text(ids, model.params, model.cfg.decoder, context=enc_out.features)
+        return log_softmax_words(conditioned_logits(model, hidden, img_vec).data[-1])
+
+    def norm_score(logp, ids):
+        return logp / float(len(ids) - 1) ** train_mod.LENGTH_NORM_POWER
+
+    live, done, steps = [(0.0, (BOS_ID,))], [], []
+    for _ in range(max_len - 2):
+        candidates, rows = [], []
+        for logp, ids in live:
+            lp = next_logprobs(ids)
+            rows.append(lp)
+            for tok in np.flatnonzero(np.isfinite(lp)):
+                candidates.append((logp + float(lp[tok]), ids + (int(tok),)))
+        steps.append(np.stack(rows))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        live = []
+        for logp, ids in candidates[:beam_width]:
+            if ids[-1] == EOS_ID:
+                done.append((norm_score(logp, ids), ids))
+            else:
+                live.append((logp, ids))
+        if not live:
+            break
+    rows = []
+    for logp, ids in live:  # out of room: close the beam with a forced EOS
+        lp = next_logprobs(ids)
+        rows.append(lp)
+        ids = ids + (EOS_ID,)
+        done.append((norm_score(logp + float(lp[EOS_ID]), ids), ids))
+    if rows:
+        steps.append(np.stack(rows))
+    done.sort(key=lambda c: (-c[0], c[1]))
+    return done[0][1], steps
 
 
 class TestGenerate:
@@ -422,6 +499,45 @@ class TestGenerate:
             g = generate(model, p.image, max_len=12, beam_width=1)
             b = generate(model, p.image, max_len=12, beam_width=3)
             assert sequence_text(vocab, g) == sequence_text(vocab, b)
+
+    @pytest.mark.parametrize("beam_width", [1, 3, 4])
+    @pytest.mark.parametrize("max_len", [5, 12, 16])
+    def test_matches_the_full_recompute_oracle(self, overfit_run, monkeypatch, max_len, beam_width):
+        # max_len 5 is shorter than every caption, so it exercises the forced-EOS close
+        _, _, model, pairs, _ = overfit_run
+        steps = []
+
+        def spy(*args, **kwargs):
+            logits = conditioned_logits(*args, **kwargs)
+            steps.append(np.stack([log_softmax_words(row) for row in logits.data[:, -1]]))
+            return logits
+
+        monkeypatch.setattr(train_mod, "conditioned_logits", spy)
+        for p in pairs:
+            steps.clear()
+            seq = generate(model, p.image, max_len=max_len, beam_width=beam_width)
+            want_ids, want_steps = full_recompute_generate(model, p.image, max_len, beam_width)
+            assert seq.ids == want_ids
+            assert [s.shape for s in steps] == [s.shape for s in want_steps]
+            for got, want in zip(steps, want_steps):
+                finite = np.isfinite(want)
+                assert np.array_equal(finite, np.isfinite(got))
+                np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=1e-12)
+
+    def test_greedy_feeds_each_token_to_the_decoder_once(self, overfit_run, monkeypatch):
+        _, _, model, pairs, _ = overfit_run
+        fed = []
+
+        def spy(tokens, *args, **kwargs):
+            fed.append(token_ids(tokens).size)
+            return decode_text(tokens, *args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "decode_text", spy)
+        for p in pairs:
+            fed.clear()
+            seq = generate(model, p.image, max_len=12)
+            assert seq.length >= 3
+            assert fed == [1] * (seq.length - 1)
 
     def test_validation(self):
         _, _, model, pairs, _ = synthetic_setup()
