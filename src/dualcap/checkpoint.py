@@ -19,6 +19,7 @@ its header right after the length, with a CRC-32 of the payload alone.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -93,8 +94,10 @@ def load_checkpoint(path) -> Checkpoint:
 
     The manifest must tile the payload exactly, and header and payload
     must match the CRC-32, which is checked after the manifest walk so
-    that structural damage is named as such.  The arrays are read-only
-    views of the file's bytes.
+    that structural damage is named as such.  Every header value must
+    have its type: the step and each entry's offset an int, each name a
+    str and each shape a list of non-negative ints.  The arrays are
+    read-only views of the file's bytes.
     """
     path = Path(path)
     try:
@@ -117,8 +120,12 @@ def load_checkpoint(path) -> Checkpoint:
     for key in ("step", "config", "arrays"):
         if key not in header:
             raise IntegrityError(f"{path}: header missing {key!r}")
+    if not _is_int(header["step"]):
+        raise IntegrityError(f"{path}: step {header['step']!r} is not an integer")
+    if not isinstance(header["config"], dict) or not isinstance(header["arrays"], list):
+        raise IntegrityError(f"{path}: corrupt header: config must be an object and arrays a list")
     payload = memoryview(data)[_PREFIX + header_len:]
-    ckpt = Checkpoint(config=header["config"], step=int(header["step"]))
+    ckpt = Checkpoint(config=header["config"], step=header["step"])
     stores = {"param": ckpt.params, "adam_m": ckpt.adam_m, "adam_v": ckpt.adam_v}
     expected_offset = 0
     for entry in header["arrays"]:
@@ -126,14 +133,16 @@ def load_checkpoint(path) -> Checkpoint:
             name, kind, shape, offset = entry["name"], entry["kind"], entry["shape"], entry["offset"]
         except (KeyError, TypeError) as e:
             raise IntegrityError(f"{path}: malformed manifest entry: {entry!r}") from e
+        if not (isinstance(name, str) and isinstance(shape, list) and all(map(_is_int, shape)) and _is_int(offset)):
+            raise IntegrityError(f"{path}: malformed manifest entry: {entry!r}")
         if kind not in _KINDS:
             raise IntegrityError(f"{path}: unknown array kind {kind!r}")
         if offset != expected_offset:
             raise IntegrityError(f"{path}: array {name!r} offset {offset}, expected {expected_offset}")
-        shape = tuple(int(s) for s in shape)
+        shape = tuple(shape)
         if any(s < 0 for s in shape):
             raise IntegrityError(f"{path}: array {name!r} has negative shape {shape}")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(payload):
             raise IntegrityError(f"{path}: array {name!r} runs past end of payload")
         if name in stores[kind]:
@@ -147,6 +156,10 @@ def load_checkpoint(path) -> Checkpoint:
     if actual != crc:
         raise IntegrityError(f"{path}: CRC-32 {actual} of header and payload does not match the stored {crc}")
     return ckpt
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _earlier_format(data: bytes) -> str | None:

@@ -152,9 +152,10 @@ def conditioned_logits(
     ``hidden`` is T x C with a (D,) image vector, or a B x T x C stack
     with (B, D) image vectors.  With the ``cache`` of an incremental
     decode_text call, ``hidden`` is that call's B x 1 x C new position
-    of B sequences of the one image ``image_vec`` (D,), its causal mean
-    is the cache's running sum over its length, and the logits are
-    B x 1 x V.
+    of the cache's B rows, ``image_vec`` is the (N, D) stack of the
+    images they describe, row b reading ``image_vec[cache.image[b]]``,
+    the causal mean is the cache's running sum over its length, and the
+    logits are B x 1 x V.
     """
     lead, t = hidden.shape[:-2], hidden.shape[-2]
     jd = model.cfg.joint_dim
@@ -162,12 +163,11 @@ def conditioned_logits(
     if cache is None:
         causal_mean = Tensor(np.tril(np.ones((t, t))) / np.arange(1.0, t + 1.0)[:, None])
         pooled = matmul(causal_mean, hidden)
-        ones, image_shape = Tensor(np.ones((t, 1))), lead + (1, jd)
     else:
         pooled = Tensor(cache.hidden_sum / cache.length)
-        ones, image_shape = Tensor(np.ones(lead + (t, 1))), (1, jd)
     text_rows = l2_normalize(add_bias(matmul(pooled, p["fuse.txt.w"]), p["fuse.txt.b"]))
-    image_rows = matmul(ones, reshape(image_vec, image_shape))
+    image_rows = (matmul(Tensor(np.ones((t, 1))), reshape(image_vec, lead + (1, jd))) if cache is None
+                  else Tensor(image_vec.data[cache.image, None]))  # a cached row reads its own image's vector
     fused = concat([image_rows, text_rows], axis=len(lead) + 1)
     conditioning = add_bias(matmul(fused, p["fuse.cond.w"]), p["fuse.cond.b"])
     return matmul(add(hidden, conditioning), transpose(p["dec.emb"]))

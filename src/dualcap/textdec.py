@@ -17,10 +17,10 @@ bitwise identical to decoding against a zero context with zero
 cross-value weights; the contrastive text pathway relies on this.
 
 Generation decodes incrementally: a :class:`DecoderCache` keeps what
-earlier positions computed (the image's cross-attention keys and
-values, every block's self-attention keys and values, and the running
-sum of the hidden states), so each call runs one new position of every
-live sequence.
+earlier positions computed (the cross-attention keys and values of a
+whole stack of images, every block's self-attention keys and values,
+and the running sum of the hidden states), so each call runs one new
+position of every live (image, beam) row, all images as one batch.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .autograd import (
     Tensor,
     add,
     add_bias,
-    concat,
     gelu,
     layer_norm,
     matmul,
@@ -248,7 +247,7 @@ def init_decoder_params(cfg: DecoderConfig, rng: np.random.Generator, prefix: st
 
 
 def token_ids(tokens) -> np.ndarray:
-    """Ids of one sequence as a (T,) array, or of a batch as (B, T).
+    """Ids of one sequence (a TokenSequence, or a list or array of ids) as a (T,) array, or of a batch as (B, T).
 
     A batch is a list of TokenSequences; each is PAD-padded to the
     longest, which the attention masks and a PAD ``ignore_id`` then
@@ -256,6 +255,8 @@ def token_ids(tokens) -> np.ndarray:
     """
     if isinstance(tokens, TokenSequence):
         return np.asarray(tokens.ids)
+    if isinstance(tokens, np.ndarray):
+        return tokens.astype(np.intp, copy=False)
     if tokens and all(isinstance(seq, TokenSequence) for seq in tokens):
         t = max(len(seq.ids) for seq in tokens)
         return np.array([seq.ids + (PAD_ID,) * (t - len(seq.ids)) for seq in tokens])
@@ -277,20 +278,27 @@ def attention_masks(ids) -> Tensor:
     return Tensor(np.where(future | (ids[..., None, :] == PAD_ID), MASK_VALUE, 0.0))
 
 
+def _take(t: Tensor, rows: np.ndarray, b: int) -> Tensor:
+    """Gather ``rows`` on the B axis of a head-major (n_h*B, ...) stack viewed as (n_h, B, ...)."""
+    return Tensor(t.data.reshape((-1, b) + t.shape[1:]).take(rows, axis=1).reshape((-1,) + t.shape[1:]))
+
+
 @dataclass
 class DecoderCache:
-    """What decode_text keeps between incremental calls for one image.
+    """What decode_text keeps between incremental calls over a stack of N images.
 
-    Its B rows are the live sequences (beams): all hold ``length``
-    tokens and none holds PAD.  ``cross`` is each block's
-    cross-attention (K, V), projected from the image once, (n_h, P, C_h)
-    each; ``keys`` and ``values`` are each block's self-attention K and
-    V of every row so far, head-major (n_h*B, length, C_h), row
-    ``head*B + b``; ``hidden_sum`` is the (B, 1, C) sum of each row's
-    hidden states over its ``length`` positions, for the causal-mean
-    conditioning.
+    Its B rows are the live (image, beam) pairs: row b describes image
+    ``image[b]`` of the stack, and all rows hold ``length`` tokens, none
+    of them PAD.  ``cross`` is each block's cross-attention (K, V) of
+    every row, head-major (n_h*B, P, C_h), row ``head*B + b``: projected
+    once from the whole stack, each row reading its image's through
+    ``image``.  ``keys`` and ``values`` are each block's self-attention K
+    and V of every row so far, head-major (n_h*B, length, C_h);
+    ``hidden_sum`` is the (B, 1, C) sum of each row's hidden states over
+    its ``length`` positions, for the causal-mean conditioning.
     """
 
+    image: np.ndarray
     length: int = 0
     cross: list[tuple[Tensor, Tensor]] = field(default_factory=list)
     keys: list[Tensor] = field(default_factory=list)
@@ -303,21 +311,21 @@ class DecoderCache:
             self.keys.append(k)
             self.values.append(v)
         else:
-            self.keys[block] = concat([self.keys[block], k], axis=1)
-            self.values[block] = concat([self.values[block], v], axis=1)
+            self.keys[block] = Tensor(np.concatenate([self.keys[block].data, k.data], axis=1))
+            self.values[block] = Tensor(np.concatenate([self.values[block].data, v.data], axis=1))
         return self.keys[block], self.values[block]
 
     def select(self, rows: Sequence[int]) -> None:
-        """Keep row ``rows[i]`` as row i (rows may repeat): one take per cached array."""
+        """Keep row ``rows[i]`` as row i (rows may repeat, images may mix): one take per cached array."""
         rows = np.asarray(rows, dtype=np.intp)
-        b = self.hidden_sum.shape[0]
-
-        def take(t: Tensor) -> Tensor:  # gather on the B axis of an (n_h, B, ...) view
-            return Tensor(t.data.reshape((-1, b) + t.shape[1:]).take(rows, axis=1).reshape((-1,) + t.shape[1:]))
-
-        self.keys = [take(k) for k in self.keys]
-        self.values = [take(v) for v in self.values]
+        b = len(self.image)
+        image = self.image[rows]
+        if len(rows) != b or (image != self.image).any():  # a row's cross K and V are its image's
+            self.cross = [(_take(k, rows, b), _take(v, rows, b)) for k, v in self.cross]
+        self.keys = [_take(k, rows, b) for k in self.keys]
+        self.values = [_take(v, rows, b) for v in self.values]
         self.hidden_sum = self.hidden_sum.take(rows, axis=0)
+        self.image = image
 
 
 def decode_text(
@@ -337,13 +345,14 @@ def decode_text(
     including PAD positions (mask their targets out of the loss instead).
 
     With a ``cache``, ``tokens`` holds one new id for each of the
-    cache's B rows and ``context`` is the P x W map of the one image
-    they all describe.  The ids run at position ``cache.length``; each
-    row attends over its cached keys plus its own, so no mask is
-    needed.  The call appends its keys, values and hidden states to the
-    cache, advances ``cache.length`` and returns the B x 1 x C hidden
-    states of the new position.  The first call projects the image's
-    cross-attention keys and values, which later calls read back.
+    cache's B rows and ``context`` is the N x P x W stack of the images
+    they describe, row b reading image ``cache.image[b]``.  The ids run
+    at position ``cache.length``; each row attends over its cached keys
+    plus its own, so no mask is needed.  The call appends its keys,
+    values and hidden states to the cache, advances ``cache.length`` and
+    returns the B x 1 x C hidden states of the new position.  The first
+    call projects the whole stack's cross-attention keys and values,
+    which later calls read back row by row.
     """
     ids = token_ids(tokens)
     if ids.size == 0:
@@ -352,13 +361,13 @@ def decode_text(
         raise VocabError(f"token id out of range for vocabulary of {cfg.vocab_size}")
     start = 0
     if cache is not None:
-        if ids.ndim != 1 or context is None or context.data.ndim != 2 or context.shape[-1] != cfg.context_width:
+        if ids.ndim != 1 or context is None or context.data.ndim != 3 or context.shape[-1] != cfg.context_width:
             raise ConfigError(
-                f"cached decode_text takes one id per row and one P x {cfg.context_width} context, "
+                f"cached decode_text takes one id per row and an N x P x {cfg.context_width} context stack, "
                 f"got ids {ids.shape} and context {None if context is None else context.shape}"
             )
-        if cache.length and len(ids) != cache.hidden_sum.shape[0]:
-            raise ContractError(f"decode_text: {len(ids)} ids for a cache of {cache.hidden_sum.shape[0]} rows")
+        if len(ids) != len(cache.image):
+            raise ContractError(f"decode_text: {len(ids)} ids for a cache of {len(cache.image)} rows")
         start, ids = cache.length, ids[:, None]
     lead, t = ids.shape[:-1], ids.shape[-1]
     if cache is None and context is not None and (
@@ -378,8 +387,6 @@ def decode_text(
     if context is not None:
         patches = context.shape[-2]
         context_rows = reshape(context, (context.size // cfg.context_width, cfg.context_width))
-    # with a cache all rows read the one image: its (n_h, P, C_h) keys take the rows as B queries
-    query_rows = t if cache is None else len(ids)
 
     for i in range(cfg.depth):
         b = f"{prefix}.b{i}"
@@ -391,15 +398,15 @@ def decode_text(
         h = layer_norm(add(h, merge_heads(self_out, lead)), params[f"{b}.ln1.g"], params[f"{b}.ln1.b"])
 
         if context is not None:
-            q = project_heads(split_heads(h, n_h), params[f"{b}.cross.wq"], query_rows)
+            q = project_heads(split_heads(h, n_h), params[f"{b}.cross.wq"], t)
             if cache is not None and i < len(cache.cross):
                 k, v = cache.cross[i]
             else:
                 k, v = (project_heads(context_rows, params[f"{b}.cross.{name}"], patches) for name in ("wk", "wv"))
-                if cache is not None:
+                if cache is not None:  # each row reads its own image's keys and values
+                    k, v = _take(k, cache.image, len(context.data)), _take(v, cache.image, len(context.data))
                     cache.cross.append((k, v))
             cross_out, _ = attend(q, k, v, inv_sqrt)
-            cross_out = reshape(cross_out, (cross_out.size // (t * cfg.head_dim), t, cfg.head_dim))
             h = layer_norm(add(h, merge_heads(cross_out, lead)), params[f"{b}.ln2.g"], params[f"{b}.ln2.b"])
         else:
             # context-free pass: the attention term is exactly zero, so

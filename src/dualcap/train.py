@@ -13,7 +13,9 @@ determined by the seed that built the model.
 Generation is beam search over word tokens with PAD/BOS/UNK masked out;
 finished beams are ranked by log-probability divided by length^0.7 and
 ties broken toward lexicographically smaller id sequences.  Beam width
-1 reduces to greedy decoding exactly.
+1 reduces to greedy decoding exactly.  A batch of images is one search
+over the live (image, beam) rows, so captioning a whole split runs one
+encoder pass and one decoder call per step.
 """
 
 from __future__ import annotations
@@ -260,64 +262,76 @@ def steps_per_epoch(n_pairs: int, batch_size: int) -> int:
     return -(-n_pairs // batch_size)
 
 
-def generate(model: CaptionModel, image: Tensor, max_len: int = 16, beam_width: int = 1) -> TokenSequence:
-    """Beam-search a caption for one image; max_len counts BOS and EOS.
+def generate(
+    model: CaptionModel, image: Tensor, max_len: int = 16, beam_width: int = 1
+) -> TokenSequence | list[TokenSequence]:
+    """Beam-search a caption for one H x W x ch image, or a list of them for a B x H x W x ch batch.
 
-    Decoding is incremental: one DecoderCache holds the image's
-    cross-attention keys and values and every live beam's past, so each
-    step runs only the newest token of every live beam, all beams as one
-    batch, and ranking gathers the cache by parent beam.
+    max_len counts BOS and EOS.  A batch is one search, each image getting
+    the caption it gets alone: one encoder pass, then per step one decoder
+    call over the newest token of every live (image, beam) row, whose past
+    one DecoderCache holds.  Each image keeps its best beam_width
+    candidates by log-probability, ties to the smaller id sequence;
+    finished beams rank by log-probability / length^0.7, ties the same way.
     """
     if max_len < 3:
         raise ContractError(f"generate: max_len must be >= 3, got {max_len}")
     if beam_width < 1:
         raise ContractError(f"generate: beam_width must be >= 1, got {beam_width}")
     enc_out = encode_image(model, image)
-    img_vec = image_embedding(model, enc_out)
-    features = enc_out.features
-    cache = DecoderCache()
+    features, img_vecs = enc_out.features, image_embedding(model, enc_out)
+    single = features.data.ndim == 2
+    if single:
+        features, img_vecs = Tensor(features.data[None]), Tensor(img_vecs.data[None])
+    n = features.shape[0]
+    cache = DecoderCache(image=np.arange(n))
+    seqs = np.full((n, max_len), BOS_ID)  # the ids of every live row, ids[:step + 1] at step
+    cost = np.zeros(n)  # and its negated log-probability
+    rank = np.zeros(n, dtype=np.intp)  # and a rank that orders an image's live rows by their ids
+    done = [[] for _ in range(n)]  # per image: (normalized score, ids) of each finished beam
+    words = np.array([EOS_ID, *range(UNK_ID + 1, model.cfg.decoder.vocab_size)])  # never PAD, BOS or UNK
 
-    def next_logprobs(last_ids: list[int]) -> np.ndarray:
-        """(B, V) log-probabilities of each live beam's next token."""
-        hidden = decode_text(last_ids, model.params, model.cfg.decoder, context=features, cache=cache)
-        rows = conditioned_logits(model, hidden, img_vec, cache=cache).data[:, -1].copy()
-        rows[:, [PAD_ID, BOS_ID, UNK_ID]] = -np.inf
-        top = rows.max(axis=1, keepdims=True)
-        return rows - (top + np.log(np.exp(rows - top).sum(axis=1, keepdims=True)))
+    def finish(row: int, row_cost: float) -> None:
+        ids = (*seqs[row, :step + 1].tolist(), EOS_ID)
+        done[cache.image[row]].append((-float(row_cost) / float(len(ids) - 1) ** LENGTH_NORM_POWER, ids))
 
-    def norm_score(logp: float, ids: tuple[int, ...]) -> float:
-        return logp / float(len(ids) - 1) ** LENGTH_NORM_POWER
-
-    live = [(0.0, (BOS_ID,))]
-    done = []
     for step in range(max_len - 1):
-        lp = next_logprobs([ids[-1] for _, ids in live])
+        hidden = decode_text(seqs[:, step], model.params, model.cfg.decoder, context=features, cache=cache)
+        logits = conditioned_logits(model, hidden, img_vecs, cache=cache).data[:, -1, words]
+        top = logits.max(axis=1, keepdims=True)
+        lp = logits - (top + np.log(np.exp(logits - top).sum(axis=1, keepdims=True)))
+        costs = cost[:, None] - lp  # of every (row, next word) candidate
         if step == max_len - 2:  # out of room: close every live beam with a forced EOS
-            for (logp, ids), row in zip(live, lp):
-                ids = ids + (EOS_ID,)
-                done.append((norm_score(logp + float(row[EOS_ID]), ids), ids))
+            for row, c in enumerate(costs[:, 0]):
+                finish(row, c)
             break
-        candidates = []
-        for parent, ((logp, ids), row) in enumerate(zip(live, lp)):
-            scores = logp + row
-            # only a beam's own best beam_width (ties to the smaller id) can rank among all beams' best
-            for tok in np.argsort(-scores, kind="stable")[:beam_width]:
-                if np.isfinite(scores[tok]):
-                    candidates.append((float(scores[tok]), ids + (int(tok),), parent))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        live, parents = [], []
-        for logp, ids, parent in candidates[:beam_width]:
-            if ids[-1] == EOS_ID:
-                done.append((norm_score(logp, ids), ids))
-            else:
-                live.append((logp, ids))
-                parents.append(parent)
-        if not live:
-            break
-        cache.select(parents)
-    done.sort(key=lambda c: (-c[0], c[1]))
-    ids = done[0][1]
-    return TokenSequence(ids=ids, length=len(ids))
+        # only a row's own best beam_width (ties to the smaller id) can rank among its image's best
+        best = np.argsort(costs, axis=1, kind="stable")[:, :beam_width]
+        parent = np.arange(len(best)).repeat(best.shape[1])
+        cost = costs[parent, best.ravel()]
+        tok = words[best.ravel()]
+        if beam_width > 1:  # with one live row per image, that row's best token is its image's best
+            # an image's live rows hold ids of one length, so ids + (tok,) sort as (parent's ids, tok)
+            image = cache.image[parent]
+            order = np.lexsort((tok, rank[parent], cost, image))
+            image = image[order]
+            order = order[np.arange(len(order)) - np.searchsorted(image, image) < beam_width]
+            parent, tok, cost = parent[order], tok[order], cost[order]
+            rank = np.argsort(np.lexsort((tok, rank[parent])))
+        live = tok != EOS_ID
+        if not live.all():
+            for row, c in zip(parent[~live], cost[~live]):
+                finish(row, c)
+            if not live.any():
+                break
+            parent, tok, cost, rank = parent[live], tok[live], cost[live], rank[live]
+        seqs = seqs[parent]
+        seqs[:, step + 1] = tok
+        if beam_width > 1 or len(parent) < len(cache.image):  # one beam per image, none ended: rows stay put
+            cache.select(parent)
+    chosen = [min(finished, key=lambda c: (-c[0], c[1]))[1] for finished in done]
+    captions = [TokenSequence(ids=ids, length=len(ids)) for ids in chosen]
+    return captions[0] if single else captions
 
 
 def sequence_text(vocab: Vocabulary, seq: TokenSequence) -> str:
@@ -331,12 +345,11 @@ def caption_records(
     max_len: int = 16,
     beam_width: int = 1,
 ) -> dict[str, tuple[str, list[str]]]:
-    """Generate one caption per record: name -> (hypothesis, references)."""
-    out = {}
-    for record in records:
-        seq = generate(model, Tensor(record.image), max_len=max_len, beam_width=beam_width)
-        out[record.name] = (sequence_text(model.vocab, seq), list(record.captions))
-    return out
+    """Caption every record in one batched generate call: name -> (hypothesis, references)."""
+    if not records:
+        return {}
+    seqs = generate(model, Tensor(np.stack([r.image for r in records])), max_len=max_len, beam_width=beam_width)
+    return {r.name: (sequence_text(model.vocab, seq), list(r.captions)) for r, seq in zip(records, seqs)}
 
 
 def evaluate_model(

@@ -7,6 +7,7 @@ silently wrong parameters.
 """
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -186,6 +187,41 @@ class TestCorruption:
         header["arrays"][1]["offset"] += 8
         path.write_bytes(join_file(header, payload, crc))
         with pytest.raises(IntegrityError, match="offset"):
+            load_checkpoint(path)
+
+    def edit_header(self, tmp_path, edit):
+        path, _ = self.make_file(tmp_path)
+        header, payload, crc = split_file(path.read_bytes())
+        edit(header)
+        path.write_bytes(join_file(header, payload, crc))
+        return path
+
+    @pytest.mark.parametrize("key, value", [
+        ("shape", "ab"), ("shape", 5), ("shape", [1.5]), ("shape", [True]), ("shape", None),
+        ("name", ["fuse", "img"]), ("name", 7), ("offset", "0"), ("offset", 0.0), ("offset", None),
+    ])
+    def test_manifest_values_of_the_wrong_type(self, tmp_path, key, value):
+        path = self.edit_header(tmp_path, lambda h: h["arrays"][0].__setitem__(key, value))
+        with pytest.raises(IntegrityError, match=f"malformed manifest entry: .*'{key}': {re.escape(repr(value))}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["x", None, 1.5, True, [1]])
+    def test_a_step_that_is_not_an_int(self, tmp_path, value):
+        path = self.edit_header(tmp_path, lambda h: h.__setitem__("step", value))
+        with pytest.raises(IntegrityError, match=f"step {re.escape(repr(value))} is not an integer"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [("config", [1]), ("arrays", {"a": 1}), ("arrays", 5)])
+    def test_config_and_manifest_of_the_wrong_type(self, tmp_path, key, value):
+        path = self.edit_header(tmp_path, lambda h: h.__setitem__(key, value))
+        with pytest.raises(IntegrityError, match="config must be an object and arrays a list"):
+            load_checkpoint(path)
+
+    def test_a_shape_whose_size_overflows_int64_runs_past_the_payload(self, tmp_path):
+        # np.prod in int64 wraps 2**64 to 0; the exact size is far past the end
+        path = self.edit_header(tmp_path, lambda h: h["arrays"][0].__setitem__("shape", [2**32, 2**32]))
+        name = split_file(path.read_bytes())[0]["arrays"][0]["name"]
+        with pytest.raises(IntegrityError, match=f"array '{re.escape(name)}' runs past end of payload"):
             load_checkpoint(path)
 
     def test_header_edit_fails_the_crc(self, tmp_path):

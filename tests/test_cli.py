@@ -8,14 +8,17 @@ quality.  Exit codes follow the contract: 0 ok, 1 usage/config, 2 data,
 
 import hashlib
 import json
+import os
 import struct
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualcap
 from dualcap.cli import (
     BENCH_PATCHES,
     RunConfig,
@@ -31,7 +34,8 @@ from dualcap.errors import ConfigError
 from dualcap.metrics import ScoredCorpus, score_report
 from dualcap.model import ModelConfig, build_model, set_channel_stats
 from dualcap.textdec import DecoderConfig, Vocabulary
-from dualcap.train import TrainConfig, caption_records, fit, training_pairs
+from dualcap.autograd import Tensor
+from dualcap.train import TrainConfig, caption_records, fit, generate, sequence_text, training_pairs
 
 CFG_KEYS = {
     "synthetic": 8, "image_size": 16, "dim": 16, "dec_dim": 16, "joint_dim": 8,
@@ -230,6 +234,25 @@ class TestCaptionCommand:
         assert code == 3
         assert "integrity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("step", "x", "step 'x' is not an integer"),
+        ("shape", [2**32, 2**32], "runs past end of payload"),
+        ("shape", [1.5], "malformed manifest entry"),
+    ])
+    def test_a_header_value_of_the_wrong_type_is_integrity_error(self, trained, tmp_path, capsys, key, value, message):
+        data = trained["ckpt"].read_bytes()
+        (hlen,) = struct.unpack("<I", data[4:8])
+        header = json.loads(data[12:12 + hlen])
+        (header if key == "step" else header["arrays"][0])[key] = value
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(data[:4] + struct.pack("<I", len(blob)) + data[8:12] + blob + data[12 + hlen:])
+        image_path = trained["data"] / trained["ds"].records[0].name
+        code = main(["caption", "--config", str(trained["cfg"]),
+                     "--out", str(tmp_path), str(bad), str(image_path)])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
     def caption_with_earlier_format(self, trained, tmp_path, fmt) -> int:
         # formats 1 and 2 put the JSON header right after its length (format 2 with a payload CRC-32)
         data = trained["ckpt"].read_bytes()
@@ -286,6 +309,19 @@ class TestEvalCommand:
         )
         for column, value in zip(direct.COLUMNS, direct.values()):
             assert abs(float(reported[f"train.{column}"]) - value) < 1e-12
+
+    def test_beam_search_eval_writes_each_images_own_beam_caption(self, trained, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "run.cfg", beam_width=3)
+        code = main(["eval", "--config", str(cfg), "--out", str(tmp_path), str(trained["ckpt"])])
+        assert code == 0
+        capsys.readouterr()
+        images = {r.name: Tensor(r.image) for r in trained["ds"].split_records("train")}
+        lines = (tmp_path / "candidates.tsv").read_text().splitlines()
+        assert sorted(line.partition("\t")[0] for line in lines) == sorted(images)
+        for line in lines:
+            name, _, hypothesis = line.partition("\t")
+            want = generate(trained["model"], images[name], max_len=12, beam_width=3)
+            assert hypothesis == sequence_text(trained["vocab"], want)
 
     def test_empty_split_is_data_error(self, trained, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "run.cfg", eval_split="val")
@@ -392,7 +428,10 @@ class TestExitCodes:
         assert "train" in capsys.readouterr().out
 
     def test_console_entry_point(self):
+        # the child imports dualcap from where this process did, installed or not
+        src = str(Path(dualcap.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "dualcap.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "caption" in proc.stdout

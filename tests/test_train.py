@@ -50,6 +50,7 @@ from dualcap.textdec import (
     PAD_ID,
     UNK_ID,
     DecoderConfig,
+    TokenSequence,
     Vocabulary,
     decode_text,
     encode_caption,
@@ -545,6 +546,118 @@ class TestGenerate:
             generate(model, pairs[0].image, max_len=2)
         with pytest.raises(ContractError, match="beam_width"):
             generate(model, pairs[0].image, beam_width=0)
+
+
+def spy_word_logprobs(monkeypatch) -> list:
+    """Per conditioned_logits call in generate: (image of each row, word log-probs of each row)."""
+    steps = []
+
+    def spy(*args, **kwargs):
+        logits = conditioned_logits(*args, **kwargs)
+        rows = np.stack([log_softmax_words(row) for row in logits.data[:, -1]])
+        steps.append((kwargs["cache"].image.copy(), rows))
+        return logits
+
+    monkeypatch.setattr(train_mod, "conditioned_logits", spy)
+    return steps
+
+
+def assert_each_image_matches_the_oracle(model, images, got_ids, steps, max_len, beam_width):
+    """Every image's ids and per-step log-probs equal its own full-recompute search."""
+    for i, image in enumerate(images):
+        want_ids, want_steps = full_recompute_generate(model, image, max_len, beam_width)
+        assert got_ids[i] == want_ids
+        got_steps = [lp[rows == i] for rows, lp in steps if (rows == i).any()]
+        assert [s.shape for s in got_steps] == [s.shape for s in want_steps]
+        for got, want in zip(got_steps, want_steps):
+            finite = np.isfinite(want)
+            assert np.array_equal(finite, np.isfinite(got))
+            np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def midway_run():
+    """A 40-step run: its captions end at different steps, some at the length cap."""
+    _, _, model, pairs, cfg = synthetic_setup()
+    fit(model, pairs, cfg, steps=40)
+    return model, pairs
+
+
+class TestBatchedGenerate:
+    @pytest.mark.parametrize("beam_width", [1, 3, 4])
+    @pytest.mark.parametrize("max_len", [5, 12, 16])
+    def test_a_stacked_batch_matches_the_oracle_per_image(self, overfit_run, monkeypatch, max_len, beam_width):
+        _, _, model, pairs, _ = overfit_run
+        steps = spy_word_logprobs(monkeypatch)
+        images = [p.image for p in pairs]
+        seqs = generate(model, Tensor(np.stack([im.data for im in images])), max_len=max_len, beam_width=beam_width)
+        assert isinstance(seqs, list) and len(seqs) == len(images)
+        assert len(steps) <= max_len - 1
+        assert_each_image_matches_the_oracle(model, images, [s.ids for s in seqs], steps, max_len, beam_width)
+
+    @pytest.mark.parametrize("beam_width", [1, 3, 4])
+    @pytest.mark.parametrize("max_len", [5, 12, 16])
+    def test_caption_records_is_one_search_that_matches_the_oracle(self, overfit_run, monkeypatch, max_len, beam_width):
+        ds, vocab, model, _, _ = overfit_run
+        records = ds.split_records("train")
+        calls = {"generate": 0, "encode_image": 0, "decode_text": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(train_mod, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(train_mod, name, counted)
+        steps = spy_word_logprobs(monkeypatch)
+        texts = caption_records(model, records, max_len=max_len, beam_width=beam_width)
+        assert calls["generate"] == calls["encode_image"] == 1
+        assert calls["decode_text"] <= max_len - 1
+        assert list(texts) == [r.name for r in records]
+        images = [Tensor(r.image) for r in records]
+        ids = [full_recompute_generate(model, im, max_len, beam_width)[0] for im in images]
+        for record, want in zip(records, ids):
+            want_text = sequence_text(vocab, TokenSequence(ids=want, length=len(want)))
+            assert texts[record.name] == (want_text, list(record.captions))
+        assert_each_image_matches_the_oracle(model, images, ids, steps, max_len, beam_width)
+
+    @pytest.mark.parametrize("beam_width", [1, 3])
+    def test_rows_leave_mid_search(self, midway_run, monkeypatch, beam_width):
+        model, pairs = midway_run
+        steps = spy_word_logprobs(monkeypatch)
+        images = [p.image for p in pairs]
+        seqs = generate(model, Tensor(np.stack([im.data for im in images])), max_len=12, beam_width=beam_width)
+        assert len({s.length for s in seqs}) > 1  # images finish at different steps
+        rows = [len(image_of_row) for image_of_row, _ in steps]
+        assert any(after < before for before, after in zip(rows, rows[1:]))  # the search goes on without them
+        assert_each_image_matches_the_oracle(model, images, [s.ids for s in seqs], steps, 12, beam_width)
+
+    @pytest.mark.parametrize("beam_width", [3, 4])
+    def test_exact_ties_rank_like_the_oracle(self, monkeypatch, beam_width):
+        # uniform logits tie every candidate, so each step's rows are ordered by ids alone
+        _, _, model, pairs, _ = synthetic_setup()
+        for t in model.params.values():
+            t.data = np.zeros_like(t.data)
+        set_channel_stats(model, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        steps = spy_word_logprobs(monkeypatch)
+        images = [p.image for p in pairs[:2]]
+        seqs = generate(model, Tensor(np.stack([im.data for im in images])), max_len=6, beam_width=beam_width)
+        assert len(steps) == 5
+        assert_each_image_matches_the_oracle(model, images, [s.ids for s in seqs], steps, 6, beam_width)
+
+    @pytest.mark.parametrize("beam_width", [1, 4])
+    def test_a_batch_of_one_is_the_single_image_search(self, midway_run, beam_width):
+        model, pairs = midway_run
+        for p in pairs:
+            alone = generate(model, p.image, max_len=12, beam_width=beam_width)
+            assert generate(model, Tensor(p.image.data[None]), max_len=12, beam_width=beam_width) == [alone]
+
+    def test_no_records_caption_to_nothing(self):
+        _, _, model, _, _ = synthetic_setup(n=4, dim=8)
+        assert caption_records(model, []) == {}
+
+    def test_ablation_on_an_empty_split_is_a_contract_error(self):
+        ds, vocab, model, pairs, cfg = synthetic_setup(n=4, dim=8)
+        assert ds.split_records("val") == []
+        with pytest.raises(ContractError, match="ScoredCorpus: need at least one entry"):
+            ablate("dual", ds, vocab, model.cfg, cfg, steps=1, eval_split="val", max_len=8)
 
 
 class TestOverfit:
