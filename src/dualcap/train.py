@@ -14,8 +14,9 @@ Generation is beam search over word tokens with PAD/BOS/UNK masked out;
 finished beams are ranked by log-probability divided by length^0.7 and
 ties broken toward lexicographically smaller id sequences.  Beam width
 1 reduces to greedy decoding exactly.  A batch of images is one search
-over the live (image, beam) rows, so captioning a whole split runs one
-encoder pass and one decoder call per step.
+over the live (image, beam) rows: one encoder pass and one decoder call
+per step.  caption_records captions a split CAPTION_BATCH images per
+search, which bounds the decoder cache a search holds.
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ from .textdec import (
 )
 
 LENGTH_NORM_POWER = 0.7  # beam scores divide by (generated tokens)**0.7
+# Images per generate_batch search in caption_records.  A search holds every
+# row's cross-attention keys and values, images x beam_width rows, so a split
+# goes in batches: past 64, throughput on a 512-image split barely rises while
+# memory keeps growing (README's "Generation is incremental" has the figures).
+CAPTION_BATCH = 64
 
 ABLATION_VARIANTS = (
     "dual",
@@ -262,28 +268,32 @@ def steps_per_epoch(n_pairs: int, batch_size: int) -> int:
     return -(-n_pairs // batch_size)
 
 
-def generate(
-    model: CaptionModel, image: Tensor, max_len: int = 16, beam_width: int = 1
-) -> TokenSequence | list[TokenSequence]:
-    """Beam-search a caption for one H x W x ch image, or a list of them for a B x H x W x ch batch.
+def generate(model: CaptionModel, image: Tensor, max_len: int = 16, beam_width: int = 1) -> TokenSequence:
+    """Beam-search a caption for one H x W x ch image: generate_batch on a batch of one."""
+    return generate_batch(model, Tensor(image.data[None]), max_len=max_len, beam_width=beam_width)[0]
 
-    max_len counts BOS and EOS.  A batch is one search, each image getting
-    the caption it gets alone: one encoder pass, then per step one decoder
-    call over the newest token of every live (image, beam) row, whose past
+
+def generate_batch(model: CaptionModel, images: Tensor, max_len: int = 16, beam_width: int = 1) -> list[TokenSequence]:
+    """Beam-search a caption for each image of a B x H x W x ch batch; max_len counts BOS and EOS.
+
+    The batch is one search in which each image gets the caption it
+    would get alone: one encoder pass, then per step one decoder call
+    over the newest token of every live (image, beam) row, whose past
     one DecoderCache holds.  Each image keeps its best beam_width
     candidates by log-probability, ties to the smaller id sequence;
-    finished beams rank by log-probability / length^0.7, ties the same way.
+    finished beams rank by log-probability / length^0.7, ties the same
+    way.  The cache holds B x beam_width rows, so caption_records passes
+    a split CAPTION_BATCH images at a time.
     """
+    if images.data.ndim != 4:
+        raise ShapeError(f"generate_batch: images must be B x H x W x ch, got {images.shape}")
     if max_len < 3:
         raise ContractError(f"generate: max_len must be >= 3, got {max_len}")
     if beam_width < 1:
         raise ContractError(f"generate: beam_width must be >= 1, got {beam_width}")
-    enc_out = encode_image(model, image)
+    enc_out = encode_image(model, images)
     features, img_vecs = enc_out.features, image_embedding(model, enc_out)
-    single = features.data.ndim == 2
-    if single:
-        features, img_vecs = Tensor(features.data[None]), Tensor(img_vecs.data[None])
-    n = features.shape[0]
+    n = len(images.data)
     cache = DecoderCache(image=np.arange(n))
     seqs = np.full((n, max_len), BOS_ID)  # the ids of every live row, ids[:step + 1] at step
     cost = np.zeros(n)  # and its negated log-probability
@@ -330,8 +340,7 @@ def generate(
         if beam_width > 1 or len(parent) < len(cache.image):  # one beam per image, none ended: rows stay put
             cache.select(parent)
     chosen = [min(finished, key=lambda c: (-c[0], c[1]))[1] for finished in done]
-    captions = [TokenSequence(ids=ids, length=len(ids)) for ids in chosen]
-    return captions[0] if single else captions
+    return [TokenSequence(ids=ids, length=len(ids)) for ids in chosen]
 
 
 def sequence_text(vocab: Vocabulary, seq: TokenSequence) -> str:
@@ -345,11 +354,13 @@ def caption_records(
     max_len: int = 16,
     beam_width: int = 1,
 ) -> dict[str, tuple[str, list[str]]]:
-    """Caption every record in one batched generate call: name -> (hypothesis, references)."""
-    if not records:
-        return {}
-    seqs = generate(model, Tensor(np.stack([r.image for r in records])), max_len=max_len, beam_width=beam_width)
-    return {r.name: (sequence_text(model.vocab, seq), list(r.captions)) for r, seq in zip(records, seqs)}
+    """Caption every record, CAPTION_BATCH images per generate_batch search: name -> (hypothesis, references)."""
+    out = {}
+    for start in range(0, len(records), CAPTION_BATCH):
+        batch = records[start:start + CAPTION_BATCH]
+        seqs = generate_batch(model, Tensor(np.stack([r.image for r in batch])), max_len=max_len, beam_width=beam_width)
+        out.update((r.name, (sequence_text(model.vocab, seq), list(r.captions))) for r, seq in zip(batch, seqs))
+    return out
 
 
 def evaluate_model(

@@ -66,6 +66,7 @@ from dualcap.train import (
     caption_records,
     fit,
     generate,
+    generate_batch,
     run_ablation,
     sequence_text,
     steps_per_epoch,
@@ -590,7 +591,7 @@ class TestBatchedGenerate:
         _, _, model, pairs, _ = overfit_run
         steps = spy_word_logprobs(monkeypatch)
         images = [p.image for p in pairs]
-        seqs = generate(model, Tensor(np.stack([im.data for im in images])), max_len=max_len, beam_width=beam_width)
+        seqs = generate_batch(model, Tensor(np.stack([im.data for im in images])), max_len=max_len, beam_width=beam_width)
         assert isinstance(seqs, list) and len(seqs) == len(images)
         assert len(steps) <= max_len - 1
         assert_each_image_matches_the_oracle(model, images, [s.ids for s in seqs], steps, max_len, beam_width)
@@ -600,7 +601,7 @@ class TestBatchedGenerate:
     def test_caption_records_is_one_search_that_matches_the_oracle(self, overfit_run, monkeypatch, max_len, beam_width):
         ds, vocab, model, _, _ = overfit_run
         records = ds.split_records("train")
-        calls = {"generate": 0, "encode_image": 0, "decode_text": 0}
+        calls = {"generate_batch": 0, "encode_image": 0, "decode_text": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(train_mod, name), **kwargs):
                 calls[_name] += 1
@@ -608,7 +609,7 @@ class TestBatchedGenerate:
             monkeypatch.setattr(train_mod, name, counted)
         steps = spy_word_logprobs(monkeypatch)
         texts = caption_records(model, records, max_len=max_len, beam_width=beam_width)
-        assert calls["generate"] == calls["encode_image"] == 1
+        assert calls["generate_batch"] == calls["encode_image"] == 1
         assert calls["decode_text"] <= max_len - 1
         assert list(texts) == [r.name for r in records]
         images = [Tensor(r.image) for r in records]
@@ -623,7 +624,7 @@ class TestBatchedGenerate:
         model, pairs = midway_run
         steps = spy_word_logprobs(monkeypatch)
         images = [p.image for p in pairs]
-        seqs = generate(model, Tensor(np.stack([im.data for im in images])), max_len=12, beam_width=beam_width)
+        seqs = generate_batch(model, Tensor(np.stack([im.data for im in images])), max_len=12, beam_width=beam_width)
         assert len({s.length for s in seqs}) > 1  # images finish at different steps
         rows = [len(image_of_row) for image_of_row, _ in steps]
         assert any(after < before for before, after in zip(rows, rows[1:]))  # the search goes on without them
@@ -638,7 +639,7 @@ class TestBatchedGenerate:
         set_channel_stats(model, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
         steps = spy_word_logprobs(monkeypatch)
         images = [p.image for p in pairs[:2]]
-        seqs = generate(model, Tensor(np.stack([im.data for im in images])), max_len=6, beam_width=beam_width)
+        seqs = generate_batch(model, Tensor(np.stack([im.data for im in images])), max_len=6, beam_width=beam_width)
         assert len(steps) == 5
         assert_each_image_matches_the_oracle(model, images, [s.ids for s in seqs], steps, 6, beam_width)
 
@@ -647,7 +648,27 @@ class TestBatchedGenerate:
         model, pairs = midway_run
         for p in pairs:
             alone = generate(model, p.image, max_len=12, beam_width=beam_width)
-            assert generate(model, Tensor(p.image.data[None]), max_len=12, beam_width=beam_width) == [alone]
+            assert generate_batch(model, Tensor(p.image.data[None]), max_len=12, beam_width=beam_width) == [alone]
+
+    def test_a_batch_is_a_stack_of_images(self, midway_run):
+        model, pairs = midway_run
+        with pytest.raises(ShapeError, match="B x H x W x ch"):
+            generate_batch(model, pairs[0].image)
+
+    def test_a_split_larger_than_one_batch_is_captioned_batch_by_batch(self, overfit_run, monkeypatch):
+        ds, _, model, _, _ = overfit_run
+        records = ds.split_records("train")
+        whole = caption_records(model, records, max_len=12, beam_width=3)
+        sizes = []
+
+        def counted(m, images, **kwargs):
+            sizes.append(len(images.data))
+            return generate_batch(m, images, **kwargs)
+
+        monkeypatch.setattr(train_mod, "CAPTION_BATCH", 3)
+        monkeypatch.setattr(train_mod, "generate_batch", counted)
+        assert list(caption_records(model, records, max_len=12, beam_width=3).items()) == list(whole.items())
+        assert sizes == [3, 3, 2]
 
     def test_no_records_caption_to_nothing(self):
         _, _, model, _, _ = synthetic_setup(n=4, dim=8)
