@@ -66,10 +66,8 @@ from .textdec import (
 )
 
 LENGTH_NORM_POWER = 0.7  # beam scores divide by (generated tokens)**0.7
-# Images per generate_batch search in caption_records.  A search holds every
-# row's cross-attention keys and values, images x beam_width rows, so a split
-# goes in batches: past 64, throughput on a 512-image split barely rises while
-# memory keeps growing (README's "Generation is incremental" has the figures).
+# Images per generate_batch search in caption_records: a search's memory grows
+# with images x beam_width, its throughput little past 64 (figures in README).
 CAPTION_BATCH = 64
 
 ABLATION_VARIANTS = (
