@@ -403,16 +403,16 @@ def channel_group_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor):
     return merge_heads(out, lead), _per_item(attn.data, lead)
 
 
-def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, prefix: str = "enc") -> dict[str, Tensor]:
+def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     """Fresh trainable parameters for the configured encoder."""
     c, c_h, c_g = cfg.dim, cfg.head_dim, cfg.group_dim
     params: dict[str, Tensor] = {}
-    params[f"{prefix}.patch.w"] = uniform_init(rng, (cfg.patch_len, c))
+    params["enc.patch.w"] = uniform_init(rng, (cfg.patch_len, c))
     if cfg.pos_encoding == "learned":
-        params[f"{prefix}.pos"] = uniform_init(rng, (cfg.patches, c), fan_in=c)
+        params["enc.pos"] = uniform_init(rng, (cfg.patches, c), fan_in=c)
     hidden = c * cfg.ffn_expansion
     for i in range(cfg.depth):
-        b = f"{prefix}.b{i}"
+        b = f"enc.b{i}"
         if cfg.mode in ("dual", "spatial"):
             for name in ("wq", "wk", "wv"):
                 params[f"{b}.spatial.{name}"] = uniform_init(rng, (c, c))
@@ -472,7 +472,7 @@ def block_tail(x: Tensor, branches: Tensor, params: dict[str, Tensor], prefix: s
     return layer_norm(add(y, ffn_out), params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
 
 
-def encode(image: Tensor, cfg: EncoderConfig, params: dict[str, Tensor], prefix: str = "enc") -> EncoderOutput:
+def encode(image: Tensor, cfg: EncoderConfig, params: dict[str, Tensor]) -> EncoderOutput:
     """Full encoder pass: normalize, embed patches, run depth blocks.
 
     ``image`` is one H x W x ch image or a B x H x W x ch batch.
@@ -486,15 +486,15 @@ def encode(image: Tensor, cfg: EncoderConfig, params: dict[str, Tensor], prefix:
     if mean_t is not None and std_t is not None:
         image = normalize_image(image, mean_t.data, std_t.data)
     if cfg.pos_encoding == "learned":
-        positions = params[f"{prefix}.pos"]
+        positions = params["enc.pos"]
     else:
         positions = sinusoidal_positions(cfg.patches, cfg.dim)
-    x = features = embed_patches(image, cfg, params[f"{prefix}.patch.w"], positions)
+    x = features = embed_patches(image, cfg, params["enc.patch.w"], positions)
     spatial_w, channel_w, global_w = [], [], []
     for i in range(cfg.depth):
         if i > 0:  # block i reads the output of block i-1
-            x = block_tail(x, features, params, f"{prefix}.b{i - 1}")
-        features, sw, cw, gw = block_branches(x, params, f"{prefix}.b{i}", cfg)
+            x = block_tail(x, features, params, f"enc.b{i - 1}")
+        features, sw, cw, gw = block_branches(x, params, f"enc.b{i}", cfg)
         spatial_w.append(sw)
         channel_w.append(cw)
         global_w.append(gw)

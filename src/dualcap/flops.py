@@ -63,8 +63,3 @@ def add_matmul(m: int, k: int, n: int) -> None:
         return
     label = ".".join(_scopes) if _scopes else "unscoped"
     _active.add(2 * m * k * n, label)
-
-
-def matmul_flops(m: int, k: int, n: int) -> int:
-    """Closed-form cost of one (m x k) @ (k x n) product."""
-    return 2 * m * k * n

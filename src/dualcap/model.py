@@ -36,7 +36,7 @@ from .encoder import EncoderConfig, EncoderOutput, encode, init_encoder_params
 from .errors import ConfigError
 from .fusion import initial_log_temperature, pool_and_project
 from .init import uniform_init, zeros_init
-from .textdec import DecoderCache, DecoderConfig, TokenSequence, Vocabulary, decode_text, init_decoder_params
+from .textdec import DecoderConfig, TokenSequence, Vocabulary, decode_text, init_decoder_params
 
 
 @dataclass(frozen=True)
@@ -141,33 +141,28 @@ def text_embedding(model: CaptionModel, seq: TokenSequence | list[TokenSequence]
     return pool_and_project(hidden, model.params["fuse.txt.w"], model.params["fuse.txt.b"], rows=_lengths(seq))
 
 
-def conditioned_logits(
-    model: CaptionModel, hidden: Tensor, image_vec: Tensor, cache: DecoderCache | None = None
-) -> Tensor:
+def conditioned_logits(model: CaptionModel, hidden: Tensor, image_vec: Tensor, pooled: Tensor | None = None) -> Tensor:
     """Tied logits with the fused image-text vector added per position.
 
     Position t sees the causal mean of hidden states 0..t projected into
     the joint space (same projection as the contrastive text tower),
     fused with the image embedding, and mapped back to decoder width.
     ``hidden`` is T x C with a (D,) image vector, or a B x T x C stack
-    with (B, D) image vectors.  With the ``cache`` of an incremental
-    decode_text call, ``hidden`` is that call's B x 1 x C new position
-    of the cache's B rows, ``image_vec`` is the (N, D) stack of the
-    images they describe, row b reading ``image_vec[cache.image[b]]``,
-    the causal mean is the cache's running sum over its length, and the
-    logits are B x 1 x V.
+    with (B, D) image vectors; an ``image_vec`` already of shape
+    (..., T, D) gives each position its own.  ``pooled`` replaces the
+    causal mean when the caller has it: generation, whose hidden states
+    are each row's newest position only, passes its running means.
     """
     lead, t = hidden.shape[:-2], hidden.shape[-2]
     jd = model.cfg.joint_dim
     p = model.params
-    if cache is None:
+    if pooled is None:
         causal_mean = Tensor(np.tril(np.ones((t, t))) / np.arange(1.0, t + 1.0)[:, None])
         pooled = matmul(causal_mean, hidden)
-    else:
-        pooled = Tensor(cache.hidden_sum / cache.length)
     text_rows = l2_normalize(add_bias(matmul(pooled, p["fuse.txt.w"]), p["fuse.txt.b"]))
-    image_rows = (matmul(Tensor(np.ones((t, 1))), reshape(image_vec, lead + (1, jd))) if cache is None
-                  else Tensor(image_vec.data[cache.image, None]))  # a cached row reads its own image's vector
+    image_rows = image_vec
+    if image_vec.shape != lead + (t, jd):  # one vector per item: repeat it at every position
+        image_rows = matmul(Tensor(np.ones((t, 1))), reshape(image_vec, lead + (1, jd)))
     fused = concat([image_rows, text_rows], axis=len(lead) + 1)
     conditioning = add_bias(matmul(fused, p["fuse.cond.w"]), p["fuse.cond.b"])
     return matmul(add(hidden, conditioning), transpose(p["dec.emb"]))

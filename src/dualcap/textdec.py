@@ -16,11 +16,13 @@ attention term is exactly zero, which makes no-context decoding
 bitwise identical to decoding against a zero context with zero
 cross-value weights; the contrastive text pathway relies on this.
 
-Generation decodes incrementally: a :class:`DecoderCache` keeps what
-earlier positions computed (the cross-attention keys and values of a
-whole stack of images, every block's self-attention keys and values,
-and the running sum of the hidden states), so each call runs one new
-position of every live (image, beam) row, all images as one batch.
+Every call runs against a :class:`DecoderCache` of what earlier
+positions computed: the cross-attention keys and values of a stack of
+images and every block's self-attention keys and values.  A
+teacher-forced pass is the prefill of a fresh, empty cache, which it
+returns nothing of; generation keeps one cache and adds one new
+position of every live (image, beam) row per call, all images as one
+batch.  Both run the same code.
 """
 
 from __future__ import annotations
@@ -220,14 +222,14 @@ class DecoderConfig:
         return self.dim // self.heads
 
 
-def init_decoder_params(cfg: DecoderConfig, rng: np.random.Generator, prefix: str = "dec") -> dict[str, Tensor]:
+def init_decoder_params(cfg: DecoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     """Fresh trainable parameters for the configured decoder."""
     c, c_h, n_h, w = cfg.dim, cfg.head_dim, cfg.heads, cfg.context_width
     params: dict[str, Tensor] = {}
-    params[f"{prefix}.emb"] = uniform_init(rng, (cfg.vocab_size, c), fan_in=c)
+    params["dec.emb"] = uniform_init(rng, (cfg.vocab_size, c), fan_in=c)
     hidden = c * cfg.ffn_expansion
     for i in range(cfg.depth):
-        b = f"{prefix}.b{i}"
+        b = f"dec.b{i}"
         for name in ("wq", "wk", "wv"):
             params[f"{b}.self.{name}"] = uniform_init(rng, (n_h, c_h, c_h), fan_in=c_h)
         params[f"{b}.cross.wq"] = uniform_init(rng, (n_h, c_h, c_h), fan_in=c_h)
@@ -285,17 +287,16 @@ def _take(t: Tensor, rows: np.ndarray, b: int) -> Tensor:
 
 @dataclass
 class DecoderCache:
-    """What decode_text keeps between incremental calls over a stack of N images.
+    """What decode_text keeps between calls over a stack of N images.
 
     Its B rows are the live (image, beam) pairs: row b describes image
-    ``image[b]`` of the stack, and all rows hold ``length`` tokens, none
-    of them PAD.  ``cross`` is each block's cross-attention (K, V) of
-    every row, head-major (n_h*B, P, C_h), row ``head*B + b``: projected
-    once from the whole stack, each row reading its image's through
-    ``image``.  ``keys`` and ``values`` are each block's self-attention K
-    and V of every row so far, head-major (n_h*B, length, C_h);
-    ``hidden_sum`` is the (B, 1, C) sum of each row's hidden states over
-    its ``length`` positions, for the causal-mean conditioning.
+    ``image[b]`` of the stack, and all rows hold ``length`` tokens.
+    ``cross`` is each block's cross-attention (K, V) of every row,
+    head-major (n_h*B, P, C_h), row ``head*B + b``: projected once from
+    the whole stack by the first call, each row reading its image's
+    through ``image``.  ``keys`` and ``values`` are each block's
+    self-attention K and V of every row so far, head-major
+    (n_h*B, length, C_h).
     """
 
     image: np.ndarray
@@ -303,10 +304,9 @@ class DecoderCache:
     cross: list[tuple[Tensor, Tensor]] = field(default_factory=list)
     keys: list[Tensor] = field(default_factory=list)
     values: list[Tensor] = field(default_factory=list)
-    hidden_sum: np.ndarray | None = None
 
     def extend(self, block: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Append one position's self-attention K and V to a block; return all of them."""
+        """Append new positions' self-attention K and V to a block; return all of them (as given, if it was empty)."""
         if self.length == 0:
             self.keys.append(k)
             self.values.append(v)
@@ -324,7 +324,6 @@ class DecoderCache:
             self.cross = [(_take(k, rows, b), _take(v, rows, b)) for k, v in self.cross]
         self.keys = [_take(k, rows, b) for k in self.keys]
         self.values = [_take(v, rows, b) for v in self.values]
-        self.hidden_sum = self.hidden_sum.take(rows, axis=0)
         self.image = image
 
 
@@ -333,79 +332,67 @@ def decode_text(
     params: dict[str, Tensor],
     cfg: DecoderConfig,
     context: Tensor | None = None,
-    prefix: str = "dec",
     cache: DecoderCache | None = None,
 ) -> Tensor:
-    """Run the decoder over a full sequence with teacher forcing.
+    """Run the decoder over the new positions of each row; returns their (B x) T x C hidden states.
 
-    ``tokens`` is one sequence (a TokenSequence or a list of ids) with a
-    P x W ``context``, or a batch of TokenSequences (see
-    :func:`token_ids`) with a B x P x W context; a batch runs as one
-    stack.  Returns the (B x) T x C hidden states of every position,
-    including PAD positions (mask their targets out of the loss instead).
+    ``tokens`` is one sequence (a TokenSequence, or a list or array of
+    ids) with a P x W ``context``, or a batch (see :func:`token_ids`)
+    with a B x P x W context; a batch runs as one stack.  Without a
+    ``cache`` this is a teacher-forced pass, the prefill of a fresh
+    cache, and PAD positions are returned too (mask their targets out
+    of the loss instead).
 
-    With a ``cache``, ``tokens`` holds one new id for each of the
-    cache's B rows and ``context`` is the N x P x W stack of the images
-    they describe, row b reading image ``cache.image[b]``.  The ids run
-    at position ``cache.length``; each row attends over its cached keys
-    plus its own, so no mask is needed.  The call appends its keys,
-    values and hidden states to the cache, advances ``cache.length`` and
-    returns the B x 1 x C hidden states of the new position.  The first
-    call projects the whole stack's cross-attention keys and values,
-    which later calls read back row by row.
+    A filled ``cache`` takes B x 1 ids, one new position at
+    ``cache.length`` for each of its B rows, and ``context`` is the
+    N x P x W stack of the images the rows describe, row b reading image
+    ``cache.image[b]``.  The first call given a context projects the
+    stack's cross-attention keys and values, which later calls read
+    back row by row.  Each call appends its self-attention keys and
+    values to the cache and advances ``cache.length``.
     """
     ids = token_ids(tokens)
     if ids.size == 0:
         raise ContractError("decode_text: empty token sequence")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise VocabError(f"token id out of range for vocabulary of {cfg.vocab_size}")
-    start = 0
-    if cache is not None:
-        if ids.ndim != 1 or context is None or context.data.ndim != 3 or context.shape[-1] != cfg.context_width:
-            raise ConfigError(
-                f"cached decode_text takes one id per row and an N x P x {cfg.context_width} context stack, "
-                f"got ids {ids.shape} and context {None if context is None else context.shape}"
-            )
-        if len(ids) != len(cache.image):
-            raise ContractError(f"decode_text: {len(ids)} ids for a cache of {len(cache.image)} rows")
-        start, ids = cache.length, ids[:, None]
     lead, t = ids.shape[:-1], ids.shape[-1]
-    if cache is None and context is not None and (
-        context.data.ndim != len(lead) + 2 or context.shape[:-2] != lead or context.shape[-1] != cfg.context_width
-    ):
-        raise ConfigError(
-            f"context must be one P x {cfg.context_width} map per token sequence (ids {ids.shape}), got {context.shape}"
-        )
-    c, n_h = cfg.dim, cfg.heads
-    positions = slice_axis(sinusoidal_positions(start + t, c), 0, start, start + t)
-    h = add_bias(take_rows(params[f"{prefix}.emb"], ids), positions)
-    mask = None
     if cache is None:
+        cache = DecoderCache(image=np.arange(math.prod(lead)))
+    if math.prod(lead) != len(cache.image):
+        raise ContractError(f"decode_text: {math.prod(lead)} rows of ids for a cache of {len(cache.image)} rows")
+    start = cache.length
+    if start and t > 1:
+        raise ContractError(f"decode_text: {t} new positions for a cache of length {start}; add one at a time")
+    c, n_h, w = cfg.dim, cfg.heads, cfg.context_width
+    positions = slice_axis(sinusoidal_positions(start + t, c), 0, start, start + t)
+    h = add_bias(take_rows(params["dec.emb"], ids), positions)
+    mask = None
+    if t > 1:
         mask = attention_masks(ids).data
         mask = Tensor(np.broadcast_to(mask, (n_h,) + mask.shape).reshape(-1, t, t))  # one per head and item
     inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)
-    if context is not None:
+    project = context is not None and not cache.cross  # this call projects the cross-attention K and V
+    if project:
+        if context.data.ndim != len(lead) + 2 or context.shape[:-2] != lead or context.shape[-1] != w:
+            raise ConfigError(f"context must be one P x {w} map per row of ids {ids.shape}, got {context.shape}")
         patches = context.shape[-2]
-        context_rows = reshape(context, (context.size // cfg.context_width, cfg.context_width))
+        context_rows = reshape(context, (context.size // w, w))
 
     for i in range(cfg.depth):
-        b = f"{prefix}.b{i}"
+        b = f"dec.b{i}"
         xh = split_heads(h, n_h)
         q, k, v = (project_heads(xh, params[f"{b}.self.{name}"], t) for name in ("wq", "wk", "wv"))
-        if cache is not None:
-            k, v = cache.extend(i, k, v)
+        k, v = cache.extend(i, k, v)
         self_out, _ = attend(q, k, v, inv_sqrt, mask)
         h = layer_norm(add(h, merge_heads(self_out, lead)), params[f"{b}.ln1.g"], params[f"{b}.ln1.b"])
 
         if context is not None:
             q = project_heads(split_heads(h, n_h), params[f"{b}.cross.wq"], t)
-            if cache is not None and i < len(cache.cross):
-                k, v = cache.cross[i]
-            else:
-                k, v = (project_heads(context_rows, params[f"{b}.cross.{name}"], patches) for name in ("wk", "wv"))
-                if cache is not None:  # each row reads its own image's keys and values
-                    k, v = _take(k, cache.image, len(context.data)), _take(v, cache.image, len(context.data))
-                    cache.cross.append((k, v))
+            if project:
+                cache.cross.append(tuple(project_heads(context_rows, params[f"{b}.cross.{name}"], patches)
+                                         for name in ("wk", "wv")))
+            k, v = cache.cross[i]
             cross_out, _ = attend(q, k, v, inv_sqrt)
             h = layer_norm(add(h, merge_heads(cross_out, lead)), params[f"{b}.ln2.g"], params[f"{b}.ln2.b"])
         else:
@@ -416,7 +403,5 @@ def decode_text(
         inner = gelu(add_bias(matmul(h, params[f"{b}.ffn.w1"]), params[f"{b}.ffn.b1"]))
         ffn_out = add_bias(matmul(inner, params[f"{b}.ffn.w2"]), params[f"{b}.ffn.b2"])
         h = layer_norm(add(h, ffn_out), params[f"{b}.ln3.g"], params[f"{b}.ln3.b"])
-    if cache is not None:
-        cache.length += 1
-        cache.hidden_sum = h.data if cache.hidden_sum is None else cache.hidden_sum + h.data
+    cache.length += t
     return h

@@ -277,7 +277,10 @@ def generate_batch(model: CaptionModel, images: Tensor, max_len: int = 16, beam_
     The batch is one search in which each image gets the caption it
     would get alone: one encoder pass, then per step one decoder call
     over the newest token of every live (image, beam) row, whose past
-    one DecoderCache holds.  Each image keeps its best beam_width
+    one DecoderCache holds.  The search itself keeps each row's running
+    sum of hidden states and its image's vector, gathered with the
+    cache's rows, and passes the running mean and the vector to
+    conditioned_logits.  Each image keeps its best beam_width
     candidates by log-probability, ties to the smaller id sequence;
     finished beams rank by log-probability / length^0.7, ties the same
     way.  The cache holds B x beam_width rows, so caption_records passes
@@ -290,9 +293,11 @@ def generate_batch(model: CaptionModel, images: Tensor, max_len: int = 16, beam_
     if beam_width < 1:
         raise ContractError(f"generate: beam_width must be >= 1, got {beam_width}")
     enc_out = encode_image(model, images)
-    features, img_vecs = enc_out.features, image_embedding(model, enc_out)
+    features = enc_out.features
+    img_rows = Tensor(image_embedding(model, enc_out).data[:, None])  # each live row's image vector, (rows, 1, D)
     n = len(images.data)
     cache = DecoderCache(image=np.arange(n))
+    hidden_sum = np.zeros((n, 1, model.cfg.decoder.dim))  # each live row's sum of its hidden states
     seqs = np.full((n, max_len), BOS_ID)  # the ids of every live row, ids[:step + 1] at step
     cost = np.zeros(n)  # and its negated log-probability
     rank = np.zeros(n, dtype=np.intp)  # and a rank that orders an image's live rows by their ids
@@ -304,8 +309,9 @@ def generate_batch(model: CaptionModel, images: Tensor, max_len: int = 16, beam_
         done[cache.image[row]].append((-float(row_cost) / float(len(ids) - 1) ** LENGTH_NORM_POWER, ids))
 
     for step in range(max_len - 1):
-        hidden = decode_text(seqs[:, step], model.params, model.cfg.decoder, context=features, cache=cache)
-        logits = conditioned_logits(model, hidden, img_vecs, cache=cache).data[:, -1, words]
+        hidden = decode_text(seqs[:, step:step + 1], model.params, model.cfg.decoder, context=features, cache=cache)
+        hidden_sum = hidden_sum + hidden.data
+        logits = conditioned_logits(model, hidden, img_rows, pooled=Tensor(hidden_sum / (step + 1))).data[:, -1, words]
         top = logits.max(axis=1, keepdims=True)
         lp = logits - (top + np.log(np.exp(logits - top).sum(axis=1, keepdims=True)))
         costs = cost[:, None] - lp  # of every (row, next word) candidate
@@ -337,6 +343,7 @@ def generate_batch(model: CaptionModel, images: Tensor, max_len: int = 16, beam_
         seqs[:, step + 1] = tok
         if beam_width > 1 or len(parent) < len(cache.image):  # one beam per image, none ended: rows stay put
             cache.select(parent)
+            hidden_sum, img_rows = hidden_sum[parent], Tensor(img_rows.data[parent])
     chosen = [min(finished, key=lambda c: (-c[0], c[1]))[1] for finished in done]
     return [TokenSequence(ids=ids, length=len(ids)) for ids in chosen]
 
@@ -366,10 +373,9 @@ def evaluate_model(
     records: list[Record],
     max_len: int = 16,
     beam_width: int = 1,
-    smoothing: bool = False,
 ) -> ScoreReport:
     generated = caption_records(model, records, max_len=max_len, beam_width=beam_width)
-    return score_report(ScoredCorpus.from_texts(generated), smoothing=smoothing)
+    return score_report(ScoredCorpus.from_texts(generated))
 
 
 def ablate(

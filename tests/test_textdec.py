@@ -10,6 +10,7 @@ from dualcap.textdec import (
     EOS_ID,
     PAD_ID,
     UNK_ID,
+    DecoderCache,
     DecoderConfig,
     TokenSequence,
     Vocabulary,
@@ -216,6 +217,43 @@ class TestDecodeText:
             decode_text(seq(4), params, cfg, context=Tensor(np.zeros((3, 5))))
         with pytest.raises(ContractError):
             decode_text([], params, cfg)
+
+    @pytest.mark.parametrize("with_context", [True, False])
+    def test_one_position_at_a_time_through_a_cache_is_the_teacher_forced_pass(self, with_context):
+        cfg = tiny_cfg(depth=2)
+        rng = np.random.default_rng(8)
+        params = init_decoder_params(cfg, rng)
+        ids = np.array([[BOS_ID, 4, 5, 6, EOS_ID], [BOS_ID, 7, 8, 4, 5]])
+        ctx = Tensor(rng.standard_normal((2, 3, 6))) if with_context else None
+        full = decode_text(ids, params, cfg, context=ctx).data
+        cache = DecoderCache(image=np.arange(2))
+        for pos in range(ids.shape[1]):
+            step = decode_text(ids[:, pos:pos + 1], params, cfg, context=ctx, cache=cache).data
+            assert step.shape == (2, 1, 4)
+            np.testing.assert_allclose(step[:, 0], full[:, pos], rtol=0, atol=1e-12)
+        assert cache.length == ids.shape[1]
+        assert len(cache.cross) == (2 if with_context else 0)
+        cache = DecoderCache(image=np.arange(2))  # a prefill of three positions, then one at a time
+        prefill = decode_text(ids[:, :3], params, cfg, context=ctx, cache=cache).data
+        np.testing.assert_array_equal(prefill, full[:, :3])
+        for pos in range(3, ids.shape[1]):
+            step = decode_text(ids[:, pos:pos + 1], params, cfg, context=ctx, cache=cache).data
+            np.testing.assert_allclose(step[:, 0], full[:, pos], rtol=0, atol=1e-12)
+
+    def test_a_filled_cache_takes_one_position_per_row(self):
+        cfg = tiny_cfg()
+        rng = np.random.default_rng(9)
+        params = init_decoder_params(cfg, rng)
+        ctx = Tensor(rng.standard_normal((2, 3, 6)))
+        cache = DecoderCache(image=np.arange(2))
+        decode_text(np.array([[BOS_ID], [BOS_ID]]), params, cfg, context=ctx, cache=cache)
+        with pytest.raises(ContractError, match="one at a time"):
+            decode_text(np.array([[4, 5], [6, 7]]), params, cfg, context=ctx, cache=cache)
+        with pytest.raises(ContractError, match="for a cache of 2 rows"):
+            decode_text(np.array([[4]]), params, cfg, context=ctx, cache=cache)
+        with pytest.raises(ConfigError, match="context"):  # checked by the call that projects
+            decode_text(np.array([[BOS_ID], [BOS_ID]]), params, cfg, context=Tensor(np.zeros((2, 3, 5))),
+                        cache=DecoderCache(image=np.arange(2)))
 
     def test_gradients_match_finite_differences(self):
         cfg = tiny_cfg()

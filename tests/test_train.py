@@ -550,15 +550,24 @@ class TestGenerate:
 
 
 def spy_word_logprobs(monkeypatch) -> list:
-    """Per conditioned_logits call in generate: (image of each row, word log-probs of each row)."""
-    steps = []
+    """Per conditioned_logits call in generate: (image of each row, word log-probs of each row).
+
+    A row's image is read from the cache of the decode_text call that made its hidden state.
+    """
+    steps, caches = [], []
+    decode = train_mod.decode_text
+
+    def spy_decode(*args, **kwargs):
+        caches.append(kwargs["cache"])
+        return decode(*args, **kwargs)
 
     def spy(*args, **kwargs):
         logits = conditioned_logits(*args, **kwargs)
         rows = np.stack([log_softmax_words(row) for row in logits.data[:, -1]])
-        steps.append((kwargs["cache"].image.copy(), rows))
+        steps.append((caches[-1].image.copy(), rows))
         return logits
 
+    monkeypatch.setattr(train_mod, "decode_text", spy_decode)
     monkeypatch.setattr(train_mod, "conditioned_logits", spy)
     return steps
 
