@@ -1,7 +1,10 @@
 """Caption quality metrics: BLEU-1..4, ROUGE-L, METEOR, CIDEr.
 
 All metrics share one tokenization (the decoder's) and one container, a
-:class:`ScoredCorpus` of (candidate, references) pairs per image.
+:class:`ScoredCorpus` of (candidate, references) pairs per image.  The
+corpus counts each caption's n-grams once per order, on first use
+(:meth:`ScoredCorpus.ngrams`), and BLEU-1..4 and CIDEr all read those
+counts, so :func:`score_report` counts every caption once.
 Definitions follow the standard formulations:
 
 * BLEU: corpus-level clipped modified n-gram precision with the closest
@@ -13,7 +16,8 @@ Definitions follow the standard formulations:
   with beta = 1.2; the corpus score is the mean over images.
 * METEOR: exact unigram matching only (no stems or synonyms).  The
   fragmentation penalty uses the minimal chunk count over all maximum
-  alignments, found by exact search.
+  alignments, found by exact search that branches only where a maximum
+  alignment can still be reached (exponential in the worst case).
 * CIDEr: TF-IDF weighted n-gram cosine similarity, n = 1..4, averaged
   over n and references, scaled by 10.  IDF comes from the corpus
   itself, so a single-image corpus degenerates to all-zero IDF and a
@@ -23,10 +27,11 @@ Definitions follow the standard formulations:
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Mapping, Sequence
 
 from .errors import ContractError
@@ -42,6 +47,22 @@ class CorpusEntry:
     image_id: str
     candidate: tuple[str, ...]
     references: tuple[tuple[str, ...], ...]
+
+
+@dataclass(frozen=True)
+class NgramCounts:
+    """One n-gram order over a corpus, counted once and read by every metric.
+
+    Lists run over the corpus entries.  ``ref_max`` holds each n-gram's
+    largest count in any one reference; ``clipped`` and ``total`` are
+    BLEU's corpus numerator and denominator for this order.
+    """
+
+    candidates: list[Counter]
+    references: list[list[Counter]]
+    ref_max: list[Counter]
+    clipped: int
+    total: int
 
 
 class ScoredCorpus:
@@ -60,12 +81,17 @@ class ScoredCorpus:
             if any(len(r) == 0 for r in e.references):
                 raise ContractError(f"ScoredCorpus: image {e.image_id!r} has an empty reference")
         self.entries = list(entries)
+        self._counts: dict[int, NgramCounts] = {}
 
     @classmethod
     def from_texts(cls, items: Mapping[str, tuple[str, Sequence[str]]]) -> "ScoredCorpus":
         """Build from raw strings: image_id -> (candidate, references)."""
         entries = []
         for image_id, (candidate, references) in items.items():
+            if isinstance(references, str):
+                raise ContractError(
+                    f"ScoredCorpus: image {str(image_id)!r} references must be a list of strings, "
+                    f"not the string {references!r}")
             entries.append(CorpusEntry(
                 image_id=str(image_id),
                 candidate=tuple(tokenize(candidate)),
@@ -76,9 +102,22 @@ class ScoredCorpus:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def ngrams(self, n: int) -> NgramCounts:
+        """The n-gram counts of every caption, built on first use and kept,
+        so the entries must not change once a metric has read them."""
+        counts = self._counts.get(n)
+        if counts is None:
+            candidates = [_ngrams(e.candidate, n) for e in self.entries]
+            references = [[_ngrams(r, n) for r in e.references] for e in self.entries]
+            ref_max = [reduce(operator.or_, refs) for refs in references]
+            clipped = sum(min(c, m[g]) for cand, m in zip(candidates, ref_max) for g, c in cand.items())
+            total = sum(cand.total() for cand in candidates)
+            counts = self._counts[n] = NgramCounts(candidates, references, ref_max, clipped, total)
+        return counts
+
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -94,33 +133,23 @@ def bleu(corpus: ScoredCorpus, n: int = 4, smoothing: bool = False) -> float:
     """Corpus-level BLEU-n: geometric mean of clipped k-gram precisions.
 
     Numerators and denominators accumulate over the whole corpus before
-    the ratio, and the brevity penalty compares total candidate length
-    against the summed closest reference lengths.
+    the ratio (they are the corpus's :class:`NgramCounts`, shared by
+    every BLEU order), and the brevity penalty compares total candidate
+    length against the summed closest reference lengths.
     """
     if not 1 <= n <= 4:
         raise ContractError(f"bleu: n must be in 1..4, got {n}")
-    numer = [0] * n
-    denom = [0] * n
     cand_total = 0
     ref_total = 0
     for e in corpus.entries:
         cand_total += len(e.candidate)
         ref_total += _closest_ref_length(len(e.candidate), [len(r) for r in e.references])
-        for k in range(1, n + 1):
-            cand_counts = _ngrams(e.candidate, k)
-            if not cand_counts:
-                continue
-            max_ref = Counter()
-            for ref in e.references:
-                for gram, count in _ngrams(ref, k).items():
-                    max_ref[gram] = max(max_ref[gram], count)
-            numer[k - 1] += sum(min(c, max_ref[g]) for g, c in cand_counts.items())
-            denom[k - 1] += sum(cand_counts.values())
     if cand_total == 0:
         return 0.0
     log_sum = 0.0
-    for k in range(n):
-        num, den = numer[k], denom[k]
+    for k in range(1, n + 1):
+        counts = corpus.ngrams(k)
+        num, den = counts.clipped, counts.total
         if den == 0:
             return 0.0  # candidate too short for any k-gram
         if num == 0:
@@ -177,23 +206,29 @@ def _best_alignment(cand: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
     positions with equal tokens.  A chunk is a maximal run of matches
     that is contiguous and in order on both sides.  Exact search with
     memoization over (candidate position, used reference positions,
-    previous match), fine at caption scale.
+    previous match).  Every maximum alignment matches min(count in cand,
+    count in ref) of each word, so the search leaves candidate position
+    i (word w) unmatched only if the occurrences of w at i or later
+    outnumber the unused reference positions holding w; otherwise i
+    must take one of them.  Still exponential in the worst case (many
+    repeats of one word), fine at caption scale.
     """
-    shared = [j for j, w in enumerate(ref) if w in set(cand)]
-    pos_of = {j: i for i, j in enumerate(shared)}
+    slots: dict[str, list[int]] = {}  # word -> reference positions holding it
+    for j, w in enumerate(ref):
+        slots.setdefault(w, []).append(j)
+    rest = [cand[i:].count(w) for i, w in enumerate(cand)]
 
     @lru_cache(maxsize=None)
     def best(ci: int, used: int, prev: int) -> tuple[int, int]:
         if ci == len(cand):
             return (0, 0)
-        # option 1: leave cand[ci] unmatched
-        matches, chunks = best(ci + 1, used, -2)
-        score = (matches, -chunks)
-        for j in shared:
-            bit = 1 << pos_of[j]
-            if used & bit or ref[j] != cand[ci]:
-                continue
-            m, c = best(ci + 1, used | bit, j)
+        free = [j for j in slots.get(cand[ci], ()) if not used >> j & 1]
+        score = (-1, 0)  # beaten by any branch; at least one is always taken
+        if rest[ci] > len(free):  # leaving cand[ci] unmatched can still reach the maximum
+            matches, chunks = best(ci + 1, used, -2)
+            score = (matches, -chunks)
+        for j in free:
+            m, c = best(ci + 1, used | 1 << j, j)
             c += 0 if prev == j - 1 else 1
             score = max(score, (m + 1, -c))
         return (score[0], -score[1])
@@ -236,23 +271,18 @@ def cider(corpus: ScoredCorpus, max_n: int = CIDER_MAX_N) -> float:
     n_images = len(corpus.entries)
     if n_images == 1:
         warnings.warn("cider: single-image corpus has degenerate IDF (all zeros)", stacklevel=2)
+    orders = [corpus.ngrams(k) for k in range(1, max_n + 1)]
     idf: list[dict] = []
-    for k in range(1, max_n + 1):
+    for counts in orders:
         df = Counter()
-        for e in corpus.entries:
-            grams = set()
-            for ref in e.references:
-                grams.update(_ngrams(ref, k).keys())
-            df.update(grams)
-        idf.append({g: math.log(n_images / max(1, c)) for g, c in df.items()})
+        for ref_max in counts.ref_max:
+            df.update(ref_max.keys())  # every n-gram of any reference, once per image
+        idf.append({g: math.log(n_images / c) for g, c in df.items()})
 
     unseen_idf = math.log(n_images)  # df = 0 clamps to 1 in the denominator
 
-    def tfidf(tokens, k):
-        weights = {}
-        for gram, count in _ngrams(tokens, k).items():
-            weights[gram] = count * idf[k - 1].get(gram, unseen_idf)
-        return weights
+    def tfidf(grams, weights):
+        return {gram: count * weights.get(gram, unseen_idf) for gram, count in grams.items()}
 
     def cosine(a, b):
         dot = sum(w * b.get(g, 0.0) for g, w in a.items())
@@ -263,11 +293,11 @@ def cider(corpus: ScoredCorpus, max_n: int = CIDER_MAX_N) -> float:
         return dot / (na * nb)
 
     total = 0.0
-    for e in corpus.entries:
+    for i in range(n_images):
         per_n = []
-        for k in range(1, max_n + 1):
-            cand_vec = tfidf(e.candidate, k)
-            sims = [cosine(cand_vec, tfidf(ref, k)) for ref in e.references]
+        for counts, weights in zip(orders, idf):
+            cand_vec = tfidf(counts.candidates[i], weights)
+            sims = [cosine(cand_vec, tfidf(ref, weights)) for ref in counts.references[i]]
             per_n.append(sum(sims) / len(sims))
         total += 10.0 * sum(per_n) / max_n
     return total / n_images
@@ -299,7 +329,7 @@ class ScoreReport:
 
 
 def score_report(corpus: ScoredCorpus, smoothing: bool = False) -> ScoreReport:
-    """Run every metric over the corpus."""
+    """Run every metric over the corpus; BLEU-1..4 and CIDEr share its n-gram counts."""
     return ScoreReport(
         b1=bleu(corpus, 1, smoothing),
         b2=bleu(corpus, 2, smoothing),

@@ -1,14 +1,18 @@
 """Caption metrics against brute-force oracles and hand-computed values."""
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dualcap import metrics
 from dualcap.errors import ContractError
 from dualcap.metrics import (
     CorpusEntry,
+    _best_alignment,
     ScoredCorpus,
     ScoreReport,
     bleu,
@@ -97,6 +101,26 @@ def oracle_alignments(cand, ref):
 
     walk(0, set(), [])
     return results
+
+
+def oracle_best_alignment(cand, ref):
+    """(max matches, min chunks over the maximum alignments), by enumeration."""
+    alignments = oracle_alignments(cand, ref)
+    m = max(len(a) for a in alignments)
+    chunks = min(
+        1 + sum(not (c2 == c1 + 1 and r2 == r1 + 1) for (c1, r1), (c2, r2) in zip(a, a[1:]))
+        for a in alignments if len(a) == m
+    )
+    return m, chunks if m else 0
+
+
+def alignment_count(cand, ref):
+    """How many alignments oracle_alignments enumerates for one pair."""
+    total = 1
+    for w in set(cand):
+        c, r = cand.count(w), ref.count(w)
+        total *= sum(math.comb(c, k) * math.perm(r, k) for k in range(min(c, r) + 1))
+    return total
 
 
 def oracle_meteor(entries):
@@ -331,3 +355,83 @@ class TestReporting:
         text = format_reports({"run": report})
         line = next(l for l in text.splitlines() if l.startswith("run.R-L="))
         assert float(line.split("=", 1)[1]) == report.rouge_l
+
+
+    def test_from_texts_rejects_a_plain_string_of_references(self):
+        # "abc" would score against the references a, b and c; "a red square"
+        # would fail as an empty reference (its spaces tokenize to nothing)
+        for references in ("abc", "a red square"):
+            with pytest.raises(ContractError, match="image 'i1' references"):
+                ScoredCorpus.from_texts({"i0": ("cap", ["cap"]), "i1": ("cap", references)})
+
+
+ONE_PASS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+ORACLE_ALIGNMENTS = 20_000  # enumeration budget per pair for oracle_meteor
+
+
+@st.composite
+def branching_corpora(draw):
+    """2-6 images, captions of 1-9 tokens over 1-4 words, 1-3 references each."""
+    words = ["a", "b", "c", "d"][:draw(st.integers(1, 4))]
+    sentence = st.lists(st.sampled_from(words), min_size=1, max_size=9)
+    entry = st.tuples(sentence, st.lists(sentence, min_size=1, max_size=3))
+    return draw(st.lists(entry, min_size=2, max_size=6))
+
+
+class TestOnePass:
+    @ONE_PASS
+    @given(entries=branching_corpora())
+    def test_score_report_equals_standalone_metrics_and_oracles(self, entries):
+        for smoothing in (False, True):
+            report = score_report(corpus_of(entries), smoothing)
+            standalone = (
+                *(bleu(corpus_of(entries), n, smoothing) for n in (1, 2, 3, 4)),
+                rouge_l(corpus_of(entries)),
+                meteor(corpus_of(entries)),
+                cider(corpus_of(entries)),
+            )
+            assert report.values() == standalone
+            for n in (1, 2, 3, 4):
+                assert abs(report.values()[n - 1] - oracle_bleu(entries, n, smoothing)) < 1e-9
+        assert abs(report.rouge_l - oracle_rouge(entries)) < 1e-9
+        assert abs(report.cider - oracle_cider(entries)) < 1e-9
+        # the brute force enumerates up to 17M alignments for 9 equal tokens a
+        # side; test_best_alignment_matches_brute_force covers those exhaustively
+        # up to 5 tokens
+        if all(alignment_count(c, r) <= ORACLE_ALIGNMENTS for c, refs in entries for r in refs):
+            assert abs(report.meteor - oracle_meteor(entries)) < 1e-9
+
+    def test_score_report_counts_each_caption_once_per_order(self, monkeypatch):
+        calls = []
+        real = metrics._ngrams
+        monkeypatch.setattr(metrics, "_ngrams", lambda tokens, n: calls.append(n) or real(tokens, n))
+        entries = [(["a", "b", "a"], [["a", "b"], ["b", "a", "a"]]), (["c"], [["c", "a"]])]
+        score_report(corpus_of(entries))
+        # 2 candidates and 3 references, each counted once for n = 1..4
+        assert sorted(calls) == [n for n in (1, 2, 3, 4) for _ in range(5)]
+
+
+class TestAlignmentSearch:
+    def test_distinct_words_take_one_state_per_position(self, monkeypatch):
+        states = 0
+        real_cache = metrics.lru_cache
+
+        def counting_cache(maxsize=None):
+            def wrap(search):
+                def counted(*key):
+                    nonlocal states
+                    states += 1
+                    return search(*key)
+                return real_cache(maxsize=maxsize)(counted)
+            return wrap
+
+        monkeypatch.setattr(metrics, "lru_cache", counting_cache)
+        words = tuple(f"w{i}" for i in range(16))
+        assert _best_alignment(words, words) == (16, 1)
+        assert states <= 17
+
+    def test_best_alignment_matches_brute_force(self):
+        sequences = [s for n in range(6) for s in itertools.product("ab", repeat=n)]
+        for cand in sequences:
+            for ref in sequences:
+                assert _best_alignment(cand, ref) == oracle_best_alignment(cand, ref), (cand, ref)
