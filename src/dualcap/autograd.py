@@ -20,6 +20,12 @@ matrix.  The only broadcast is :func:`add_bias`, which adds a tensor to
 every trailing block of its own shape: a length-C bias to every row, a
 T x C table to every item of a stack.  A tape and the tensors recorded
 on it belong to one thread.
+
+:func:`attention` is a whole attention branch as one op: the query, key
+and value projections (one GEMM each over all rows), the scaled and
+masked softmax core over any stack of heads, windows or channel groups,
+and the head merge, with a hand-written backward in place of the dozen
+records the composed ops would leave on the tape.
 """
 
 from __future__ import annotations
@@ -332,28 +338,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _record(out, (x,), lambda g: (g.reshape(x.shape),))
 
 
-def rearrange(x: Tensor, split: Sequence[int], axes: Sequence[int], shape: Sequence[int]) -> Tensor:
-    """View x as ``split``, permute those axes by ``axes``, view the result as ``shape``.
-
-    One op for the reshape / transpose / reshape chains that cut a stack
-    into windows or heads and put it back together.
-    """
-    try:
-        permuted = x.data.reshape(split).transpose(axes)
-        out = _new(permuted.reshape(shape))
-    except ValueError as e:
-        raise ShapeError(f"rearrange: cannot view {x.shape} as {tuple(split)}, permute by {tuple(axes)} "
-                         f"and view as {tuple(shape)}") from e
-
-    def grad_fn(g: Array):
-        inverse = [0] * len(axes)
-        for i, a in enumerate(axes):
-            inverse[a] = i
-        return (g.reshape(permuted.shape).transpose(inverse).reshape(x.shape),)
-
-    return _record(out, (x,), grad_fn)
-
-
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ContractError("concat: need at least one tensor")
@@ -463,12 +447,13 @@ def mean_rows(x: Tensor, counts=None) -> Tensor:
     if n.size and (n.min() < 1 or n.max() > t):
         raise ContractError(f"mean_rows: row counts must lie in [1, {t}], got {n.tolist()}")
     flat = x.data.reshape(-1, t, c)
-    out = _new(np.array([np.add.reduce(flat[i, :n[i]], axis=0) / n[i] for i in range(n.size)]).reshape(lead + (c,)))
+    kept = (np.arange(t) < n[:, None])[..., None]  # (items, T, 1): row r of item i is among its first n[i]
+    out = _new((np.add.reduce(flat, axis=1, where=kept) / n[:, None]).reshape(lead + (c,)))
 
     def grad_fn(g: Array):
-        full = np.zeros_like(flat)
-        for i, (gi, ni) in enumerate(zip(g.reshape(-1, c), n)):
-            full[i, :ni] = gi / ni
+        full = np.empty_like(flat)
+        full[...] = (g.reshape(-1, c) / n[:, None])[:, None, :]
+        full[~kept[..., 0]] = 0.0
         return (full.reshape(x.shape),)
 
     return _record(out, (x,), grad_fn)
@@ -589,3 +574,213 @@ def cross_entropy(logits: Tensor, target_ids, ignore_id: int | None = None) -> T
         return ((dlogits * weight).reshape(logits.shape),)
 
     return _record(out, (logits,), grad_fn)
+
+
+# ---------------------------------------------------------------------------
+# attention
+
+
+def _heads(w: Tensor, width: int) -> tuple[Array, bool]:
+    """A projection weight as an (n, k, d) stack of heads, and whether every head reads all columns.
+
+    A 2-D (C, d) weight is one head.  The heads of an (n, C/n, d) stack
+    read their own C/n columns of the input, those of an (n, C, d)
+    stack all C of them; with one head the two are the same.
+    """
+    stack = w.data if w.data.ndim == 3 else w.data[None]
+    if stack.ndim != 3 or width not in (stack.shape[1], stack.shape[0] * stack.shape[1]):
+        raise ShapeError(f"attention: weight {w.shape} does not project rows of width {width}")
+    return stack, stack.shape[1] == width
+
+
+def _project(rows: Array, w: Array, full: bool) -> Array:
+    """(R, C) rows through an (n, k, d) weight stack: (n, R, d), one GEMM per weight.
+
+    Heads that all read every column are one (R, C) @ (C, n*d) product
+    against the weights side by side.
+    """
+    n, k, d = w.shape
+    flops.add_matmul(rows.shape[0], k, n * d)
+    if full:
+        return (rows @ w.transpose(1, 0, 2).reshape(k, n * d)).reshape(-1, n, d).transpose(1, 0, 2)
+    return np.matmul(rows.reshape(-1, n, k).transpose(1, 0, 2), w)
+
+
+def _heads_first(a: Array) -> Array:
+    """A (..., T, n, d) array viewed as (n, ..., T, d)."""
+    return a.transpose((a.ndim - 2,) + tuple(range(a.ndim - 2)) + (a.ndim - 1,))
+
+
+def _grad_slots(shape: tuple[int, ...], m: int, full: bool) -> tuple[Array, list[Array]]:
+    """A buffer for the output gradients of m projections of the same rows, and each one's (n, ..., T, d) slot.
+
+    ``shape`` is (n, ..., T, d).  The m gradients sit side by side in
+    the buffer, laid out as _project_grad reads it: (n, ..., T, m*d)
+    for heads that slice the rows, (..., T, n, m*d) for heads that all
+    read every column.
+    """
+    n, d = shape[0], shape[-1]
+    if full:
+        buf = np.empty(shape[1:-1] + (n, m * d))
+        return buf, [_heads_first(buf[..., j * d:(j + 1) * d]) for j in range(m)]
+    buf = np.empty(shape[:-1] + (m * d,))
+    return buf, [buf[..., j * d:(j + 1) * d] for j in range(m)]
+
+
+def _project_grad(rows: Array, stacks: list[Array], full: bool, buf: Array) -> tuple[Array, list[Array]]:
+    """Gradients of _project for m weights that all read ``rows``: (the rows', [each weight's]).
+
+    ``buf`` holds the m output gradients side by side (_grad_slots), so
+    the rows' gradient is one product, and so are the weights'.
+    """
+    n, k, d = stacks[0].shape
+    m, r = len(stacks), len(rows)
+    if full:
+        dy = buf.reshape(r, n * m * d)
+        drows = dy @ np.stack(stacks, axis=2).transpose(1, 0, 2, 3).reshape(k, -1).T
+        dw = (rows.T @ dy).reshape(k, n, m, d).transpose(2, 1, 0, 3)
+    else:
+        dy = buf.reshape(n, r, m * d)
+        drows = np.empty_like(rows)
+        w_t = np.concatenate([w.transpose(0, 2, 1) for w in stacks], axis=1)
+        np.matmul(dy, w_t, out=drows.reshape(r, n, k).transpose(1, 0, 2))
+        dw = np.matmul(rows.reshape(r, n, k).transpose(1, 2, 0), dy).reshape(n, k, m, d).transpose(2, 0, 1, 3)
+    return drows, list(dw)
+
+
+def attention(
+    x: Tensor,
+    wq: Tensor,
+    wk: Tensor | None,
+    wv: Tensor | None,
+    factor: float,
+    *,
+    context: Tensor | None = None,
+    cached: tuple[Array, Array] | None = None,
+    mask: Array | None = None,
+    windows: Array | None = None,
+    channels: bool = False,
+):
+    """One attention branch as one tape op: project, softmax(Q K^T * factor + mask) V, merge the heads.
+
+    ``x`` is a (..., T, C) stack of rows and the queries are its
+    projection by ``wq``; keys and values project ``context`` (one
+    P x W map per item of x) by ``wk`` and ``wv``, or else x itself.  A
+    weight is a 2-D (C, d) matrix (one head), an (n, C/n, d) stack
+    whose head i reads columns [i*C/n, (i+1)*C/n), or an (n, W, d)
+    stack whose heads all read every column.  Each projection is one
+    GEMM over all rows, the core runs on (n, ..., T, d) head stacks, and
+    the head outputs concatenate back to width n*d.
+
+    ``cached`` keys and values, (n, ..., L, d) arrays, come before the
+    ones the call projects (it projects none when ``wk`` and ``wv`` are
+    None); they are constants of the op and receive no gradient.
+    ``mask`` is added to the scores, broadcast against (n, ..., T, T_k).
+    ``windows`` is an (N_w, P_w) array of row indices: the rows of each
+    window attend only among themselves.  With ``channels`` every head
+    attends over its d feature columns instead of its rows, reading its
+    projections transposed, so its scores are d x d whatever T is.
+
+    The backward is analytic: dV = P^T dO and, with dP = dO V^T,
+    dS = P * (dP - rowsum(dP * P)), dQ = factor * dS K and
+    dK = factor * dS^T Q.  Matmul FLOPs count under the active scope,
+    the core's under its ``core`` part.  Returns (output (..., T, n*d),
+    the softmax weights P as an (n, ..., T_q, T_k) array, and the
+    (keys, values) the scores read).
+    """
+    lead, (t, c) = x.shape[:-2], x.shape[-2:]
+    wq_heads, q_full = _heads(wq, c)
+    n, _, d = wq_heads.shape
+    rows, items, rows_per_item, order = x.data.reshape(-1, c), lead, t, None
+    if windows is not None:
+        if windows.size != t:
+            raise ShapeError(f"attention: windows {windows.shape} do not cover {t} rows")
+        items, rows_per_item = lead + windows.shape[:1], windows.shape[1]
+        if not np.array_equal(windows.reshape(-1), np.arange(t)):  # not runs of consecutive rows: gather them
+            order = windows.reshape(-1)
+            rows = x.data[..., order, :].reshape(-1, c)
+    q = _project(rows, wq_heads, q_full).reshape((n,) + items + (rows_per_item, d))
+    inputs = (x, wq)
+    if wk is None:
+        k, v = cached
+    else:
+        source = x if context is None else context
+        width = source.shape[-1]
+        if source.shape[:-2] != lead:
+            raise ShapeError(f"attention: context {source.shape} is not one map per item of {x.shape}")
+        source_rows = rows if context is None else context.data.reshape(-1, width)
+        (wk_heads, kv_full), (wv_heads, _) = _heads(wk, width), _heads(wv, width)
+        if wk_heads.shape != wv_heads.shape or wk_heads.shape[::2] != (n, d) or (
+                context is None and wk_heads.shape != wq_heads.shape):
+            raise ShapeError(f"attention: key and value weights {wk.shape}, {wv.shape} do not match queries {wq.shape}")
+        k, v = (_project(source_rows, w, kv_full).reshape((n,) + items + (-1, d)) for w in (wk_heads, wv_heads))
+        if cached is not None:
+            k, v = np.concatenate([cached[0], k], axis=-2), np.concatenate([cached[1], v], axis=-2)
+        inputs += (wk, wv) if context is None else (wk, wv, context)
+
+    mats, tq, tk = q.size // (rows_per_item * d), q.shape[-2], k.shape[-2]  # (T, d) matrices per projection
+    if channels:  # per head, scores Q^T K (d x T by T x d) and output V P^T (T x d by d x d)
+        flops.add_matmul(mats * d, tq, d, part="core")
+        p = np.matmul(np.swapaxes(q, -1, -2), k)
+    else:  # scores Q K^T (T x d by d x T_k) and output P V (T x T_k by T_k x d)
+        flops.add_matmul(mats * tq, d, tk, part="core")
+        p = np.matmul(q, np.swapaxes(k, -1, -2))
+    p *= factor
+    if mask is not None:
+        p += mask
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    flops.add_matmul(mats * tq, d if channels else tk, d, part="core")
+    heads = np.empty(items + (rows_per_item, n, d))  # the output, heads side by side
+    if channels:
+        np.matmul(v, np.swapaxes(p, -1, -2), out=_heads_first(heads))
+    else:
+        np.matmul(p, v, out=_heads_first(heads))
+    out = heads.reshape(lead + (t, n * d))
+    if order is not None:
+        out = np.empty_like(out)
+        out[..., order, :] = heads.reshape(out.shape)
+
+    def grad_fn(g: Array):
+        do = _heads_first((g if order is None else g[..., order, :]).reshape(items + (rows_per_item, n, d)))
+        # Gradients of the projections go straight into side-by-side slots, one buffer per input
+        # they read; keys and values with cached ones before them are computed whole, then sliced.
+        own = wk is not None and context is None
+        buf, slots = _grad_slots(q.shape, 3 if own else 1, q_full)
+        if wk is not None and context is not None:
+            source_buf, (dk_slot, dv_slot) = _grad_slots(k.shape, 2, kv_full)
+        else:
+            dk_slot, dv_slot = slots[1:] if own else (None, None)
+        past = 0 if cached is None else cached[0].shape[-2]
+        direct = past == 0 and wk is not None
+        if channels:
+            dv = np.matmul(do, p, out=dv_slot if direct else None)
+            ds = np.matmul(np.swapaxes(do, -1, -2), v)
+        else:
+            dv = np.matmul(np.swapaxes(p, -1, -2), do, out=dv_slot if direct else None)
+            ds = np.matmul(do, np.swapaxes(v, -1, -2))
+        ds -= np.add.reduce(ds * p, axis=-1, keepdims=True)
+        ds *= p
+        ds *= factor
+        if channels:
+            np.matmul(k, np.swapaxes(ds, -1, -2), out=slots[0])
+            dk = np.matmul(q, ds, out=dk_slot if direct else None)
+        else:
+            np.matmul(ds, k, out=slots[0])
+            dk = np.matmul(np.swapaxes(ds, -1, -2), q, out=dk_slot if direct else None)
+        if past and wk is not None:  # only the positions this call projected
+            dk_slot[...], dv_slot[...] = dk[..., past:, :], dv[..., past:, :]
+        drows, grads = _project_grad(rows, [wq_heads, wk_heads, wv_heads] if own else [wq_heads], q_full, buf)
+        if wk is not None and context is not None:
+            dsource, (dwk, dwv) = _project_grad(source_rows, [wk_heads, wv_heads], kv_full, source_buf)
+            grads += [dwk, dwv, dsource.reshape(context.shape)]
+        if order is None:
+            dx = drows.reshape(x.shape)
+        else:
+            dx = np.empty_like(x.data)
+            dx[..., order, :] = drows.reshape(x.shape)
+        shapes = (wq.shape, wk.shape, wv.shape) if wk is not None else (wq.shape,)
+        return (dx,) + tuple(gw.reshape(shape) for gw, shape in zip(grads, shapes)) + tuple(grads[3:])
+
+    return _record(_new(out), inputs, grad_fn), p, (k, v)

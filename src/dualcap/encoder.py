@@ -19,12 +19,14 @@ D branch stages and D-1 tails, and the final block has no tail
 parameters.
 
 Every function takes one image (H x W x ch, rows P x C) or a batch of
-them (B x H x W x ch, rows B x P x C) through the same code: windows,
-groups and heads are reshapes of one stack, e.g. (B*N_w, P_w, C) for
-windows and (N_g*B, P, C_g) for groups, so a batch costs one op per
-step of the computation, not one per image, window, group or head.
-Weights are stored the same way: the N groups or heads of a branch
-keep one (N, C/N, C/N) array per projection, e.g. ``enc.b0.channel.wq``.
+them (B x H x W x ch, rows B x P x C) through the same code.  Each
+attention branch is one :func:`autograd.attention` op with an analytic
+backward: its projections are GEMMs over every row of the batch, and
+windows, groups and heads are views of one (N, B, ..., T, d) stack, so
+a branch costs one tape record whatever the batch, window, group or
+head count.  Weights are stored stacked: the N groups or heads of a
+branch keep one (N, C/N, C/N) array per projection, e.g.
+``enc.b0.channel.wq``.
 """
 
 from __future__ import annotations
@@ -40,15 +42,11 @@ from .autograd import (
     Tensor,
     add,
     add_bias,
+    attention,
     concat,
     gelu,
     layer_norm,
     matmul,
-    rearrange,
-    reshape,
-    scale,
-    softmax,
-    transpose,
 )
 from .errors import ConfigError, ContractError, ShapeError
 from .init import ones_init, uniform_init, zeros_init
@@ -243,20 +241,22 @@ def embed_patches(image: Tensor, cfg: EncoderConfig, w_proj: Tensor, positions: 
     return add_bias(matmul(patches, w_proj), positions)
 
 
-def _window_tiles(patches: int, window: tuple[int, int]) -> tuple[int, int, int, int]:
-    """The patches as (tile rows, rows per tile, tile columns, columns per tile).
+def _windows(patches: int, window: tuple[int, int]) -> np.ndarray:
+    """The (N_w, P_w) array behind window_patch_indices.
 
     A 1 x n window is a run of n consecutive patch indices, i.e. a 1 x n
     tile of a (P/n) x n grid; a taller window is a tile of the square
     patch grid.  Windows that do not tile the patches raise ShapeError.
     """
     wr, wc = window
-    if wr == 1 and wc >= 1 and patches % wc == 0:
-        return patches // wc, 1, 1, wc
     side = math.isqrt(patches)
-    if wr > 1 and wc >= 1 and side * side == patches and side % wr == 0 and side % wc == 0:
-        return side // wr, wr, side // wc, wc
-    raise ShapeError(f"{wr} x {wc} windows do not tile {patches} patches")
+    if wr == 1 and wc >= 1 and patches % wc == 0:
+        rows, tr, cols, tc = patches // wc, 1, 1, wc
+    elif wr > 1 and wc >= 1 and side * side == patches and side % wr == 0 and side % wc == 0:
+        rows, tr, cols, tc = side // wr, wr, side // wc, wc
+    else:
+        raise ShapeError(f"{wr} x {wc} windows do not tile {patches} patches")
+    return np.arange(patches).reshape(rows, tr, cols, tc).transpose(0, 2, 1, 3).reshape(rows * cols, tr * tc)
 
 
 def window_patch_indices(patches: int, window: tuple[int, int]) -> list[list[int]]:
@@ -266,64 +266,12 @@ def window_patch_indices(patches: int, window: tuple[int, int]) -> list[list[int
     windows are contiguous runs in row-major patch order, taller ones
     tiles of the square patch grid.
     """
-    rows, tr, cols, tc = _window_tiles(patches, window)
-    order = np.arange(patches).reshape(rows, tr, cols, tc).transpose(0, 2, 1, 3)
-    return order.reshape(rows * cols, tr * tc).tolist()
+    return _windows(patches, window).tolist()
 
 
-def _windows(x: Tensor, tiles: tuple[int, int, int, int], lead: tuple[int, ...] | None = None) -> Tensor:
-    """(*lead, P, C) rows -> (B*N_w, P_w, C) windows in window_patch_indices order.
-
-    Given ``lead``, the inverse: windows back to (*lead, P, C) rows.
-    Swapping the two middle tile axes is its own inverse.
-    """
-    rows, tr, cols, tc = tiles
-    c = x.shape[-1]
-    nb = x.size // (rows * tr * cols * tc * c)
-    if lead is None:
-        return rearrange(x, (nb, rows, tr, cols, tc, c), (0, 1, 3, 2, 4, 5), (nb * rows * cols, tr * tc, c))
-    return rearrange(x, (nb, rows, cols, tr, tc, c), (0, 1, 3, 2, 4, 5), lead + (rows * tr * cols * tc, c))
-
-
-def split_heads(x: Tensor, n: int) -> Tensor:
-    """(..., T, C) rows -> (n, B*T, C/n): slice i holds columns [i*C/n, (i+1)*C/n)."""
-    rows, c = x.size // x.shape[-1], x.shape[-1]
-    return rearrange(x, (rows, n, c // n), (1, 0, 2), (n, rows, c // n))
-
-
-def merge_heads(x: Tensor, lead: tuple[int, ...]) -> Tensor:
-    """(n*B, T, C_h) head outputs -> (*lead, T, n*C_h) rows, undoing split_heads."""
-    nbh, t, c_h = x.shape
-    n = nbh // math.prod(lead)
-    return rearrange(x, (n, nbh // n * t, c_h), (1, 0, 2), lead + (t, n * c_h))
-
-
-def project_heads(x: Tensor, w: Tensor, rows: int) -> Tensor:
-    """Project every head by its own weight; the result is (n*B, rows, C_h).
-
-    ``w`` is the (n, C_in, C_h) stack of head weights.  ``x`` is
-    split_heads output (n, B*rows, C_in), head i read by ``w[i]``, or
-    one (B*rows, C_in) matrix that every head reads.
-    """
-    y = matmul(x, w)
-    return reshape(y, (y.size // (rows * y.shape[-1]), rows, y.shape[-1]))
-
-
-def attend(q: Tensor, k: Tensor, v: Tensor, factor: float, mask: Tensor | None = None):
-    """softmax(q k^T * factor + mask) v over a stack; returns (output, weights)."""
-    scores = scale(matmul(q, transpose(k)), factor)
-    if mask is not None:
-        scores = add(scores, mask)
-    attn = softmax(scores, axis=-1)
-    return matmul(attn, v), attn
-
-
-def _per_item(weights: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
-    """A copy of (n*B, a, b) weights of n heads or groups as (*lead, n, a, b)."""
-    nbh = weights.shape[0]
-    n = nbh // math.prod(lead)
-    per_item = np.swapaxes(weights.reshape((n, nbh // n) + weights.shape[1:]), 0, 1)
-    return np.array(per_item).reshape(lead + (n,) + weights.shape[1:])
+def _per_item(weights: np.ndarray) -> np.ndarray:
+    """(n, ..., a, b) weights of n heads or groups as a (..., n, a, b) view."""
+    return np.moveaxis(weights, 0, -3)
 
 
 def _stacked_count(kernel: str, unit: str, width: int, weights: tuple[Tensor, ...]) -> int:
@@ -346,14 +294,11 @@ def global_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor):
     by 1/sqrt(C_h); head outputs concatenate back to width C.  Returns
     (output P x C, weights stacked N_h x P x P).
     """
-    lead, (p, c) = x.shape[:-2], x.shape[-2:]
+    c = x.shape[-1]
     n_h = _stacked_count("global_attention", "head", c, (wq, wk, wv))
     with flops.scope("global"):
-        xh = split_heads(x, n_h)
-        q, k, v = (project_heads(xh, w, p) for w in (wq, wk, wv))
-        with flops.scope("core"):
-            out, attn = attend(q, k, v, 1.0 / math.sqrt(c // n_h))
-    return merge_heads(out, lead), _per_item(attn.data, lead)
+        out, attn, _ = attention(x, wq, wk, wv, 1.0 / math.sqrt(c // n_h))
+    return out, _per_item(attn)
 
 
 def spatial_window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, window: tuple[int, int]):
@@ -367,17 +312,13 @@ def spatial_window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wind
     (output P x C in original patch order, weights N_w x P_w x P_w in
     window order).
     """
-    lead, (p, c) = x.shape[:-2], x.shape[-2:]
+    p, c = x.shape[-2:]
     if wq.shape != (c, c) or wk.shape != (c, c) or wv.shape != (c, c):
         raise ShapeError(f"spatial_window_attention: projections must be {(c, c)}, got {wq.shape}")
-    tiles = _window_tiles(p, window)
+    windows = _windows(p, window)
     with flops.scope("spatial_window"):
-        xw = _windows(x, tiles)
-        q, k, v = matmul(xw, wq), matmul(xw, wk), matmul(xw, wv)
-        with flops.scope("core"):
-            out, attn = attend(q, k, v, 1.0 / math.sqrt(c))
-    pw = attn.shape[-1]
-    return _windows(out, tiles, lead), attn.data.reshape(lead + (p // pw, pw, pw)).copy()
+        out, attn, _ = attention(x, wq, wk, wv, 1.0 / math.sqrt(c), windows=windows)
+    return out, attn[0]
 
 
 def channel_group_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor):
@@ -391,16 +332,11 @@ def channel_group_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor):
     concatenate back to width C.  Returns (output P x C, weights
     N_g x C_g x C_g).
     """
-    lead, (p, c) = x.shape[:-2], x.shape[-2:]
-    n_g = _stacked_count("channel_group_attention", "group", c, (wq, wk, wv))
+    p, c = x.shape[-2:]
+    _stacked_count("channel_group_attention", "group", c, (wq, wk, wv))
     with flops.scope("channel_group"):
-        xg = split_heads(x, n_g)
-        q, k, v = (project_heads(xg, w, p) for w in (wq, wk, wv))
-        with flops.scope("core"):
-            scores = scale(matmul(transpose(q), k), 1.0 / math.sqrt(p))
-            attn = softmax(scores, axis=-1)
-            out = matmul(v, transpose(attn))
-    return merge_heads(out, lead), _per_item(attn.data, lead)
+        out, attn, _ = attention(x, wq, wk, wv, 1.0 / math.sqrt(p), channels=True)
+    return out, _per_item(attn)
 
 
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:

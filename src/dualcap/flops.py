@@ -57,9 +57,14 @@ def scope(label: str):
         _scopes.pop()
 
 
-def add_matmul(m: int, k: int, n: int) -> None:
-    """Record one (m x k) @ (k x n) product if a counter is active."""
+def add_matmul(m: int, k: int, n: int, part: str | None = None) -> None:
+    """Record one (m x k) @ (k x n) product if a counter is active.
+
+    ``part`` names a stage of a fused op, counted as a scope nested in
+    the active one (``spatial_window.core``); outside every scope it
+    counts as ``unscoped`` like the rest of the op.
+    """
     if _active is None:
         return
-    label = ".".join(_scopes) if _scopes else "unscoped"
+    label = ".".join(_scopes + [part] if part else _scopes) if _scopes else "unscoped"
     _active.add(2 * m * k * n, label)

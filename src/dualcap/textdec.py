@@ -7,9 +7,11 @@ transformer blocks: causal self-attention (a position sees itself and
 earlier positions only; PAD keys are masked out), cross-attention over
 encoder patch features, and a GELU feed-forward.  Each attention
 sublayer stores its heads stacked, one (N_h, C_in, C_h) weight per
-projection.  The decoder returns hidden states; the output head, tied
-to the input embedding, is applied by model.conditioned_logits after
-the fused image-text conditioning.
+projection, and runs as one :func:`autograd.attention` op: the
+cross-attention keys and values are one GEMM of the context rows
+against the N_h heads side by side.  The decoder returns hidden states;
+the output head, tied to the input embedding, is applied by
+model.conditioned_logits after the fused image-text conditioning.
 
 The cross-attention sublayer always runs.  With context=None its
 attention term is exactly zero, which makes no-context decoding
@@ -40,14 +42,14 @@ from .autograd import (
     Tensor,
     add,
     add_bias,
+    attention,
     gelu,
     layer_norm,
     matmul,
-    reshape,
     slice_axis,
     take_rows,
 )
-from .encoder import attend, merge_heads, project_heads, sinusoidal_positions, split_heads
+from .encoder import sinusoidal_positions
 from .errors import ConfigError, ContractError, VocabError
 from .init import ones_init, uniform_init, zeros_init
 
@@ -280,50 +282,32 @@ def attention_masks(ids) -> Tensor:
     return Tensor(np.where(future | (ids[..., None, :] == PAD_ID), MASK_VALUE, 0.0))
 
 
-def _take(t: Tensor, rows: np.ndarray, b: int) -> Tensor:
-    """Gather ``rows`` on the B axis of a head-major (n_h*B, ...) stack viewed as (n_h, B, ...)."""
-    return Tensor(t.data.reshape((-1, b) + t.shape[1:]).take(rows, axis=1).reshape((-1,) + t.shape[1:]))
-
-
 @dataclass
 class DecoderCache:
     """What decode_text keeps between calls over a stack of N images.
 
     Its B rows are the live (image, beam) pairs: row b describes image
     ``image[b]`` of the stack, and all rows hold ``length`` tokens.
-    ``cross`` is each block's cross-attention (K, V) of every row,
-    head-major (n_h*B, P, C_h), row ``head*B + b``: projected once from
-    the whole stack by the first call, each row reading its image's
-    through ``image``.  ``keys`` and ``values`` are each block's
-    self-attention K and V of every row so far, head-major
-    (n_h*B, length, C_h).
+    ``cross`` is each block's cross-attention (K, V) of every row, as
+    (n_h, B, P, C_h) arrays: projected once from the whole stack by the
+    first call, each row reading its image's through ``image``.
+    ``past`` is each block's self-attention (K, V) of every row so far,
+    (n_h, B, length, C_h).  Cached keys and values are constants: a
+    call's gradients reach only the positions it adds.
     """
 
     image: np.ndarray
     length: int = 0
-    cross: list[tuple[Tensor, Tensor]] = field(default_factory=list)
-    keys: list[Tensor] = field(default_factory=list)
-    values: list[Tensor] = field(default_factory=list)
-
-    def extend(self, block: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Append new positions' self-attention K and V to a block; return all of them (as given, if it was empty)."""
-        if self.length == 0:
-            self.keys.append(k)
-            self.values.append(v)
-        else:
-            self.keys[block] = Tensor(np.concatenate([self.keys[block].data, k.data], axis=1))
-            self.values[block] = Tensor(np.concatenate([self.values[block].data, v.data], axis=1))
-        return self.keys[block], self.values[block]
+    cross: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    past: list[tuple[np.ndarray, np.ndarray] | None] = field(default_factory=list)
 
     def select(self, rows: Sequence[int]) -> None:
         """Keep row ``rows[i]`` as row i (rows may repeat, images may mix): one take per cached array."""
         rows = np.asarray(rows, dtype=np.intp)
-        b = len(self.image)
         image = self.image[rows]
-        if len(rows) != b or (image != self.image).any():  # a row's cross K and V are its image's
-            self.cross = [(_take(k, rows, b), _take(v, rows, b)) for k, v in self.cross]
-        self.keys = [_take(k, rows, b) for k in self.keys]
-        self.values = [_take(v, rows, b) for v in self.values]
+        if len(rows) != len(self.image) or (image != self.image).any():  # a row's cross K and V are its image's
+            self.cross = [(k.take(rows, axis=1), v.take(rows, axis=1)) for k, v in self.cross]
+        self.past = [(k.take(rows, axis=1), v.take(rows, axis=1)) for k, v in self.past]
         self.image = image
 
 
@@ -364,37 +348,34 @@ def decode_text(
     start = cache.length
     if start and t > 1:
         raise ContractError(f"decode_text: {t} new positions for a cache of length {start}; add one at a time")
-    c, n_h, w = cfg.dim, cfg.heads, cfg.context_width
+    if not start:
+        if np.any(ids[..., 0] == PAD_ID):
+            raise ContractError("decode_text: first position must not be PAD")
+        cache.past = [None] * cfg.depth
+    c, w = cfg.dim, cfg.context_width
     positions = slice_axis(sinusoidal_positions(start + t, c), 0, start, start + t)
     h = add_bias(take_rows(params["dec.emb"], ids), positions)
-    mask = None
-    if t > 1:
-        mask = attention_masks(ids).data
-        mask = Tensor(np.broadcast_to(mask, (n_h,) + mask.shape).reshape(-1, t, t))  # one per head and item
+    mask = attention_masks(ids).data if t > 1 else None
     inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)
     project = context is not None and not cache.cross  # this call projects the cross-attention K and V
-    if project:
-        if context.data.ndim != len(lead) + 2 or context.shape[:-2] != lead or context.shape[-1] != w:
-            raise ConfigError(f"context must be one P x {w} map per row of ids {ids.shape}, got {context.shape}")
-        patches = context.shape[-2]
-        context_rows = reshape(context, (context.size // w, w))
+    if project and (context.data.ndim != len(lead) + 2 or context.shape[:-2] != lead or context.shape[-1] != w):
+        raise ConfigError(f"context must be one P x {w} map per row of ids {ids.shape}, got {context.shape}")
 
     for i in range(cfg.depth):
         b = f"dec.b{i}"
-        xh = split_heads(h, n_h)
-        q, k, v = (project_heads(xh, params[f"{b}.self.{name}"], t) for name in ("wq", "wk", "wv"))
-        k, v = cache.extend(i, k, v)
-        self_out, _ = attend(q, k, v, inv_sqrt, mask)
-        h = layer_norm(add(h, merge_heads(self_out, lead)), params[f"{b}.ln1.g"], params[f"{b}.ln1.b"])
+        wq, wk, wv = (params[f"{b}.self.{name}"] for name in ("wq", "wk", "wv"))
+        self_out, _, cache.past[i] = attention(h, wq, wk, wv, inv_sqrt, mask=mask, cached=cache.past[i])
+        h = layer_norm(add(h, self_out), params[f"{b}.ln1.g"], params[f"{b}.ln1.b"])
 
         if context is not None:
-            q = project_heads(split_heads(h, n_h), params[f"{b}.cross.wq"], t)
+            wq = params[f"{b}.cross.wq"]
             if project:
-                cache.cross.append(tuple(project_heads(context_rows, params[f"{b}.cross.{name}"], patches)
-                                         for name in ("wk", "wv")))
-            k, v = cache.cross[i]
-            cross_out, _ = attend(q, k, v, inv_sqrt)
-            h = layer_norm(add(h, merge_heads(cross_out, lead)), params[f"{b}.ln2.g"], params[f"{b}.ln2.b"])
+                wk, wv = params[f"{b}.cross.wk"], params[f"{b}.cross.wv"]
+                cross_out, _, kv = attention(h, wq, wk, wv, inv_sqrt, context=context)
+                cache.cross.append(kv)
+            else:
+                cross_out, _, _ = attention(h, wq, None, None, inv_sqrt, cached=cache.cross[i])
+            h = layer_norm(add(h, cross_out), params[f"{b}.ln2.g"], params[f"{b}.ln2.b"])
         else:
             # context-free pass: the attention term is exactly zero, so
             # the residual add is skipped and only the norm runs

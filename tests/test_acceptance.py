@@ -130,6 +130,9 @@ def primitive_cases(rng):
     gain, beta = t(4), t(4)
     logits = t(4, 6)
     cat1, cat2 = t(2, 4), t(3, 4)
+    own = np.random.default_rng(7)  # its own stream, so the draws above and after are unchanged
+    wq, wk, wv, heads_probe = (Tensor(own.standard_normal(shape), requires_grad=True)
+                               for shape in [(2, 2, 3)] * 3 + [(3, 6)])
 
     return {
         "add": (lambda: ag.mean(ag.add(a, b)), [a, b]),
@@ -153,6 +156,7 @@ def primitive_cases(rng):
         "layer_norm": (lambda: ag.mean(ag.layer_norm(a, gain, beta)), [a, gain, beta]),
         "l2_normalize": (lambda: ag.mean(ag.mul(ag.l2_normalize(a), b)), [a]),
         "cross_entropy": (lambda: cross_entropy(logits, [2, 0, 5, 1]), [logits]),
+        "attention": (lambda: ag.mean(ag.mul(ag.attention(a, wq, wk, wv, 0.5)[0], heads_probe)), [a, wq, wk, wv]),
     }
 
 

@@ -22,7 +22,6 @@ from dualcap.autograd import (
     mean,
     mean_rows,
     mul,
-    rearrange,
     reshape,
     scale,
     scale_by,
@@ -204,15 +203,28 @@ class TestBatchedOps:
     def test_regrouping_ops(self, seed):
         rng = np.random.default_rng(1400 + seed)
         x = rand(rng, 2, 3, 4)
-        y = rand(rng, 4, 6)
         probe = Tensor(rng.standard_normal((2, 4)))
-        check_grads(lambda: mean(mul(rearrange(x, (6, 2, 2), (1, 0, 2), (4, 6)), y)), [x], tol=1e-6)
         check_grads(lambda: mean(mul(mean_rows(x, [1, 3]), probe)), [x], tol=1e-6)
-        np.testing.assert_array_equal(
-            rearrange(x, (6, 2, 2), (1, 0, 2), (4, 6)).data,
-            x.data.reshape(6, 2, 2).transpose(1, 0, 2).reshape(4, 6),
-        )
         np.testing.assert_array_equal(mean_rows(x, [1, 3]).data[0], x.data[0, :1].mean(axis=0))
+
+    @pytest.mark.parametrize("counts", ["one", "all", "mixed"])
+    def test_mean_rows_is_bitwise_the_per_item_loop(self, counts):
+        rng = np.random.default_rng(1500)
+        x = Tensor(rng.standard_normal((3, 4, 5, 6)), requires_grad=True)
+        n = {"one": np.ones((3, 4), dtype=int), "all": np.full((3, 4), 5),
+             "mixed": rng.integers(1, 6, size=(3, 4))}[counts]
+        weights = Tensor(rng.standard_normal((3, 4, 6)))
+        with Tape():
+            out = mean_rows(x, n)
+            backward(mean(mul(out, weights)))
+        g = np.full(out.shape, 1.0 / out.size) * weights.data  # what mean and mul hand back to mean_rows
+        flat = x.data.reshape(-1, 5, 6)
+        loop = np.array([np.add.reduce(flat[i, :k], axis=0) / k for i, k in enumerate(n.reshape(-1))])
+        loop_grad = np.zeros_like(flat)
+        for i, (gi, k) in enumerate(zip(g.reshape(-1, 6), n.reshape(-1))):
+            loop_grad[i, :k] = gi / k
+        np.testing.assert_array_equal(out.data, loop.reshape(3, 4, 6))
+        np.testing.assert_array_equal(x.grad, loop_grad.reshape(x.shape))
 
     def test_batch_dimension_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):

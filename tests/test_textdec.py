@@ -1,5 +1,7 @@
 """Text decoder: tokenizer, vocabulary, masking, tied head, gradients."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,17 @@ class TestDecodeText:
             decode_text(seq(4), params, cfg, context=Tensor(np.zeros((3, 5))))
         with pytest.raises(ContractError):
             decode_text([], params, cfg)
+
+    @pytest.mark.parametrize("ids", [[PAD_ID], [PAD_ID, 4], [[BOS_ID], [PAD_ID]], [[BOS_ID, 4], [PAD_ID, 4]]])
+    def test_a_fresh_cache_rejects_a_leading_pad_at_any_length(self, ids):
+        cfg = tiny_cfg()
+        params = init_decoder_params(cfg, np.random.default_rng(10))
+        ids = np.array(ids)
+        context = Tensor(np.zeros(ids.shape[:-1] + (3, 6)))
+        with pytest.raises(ContractError, match="first position must not be PAD"):
+            decode_text(ids, params, cfg, context=context)
+        with pytest.raises(ContractError, match="first position must not be PAD"):
+            decode_text(ids, params, cfg, context=context, cache=DecoderCache(image=np.arange(math.prod(ids.shape[:-1]))))
 
     @pytest.mark.parametrize("with_context", [True, False])
     def test_one_position_at_a_time_through_a_cache_is_the_teacher_forced_pass(self, with_context):
