@@ -50,9 +50,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 class Tensor:
     """A float64 array plus the gradient machinery attached to it.
 
-    ``data`` is owned by the tensor and must not be mutated while a tape
-    that saw the tensor is still alive (the optimizer mutates parameter
-    data between steps, after the step's tape has been discarded).
+    ``data`` must not be mutated while a tape that saw the tensor is still
+    alive (the optimizer writes parameter data, views of a model's flat
+    buffer, in place between steps, after the step's tape is discarded).
     ``grad`` starts as None and accumulates across backward passes until
     :func:`zero_grads` clears it.
     """

@@ -7,13 +7,13 @@ Layout:
 Both integers are little-endian; the CRC-32 covers the header and the
 payload.  The header carries the format number (3), the step count, an
 arbitrary JSON config snapshot and a manifest of arrays (name, kind,
-shape, byte offset into the payload).  The payload is the arrays'
-float64 bytes, little-endian, in manifest order: parameters first (model
-insertion order), then Adam first moments, then second moments.  JSON
-keys are sorted, so the same state always produces byte-identical
-files.  Earlier formats are rejected, naming their number: format 1
-stored attention weights one array per head or group, and format 2 kept
-its header right after the length, with a CRC-32 of the payload alone.
+shape, byte offset into the payload).  The payload is float64 bytes,
+little-endian, in manifest order: parameters (model insertion order),
+then Adam first and second moments in trainable-parameter order, zero
+for a parameter no loss reaches.  JSON keys are sorted, so the same
+state always produces byte-identical files.  Earlier formats are
+rejected by number: format 1 kept attention weights per head or group,
+format 2 its header right after the length and a payload-only CRC-32.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import Tensor
-from .errors import IntegrityError
+from .errors import ContractError, IntegrityError
 from .model import CaptionModel, ModelConfig, build_model
 from .textdec import Vocabulary
 from .train import AdamState
@@ -50,25 +50,23 @@ class Checkpoint:
 
 
 def save_checkpoint(path, params: dict[str, Tensor], config: dict, state: AdamState | None = None) -> None:
-    """Write params (and optimizer moments, when given) to one file.
+    """Write params (and Adam moments, laid out like the trainable params) to one file.
 
     The file is replaced in one rename, so a reader sees the old file or
     the new one, never a partial write.
     """
-    arrays: list[tuple[str, str, np.ndarray]] = [
-        (name, "param", t.data) for name, t in params.items()
-    ]
-    if state is not None:
-        arrays.extend((name, "adam_m", arr) for name, arr in state.m.items())
-        arrays.extend((name, "adam_v", arr) for name, arr in state.v.items())
-    manifest = []
-    chunks = []
-    offset = 0
-    for name, kind, arr in arrays:
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        manifest.append({"name": name, "kind": kind, "shape": list(arr.shape), "offset": offset})
-        chunks.append(raw)
-        offset += len(raw)
+    sections = [("param", [(name, t.shape)], t.data) for name, t in params.items()]
+    if state is not None and state.m is not None:
+        trainable = [(name, t.shape) for name, t in params.items() if t.requires_grad]
+        if not state.m.shape == state.v.shape == (sum(math.prod(shape) for _, shape in trainable),):
+            raise ContractError(f"moments of shapes {state.m.shape}, {state.v.shape} do not fit the trainable params")
+        sections += [("adam_m", trainable, state.m), ("adam_v", trainable, state.v)]
+    manifest, chunks, offset = [], [], 0
+    for kind, entries, arr in sections:  # one payload chunk per section
+        for name, shape in entries:
+            manifest.append({"name": name, "kind": kind, "shape": list(shape), "offset": offset})
+            offset += math.prod(shape) * 8
+        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     header = {
         "format": FORMAT,
         "step": state.step if state is not None else 0,
@@ -179,41 +177,39 @@ def _earlier_format(data: bytes) -> str | None:
 
 
 def load_into(model: CaptionModel, ckpt: Checkpoint) -> None:
-    """Install checkpoint parameters into a built model, names must match."""
+    """Copy checkpoint parameters into a built model in place, names must match."""
     have, want = set(ckpt.params), set(model.params)
     if have != want:
-        missing = sorted(want - have)
-        extra = sorted(have - want)
+        missing, extra = sorted(want - have), sorted(have - want)
         raise IntegrityError(f"checkpoint parameter mismatch: missing {missing}, unexpected {extra}")
     for name, tensor in model.params.items():
         arr = ckpt.params[name]
         if arr.shape != tensor.data.shape:
             raise IntegrityError(f"parameter {name!r}: checkpoint shape {arr.shape} != model shape {tensor.data.shape}")
-        tensor.data = arr.astype(np.float64)
+        tensor.data[...] = arr
 
 
-def adam_state(ckpt: Checkpoint) -> AdamState:
-    return AdamState(
-        step=ckpt.step,
-        m={name: arr.astype(np.float64) for name, arr in ckpt.adam_m.items()},
-        v={name: arr.astype(np.float64) for name, arr in ckpt.adam_v.items()},
-    )
+def adam_state(ckpt: Checkpoint, model: CaptionModel) -> AdamState:
+    """The checkpoint's step and moments, laid out like model.flat; moments not stored are zero."""
+    m, v = np.zeros_like(model.flat), np.zeros_like(model.flat)
+    for kind, stored, views in (("adam_m", ckpt.adam_m, model.views(m)), ("adam_v", ckpt.adam_v, model.views(v))):
+        for name, arr in stored.items():
+            if name not in views or arr.shape != views[name].shape:
+                raise IntegrityError(f"{kind} array {name!r} of shape {arr.shape} fits no trainable parameter")
+            views[name][...] = arr
+    return AdamState(ckpt.step, m, v)
 
 
 def save_model(path, model: CaptionModel, state: AdamState | None = None, extra: dict | None = None) -> None:
     """Checkpoint a CaptionModel; config records the model shape."""
-    config = {"model": model.cfg.to_dict()}
-    if extra:
-        config.update(extra)
-    save_checkpoint(path, model.params, config, state)
+    save_checkpoint(path, model.params, {"model": model.cfg.to_dict(), **(extra or {})}, state)
 
 
 def model_from_checkpoint(ckpt: Checkpoint, vocab: Vocabulary) -> CaptionModel:
     """Build a CaptionModel carrying exactly the checkpoint's parameters."""
     if "model" not in ckpt.config:
         raise IntegrityError("checkpoint config has no model entry")
-    cfg = ModelConfig.from_dict(ckpt.config["model"])
-    model = build_model(cfg, vocab, seed=0)
+    model = build_model(ModelConfig.from_dict(ckpt.config["model"]), vocab, seed=0)
     load_into(model, ckpt)
     return model
 
@@ -221,4 +217,5 @@ def model_from_checkpoint(ckpt: Checkpoint, vocab: Vocabulary) -> CaptionModel:
 def load_model(path, vocab: Vocabulary) -> tuple[CaptionModel, AdamState, Checkpoint]:
     """Rebuild a CaptionModel (plus optimizer state) from a checkpoint."""
     ckpt = load_checkpoint(path)
-    return model_from_checkpoint(ckpt, vocab), adam_state(ckpt), ckpt
+    model = model_from_checkpoint(ckpt, vocab)
+    return model, adam_state(ckpt, model), ckpt

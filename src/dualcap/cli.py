@@ -4,8 +4,8 @@ Configuration comes from a key=value file (one pair per line, # starts
 a comment) plus the --seed and --out overrides; unknown keys are
 rejected before any compute.  All outputs land under the --out
 directory.  Exit codes: 0 success, 1 usage or config error, 2 data
-error, 3 checkpoint integrity error, 4 non-finite training (a loss or
-gradient that is not finite; no checkpoint is written for that epoch).
+error, 3 checkpoint integrity error, 4 non-finite training (a loss,
+gradient or update that is not finite; that epoch writes no checkpoint).
 """
 
 from __future__ import annotations

@@ -194,9 +194,9 @@ def split_by_hash(names: list[str], ratios: tuple[float, float, float]) -> dict[
     """
     if len(ratios) != len(SPLIT_NAMES):
         raise ContractError(f"need {len(SPLIT_NAMES)} ratios, got {len(ratios)}")
-    if any(r < 0 for r in ratios) or sum(ratios) <= 0:
-        raise ContractError(f"ratios must be non-negative and sum positive, got {ratios}")
     total = sum(ratios)
+    if any(r < 0 for r in ratios) or not 0 < total < math.inf:
+        raise ContractError(f"ratios must be non-negative with a positive finite sum, got {ratios}")
     n = len(names)
     exact = [n * r / total for r in ratios]
     counts = [math.floor(x) for x in exact]

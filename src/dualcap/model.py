@@ -1,7 +1,7 @@
 """The full captioning model: encoder, decoder, and fusion head in one bundle.
 
-Parameters for all three parts live in a single flat name -> Tensor dict
-so the optimizer and checkpoints can treat the model uniformly.  The
+Parameters for all three parts live in one name -> Tensor dict; the
+trainable ones, in dict order, are views of one float64 buffer.  The
 fusion head owns four pieces: an image projection (pooled encoder
 features -> joint space), a text projection (pooled decoder states ->
 joint space, shared between the contrastive tower and generation
@@ -75,12 +75,26 @@ class ModelConfig:
 
 @dataclass
 class CaptionModel:
+    """Config, vocabulary and parameters; trainable data are views of ``flat``: write them in place."""
+
     cfg: ModelConfig
     vocab: Vocabulary
     params: dict[str, Tensor] = field(repr=False)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat = np.concatenate([t.data.reshape(-1) for t in self.trainable().values()])
+        for name, view in self.views(self.flat).items():
+            self.params[name].data = view
 
     def trainable(self) -> dict[str, Tensor]:
         return {name: t for name, t in self.params.items() if t.requires_grad}
+
+    def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        """Each trainable parameter's view of a buffer laid out like ``flat``."""
+        trainable = self.trainable()
+        ends = np.cumsum([t.size for t in trainable.values()]).tolist()
+        return {name: buffer[end - t.size:end].reshape(t.shape) for (name, t), end in zip(trainable.items(), ends)}
 
 
 def build_model(cfg: ModelConfig, vocab: Vocabulary, seed: int = 0) -> CaptionModel:
@@ -110,8 +124,8 @@ def set_channel_stats(model: CaptionModel, mean, std) -> None:
     ch = model.cfg.encoder.image_channels
     mean = np.asarray(mean, dtype=np.float64).reshape(ch)
     std = np.asarray(std, dtype=np.float64).reshape(ch)
-    if np.any(std <= 0):
-        raise ConfigError(f"channel std must be positive, got {std}")
+    if not (np.isfinite(mean).all() and np.isfinite(std).all() and np.all(std > 0)):
+        raise ConfigError(f"channel stats must be finite and std positive, got mean {mean}, std {std}")
     model.params["norm.mean"] = Tensor(mean)
     model.params["norm.std"] = Tensor(std)
 

@@ -22,7 +22,7 @@ search, which bounds the decoder cache a search holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,25 +92,25 @@ class TrainConfig:
     batch_size: int = 8
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError(f"betas must be in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
-        if self.contrastive_weight < 0:
-            raise ConfigError(f"contrastive_weight must be >= 0, got {self.contrastive_weight}")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
+        if not 0 <= self.contrastive_weight < math.inf:
+            raise ConfigError(f"contrastive_weight must be >= 0 and finite, got {self.contrastive_weight}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
 class AdamState:
-    """First and second moment estimates plus the global step count."""
+    """The global step count and Adam's moments, laid out like CaptionModel.flat (None: zero)."""
 
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -144,43 +144,36 @@ def training_pairs(ds: CaptionDataset, vocab: Vocabulary, split: str = "train") 
     return pairs
 
 
-def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update; parameters without a grad are skipped.
+def adam_step(model: CaptionModel, state: AdamState, cfg: TrainConfig) -> None:
+    """One bias-corrected Adam update of model.flat and the moments, in place.
 
-    The update runs once over every parameter that has a grad, flattened
-    into one vector.  The arithmetic is elementwise, so each element gets
-    exactly the value a per-parameter update would give it.  A gradient
-    that is not finite raises NonFiniteError, naming the step and the
-    first such parameter, before the step count or any value changes.
+    Parameter data are views of model.flat, so write parameters in place.
+    The update is elementwise over the buffer; a parameter without a grad
+    steps on a zero gradient, which leaves it and zero moments bitwise as
+    they are.  A non-finite gradient or update raises NonFiniteError naming
+    the step and the first such parameter, before anything changes.
     """
-    stepped = [(name, tensor) for name, tensor in params.items() if tensor.grad is not None]
-
-    def flat(arrays) -> np.ndarray:
-        return np.concatenate([a.reshape(-1) for a in arrays] or [np.zeros(0)])
-
-    def moments(store: dict[str, np.ndarray]) -> np.ndarray:
-        return flat(store[name] if name in store else np.zeros(tensor.size) for name, tensor in stepped)
-
-    g = flat(tensor.grad for _, tensor in stepped)
+    rebound = [name for name, t in model.trainable().items() if t.data.base is not model.flat]
+    if rebound:
+        raise ContractError(f"adam_step: {rebound[0]!r} is no view of model.flat; write parameters in place")
+    if state.m is not None and not state.m.shape == state.v.shape == model.flat.shape:
+        raise ContractError(f"adam_step: moments of shapes {state.m.shape}, {state.v.shape}, flat {model.flat.shape}")
+    g = np.concatenate([np.zeros(t.size) if t.grad is None else t.grad.ravel() for t in model.trainable().values()])
     if not np.isfinite(g).all():
-        bad = next(name for name, tensor in stepped if not np.isfinite(tensor.grad).all())
+        bad = next(name for name, x in model.views(g).items() if not np.isfinite(x).all())
         raise NonFiniteError(f"step {state.step + 1}: gradient of {bad!r} is not finite")
-    state.step += 1
-    t = state.step
-    m, v = moments(state.m), moments(state.v)
+    t = state.step + 1
+    m, v = (0.0, 0.0) if state.m is None else (state.m, state.v)
     m = cfg.beta1 * m + (1 - cfg.beta1) * g
     v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
     m_hat = m / (1 - cfg.beta1 ** t)
     v_hat = v / (1 - cfg.beta2 ** t)
-    theta = flat(tensor.data for _, tensor in stepped) - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-    start = 0
-    for name, tensor in stepped:
-        shape = tensor.data.shape
-        stop = start + tensor.size
-        state.m[name] = m[start:stop].reshape(shape)
-        state.v[name] = v[start:stop].reshape(shape)
-        tensor.data = theta[start:stop].reshape(shape)
-        start = stop
+    theta = model.flat - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    if not np.isfinite(theta).all():
+        bad = next(name for name, x in model.views(theta).items() if not np.isfinite(x).all())
+        raise NonFiniteError(f"step {t}: update of {bad!r} is not finite")
+    state.step, state.m, state.v = t, m, v
+    model.flat[...] = theta
 
 
 def train_step(model: CaptionModel, batch: list[TrainingPair], state: AdamState, cfg: TrainConfig) -> StepLosses:
@@ -200,8 +193,7 @@ def train_step(model: CaptionModel, batch: list[TrainingPair], state: AdamState,
     shapes = sorted({pair.image.shape for pair in batch})
     if len(shapes) > 1:
         raise ShapeError(f"train_step: batch images differ in shape: {shapes}")
-    trainable = model.trainable()
-    zero_grads(trainable.values())
+    zero_grads(model.trainable().values())
     images = Tensor(np.stack([pair.image.data for pair in batch]))
     seqs = [pair.tokens for pair in batch]
     ids = token_ids(seqs)
@@ -222,7 +214,7 @@ def train_step(model: CaptionModel, batch: list[TrainingPair], state: AdamState,
         raise NonFiniteError(
             f"step {state.step + 1}: loss is {total.item()!r} (ce {ce.item()!r}, contrastive {contrastive_value!r})"
         )
-    adam_step(trainable, state, cfg)
+    adam_step(model, state, cfg)
     return StepLosses(step=state.step, ce=ce.item(), contrastive=contrastive_value, total=total.item())
 
 

@@ -9,6 +9,8 @@ silently wrong parameters.
 import json
 import re
 import struct
+import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from dualcap.checkpoint import (
 )
 from dualcap.data import make_synthetic
 from dualcap.encoder import EncoderConfig
-from dualcap.errors import IntegrityError
+from dualcap.errors import ContractError, IntegrityError
 from dualcap.model import ModelConfig, build_model, set_channel_stats
 from dualcap.textdec import DecoderConfig, Vocabulary
 from dualcap.train import AdamState, TrainConfig, fit, generate, sequence_text, training_pairs
@@ -46,6 +48,16 @@ def small_setup(seed=1):
     return ds, vocab, model, pairs, TrainConfig(lr=0.003, batch_size=4)
 
 
+def per_name(trainable: dict, buffer: np.ndarray) -> dict[str, bytes]:
+    """The bytes of each trainable parameter's run of a flat buffer, in order, sized by its tensor."""
+    out, start = {}, 0
+    for name, t in trainable.items():
+        out[name] = buffer[start:start + t.size].tobytes()
+        start += t.size
+    assert start == buffer.size
+    return out
+
+
 class TestRoundTrip:
     def test_params_restore_bitwise(self, tmp_path):
         _, vocab, model, pairs, cfg = small_setup()
@@ -57,10 +69,8 @@ class TestRoundTrip:
         assert set(ckpt.params) == set(model.params)
         for name, t in model.params.items():
             assert ckpt.params[name].tobytes() == t.data.tobytes()
-        for name, arr in state.m.items():
-            assert ckpt.adam_m[name].tobytes() == arr.tobytes()
-        for name, arr in state.v.items():
-            assert ckpt.adam_v[name].tobytes() == arr.tobytes()
+        for stored, buffer in ((ckpt.adam_m, state.m), (ckpt.adam_v, state.v)):
+            assert {name: arr.tobytes() for name, arr in stored.items()} == per_name(model.trainable(), buffer)
 
     def test_same_state_same_bytes(self, tmp_path):
         _, _, model, pairs, cfg = small_setup()
@@ -111,6 +121,38 @@ class TestResume:
         assert hist_solo == hist_a + hist_b
         for name in solo.params:
             np.testing.assert_array_equal(solo.params[name].data, resumed.params[name].data)
+
+
+def per_array_checkpoint(params: dict, config: dict, step: int, m: dict, v: dict) -> bytes:
+    """Format 3 bytes written one array at a time: the writer from before the flat moment buffers."""
+    arrays = [(name, "param", t.data) for name, t in params.items()]
+    arrays.extend((name, "adam_m", arr) for name, arr in m.items())
+    arrays.extend((name, "adam_v", arr) for name, arr in v.items())
+    manifest, chunks, offset = [], [], 0
+    for name, kind, arr in arrays:
+        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        manifest.append({"name": name, "kind": kind, "shape": list(arr.shape), "offset": offset})
+        chunks.append(raw)
+        offset += len(raw)
+    header = {"format": 3, "step": step, "config": config, "arrays": manifest}
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    crc = zlib.crc32(b"".join(chunks), zlib.crc32(blob))
+    return b"".join([MAGIC, struct.pack("<II", len(blob), crc), blob, *chunks])
+
+
+class TestFlatMoments:
+    @pytest.mark.parametrize("weight", [0.5, 0.0])
+    def test_bytes_equal_the_per_array_writer(self, tmp_path, weight):
+        _, _, model, pairs, cfg = small_setup()
+        state, _ = fit(model, pairs, replace(cfg, contrastive_weight=weight), steps=3)
+        save_model(tmp_path / "m.ckpt", model, state, extra={"seed": 1})
+        trainable = model.trainable()
+        m, v = (
+            {name: np.frombuffer(raw).reshape(trainable[name].shape) for name, raw in per_name(trainable, buffer).items()}
+            for buffer in (state.m, state.v)
+        )
+        expected = per_array_checkpoint(model.params, {"model": model.cfg.to_dict(), "seed": 1}, state.step, m, v)
+        assert (tmp_path / "m.ckpt").read_bytes() == expected
 
 
 def split_file(data: bytes) -> tuple[dict, bytes, bytes]:
@@ -261,13 +303,47 @@ class TestCorruption:
             assert t.data.tobytes() == ckpt.params[name].tobytes()
 
     def test_adam_state_copies(self, tmp_path):
-        path, _ = self.make_file(tmp_path)
+        path, model = self.make_file(tmp_path)
         ckpt = load_checkpoint(path)
-        state = adam_state(ckpt)
+        state = adam_state(ckpt, model)
         assert isinstance(state, AdamState) and state.step == 1
-        name = next(iter(state.m))
-        state.m[name][...] = 0.0
-        assert not np.array_equal(state.m[name], ckpt.adam_m[name]) or not ckpt.adam_m[name].any()
+        assert state.m.shape == state.v.shape == model.flat.shape
+        assert state.m.flags.writeable and not np.shares_memory(state.m, ckpt.adam_m["fuse.img.w"])
+        name = next(iter(ckpt.adam_m))
+        state.m[...] = 0.0
+        assert not np.array_equal(state.m[:ckpt.adam_m[name].size], ckpt.adam_m[name].reshape(-1)) \
+            or not ckpt.adam_m[name].any()
+
+    def test_missing_moments_load_as_zeros(self, tmp_path):
+        _, vocab, model, pairs, cfg = small_setup()
+        state, _ = fit(model, pairs, cfg, steps=2)
+        # as written before every trainable had moments: fuse.log_temp, last in the layout, without
+        params = {name: Tensor(t.data) if name == "fuse.log_temp" else t for name, t in model.params.items()}
+        save_checkpoint(tmp_path / "m.ckpt", params, {"model": model.cfg.to_dict()},
+                        AdamState(state.step, state.m[:-1], state.v[:-1]))
+        assert "fuse.log_temp" not in load_checkpoint(tmp_path / "m.ckpt").adam_m
+        restored, rstate, _ = load_model(tmp_path / "m.ckpt", vocab)
+        assert rstate.m[-1] == 0.0 and rstate.v[-1] == 0.0
+        assert rstate.m[:-1].tobytes() == state.m[:-1].tobytes()
+        assert rstate.v[:-1].tobytes() == state.v[:-1].tobytes()
+
+    @pytest.mark.parametrize("change", ["shape", "name"])
+    def test_a_stored_moment_that_fits_no_parameter_is_an_integrity_error(self, tmp_path, change):
+        path, model = self.make_file(tmp_path)
+        ckpt = load_checkpoint(path)
+        if change == "shape":
+            ckpt.adam_v["fuse.img.b"] = np.zeros(7)
+        else:
+            ckpt.adam_m["fuse.other.b"] = ckpt.adam_m.pop("fuse.img.b")
+        with pytest.raises(IntegrityError, match="'fuse.(img|other).b' of shape"):
+            adam_state(ckpt, model)
+
+    def test_moments_that_do_not_match_the_parameters_are_refused(self, tmp_path):
+        _, _, model, pairs, cfg = small_setup()
+        state, _ = fit(model, pairs, cfg, steps=1)
+        with pytest.raises(ContractError, match="moments of shapes"):
+            save_model(tmp_path / "m.ckpt", model, AdamState(state.step, state.m[:-1], state.v[:-1]))
+        assert list(tmp_path.iterdir()) == []
 
 
 class _TornFile:
@@ -312,9 +388,8 @@ class TestAtomicWrite:
 def fuzz_file(tmp_path_factory):
     """A tiny checkpoint (two params with Adam moments): path, bytes, payload start."""
     rng = np.random.default_rng(0)
-    params = {"a": Tensor(rng.standard_normal((2, 3))), "b": Tensor(rng.standard_normal(4))}
-    state = AdamState(step=3, m={k: rng.standard_normal(t.shape) for k, t in params.items()},
-                      v={k: rng.random(t.shape) for k, t in params.items()})
+    params = {"a": Tensor(rng.standard_normal((2, 3)), True), "b": Tensor(rng.standard_normal(4), True)}
+    state = AdamState(step=3, m=rng.standard_normal(10), v=rng.random(10))
     path = tmp_path_factory.mktemp("fuzz") / "c.ckpt"
     save_checkpoint(path, params, {"model": {"dim": 8}, "seed": 0}, state)
     data = path.read_bytes()

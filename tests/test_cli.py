@@ -167,6 +167,28 @@ class TestTrainCommand:
         assert ckpts == ["epoch-0000.ckpt", "epoch-0001.ckpt"]
         assert len((tmp_path / "run/loss.tsv").read_text().splitlines()) == 2  # header and step 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflowing_update_exits_4_before_any_trained_checkpoint(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "run.cfg", epochs=3, lr=1.7e308)  # lr * m_hat overflows at step 1
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+        assert "step 1: update of 'enc.patch.w' is not finite" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "run").glob("*.ckpt")) == ["epoch-0000.ckpt"]
+        assert len((tmp_path / "run/loss.tsv").read_text().splitlines()) == 1  # the header alone
+
+    @pytest.mark.parametrize("key", ["lr", "eps", "contrastive_weight"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_non_finite_optimizer_value_is_a_config_error(self, tmp_path, capsys, key, value):
+        cfg = write_cfg(tmp_path / "run.cfg", epochs=3, **{key: value})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_non_finite_split_ratios_are_a_config_error(self, trained, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "run.cfg", synthetic=0, images=str(trained["data"]),
+                        captions=str(trained["data"] / "captions.tsv"), ratios="nan,0.1,0.1")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert "config error: ratios must be" in capsys.readouterr().err
+
     def test_refuses_an_out_that_holds_a_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "run.cfg", epochs=2)
         out = tmp_path / "run"

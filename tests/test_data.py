@@ -1,6 +1,7 @@
 """Data handling: netpbm codecs, splits, caption files, synthetic shapes."""
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -99,6 +100,11 @@ class TestSplits:
         split = split_by_hash([f"n{i}" for i in range(7)], (0.6, 0.2, 0.2))
         # exact 4.2/1.4/1.4 -> floors 4/1/1, the leftover goes to the earlier tie
         assert (len(split["train"]), len(split["val"]), len(split["test"])) == (4, 2, 1)
+
+    @pytest.mark.parametrize("ratios", [(math.nan, 0.1, 0.1), (math.inf, 0.1, 0.1), (0.8, -0.1, 0.1), (0, 0, 0)])
+    def test_ratios_without_a_positive_finite_sum_are_contract_errors(self, ratios):
+        with pytest.raises(ContractError, match="ratios must be"):
+            split_by_hash([f"n{i}" for i in range(10)], ratios)
 
     def test_assignment_is_order_independent_and_disjoint(self):
         names = [f"img_{i}.pgm" for i in range(20)]

@@ -107,6 +107,18 @@ class TestBuild:
         with pytest.raises(ConfigError, match="positive"):
             set_channel_stats(model, [0, 0, 0], [1.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("mean, std", [
+        ([0.1, np.nan, 0.3], [1.0, 1.0, 1.0]),
+        ([0.1, 0.2, 0.3], [1.0, np.nan, 1.0]),
+        ([0.1, 0.2, 0.3], [1.0, np.inf, 1.0]),
+        ([0.1, -np.inf, 0.3], [1.0, 1.0, 1.0]),
+    ])
+    def test_non_finite_channel_stats_are_config_errors(self, mean, std):
+        model = tiny_model()
+        with pytest.raises(ConfigError, match="channel stats must be finite"):
+            set_channel_stats(model, mean, std)
+        np.testing.assert_array_equal(model.params["norm.std"].data, [1.0, 1.0, 1.0])
+
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("mode", ["dual", "spatial", "channel", "global"])

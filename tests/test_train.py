@@ -35,6 +35,7 @@ from dualcap.errors import ConfigError, ContractError, NonFiniteError, ShapeErro
 from dualcap.fusion import contrastive_loss
 from dualcap.metrics import ScoreReport
 from dualcap.model import (
+    CaptionModel,
     ModelConfig,
     build_model,
     caption_logits,
@@ -108,13 +109,19 @@ def numpy_adam(history, lr, beta1, beta2, eps):
     return theta
 
 
+def trainables(**params):
+    """A CaptionModel of bare tensors: adam_step reads only a model's params and flat."""
+    return CaptionModel(cfg=None, vocab=None, params=params)
+
+
 class TestAdam:
     def test_first_step_moves_by_signed_lr(self):
         # bias corrections cancel at t=1: delta = -lr * g / (|g| + eps)
         cfg = TrainConfig(lr=0.01)
         p = Tensor([2.0, -3.0], requires_grad=True)
+        model = trainables(p=p)
         p.grad = np.array([0.5, -4.0])
-        adam_step({"p": p}, AdamState(), cfg)
+        adam_step(model, AdamState(), cfg)
         expected = np.array([2.0, -3.0]) - 0.01 * np.array([0.5, -4.0]) / (np.array([0.5, 4.0]) + cfg.eps)
         np.testing.assert_allclose(p.data, expected, atol=1e-15)
 
@@ -124,10 +131,11 @@ class TestAdam:
         x0 = rng.standard_normal((3, 2))
         grads = [rng.standard_normal((3, 2)) for _ in range(12)]
         p = Tensor(x0.copy(), requires_grad=True)
+        model = trainables(p=p)
         state = AdamState()
         for g in grads:
             p.grad = g.copy()
-            adam_step({"p": p}, state, cfg)
+            adam_step(model, state, cfg)
         expected = numpy_adam({"x0": x0, "grads": grads}, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
         np.testing.assert_allclose(p.data, expected, atol=1e-12)
         assert state.step == 12
@@ -137,22 +145,67 @@ class TestAdam:
         used = Tensor([1.0], requires_grad=True)
         used.grad = np.array([1.0])
         idle = Tensor([5.0], requires_grad=True)
+        model = trainables(used=used, idle=idle)
         state = AdamState()
-        adam_step({"used": used, "idle": idle}, state, cfg)
-        np.testing.assert_array_equal(idle.data, [5.0])
-        assert "idle" not in state.m
+        adam_step(model, state, cfg)
+        assert idle.data.tobytes() == np.array([5.0]).tobytes()
+        assert state.m[1] == 0.0 and state.v[1] == 0.0  # idle's moments stay zero
+        assert used.data[0] != 1.0
 
     def test_non_finite_gradient_changes_nothing(self):
         a = Tensor([1.0], requires_grad=True)
-        a.grad = np.array([0.5])
         b = Tensor([2.0, 3.0], requires_grad=True)
+        model = trainables(a=a, b=b)
+        a.grad = np.array([0.5])
         b.grad = np.array([0.5, np.inf])
         state = AdamState()
         with pytest.raises(NonFiniteError, match="step 1: gradient of 'b'"):
-            adam_step({"a": a, "b": b}, state, TrainConfig())
-        assert state.step == 0 and state.m == {} and state.v == {}
+            adam_step(model, state, TrainConfig())
+        assert state.step == 0 and state.m is None and state.v is None
         np.testing.assert_array_equal(a.data, [1.0])
         np.testing.assert_array_equal(b.data, [2.0, 3.0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_update_changes_nothing(self):
+        # lr * m_hat overflows where |g| > 1.06 at lr 1.7e308: b's update is inf
+        a = Tensor([1.0], requires_grad=True)
+        b = Tensor([2.0, 3.0], requires_grad=True)
+        model = trainables(a=a, b=b)
+        state = AdamState()
+        a.grad, b.grad = np.array([0.5]), np.array([0.5, 0.5])
+        adam_step(model, state, TrainConfig())
+        flat, m, v = model.flat.tobytes(), state.m.tobytes(), state.v.tobytes()
+        a.grad, b.grad = np.array([0.5]), np.array([0.5, -4.0])
+        with pytest.raises(NonFiniteError, match="step 2: update of 'b' is not finite"):
+            adam_step(model, state, TrainConfig(lr=1.7e308))
+        assert state.step == 1
+        assert (model.flat.tobytes(), state.m.tobytes(), state.v.tobytes()) == (flat, m, v)
+
+    def test_flat_holds_the_trainable_parameters_as_views(self):
+        _, _, model, _, _ = synthetic_setup()
+        trainable = model.trainable()
+        assert model.flat.size == sum(t.size for t in trainable.values())
+        assert all(t.data.base is model.flat for t in trainable.values())
+        assert not any(np.shares_memory(model.params[name].data, model.flat) for name in ("norm.mean", "norm.std"))
+        views = model.views(model.flat)
+        assert all(views[name].tobytes() == t.data.tobytes() for name, t in trainable.items())
+
+    def test_a_rebound_trainable_is_refused(self):
+        _, _, model, pairs, cfg = synthetic_setup()
+        model.params["fuse.img.b"].data = np.zeros_like(model.params["fuse.img.b"].data)
+        state = AdamState()
+        with pytest.raises(ContractError, match="'fuse.img.b' is no view of model.flat"):
+            train_step(model, pairs, state, cfg)
+        assert state.step == 0 and state.m is None
+
+    def test_moments_of_another_size_are_refused(self):
+        p = Tensor([1.0, 2.0], requires_grad=True)
+        model = trainables(p=p)
+        p.grad = np.array([0.5, 0.5])
+        state = AdamState(step=1, m=np.zeros(3), v=np.zeros(3))
+        with pytest.raises(ContractError, match="moments of shapes"):
+            adam_step(model, state, TrainConfig())
+        assert state.step == 1 and p.data.tolist() == [1.0, 2.0]
 
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="lr"):
@@ -163,6 +216,12 @@ class TestAdam:
             TrainConfig(contrastive_weight=-0.1)
         with pytest.raises(ConfigError, match="batch_size"):
             TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("key", ["lr", "eps", "contrastive_weight"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_config_values_are_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{key: value})
 
 
 class TestTrainingPairs:
@@ -327,14 +386,14 @@ class TestBatchedStep:
         _, _, model, pairs, cfg = synthetic_setup()
         state = AdamState()
         train_step(model, pairs, state, cfg)
-        model.params["fuse.log_temp"].data = np.array([800.0])  # exp(800) overflows to inf
+        model.params["fuse.log_temp"].data[...] = 800.0  # exp(800) overflows to inf
         params = {name: t.data.tobytes() for name, t in model.params.items()}
-        moments = {name: (state.m[name].tobytes(), state.v[name].tobytes()) for name in state.m}
+        moments = (state.m.tobytes(), state.v.tobytes())
         with pytest.raises(NonFiniteError, match="step 2: gradient of 'fuse.log_temp' is not finite"):
             train_step(model, pairs, state, cfg)
         assert state.step == 1
         assert {name: t.data.tobytes() for name, t in model.params.items()} == params
-        assert {name: (state.m[name].tobytes(), state.v[name].tobytes()) for name in state.m} == moments
+        assert (state.m.tobytes(), state.v.tobytes()) == moments
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_stops_before_the_update(self):
