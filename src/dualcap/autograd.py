@@ -13,19 +13,22 @@ with leading batch axes.  :func:`matmul` multiplies (..., m, k) by
 (..., k, n) when the batch shapes are equal or one operand is a single
 2-D matrix that every item shares; the shared operand's gradient sums
 over the stack, and any other batch mismatch is a ShapeError naming both
-shapes.  :func:`transpose` swaps the last two axes.  :func:`softmax`,
-:func:`layer_norm`, :func:`l2_normalize` and :func:`cross_entropy` work
-on the last axis of any rank; cross_entropy gives one mean per (T, V)
-matrix.  The only broadcast is :func:`add_bias`, which adds a tensor to
-every trailing block of its own shape: a length-C bias to every row, a
-T x C table to every item of a stack.  A tape and the tensors recorded
-on it belong to one thread.
+shapes.  :func:`transpose` swaps the last two axes.  :func:`layer_norm`,
+:func:`l2_normalize` and :func:`cross_entropy` work on the last axis of
+any rank; cross_entropy gives one mean per (T, V) matrix.  The only
+broadcast is :func:`add_bias`, which adds a tensor to every trailing
+block of its own shape: a length-C bias to every row, a T x C table to
+every item of a stack.  A tape and the tensors recorded on it belong to
+one thread.
 
-:func:`attention` is a whole attention branch as one op: the query, key
-and value projections (one GEMM each over all rows), the scaled and
-masked softmax core over any stack of heads, windows or channel groups,
-and the head merge, with a hand-written backward in place of the dozen
-records the composed ops would leave on the tape.
+Two ops are whole model stages with a hand-written backward, in place
+of the records the composed ops would leave on the tape.
+:func:`attention` is one attention branch: the query, key and value
+projections (one GEMM each over all rows), the scaled and masked
+softmax core over any stack of heads, windows or channel groups, and
+the head merge.  :func:`contrastive_loss` is the fusion head's
+symmetric InfoNCE: one similarity GEMM, then cross_entropy's arithmetic
+over its rows and over its columns, differentiable in the temperature.
 """
 
 from __future__ import annotations
@@ -82,18 +85,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
 
 
 class _Record:
@@ -217,12 +208,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("sub", a, b)
-    out = _new(a.data - b.data)
-    return _record(out, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("mul", a, b)
     out = _new(a.data * b.data)
@@ -233,19 +218,6 @@ def scale(x: Tensor, factor: float) -> Tensor:
     c = float(factor)
     out = _new(x.data * c)
     return _record(out, (x,), lambda g: (g * c,))
-
-
-def scale_by(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply every element of x by the single-element tensor s."""
-    if s.size != 1:
-        raise ShapeError(f"scale_by: scale must be a single element, got shape {s.shape}")
-    sval = float(s.data.reshape(-1)[0])
-    out = _new(x.data * sval)
-
-    def grad_fn(g: Array):
-        return g * sval, np.array([np.sum(g * x.data)]).reshape(s.shape)
-
-    return _record(out, (x, s), grad_fn)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -265,13 +237,6 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 def exp(x: Tensor) -> Tensor:
     out = _new(np.exp(x.data))
     return _record(out, (x,), lambda g: (g * out.data,))
-
-
-def reciprocal(x: Tensor) -> Tensor:
-    if np.any(x.data == 0.0):
-        raise ContractError("reciprocal: input contains zero")
-    out = _new(1.0 / x.data)
-    return _record(out, (x,), lambda g: (-g * out.data * out.data,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -413,24 +378,15 @@ def take_rows(x: Tensor, indices) -> Tensor:
 # reductions and nonlinearities
 
 
-def mean(x: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        out = _new(np.array([x.data.mean()]))
-        n = x.size
+def mean(x: Tensor) -> Tensor:
+    """Mean of every element, shape (1,)."""
+    out = _new(np.array([x.data.mean()]))
+    n = x.size
 
-        def grad_fn(g: Array):
-            return (np.full_like(x.data, g.reshape(-1)[0] / n),)
+    def grad_fn(g: Array):
+        return (np.full_like(x.data, g.reshape(-1)[0] / n),)
 
-        return _record(out, (x,), grad_fn)
-    if axis < 0 or axis >= x.data.ndim:
-        raise ShapeError(f"mean: axis {axis} out of range for rank {x.data.ndim}")
-    count = x.shape[axis]
-    out = _new(x.data.mean(axis=axis))
-
-    def grad_fn_axis(g: Array):
-        return (np.repeat(np.expand_dims(g / count, axis), count, axis=axis),)
-
-    return _record(out, (x,), grad_fn_axis)
+    return _record(out, (x,), grad_fn)
 
 
 def mean_rows(x: Tensor, counts=None) -> Tensor:
@@ -455,20 +411,6 @@ def mean_rows(x: Tensor, counts=None) -> Tensor:
         full[...] = (g.reshape(-1, c) / n[:, None])[:, None, :]
         full[~kept[..., 0]] = 0.0
         return (full.reshape(x.shape),)
-
-    return _record(out, (x,), grad_fn)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Row-stochastic softmax with max subtraction for stability."""
-    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / np.add.reduce(e, axis=axis, keepdims=True)
-    out = _new(s)
-
-    def grad_fn(g: Array):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        return (s * (g - dot),)
 
     return _record(out, (x,), grad_fn)
 
@@ -555,7 +497,20 @@ def cross_entropy(logits: Tensor, target_ids, ignore_id: int | None = None) -> T
     if valid.min() < 0 or valid.max() >= v:
         raise ContractError(f"cross_entropy: target id out of range for {v} classes")
 
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    loss, grad = _nll(logits.data, targets, keep, n_kept)
+    out = _new(loss if lead else np.array([loss]))
+    return _record(out, (logits,), lambda g: (grad(g),))
+
+
+def _nll(logits: Array, targets: Array, keep: Array, n_kept) -> tuple[Array, Callable[[Array], Array]]:
+    """cross_entropy's arithmetic on validated arrays: (the loss per matrix, the logits' gradient given the loss's).
+
+    Log-softmax over the last axis, the target log-probability floored
+    at log(1e-12), and the mean over each matrix's kept rows; a dropped
+    row (not kept, or floored) gets zero gradient.
+    """
+    lead, v = logits.shape[:-2], logits.shape[-1]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     rows = np.arange(targets.size)
     cols = np.clip(targets, 0, v - 1).reshape(-1)
@@ -563,17 +518,15 @@ def cross_entropy(logits: Tensor, target_ids, ignore_id: int | None = None) -> T
     floor = math.log(LOG_FLOOR)
     dropped = (~keep | (picked < floor)).reshape(-1)
     picked = np.maximum(picked, floor)
-    loss = -np.where(keep, picked, 0.0).sum(axis=-1) / n_kept
-    out = _new(loss if lead else np.array([loss]))
 
-    def grad_fn(g: Array):
+    def grad(g: Array) -> Array:
         dlogits = np.exp(log_probs).reshape(-1, v)
         dlogits[rows, cols] -= 1.0
         dlogits[dropped] = 0.0
         weight = np.broadcast_to((g.reshape(lead) / n_kept)[..., None], targets.shape).reshape(-1, 1)
-        return ((dlogits * weight).reshape(logits.shape),)
+        return (dlogits * weight).reshape(logits.shape)
 
-    return _record(out, (logits,), grad_fn)
+    return -np.where(keep, picked, 0.0).sum(axis=-1) / n_kept, grad
 
 
 # ---------------------------------------------------------------------------
@@ -784,3 +737,45 @@ def attention(
         return (dx,) + tuple(gw.reshape(shape) for gw, shape in zip(grads, shapes)) + tuple(grads[3:])
 
     return _record(_new(out), inputs, grad_fn), p, (k, v)
+
+
+# ---------------------------------------------------------------------------
+# contrastive loss
+
+
+def contrastive_loss(image_vecs: Tensor, text_vecs: Tensor, temperature: Tensor) -> Tensor:
+    """Symmetric InfoNCE over B matched image-text pairs as one tape op; shape (1,).
+
+    The scores S = I T^T / tau rank every caption for each image (rows)
+    and every image for each caption (columns), both with the matched
+    pair as target; the loss is the mean of cross_entropy's arithmetic
+    over the rows and over the columns, so a batch of identical vectors
+    gives ln(B).  ``temperature`` tau is a single-element tensor.  The
+    backward sums the columns' gradient, transposed, and the rows', as
+    dS; then d(I T^T) = dS / tau, dI = d(I T^T) T,
+    dT = (I^T d(I T^T))^T and dtau = -sum(dS * I T^T) / tau^2.
+    """
+    if image_vecs.shape != text_vecs.shape or image_vecs.data.ndim != 2:
+        raise ShapeError(f"contrastive_loss: need matching B x D, got {image_vecs.shape} and {text_vecs.shape}")
+    b, d = image_vecs.shape
+    if b < 2:
+        raise ContractError(f"contrastive_loss: need a batch of at least 2, got {b}")
+    if temperature.size != 1 or not temperature.item() > 0:
+        raise ContractError(f"contrastive_loss: temperature must be a single positive value, got {temperature.data}")
+    inv = 1.0 / temperature.item()
+    flops.add_matmul(b, d, b)
+    sims = image_vecs.data @ text_vecs.data.T
+    scaled = sims * inv
+    targets, keep = np.arange(b), np.ones(b, dtype=bool)
+    (rows_loss, rows_grad), (cols_loss, cols_grad) = (_nll(s, targets, keep, b) for s in (scaled, scaled.T))
+
+    def grad_fn(g: Array):
+        half = g * 0.5
+        ds = np.swapaxes(cols_grad(half), -1, -2) + rows_grad(half)
+        dsims = ds * inv
+        di = dsims @ text_vecs.data if image_vecs.requires_grad else None
+        dt = (image_vecs.data.T @ dsims).T if text_vecs.requires_grad else None
+        return di, dt, np.full(temperature.shape, -np.sum(ds * sims) * inv * inv)
+
+    out = _new(np.array([(rows_loss + cols_loss) * 0.5]))
+    return _record(out, (image_vecs, text_vecs, temperature), grad_fn)

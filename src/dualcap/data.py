@@ -199,6 +199,8 @@ def split_by_hash(names: list[str], ratios: tuple[float, float, float]) -> dict[
         raise ContractError(f"ratios must be non-negative with a positive finite sum, got {ratios}")
     n = len(names)
     exact = [n * r / total for r in ratios]
+    if math.inf in exact:
+        raise ContractError(f"ratios must be small enough to scale by {n} names, got {ratios}")
     counts = [math.floor(x) for x in exact]
     remainders = sorted(range(len(ratios)), key=lambda i: (-(exact[i] - counts[i]), i))
     for i in range(n - sum(counts)):

@@ -3,7 +3,8 @@
 Both towers produce a unit-length joint vector: patch features (or
 decoder hidden states) are mean-pooled over rows, linearly projected to
 the joint width D, and L2-normalized.  A batch of matched pairs trains
-with the symmetric InfoNCE objective: similarities are scaled by a
+with the symmetric InfoNCE objective, :func:`contrastive_loss`, which is
+the tape op ``autograd.contrastive_loss``: similarities are divided by a
 learnable temperature and cross-entropy pulls each image toward its own
 caption along rows and columns of the similarity matrix.  The fused
 vector for downstream conditioning is simply the concatenation of the
@@ -16,21 +17,8 @@ import math
 
 import numpy as np
 
-from .autograd import (
-    Tensor,
-    add,
-    add_bias,
-    cross_entropy,
-    l2_normalize,
-    matmul,
-    mean_rows,
-    reciprocal,
-    reshape,
-    scale,
-    scale_by,
-    transpose,
-)
-from .errors import ContractError, ShapeError
+from .autograd import Tensor, add_bias, contrastive_loss, l2_normalize, matmul, mean_rows, reshape
+from .errors import ShapeError
 
 INITIAL_TEMPERATURE = 0.07
 
@@ -50,38 +38,6 @@ def pool_and_project(features: Tensor, w: Tensor, b: Tensor, rows=None) -> Tenso
     pooled = reshape(mean_rows(features, rows), (features.size // (t * width), width))
     vec = l2_normalize(add_bias(matmul(pooled, w), b))
     return reshape(vec, lead + (w.shape[1],))
-
-
-def similarity_matrix(image_vecs: Tensor, text_vecs: Tensor, temperature: float | Tensor) -> Tensor:
-    """Pairwise dot products divided by the temperature, shape B x B."""
-    if image_vecs.shape != text_vecs.shape or image_vecs.data.ndim != 2:
-        raise ShapeError(f"similarity_matrix: need matching B x D, got {image_vecs.shape} and {text_vecs.shape}")
-    sims = matmul(image_vecs, transpose(text_vecs))
-    if isinstance(temperature, Tensor):
-        if temperature.size != 1 or float(temperature.data.reshape(-1)[0]) <= 0:
-            raise ContractError("similarity_matrix: temperature tensor must be a single positive value")
-        return scale_by(sims, reciprocal(temperature))
-    if temperature <= 0:
-        raise ContractError(f"similarity_matrix: temperature must be positive, got {temperature}")
-    return scale(sims, 1.0 / temperature)
-
-
-def contrastive_loss(image_vecs: Tensor, text_vecs: Tensor, temperature: float | Tensor) -> Tensor:
-    """Symmetric InfoNCE over a batch of matched image-text pairs.
-
-    Row i of the similarity matrix is a classification over captions for
-    image i and column i one over images for caption i; both use target
-    identity and the two cross-entropies average.  A batch of identical
-    vectors gives a uniform matrix, hence loss ln(B).
-    """
-    b = image_vecs.shape[0]
-    if b < 2:
-        raise ContractError(f"contrastive_loss: need a batch of at least 2, got {b}")
-    scaled = similarity_matrix(image_vecs, text_vecs, temperature)
-    targets = list(range(b))
-    image_to_text = cross_entropy(scaled, targets)
-    text_to_image = cross_entropy(transpose(scaled), targets)
-    return scale(add(image_to_text, text_to_image), 0.5)
 
 
 def initial_log_temperature() -> float:

@@ -59,6 +59,7 @@ from dualcap.model import (
 from dualcap.textdec import DecoderConfig, Vocabulary, encode_caption
 from dualcap.train import TrainConfig, caption_records, fit, training_pairs
 
+import composed
 from gradcheck import check_grads
 from test_encoder import one_head, rand_heads
 from test_metrics import (
@@ -114,7 +115,7 @@ def overfit_run():
 
 
 def primitive_cases(rng):
-    """One finite-difference case per autograd primitive."""
+    """One finite-difference case per recording autograd op, and per composed oracle op in tests/."""
 
     def t(*shape, positive=False):
         data = rng.standard_normal(shape)
@@ -133,30 +134,35 @@ def primitive_cases(rng):
     own = np.random.default_rng(7)  # its own stream, so the draws above and after are unchanged
     wq, wk, wv, heads_probe = (Tensor(own.standard_normal(shape), requires_grad=True)
                                for shape in [(2, 2, 3)] * 3 + [(3, 6)])
+    stack, rows_probe, img, txt = (Tensor(own.standard_normal(shape), requires_grad=True)
+                                   for shape in [(2, 3, 4), (2, 4), (3, 4), (3, 4)])
+    tau = Tensor([0.8], requires_grad=True)
 
     return {
         "add": (lambda: ag.mean(ag.add(a, b)), [a, b]),
-        "sub": (lambda: ag.mean(ag.sub(a, b)), [a, b]),
+        "sub": (lambda: ag.mean(composed.sub(a, b)), [a, b]),
         "mul": (lambda: ag.mean(ag.mul(a, b)), [a, b]),
         "scale": (lambda: ag.mean(ag.scale(a, -1.7)), [a]),
-        "scale_by": (lambda: ag.mean(ag.scale_by(a, s)), [a, s]),
+        "scale_by": (lambda: ag.mean(composed.scale_by(a, s)), [a, s]),
         "add_bias": (lambda: ag.mean(ag.add_bias(a, bias)), [a, bias]),
         "exp": (lambda: ag.mean(ag.exp(a)), [a]),
-        "reciprocal": (lambda: ag.mean(ag.reciprocal(pos)), [pos]),
+        "reciprocal": (lambda: ag.mean(composed.reciprocal(pos)), [pos]),
         "matmul": (lambda: ag.mean(ag.matmul(m1, m2)), [m1, m2]),
         "transpose": (lambda: ag.mean(ag.matmul(ag.transpose(m1), a)), [m1, a]),
         "reshape": (lambda: ag.mean(ag.reshape(a, (4, 3))), [a]),
         "concat": (lambda: ag.mean(ag.concat([cat1, cat2], axis=0)), [cat1, cat2]),
         "slice_axis": (lambda: ag.mean(ag.slice_axis(a, 1, 1, 3)), [a]),
         "take_rows": (lambda: ag.mean(ag.take_rows(a, [2, 0, 2])), [a]),
-        "mean_axis": (lambda: ag.mean(ag.mean(a, axis=0)), [a]),
-        "mean_all": (lambda: ag.mean(a), [a]),
-        "softmax": (lambda: ag.mean(ag.mul(ag.softmax(a, axis=1), b)), [a]),
+        "mean_axis": (lambda: ag.mean(composed.mean_axis(a, 0)), [a]),
+        "mean": (lambda: ag.mean(a), [a]),
+        "mean_rows": (lambda: ag.mean(ag.mul(ag.mean_rows(stack, [1, 2]), rows_probe)), [stack]),
+        "softmax": (lambda: ag.mean(ag.mul(composed.softmax(a, axis=1), b)), [a]),
         "gelu": (lambda: ag.mean(ag.gelu(a)), [a]),
         "layer_norm": (lambda: ag.mean(ag.layer_norm(a, gain, beta)), [a, gain, beta]),
         "l2_normalize": (lambda: ag.mean(ag.mul(ag.l2_normalize(a), b)), [a]),
         "cross_entropy": (lambda: cross_entropy(logits, [2, 0, 5, 1]), [logits]),
         "attention": (lambda: ag.mean(ag.mul(ag.attention(a, wq, wk, wv, 0.5)[0], heads_probe)), [a, wq, wk, wv]),
+        "contrastive_loss": (lambda: ag.contrastive_loss(img, txt, tau), [img, txt, tau]),
     }
 
 
@@ -278,7 +284,7 @@ def test_criterion_4_contrastive_objective(overfit_run):
         rng = np.random.default_rng(3)
         for b in (2, 4, 8):
             same = Tensor(np.tile(rng.standard_normal(6), (b, 1)))
-            assert abs(contrastive_loss(same, same, 1.0).item() - math.log(b)) < 1e-12
+            assert abs(contrastive_loss(same, same, Tensor([1.0])).item() - math.log(b)) < 1e-12
 
         # brute-force oracle: both softmax directions of sims / tau
         for seed in range(10):
@@ -287,7 +293,7 @@ def test_criterion_4_contrastive_objective(overfit_run):
             img = r.standard_normal((b, 5))
             txt = r.standard_normal((b, 5))
             tau = float(r.uniform(0.05, 2.0))
-            got = contrastive_loss(Tensor(img), Tensor(txt), tau).item()
+            got = contrastive_loss(Tensor(img), Tensor(txt), Tensor([tau])).item()
             sims = img @ txt.T / tau
             expect = 0.0
             for axis in (1, 0):

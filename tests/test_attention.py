@@ -16,13 +16,13 @@ from dualcap.autograd import (
     reshape,
     scale,
     slice_axis,
-    softmax,
     take_rows,
     transpose,
 )
 from dualcap.errors import ShapeError
 from dualcap.textdec import attention_masks
 
+from composed import softmax
 from gradcheck import analytic_grads, check_grads
 
 

@@ -189,6 +189,12 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
         assert "config error: ratios must be" in capsys.readouterr().err
 
+    def test_overflowing_split_ratios_are_a_config_error(self, trained, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "run.cfg", synthetic=0, images=str(trained["data"]),
+                        captions=str(trained["data"] / "captions.tsv"), ratios="1e308,1,0")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert "config error: ratios must be" in capsys.readouterr().err
+
     def test_refuses_an_out_that_holds_a_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "run.cfg", epochs=2)
         out = tmp_path / "run"

@@ -106,6 +106,12 @@ class TestSplits:
         with pytest.raises(ContractError, match="ratios must be"):
             split_by_hash([f"n{i}" for i in range(10)], ratios)
 
+    def test_ratios_that_overflow_when_scaled_are_contract_errors(self):
+        with pytest.raises(ContractError, match="ratios must be"):
+            split_by_hash(["a", "b", "c"], (1e308, 1.0, 0.0))
+        split = split_by_hash(["a", "b"], (0.6e308, 0.6e308, 0.0))  # n * total overflows, each n * r does not
+        assert (len(split["train"]), len(split["val"]), len(split["test"])) == (1, 1, 0)
+
     def test_assignment_is_order_independent_and_disjoint(self):
         names = [f"img_{i}.pgm" for i in range(20)]
         a = split_by_hash(names, (0.5, 0.25, 0.25))

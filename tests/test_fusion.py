@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import dualcap.autograd as ag
 from dualcap.autograd import Tape, Tensor, backward, concat, exp, reshape
 from dualcap.errors import ContractError, ShapeError
 from dualcap.fusion import (
@@ -13,9 +14,9 @@ from dualcap.fusion import (
     initial_log_temperature,
     pool_and_project,
     retrieval_accuracy,
-    similarity_matrix,
 )
 
+import composed
 from gradcheck import check_grads
 
 
@@ -88,7 +89,7 @@ class TestContrastiveLoss:
     @pytest.mark.parametrize("b", [2, 4, 8])
     def test_identical_vectors_give_log_b(self, b):
         v = np.tile(np.array([0.6, 0.8]), (b, 1))
-        loss = contrastive_loss(Tensor(v), Tensor(v), temperature=INITIAL_TEMPERATURE)
+        loss = contrastive_loss(Tensor(v), Tensor(v), temperature=Tensor([INITIAL_TEMPERATURE]))
         assert abs(loss.item() - math.log(b)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
@@ -98,33 +99,56 @@ class TestContrastiveLoss:
         img = rng.standard_normal((b, 5))
         txt = rng.standard_normal((b, 5))
         tau = float(rng.uniform(0.05, 2.0))
-        loss = contrastive_loss(Tensor(img), Tensor(txt), temperature=tau)
+        loss = contrastive_loss(Tensor(img), Tensor(txt), temperature=Tensor([tau]))
         assert abs(loss.item() - oracle_info_nce(img, txt, tau)) < 1e-10
 
     def test_swapping_towers_preserves_the_loss(self):
         rng = np.random.default_rng(30)
         img = rng.standard_normal((4, 3))
         txt = rng.standard_normal((4, 3))
-        a = contrastive_loss(Tensor(img), Tensor(txt), 0.5).item()
-        b = contrastive_loss(Tensor(txt), Tensor(img), 0.5).item()
+        a = contrastive_loss(Tensor(img), Tensor(txt), Tensor([0.5])).item()
+        b = contrastive_loss(Tensor(txt), Tensor(img), Tensor([0.5])).item()
         assert abs(a - b) < 1e-12
 
     def test_well_separated_pairs_drive_loss_to_zero(self):
         eye = np.eye(4)
-        loss = contrastive_loss(Tensor(eye), Tensor(eye), temperature=0.01)
+        loss = contrastive_loss(Tensor(eye), Tensor(eye), temperature=Tensor([0.01]))
         assert loss.item() < 1e-6
 
     def test_batch_and_temperature_validation(self):
         v = Tensor(np.ones((1, 3)))
         with pytest.raises(ContractError):
-            contrastive_loss(v, v, 0.07)
+            contrastive_loss(v, v, Tensor([0.07]))
         v2 = Tensor(np.ones((2, 3)))
-        with pytest.raises(ContractError):
-            contrastive_loss(v2, v2, 0.0)
-        with pytest.raises(ContractError):
-            similarity_matrix(v2, v2, Tensor([-1.0]))
+        for bad in ([0.0], [-1.0], [math.nan], [0.07, 0.07]):
+            with pytest.raises(ContractError, match="temperature"):
+                contrastive_loss(v2, v2, Tensor(bad))
         with pytest.raises(ShapeError):
-            similarity_matrix(v2, Tensor(np.ones((3, 3))), 1.0)
+            contrastive_loss(v2, Tensor(np.ones((3, 3))), Tensor([1.0]))
+
+    @pytest.mark.parametrize("b", [2, 3, 8])
+    def test_one_op_is_bitwise_the_composed_loss(self, b):
+        """Loss and all three gradients equal the nine-record composition bit for bit."""
+        rng = np.random.default_rng(60 + b)
+        img, txt = rng.standard_normal((2, b, 5))
+        img /= np.linalg.norm(img, axis=1, keepdims=True)
+        txt[0], txt[1] = -img[0], img[0]  # image 0 scores its own caption 40 below caption 1
+        tau = 0.05
+        s = img @ txt.T / tau
+        assert s[0, 0] - s[0].max() - np.log(np.exp(s[0] - s[0].max()).sum()) < math.log(1e-12)
+        assert contrastive_loss is ag.contrastive_loss
+        results = []
+        for loss_fn in (contrastive_loss, composed.contrastive_loss):
+            inputs = [Tensor(img, requires_grad=True), Tensor(txt, requires_grad=True),
+                      Tensor([tau], requires_grad=True)]
+            with Tape() as tape:
+                loss = loss_fn(*inputs)
+            backward(loss)
+            results.append([len(tape), loss.data] + [t.grad for t in inputs])
+        (records, *fused), (_, *oracle) = results
+        assert records == 1
+        for got, want in zip(fused, oracle):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_including_learnable_temperature(self, seed):
