@@ -176,46 +176,35 @@ def _earlier_format(data: bytes) -> str | None:
     return None
 
 
-def load_into(model: CaptionModel, ckpt: Checkpoint) -> None:
-    """Copy checkpoint parameters into a built model in place, names must match."""
-    have, want = set(ckpt.params), set(model.params)
-    if have != want:
-        missing, extra = sorted(want - have), sorted(have - want)
-        raise IntegrityError(f"checkpoint parameter mismatch: missing {missing}, unexpected {extra}")
-    for name, tensor in model.params.items():
-        arr = ckpt.params[name]
-        if arr.shape != tensor.data.shape:
-            raise IntegrityError(f"parameter {name!r}: checkpoint shape {arr.shape} != model shape {tensor.data.shape}")
-        tensor.data[...] = arr
-
-
-def adam_state(ckpt: Checkpoint, model: CaptionModel) -> AdamState:
-    """The checkpoint's step and moments, laid out like model.flat; moments not stored are zero."""
-    m, v = np.zeros_like(model.flat), np.zeros_like(model.flat)
-    for kind, stored, views in (("adam_m", ckpt.adam_m, model.views(m)), ("adam_v", ckpt.adam_v, model.views(v))):
-        for name, arr in stored.items():
-            if name not in views or arr.shape != views[name].shape:
-                raise IntegrityError(f"{kind} array {name!r} of shape {arr.shape} fits no trainable parameter")
-            views[name][...] = arr
-    return AdamState(ckpt.step, m, v)
-
-
 def save_model(path, model: CaptionModel, state: AdamState | None = None, extra: dict | None = None) -> None:
     """Checkpoint a CaptionModel; config records the model shape."""
     save_checkpoint(path, model.params, {"model": model.cfg.to_dict(), **(extra or {})}, state)
 
 
-def model_from_checkpoint(ckpt: Checkpoint, vocab: Vocabulary) -> CaptionModel:
-    """Build a CaptionModel carrying exactly the checkpoint's parameters."""
+def model_from_checkpoint(ckpt: Checkpoint, vocab: Vocabulary) -> tuple[CaptionModel, AdamState]:
+    """Build the checkpoint's model carrying exactly its parameters, with its Adam state.
+
+    Every model parameter must be stored, and every stored array must
+    fit a target by name and shape: a model parameter, or a trainable
+    parameter's run of a moment buffer.  Moments not stored are zero.
+    """
     if "model" not in ckpt.config:
         raise IntegrityError("checkpoint config has no model entry")
     model = build_model(ModelConfig.from_dict(ckpt.config["model"]), vocab, seed=0)
-    load_into(model, ckpt)
-    return model
+    missing = sorted(set(model.params) - set(ckpt.params))
+    if missing:
+        raise IntegrityError(f"checkpoint parameter mismatch: missing {missing}")
+    state = AdamState(ckpt.step, np.zeros_like(model.flat), np.zeros_like(model.flat))
+    targets = ({name: t.data for name, t in model.params.items()}, model.views(state.m), model.views(state.v))
+    for kind, stored, views in zip(_KINDS, (ckpt.params, ckpt.adam_m, ckpt.adam_v), targets):
+        for name, arr in stored.items():
+            if name not in views or arr.shape != views[name].shape:
+                raise IntegrityError(f"{kind} array {name!r} of shape {arr.shape} fits no parameter of the model")
+            views[name][...] = arr
+    return model, state
 
 
 def load_model(path, vocab: Vocabulary) -> tuple[CaptionModel, AdamState, Checkpoint]:
     """Rebuild a CaptionModel (plus optimizer state) from a checkpoint."""
     ckpt = load_checkpoint(path)
-    model = model_from_checkpoint(ckpt, vocab)
-    return model, adam_state(ckpt, model), ckpt
+    return (*model_from_checkpoint(ckpt, vocab), ckpt)

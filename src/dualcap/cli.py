@@ -148,6 +148,8 @@ def run_config(args) -> RunConfig:
         rc.seed = args.seed
     if args.out is not None:
         rc.out = args.out
+    if rc.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {rc.seed}")
     return rc
 
 
@@ -200,8 +202,6 @@ def load_vocab(rc: RunConfig, checkpoint_path) -> Vocabulary:
 def load_image(path, cfg: EncoderConfig) -> Tensor:
     pixels, maxval = read_netpbm(path)
     arr = pixels.astype(np.float64) / maxval
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
     if arr.shape != (cfg.image_size, cfg.image_size, cfg.image_channels):
         raise DataError(
             f"image {path} is {arr.shape}, model expects "
@@ -224,9 +224,9 @@ def cmd_train(args) -> int:
     if not captions:
         raise DataError("training split has no captions")
     vocab = Vocabulary.from_corpus(captions, min_freq=rc.min_freq)
-    vocab.save(out / "vocab.txt")
     model = build_model(model_config(rc, len(vocab)), vocab, seed=rc.seed)
     set_channel_stats(model, ds.mean, ds.std)
+    vocab.save(out / "vocab.txt")
     pairs = training_pairs(ds, vocab)
     extra = {"seed": rc.seed}
     save_model(out / "epoch-0000.ckpt", model, None, extra=extra)
@@ -250,7 +250,7 @@ def cmd_caption(args) -> int:
     rc = run_config(args)
     ckpt = load_checkpoint(args.checkpoint)
     vocab = load_vocab(rc, args.checkpoint)
-    model = model_from_checkpoint(ckpt, vocab)
+    model, _ = model_from_checkpoint(ckpt, vocab)
     image = load_image(args.image, model.cfg.encoder)
     seq = generate(model, image, max_len=rc.max_len, beam_width=rc.beam_width)
     print(sequence_text(vocab, seq))
@@ -263,7 +263,7 @@ def cmd_eval(args) -> int:
     ds = load_run_dataset(rc)
     ckpt = load_checkpoint(args.checkpoint)
     vocab = load_vocab(rc, args.checkpoint)
-    model = model_from_checkpoint(ckpt, vocab)
+    model, _ = model_from_checkpoint(ckpt, vocab)
     records = ds.split_records(rc.eval_split)
     if not records:
         raise DataError(f"split {rc.eval_split!r} is empty")
@@ -283,7 +283,7 @@ def cmd_heatmap(args) -> int:
     out = out_dir(rc)
     ckpt = load_checkpoint(args.checkpoint)
     vocab = load_vocab(rc, args.checkpoint)
-    model = model_from_checkpoint(ckpt, vocab)
+    model, _ = model_from_checkpoint(ckpt, vocab)
     image = load_image(args.image, model.cfg.encoder)
     enc_out = encode_image(model, image)
     stem = Path(args.image).stem
@@ -402,29 +402,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = _Parser(prog="dualcap", description="Train and run a dual-attention image captioner.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    epilog = "config keys (key = default):\n" + "\n".join(
+        f"  {f.name} = {','.join(map(str, f.default)) if isinstance(f.default, tuple) else f.default}"
+        for f in fields(RunConfig)
+    )
 
-    p = sub.add_parser("train", parents=[common], help="train a model, write checkpoints and a loss log")
-    p.set_defaults(func=cmd_train)
+    def command(name, func, help, *positionals):
+        p = sub.add_parser(name, parents=[common], help=help, epilog=epilog,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+        for arg in positionals:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("caption", parents=[common], help="caption one image with a trained model")
-    p.add_argument("checkpoint")
-    p.add_argument("image")
-    p.set_defaults(func=cmd_caption)
-
-    p = sub.add_parser("eval", parents=[common], help="score generated captions on a dataset split")
-    p.add_argument("checkpoint")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("heatmap", parents=[common], help="write per-block attention heatmaps as PGM")
-    p.add_argument("checkpoint")
-    p.add_argument("image")
-    p.set_defaults(func=cmd_heatmap)
-
-    p = sub.add_parser("ablate", parents=[common], help="train and score all attention/contrastive variants")
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("bench", parents=[common], help="FLOP/time scaling of the attention kernels")
-    p.set_defaults(func=cmd_bench)
+    command("train", cmd_train, "train a model, write checkpoints and a loss log")
+    command("caption", cmd_caption, "caption one image with a trained model", "checkpoint", "image")
+    command("eval", cmd_eval, "score generated captions on a dataset split", "checkpoint")
+    command("heatmap", cmd_heatmap, "write per-block attention heatmaps as PGM", "checkpoint", "image")
+    command("ablate", cmd_ablate, "train and score all attention/contrastive variants")
+    command("bench", cmd_bench, "FLOP/time scaling of the attention kernels")
     return parser
 
 

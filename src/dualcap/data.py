@@ -151,10 +151,6 @@ class CaptionDataset:
     def image_channels(self) -> int:
         return self.records[0].image.shape[2]
 
-    @property
-    def image_size(self) -> int:
-        return self.records[0].image.shape[0]
-
     def split_records(self, split: str) -> list[Record]:
         if split not in self.splits:
             raise ContractError(f"unknown split {split!r}, have {sorted(self.splits)}")

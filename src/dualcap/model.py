@@ -18,7 +18,7 @@ hidden state before the tied output head.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -63,14 +63,27 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        """The config ``to_dict`` gave; a value not of its field's type is a ConfigError naming it."""
         try:
             return cls(
-                encoder=EncoderConfig(**data["encoder"]),
-                decoder=DecoderConfig(**data["decoder"]),
-                joint_dim=int(data["joint_dim"]),
+                encoder=EncoderConfig(**_typed("encoder.", EncoderConfig, data["encoder"])),
+                decoder=DecoderConfig(**_typed("decoder.", DecoderConfig, data["decoder"])),
+                joint_dim=_typed("", cls, data)["joint_dim"],
             )
         except (KeyError, TypeError) as e:
             raise ConfigError(f"malformed model config: {e}") from e
+
+
+_FIELD_TYPES = {"int": int, "str": str}
+
+
+def _typed(section: str, cls, values: dict) -> dict:
+    """``values``, once each int or str field of ``cls`` they set holds exactly that type (no bool)."""
+    for f in fields(cls):
+        want = _FIELD_TYPES.get(f.type)
+        if want is not None and f.name in values and type(values[f.name]) is not want:
+            raise ConfigError(f"model config {section}{f.name} must be {f.type}, got {values[f.name]!r}")
+    return values
 
 
 @dataclass
@@ -122,8 +135,9 @@ def build_model(cfg: ModelConfig, vocab: Vocabulary, seed: int = 0) -> CaptionMo
 def set_channel_stats(model: CaptionModel, mean, std) -> None:
     """Install dataset normalization stats (stored with the checkpoint)."""
     ch = model.cfg.encoder.image_channels
-    mean = np.asarray(mean, dtype=np.float64).reshape(ch)
-    std = np.asarray(std, dtype=np.float64).reshape(ch)
+    mean, std = np.asarray(mean, dtype=np.float64), np.asarray(std, dtype=np.float64)
+    if not mean.shape == std.shape == (ch,):
+        raise ConfigError(f"channel stats of shapes {mean.shape}, {std.shape} do not fit image_channels {ch}")
     if not (np.isfinite(mean).all() and np.isfinite(std).all() and np.all(std > 0)):
         raise ConfigError(f"channel stats must be finite and std positive, got mean {mean}, std {std}")
     model.params["norm.mean"] = Tensor(mean)

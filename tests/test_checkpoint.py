@@ -20,10 +20,9 @@ from dualcap import checkpoint
 from dualcap.autograd import Tensor
 from dualcap.checkpoint import (
     MAGIC,
-    adam_state,
     load_checkpoint,
-    load_into,
     load_model,
+    model_from_checkpoint,
     save_checkpoint,
     save_model,
 )
@@ -105,6 +104,22 @@ class TestRoundTrip:
         a = sequence_text(vocab, generate(model, pairs[0].image, max_len=10))
         b = sequence_text(vocab, generate(restored, pairs[0].image, max_len=10))
         assert a == b
+
+    def test_a_learned_position_model_round_trips(self, tmp_path):
+        ds, vocab, model, pairs, cfg = small_setup()
+        learned = build_model(replace(model.cfg, encoder=replace(model.cfg.encoder, pos_encoding="learned")), vocab, seed=1)
+        set_channel_stats(learned, ds.mean, ds.std)
+        state, _ = fit(learned, pairs, cfg, steps=4)
+        save_model(tmp_path / "m.ckpt", learned, state)
+        restored, rstate, _ = load_model(tmp_path / "m.ckpt", vocab)
+        assert restored.cfg == learned.cfg and "enc.pos" in restored.params
+        assert {name: t.data.tobytes() for name, t in restored.params.items()} == \
+            {name: t.data.tobytes() for name, t in learned.params.items()}
+        assert (rstate.m.tobytes(), rstate.v.tobytes()) == (state.m.tobytes(), state.v.tobytes())
+        for beam_width in (1, 3):
+            captions = [[sequence_text(vocab, generate(m, p.image, max_len=10, beam_width=beam_width)) for p in pairs]
+                        for m in (learned, restored)]
+            assert captions[0] == captions[1]
 
 
 class TestResume:
@@ -279,40 +294,38 @@ class TestCorruption:
         with pytest.raises(IntegrityError, match="cannot read"):
             load_checkpoint(tmp_path / "nope.ckpt")
 
-    def test_load_into_name_mismatch(self, tmp_path):
+    def test_a_missing_parameter_is_named(self, tmp_path):
         path, model = self.make_file(tmp_path)
         ckpt = load_checkpoint(path)
         del ckpt.params["fuse.img.w"]
-        with pytest.raises(IntegrityError, match="missing"):
-            load_into(model, ckpt)
+        with pytest.raises(IntegrityError, match=r"missing \['fuse.img.w'\]"):
+            model_from_checkpoint(ckpt, model.vocab)
 
-    def test_load_into_shape_mismatch(self, tmp_path):
+    def test_a_parameter_of_another_shape_is_refused(self, tmp_path):
         path, model = self.make_file(tmp_path)
         ckpt = load_checkpoint(path)
         ckpt.params["fuse.img.b"] = np.zeros(7)
-        with pytest.raises(IntegrityError, match="shape"):
-            load_into(model, ckpt)
+        with pytest.raises(IntegrityError, match=r"param array 'fuse.img.b' of shape \(7,\)"):
+            model_from_checkpoint(ckpt, model.vocab)
 
-    def test_load_into_copies_the_read_only_file_views(self, tmp_path):
+    def test_parameters_are_copies_of_the_read_only_file_views(self, tmp_path):
         path, model = self.make_file(tmp_path)
         ckpt = load_checkpoint(path)
         assert not any(arr.flags.writeable for arr in ckpt.params.values())
-        load_into(model, ckpt)
-        for name, t in model.params.items():
+        restored, _ = model_from_checkpoint(ckpt, model.vocab)
+        for name, t in restored.params.items():
             assert t.data.flags.writeable and not np.shares_memory(t.data, ckpt.params[name])
             assert t.data.tobytes() == ckpt.params[name].tobytes()
 
-    def test_adam_state_copies(self, tmp_path):
+    def test_moments_are_copies(self, tmp_path):
         path, model = self.make_file(tmp_path)
         ckpt = load_checkpoint(path)
-        state = adam_state(ckpt, model)
+        restored, state = model_from_checkpoint(ckpt, model.vocab)
         assert isinstance(state, AdamState) and state.step == 1
-        assert state.m.shape == state.v.shape == model.flat.shape
-        assert state.m.flags.writeable and not np.shares_memory(state.m, ckpt.adam_m["fuse.img.w"])
-        name = next(iter(ckpt.adam_m))
-        state.m[...] = 0.0
-        assert not np.array_equal(state.m[:ckpt.adam_m[name].size], ckpt.adam_m[name].reshape(-1)) \
-            or not ckpt.adam_m[name].any()
+        assert state.m.shape == state.v.shape == restored.flat.shape
+        for stored, buffer in ((ckpt.adam_m, state.m), (ckpt.adam_v, state.v)):
+            assert buffer.flags.writeable and not any(np.shares_memory(buffer, arr) for arr in stored.values())
+            assert {name: arr.tobytes() for name, arr in stored.items()} == per_name(restored.trainable(), buffer)
 
     def test_missing_moments_load_as_zeros(self, tmp_path):
         _, vocab, model, pairs, cfg = small_setup()
@@ -335,8 +348,8 @@ class TestCorruption:
             ckpt.adam_v["fuse.img.b"] = np.zeros(7)
         else:
             ckpt.adam_m["fuse.other.b"] = ckpt.adam_m.pop("fuse.img.b")
-        with pytest.raises(IntegrityError, match="'fuse.(img|other).b' of shape"):
-            adam_state(ckpt, model)
+        with pytest.raises(IntegrityError, match="adam_[mv] array 'fuse.(img|other).b' of shape"):
+            model_from_checkpoint(ckpt, model.vocab)
 
     def test_moments_that_do_not_match_the_parameters_are_refused(self, tmp_path):
         _, _, model, pairs, cfg = small_setup()

@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import zlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,45 @@ class TestCaptionCommand:
         assert self.caption_with_earlier_format(trained, tmp_path, 2) == 3
         assert "unsupported format 2" in capsys.readouterr().err
 
+    def caption_with_edited_header(self, trained, tmp_path, edit) -> int:
+        """Caption with the trained checkpoint after edit(header), its CRC-32 made to match again."""
+        data = trained["ckpt"].read_bytes()
+        (hlen,) = struct.unpack("<I", data[4:8])
+        header, payload = json.loads(data[12:12 + hlen]), data[12 + hlen:]
+        edit(header)
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        crafted = tmp_path / "crafted.ckpt"
+        (tmp_path / "vocab.txt").write_bytes((trained["root"] / "vocab.txt").read_bytes())
+        crafted.write_bytes(data[:4] + struct.pack("<II", len(blob), zlib.crc32(payload, zlib.crc32(blob))) + blob + payload)
+        image_path = trained["data"] / trained["ds"].records[0].name
+        return main(["caption", "--config", str(trained["cfg"]),
+                     "--out", str(tmp_path), str(crafted), str(image_path)])
+
+    def test_a_stored_moment_that_fits_no_parameter_is_integrity_error(self, trained, tmp_path, capsys):
+        def rename(header):
+            entry = next(e for e in header["arrays"] if (e["kind"], e["name"]) == ("adam_m", "fuse.img.b"))
+            entry["name"] = "fuse.other.b"
+
+        assert self.caption_with_edited_header(trained, tmp_path, rename) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "integrity error: adam_m array 'fuse.other.b' of shape (8,)" in captured.err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("encoder", "dim", 16.0),
+        (None, "joint_dim", "x"),
+        (None, "joint_dim", 8.7),
+        ("encoder", "depth", True),
+    ])
+    def test_a_model_config_value_of_the_wrong_type_is_config_error(self, trained, tmp_path, capsys, section, key, value):
+        def edit(header):
+            model = header["config"]["model"]
+            (model[section] if section else model)[key] = value
+
+        assert self.caption_with_edited_header(trained, tmp_path, edit) == 1
+        name = f"{section}.{key}" if section else key
+        assert f"config error: model config {name} must be" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_overfit_model_scores_perfectly(self, trained, tmp_path, capsys):
@@ -446,6 +486,29 @@ class TestExitCodes:
                      str(trained["ckpt"]), str(image_path)])
         assert code == 2
         assert "vocab.txt: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "bench"])
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_a_negative_seed_is_a_config_error(self, tmp_path, capsys, command, where):
+        cfg = write_cfg(tmp_path / "run.cfg", seed=-1 if where == "file" else 0)
+        flag = ["--seed", "-1"] if where == "flag" else []
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run"), *flag]) == 1
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_a_channel_count_the_dataset_lacks_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path / "run.cfg", image_channels=1)  # the synthetic images are RGB
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert "do not fit image_channels 1" in capsys.readouterr().err
+        assert list((tmp_path / "run").iterdir()) == []
+
+    def test_train_help_lists_every_config_key_with_its_default(self, capsys):
+        assert main(["train", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "  ratios = 0.8,0.1,0.1\n" in out
+        for f in fields(RunConfig):
+            assert f"\n  {f.name} = " in out, f.name
 
     def test_unknown_subcommand(self, capsys):
         assert main(["nonsense"]) == 1

@@ -1,20 +1,29 @@
-"""Parsers and loaders fed arbitrary bytes raise only their typed error.
+"""Parsers, loaders and config paths fed arbitrary input raise only their typed error.
 
 Each input either parses or raises the one DualcapError its caller maps
 to an exit code: DataError for images and caption files, ConfigError
 for config files, VocabError for vocabularies.  Inputs mix raw bytes
 with near-valid ones (a netpbm magic and header, text lines built from
 the characters the parsers split on), so the fuzzing reaches past the
-first check.  Runs are derandomized and keep no example database.
+first check.  The two config paths, a run's key=value file and a
+checkpoint's model config, must build a model or raise a DualcapError;
+their ints stay small (16 or less) so that every model built is tiny.
+Runs are derandomized and keep no example database.
 """
+
+import copy
+from argparse import Namespace
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualcap.cli import parse_config_file
+from dualcap.cli import RunConfig, load_run_dataset, model_config, parse_config_file, run_config, train_config
 from dualcap.data import parse_caption_file, parse_netpbm
-from dualcap.errors import ConfigError, DataError, VocabError
-from dualcap.textdec import Vocabulary
+from dualcap.encoder import EncoderConfig
+from dualcap.errors import ConfigError, DataError, DualcapError, VocabError
+from dualcap.model import ModelConfig, build_model, set_channel_stats
+from dualcap.textdec import DecoderConfig, Vocabulary
 
 FUZZ = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 
@@ -72,3 +81,57 @@ def test_vocabulary_load(text_file, data):
     except VocabError:
         return
     assert len(vocab) >= 4
+
+
+# a tiny run that builds; each input sets one to three keys over it
+RUN_BASE = {"synthetic": 4, "image_size": 8, "patch_size": 4, "dim": 8, "window_patches": 2, "groups": 2,
+            "dec_dim": 8, "joint_dim": 4}
+WORDS = ("", "x", "-0", "1.5", "nan", "inf", "-inf", "1e308", "0.5,0.5,0", "1,1", "true",
+         "dual", "spatial", "channel", "global", "1d", "2d", "sinusoidal", "learned", "train", "val", "test")
+run_values = st.one_of(st.integers(-2, 16).map(str), st.sampled_from(WORDS))
+run_entries = st.dictionaries(st.sampled_from([f.name for f in fields(RunConfig)]), run_values, min_size=1, max_size=3)
+
+
+@FUZZ
+@given(entries=run_entries)
+def test_a_run_config_builds_a_model_or_raises_a_dualcap_error(text_file, entries):
+    text_file.write_text("".join(f"{key} = {value}\n" for key, value in {**RUN_BASE, **entries}.items()))
+    try:
+        rc = run_config(Namespace(config=str(text_file), seed=None, out=None))
+        ds = load_run_dataset(rc)
+        vocab = Vocabulary.from_corpus([c for _, c in ds.caption_pairs("train")], min_freq=rc.min_freq)
+        train_config(rc)
+        model = build_model(model_config(rc, len(vocab)), vocab, seed=rc.seed)
+        set_channel_stats(model, ds.mean, ds.std)
+    except DualcapError:
+        return
+    assert model.params["norm.std"].shape == (rc.image_channels,)
+
+
+MODEL_VOCAB = Vocabulary(["red", "dot"])
+MODEL_BASE = ModelConfig(
+    encoder=EncoderConfig(image_size=8, patch_size=4, dim=8, heads=2, window_patches=2, groups=2),
+    decoder=DecoderConfig(vocab_size=len(MODEL_VOCAB), dim=8, heads=2, context_width=16),
+    joint_dim=4,
+).to_dict()
+MODEL_KEYS = [(section, f.name) for section, cls in (("encoder", EncoderConfig), ("decoder", DecoderConfig))
+              for f in fields(cls)] + [(None, "joint_dim")]
+mistyped = st.one_of(
+    st.integers(-2, 16), st.booleans(), st.floats(-2, 16), st.sampled_from([float("nan"), float("inf")]),
+    st.text(max_size=3), st.none(),
+    st.lists(st.integers(0, 4), max_size=2), st.sampled_from(WORDS),
+)
+model_edits = st.lists(st.tuples(st.sampled_from(MODEL_KEYS), mistyped), min_size=1, max_size=2)
+
+
+@FUZZ
+@given(edits=model_edits)
+def test_a_stored_model_config_builds_a_model_or_raises_a_dualcap_error(edits):
+    data = copy.deepcopy(MODEL_BASE)
+    for (section, key), value in edits:
+        (data[section] if section else data)[key] = value
+    try:
+        model = build_model(ModelConfig.from_dict(data), MODEL_VOCAB, seed=0)
+    except DualcapError:
+        return
+    assert model.cfg.to_dict() == data

@@ -73,6 +73,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="malformed"):
             ModelConfig.from_dict(data)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("encoder", "dim", 4.0),
+        ("encoder", "depth", True),
+        ("encoder", "mode", 1),
+        ("decoder", "heads", "2"),
+        (None, "joint_dim", "x"),
+        (None, "joint_dim", 4.7),
+        (None, "joint_dim", False),
+    ])
+    def test_from_dict_rejects_a_value_of_the_wrong_type(self, section, key, value):
+        data = tiny_config(9).to_dict()
+        (data[section] if section else data)[key] = value
+        name = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=f"model config {re.escape(name)} must be (int|str), got {re.escape(repr(value))}"):
+            ModelConfig.from_dict(data)
+
 
 class TestBuild:
     def test_vocab_size_must_match(self):
@@ -106,6 +122,12 @@ class TestBuild:
         np.testing.assert_array_equal(model.params["norm.mean"].data, [0.1, 0.2, 0.3])
         with pytest.raises(ConfigError, match="positive"):
             set_channel_stats(model, [0, 0, 0], [1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("mean, std", [([0.5], [0.2]), ([0.1, 0.2, 0.3], [[1.0, 1.0, 1.0]])])
+    def test_channel_stats_that_do_not_fit_the_channels_are_config_errors(self, mean, std):
+        model = tiny_model()
+        with pytest.raises(ConfigError, match="do not fit image_channels 3"):
+            set_channel_stats(model, mean, std)
 
     @pytest.mark.parametrize("mean, std", [
         ([0.1, np.nan, 0.3], [1.0, 1.0, 1.0]),

@@ -76,11 +76,11 @@ from dualcap.train import (
 )
 
 
-def synthetic_setup(n=8, dim=16, seed=1, **train_kw):
+def synthetic_setup(n=8, dim=16, seed=1, pos_encoding="sinusoidal", **train_kw):
     ds = make_synthetic(n, grid=16, seed=0)
     vocab = Vocabulary.from_corpus([c for _, c in ds.caption_pairs("train")])
     enc = EncoderConfig(image_size=16, patch_size=4, image_channels=3, dim=dim,
-                        heads=2, window_patches=4, groups=4, depth=1)
+                        heads=2, window_patches=4, groups=4, depth=1, pos_encoding=pos_encoding)
     dec = DecoderConfig(vocab_size=len(vocab), dim=dim, heads=2, depth=1,
                         context_width=enc.feature_width)
     model = build_model(ModelConfig(encoder=enc, decoder=dec, joint_dim=8), vocab, seed=seed)
@@ -324,10 +324,12 @@ def step_forward_flops(model, caption_tokens: int, batch_size: int) -> int:
 
 
 class TestBatchedStep:
-    @pytest.mark.parametrize("weight", [0.5, 0.0])
-    def test_matches_the_per_pair_oracle_on_ragged_captions(self, weight):
-        _, vocab, batched, pairs, cfg = synthetic_setup(contrastive_weight=weight)
-        _, _, oracle, _, _ = synthetic_setup(contrastive_weight=weight)
+    @pytest.mark.parametrize("weight, pos", [(0.5, "sinusoidal"), (0.0, "sinusoidal"), (0.5, "learned")],
+                             ids=["0.5", "0.0", "0.5-learned"])
+    def test_matches_the_per_pair_oracle_on_ragged_captions(self, weight, pos):
+        _, vocab, batched, pairs, cfg = synthetic_setup(pos_encoding=pos, contrastive_weight=weight)
+        _, _, oracle, _, _ = synthetic_setup(pos_encoding=pos, contrastive_weight=weight)
+        assert ("enc.pos" in batched.params) == (pos == "learned")
         batch = ragged_batch(vocab, pairs)
         expected_loss, expected_grads = per_pair_step(oracle, batch, cfg)
         losses = train_step(batched, batch, AdamState(), cfg)
@@ -372,10 +374,11 @@ class TestBatchedStep:
             assert counter.total == step_forward_flops(m, next(iter(lengths)), len(pairs))
 
     @pytest.mark.parametrize("depth", [1, 2])
-    @pytest.mark.parametrize("mode", ["dual", "spatial", "channel", "global"])
-    def test_every_trainable_parameter_gets_a_gradient(self, mode, depth):
+    @pytest.mark.parametrize("mode, pos", [(mode, "sinusoidal") for mode in ("dual", "spatial", "channel", "global")]
+                             + [("dual", "learned")], ids=["dual", "spatial", "channel", "global", "dual-learned"])
+    def test_every_trainable_parameter_gets_a_gradient(self, mode, pos, depth):
         ds, vocab, model, pairs, cfg = synthetic_setup(contrastive_weight=0.5)
-        enc = replace(model.cfg.encoder, mode=mode, depth=depth)
+        enc = replace(model.cfg.encoder, mode=mode, depth=depth, pos_encoding=pos)
         model = build_model(replace(model.cfg, encoder=enc), vocab, seed=1)
         set_channel_stats(model, ds.mean, ds.std)
         train_step(model, pairs, AdamState(), cfg)
