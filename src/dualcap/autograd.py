@@ -169,9 +169,8 @@ def zero_grads(tensors: Sequence[Tensor]) -> None:
 def _new(data: Array) -> Tensor:
     """An op's output: a float64 array the op computed, wrapped without a copy.
 
-    Op outputs may be views of their inputs (reshape, transpose,
-    slices); no op writes into an array it did not allocate, so sharing
-    is safe.
+    Op outputs may be views of their inputs (reshape, transpose); no op
+    writes into an array it did not allocate, so sharing is safe.
     """
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -193,25 +192,15 @@ def _record(output: Tensor, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
     return output
 
 
-def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes differ: {a.shape} vs {b.shape}")
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("add", a, b)
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes differ: {a.shape} vs {b.shape}")
     out = _new(a.data + b.data)
     return _record(out, (a, b), lambda g: (g, g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("mul", a, b)
-    out = _new(a.data * b.data)
-    return _record(out, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
@@ -331,26 +320,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         return tuple(pieces)
 
     return _record(out, tuple(tensors), grad_fn)
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start, stop) along one axis."""
-    ndim = x.data.ndim
-    if axis < 0 or axis >= ndim:
-        raise ShapeError(f"slice_axis: axis {axis} out of range for rank {ndim}")
-    if not (0 <= start < stop <= x.shape[axis]):
-        raise ShapeError(f"slice_axis: range [{start}, {stop}) invalid for axis of size {x.shape[axis]}")
-    index = [np.s_[:]] * ndim
-    index[axis] = np.s_[start:stop]
-    index = tuple(index)
-    out = _new(x.data[index])
-
-    def grad_fn(g: Array):
-        full = np.zeros_like(x.data)
-        full[index] = g
-        return (full,)
-
-    return _record(out, (x,), grad_fn)
 
 
 def take_rows(x: Tensor, indices) -> Tensor:
@@ -627,7 +596,9 @@ def attention(
 
     ``cached`` keys and values, (n, ..., L, d) arrays, come before the
     ones the call projects (it projects none when ``wk`` and ``wv`` are
-    None); they are constants of the op and receive no gradient.
+    None).  Such a call is a generation step and has no backward: one
+    that would be recorded (a tape is active and an input requires
+    grad) raises ContractError.
     ``mask`` is added to the scores, broadcast against (n, ..., T, T_k).
     ``windows`` is an (N_w, P_w) array of row indices: the rows of each
     window attend only among themselves.  With ``channels`` every head
@@ -641,6 +612,9 @@ def attention(
     the softmax weights P as an (n, ..., T_q, T_k) array, and the
     (keys, values) the scores read).
     """
+    inputs = (x, wq) if wk is None else (x, wq, wk, wv) + (() if context is None else (context,))
+    if cached is not None and Tape._active is not None and any(t.requires_grad for t in inputs):
+        raise ContractError("attention: a step over cached keys and values is generation-only and cannot be recorded")
     lead, (t, c) = x.shape[:-2], x.shape[-2:]
     wq_heads, q_full = _heads(wq, c)
     n, _, d = wq_heads.shape
@@ -653,7 +627,6 @@ def attention(
             order = windows.reshape(-1)
             rows = x.data[..., order, :].reshape(-1, c)
     q = _project(rows, wq_heads, q_full).reshape((n,) + items + (rows_per_item, d))
-    inputs = (x, wq)
     if wk is None:
         k, v = cached
     else:
@@ -669,7 +642,6 @@ def attention(
         k, v = (_project(source_rows, w, kv_full).reshape((n,) + items + (-1, d)) for w in (wk_heads, wv_heads))
         if cached is not None:
             k, v = np.concatenate([cached[0], k], axis=-2), np.concatenate([cached[1], v], axis=-2)
-        inputs += (wk, wv) if context is None else (wk, wv, context)
 
     mats, tq, tk = q.size // (rows_per_item * d), q.shape[-2], k.shape[-2]  # (T, d) matrices per projection
     if channels:  # per head, scores Q^T K (d x T by T x d) and output V P^T (T x d by d x d)
@@ -697,35 +669,30 @@ def attention(
 
     def grad_fn(g: Array):
         do = _heads_first((g if order is None else g[..., order, :]).reshape(items + (rows_per_item, n, d)))
-        # Gradients of the projections go straight into side-by-side slots, one buffer per input
-        # they read; keys and values with cached ones before them are computed whole, then sliced.
-        own = wk is not None and context is None
+        # Gradients of the projections go straight into side-by-side slots, one buffer per input they read.
+        own = context is None
         buf, slots = _grad_slots(q.shape, 3 if own else 1, q_full)
-        if wk is not None and context is not None:
-            source_buf, (dk_slot, dv_slot) = _grad_slots(k.shape, 2, kv_full)
+        if own:
+            dk_slot, dv_slot = slots[1:]
         else:
-            dk_slot, dv_slot = slots[1:] if own else (None, None)
-        past = 0 if cached is None else cached[0].shape[-2]
-        direct = past == 0 and wk is not None
+            source_buf, (dk_slot, dv_slot) = _grad_slots(k.shape, 2, kv_full)
         if channels:
-            dv = np.matmul(do, p, out=dv_slot if direct else None)
+            np.matmul(do, p, out=dv_slot)
             ds = np.matmul(np.swapaxes(do, -1, -2), v)
         else:
-            dv = np.matmul(np.swapaxes(p, -1, -2), do, out=dv_slot if direct else None)
+            np.matmul(np.swapaxes(p, -1, -2), do, out=dv_slot)
             ds = np.matmul(do, np.swapaxes(v, -1, -2))
         ds -= np.add.reduce(ds * p, axis=-1, keepdims=True)
         ds *= p
         ds *= factor
         if channels:
             np.matmul(k, np.swapaxes(ds, -1, -2), out=slots[0])
-            dk = np.matmul(q, ds, out=dk_slot if direct else None)
+            np.matmul(q, ds, out=dk_slot)
         else:
             np.matmul(ds, k, out=slots[0])
-            dk = np.matmul(np.swapaxes(ds, -1, -2), q, out=dk_slot if direct else None)
-        if past and wk is not None:  # only the positions this call projected
-            dk_slot[...], dv_slot[...] = dk[..., past:, :], dv[..., past:, :]
+            np.matmul(np.swapaxes(ds, -1, -2), q, out=dk_slot)
         drows, grads = _project_grad(rows, [wq_heads, wk_heads, wv_heads] if own else [wq_heads], q_full, buf)
-        if wk is not None and context is not None:
+        if not own:
             dsource, (dwk, dwv) = _project_grad(source_rows, [wk_heads, wv_heads], kv_full, source_buf)
             grads += [dwk, dwv, dsource.reshape(context.shape)]
         if order is None:
@@ -733,8 +700,7 @@ def attention(
         else:
             dx = np.empty_like(x.data)
             dx[..., order, :] = drows.reshape(x.shape)
-        shapes = (wq.shape, wk.shape, wv.shape) if wk is not None else (wq.shape,)
-        return (dx,) + tuple(gw.reshape(shape) for gw, shape in zip(grads, shapes)) + tuple(grads[3:])
+        return (dx,) + tuple(gw.reshape(w.shape) for gw, w in zip(grads, (wq, wk, wv))) + tuple(grads[3:])
 
     return _record(_new(out), inputs, grad_fn), p, (k, v)
 

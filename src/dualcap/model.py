@@ -111,25 +111,31 @@ class CaptionModel:
 
 
 def build_model(cfg: ModelConfig, vocab: Vocabulary, seed: int = 0) -> CaptionModel:
-    """Model with freshly initialized parameters, deterministic in seed."""
+    """Model with freshly initialized parameters, deterministic in seed.
+
+    A config whose parameters do not fit in memory is a ConfigError.
+    """
     if len(vocab) != cfg.decoder.vocab_size:
         raise ConfigError(f"vocabulary has {len(vocab)} tokens, config says {cfg.decoder.vocab_size}")
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
-    params.update(init_encoder_params(cfg.encoder, rng))
-    params.update(init_decoder_params(cfg.decoder, rng))
-    fw, dd, jd = cfg.encoder.feature_width, cfg.decoder.dim, cfg.joint_dim
-    params["fuse.img.w"] = uniform_init(rng, (fw, jd))
-    params["fuse.img.b"] = zeros_init(jd)
-    params["fuse.txt.w"] = uniform_init(rng, (dd, jd))
-    params["fuse.txt.b"] = zeros_init(jd)
-    params["fuse.cond.w"] = uniform_init(rng, (2 * jd, dd))
-    params["fuse.cond.b"] = zeros_init(dd)
-    params["fuse.log_temp"] = Tensor([initial_log_temperature()], requires_grad=True)
-    ch = cfg.encoder.image_channels
-    params["norm.mean"] = Tensor(np.zeros(ch))
-    params["norm.std"] = Tensor(np.ones(ch))
-    return CaptionModel(cfg=cfg, vocab=vocab, params=params)
+    try:
+        params.update(init_encoder_params(cfg.encoder, rng))
+        params.update(init_decoder_params(cfg.decoder, rng))
+        fw, dd, jd = cfg.encoder.feature_width, cfg.decoder.dim, cfg.joint_dim
+        params["fuse.img.w"] = uniform_init(rng, (fw, jd))
+        params["fuse.img.b"] = zeros_init(jd)
+        params["fuse.txt.w"] = uniform_init(rng, (dd, jd))
+        params["fuse.txt.b"] = zeros_init(jd)
+        params["fuse.cond.w"] = uniform_init(rng, (2 * jd, dd))
+        params["fuse.cond.b"] = zeros_init(dd)
+        params["fuse.log_temp"] = Tensor([initial_log_temperature()], requires_grad=True)
+        ch = cfg.encoder.image_channels
+        params["norm.mean"] = Tensor(np.zeros(ch))
+        params["norm.std"] = Tensor(np.ones(ch))
+        return CaptionModel(cfg=cfg, vocab=vocab, params=params)
+    except MemoryError as e:
+        raise ConfigError(f"model config is too large to allocate: {e}") from e
 
 
 def set_channel_stats(model: CaptionModel, mean, std) -> None:
@@ -196,12 +202,13 @@ def conditioned_logits(model: CaptionModel, hidden: Tensor, image_vec: Tensor, p
     return matmul(add(hidden, conditioning), transpose(p["dec.emb"]))
 
 
-def caption_logits(model: CaptionModel, image: Tensor, seq: TokenSequence | list[TokenSequence]):
-    """Full teacher-forced pass; returns (logits, encoder output, image vec).
+def caption_logits(model: CaptionModel, image: Tensor, seq: TokenSequence | list[TokenSequence] | np.ndarray):
+    """Teacher-forced pass over the given positions; returns (logits, encoder output, image vec).
 
     One image with one sequence gives T x V logits; a B x H x W x ch
     batch with a list of B sequences runs as one PAD-padded stack and
-    gives B x T x V logits.
+    gives B x T x V logits.  A (B, T) array of ids runs as given;
+    train_step passes every position of its captions but the last.
     """
     enc_out = encode_image(model, image)
     hidden = decode_text(seq, model.params, model.cfg.decoder, context=enc_out.features)

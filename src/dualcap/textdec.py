@@ -46,7 +46,6 @@ from .autograd import (
     gelu,
     layer_norm,
     matmul,
-    slice_axis,
     take_rows,
 )
 from .encoder import sinusoidal_positions
@@ -292,8 +291,8 @@ class DecoderCache:
     (n_h, B, P, C_h) arrays: projected once from the whole stack by the
     first call, each row reading its image's through ``image``.
     ``past`` is each block's self-attention (K, V) of every row so far,
-    (n_h, B, length, C_h).  Cached keys and values are constants: a
-    call's gradients reach only the positions it adds.
+    (n_h, B, length, C_h).  A call on a filled cache is a generation
+    step, which no tape can record.
     """
 
     image: np.ndarray
@@ -333,7 +332,9 @@ def decode_text(
     ``cache.image[b]``.  The first call given a context projects the
     stack's cross-attention keys and values, which later calls read
     back row by row.  Each call appends its self-attention keys and
-    values to the cache and advances ``cache.length``.
+    values to the cache and advances ``cache.length``.  Such a step is
+    for generation only: inside a tape, with trainable parameters, it
+    raises ContractError.
     """
     ids = token_ids(tokens)
     if ids.size == 0:
@@ -353,7 +354,7 @@ def decode_text(
             raise ContractError("decode_text: first position must not be PAD")
         cache.past = [None] * cfg.depth
     c, w = cfg.dim, cfg.context_width
-    positions = slice_axis(sinusoidal_positions(start + t, c), 0, start, start + t)
+    positions = Tensor(sinusoidal_positions(start + t, c).data[start:])
     h = add_bias(take_rows(params["dec.emb"], ids), positions)
     mask = attention_masks(ids).data if t > 1 else None
     inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)

@@ -6,9 +6,12 @@ The training objective per batch is
 
 where the cross-entropy for one pair covers positions 0..L-2 predicting
 ids 1..L-1 (teacher forcing, PAD ignored) and the contrastive term
-aligns pooled image and text embeddings across the batch.  Batches are
-consecutive slices of the pair list in a fixed order, so a run is fully
-determined by the seed that built the model.
+aligns pooled image and text embeddings across the batch.  The decoder
+pass with image context runs only those L-1 input positions, the ones a
+search runs to generate L tokens; the context-free text tower runs all
+L, because it pools through EOS.  Batches are consecutive slices of
+the pair list in a fixed order, so a run is fully determined by the
+seed that built the model.
 
 Generation is beam search over word tokens with PAD/BOS/UNK masked out;
 finished beams are ranked by log-probability divided by length^0.7 and
@@ -34,7 +37,6 @@ from .autograd import (
     exp,
     mean,
     scale,
-    slice_axis,
     zero_grads,
 )
 from .data import CaptionDataset, Record
@@ -180,7 +182,8 @@ def train_step(model: CaptionModel, batch: list[TrainingPair], state: AdamState,
     """Forward, backward, and Adam update over one batch.
 
     The batch runs as one stack: one encoder pass over its images, one
-    decoder pass with image context and one without over its captions,
+    decoder pass with image context over its captions' input positions
+    (all but the last) and one without over the whole captions,
     PAD-padded to the longest.  Each pair's caption cross-entropy is the
     mean over its own predicted tokens, and the batch's is the mean over
     pairs.  A loss that is not finite raises NonFiniteError before the
@@ -198,9 +201,8 @@ def train_step(model: CaptionModel, batch: list[TrainingPair], state: AdamState,
     seqs = [pair.tokens for pair in batch]
     ids = token_ids(seqs)
     with Tape() as tape:
-        logits, _, img_vecs = caption_logits(model, images, seqs)
-        predictions = slice_axis(logits, 1, 0, ids.shape[1] - 1)
-        ce = mean(cross_entropy(predictions, ids[:, 1:], ignore_id=PAD_ID))
+        logits, _, img_vecs = caption_logits(model, images, ids[:, :-1])
+        ce = mean(cross_entropy(logits, ids[:, 1:], ignore_id=PAD_ID))
         if cfg.contrastive_weight > 0:
             temperature = exp(model.params["fuse.log_temp"])
             closs = contrastive_loss(img_vecs, text_embedding(model, seqs), temperature)

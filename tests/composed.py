@@ -1,10 +1,12 @@
-"""Generic tape ops that the library's fused ops replaced, kept as their oracles.
+"""Generic tape ops that the library no longer calls, kept as oracles and probes.
 
 The package records the attention softmax inside ``autograd.attention``
-and the symmetric InfoNCE loss as ``autograd.contrastive_loss``.  The
-ops here are the per-op pieces those were built from, each with its own
-backward rule, so a test can rebuild a fused op record by record and
-compare values and gradients.
+and the symmetric InfoNCE loss as ``autograd.contrastive_loss``, and its
+teacher-forced pass computes only the positions it scores.  The ops
+here are the per-op pieces those replaced, each with its own backward
+rule, so a test can rebuild a fused op record by record and compare
+values and gradients, slice a full teacher-forced pass, or weight an
+output elementwise by a probe.
 """
 
 from __future__ import annotations
@@ -13,6 +15,12 @@ import numpy as np
 
 from dualcap.autograd import Tensor, _new, _record, add, cross_entropy, matmul, scale, transpose
 from dualcap.errors import ContractError, ShapeError
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: shapes differ: {a.shape} vs {b.shape}")
+    return _record(_new(a.data * b.data), (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -38,6 +46,25 @@ def reciprocal(x: Tensor) -> Tensor:
         raise ContractError("reciprocal: input contains zero")
     out = _new(1.0 / x.data)
     return _record(out, (x,), lambda g: (-g * out.data * out.data,))
+
+
+def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    """Contiguous slice [start, stop) along one axis."""
+    ndim = x.data.ndim
+    if axis < 0 or axis >= ndim:
+        raise ShapeError(f"slice_axis: axis {axis} out of range for rank {ndim}")
+    if not (0 <= start < stop <= x.shape[axis]):
+        raise ShapeError(f"slice_axis: range [{start}, {stop}) invalid for axis of size {x.shape[axis]}")
+    index = [np.s_[:]] * ndim
+    index[axis] = np.s_[start:stop]
+    index = tuple(index)
+
+    def grad_fn(g):
+        full = np.zeros_like(x.data)
+        full[index] = g
+        return (full,)
+
+    return _record(_new(x.data[index]), (x,), grad_fn)
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:

@@ -1,7 +1,10 @@
 """Tape-based autograd: finite-difference oracles and structural invariants."""
 
+import ast
+import importlib
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,17 +26,15 @@ from dualcap.autograd import (
     matmul,
     mean,
     mean_rows,
-    mul,
     reshape,
     scale,
-    slice_axis,
     take_rows,
     transpose,
     zero_grads,
 )
 from dualcap.errors import ContractError, ShapeError
 
-from composed import mean_axis, scale_by, softmax, sub
+from composed import mean_axis, mul, scale_by, slice_axis, softmax, sub
 from gradcheck import check_grads, fd_grads, analytic_grads, max_rel_err
 from test_acceptance import primitive_cases
 
@@ -42,15 +43,35 @@ def rand(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
+def recording_ops() -> set[str]:
+    """The public functions of autograd that put a record on the tape."""
+    return {name for name, fn in inspect.getmembers(ag, inspect.isfunction)
+            if fn.__module__ == ag.__name__ and not name.startswith("_")
+            and "_record(" in inspect.getsource(fn)}
+
+
 class TestFiniteDifferenceOracles:
     """Analytic gradients of every primitive against central differences."""
 
     def test_every_recording_op_has_a_criterion_1_case(self):
-        recording = {name for name, fn in inspect.getmembers(ag, inspect.isfunction)
-                     if fn.__module__ == ag.__name__ and not name.startswith("_")
-                     and "_record(" in inspect.getsource(fn)}
+        recording = recording_ops()
         assert {"add", "matmul", "attention", "contrastive_loss"} <= recording
         assert sorted(recording - primitive_cases(np.random.default_rng(0)).keys()) == []
+
+    def test_every_recording_op_has_a_caller_in_src(self):
+        """An op no other package module calls belongs in tests/composed.py, not in autograd."""
+        called = set()
+        for path in Path(ag.__file__).parent.glob("*.py"):
+            module = importlib.import_module("dualcap" if path.stem == "__init__" else f"dualcap.{path.stem}")
+            if module is ag:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    fn = getattr(module, node.func.id, None)  # an op re-exported by another module counts too
+                    if inspect.isfunction(fn) and fn.__module__ == ag.__name__:
+                        called.add(fn.__name__)
+        assert "attention" in called
+        assert sorted(recording_ops() - called) == []
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matmul_sum(self, seed):

@@ -344,6 +344,15 @@ class TestCaptionCommand:
         name = f"{section}.{key}" if section else key
         assert f"config error: model config {name} must be" in capsys.readouterr().err
 
+    def test_a_model_config_too_large_to_allocate_is_config_error(self, trained, tmp_path, capsys):
+        def edit(header):
+            header["config"]["model"]["joint_dim"] = 10**12  # fuse.img.w would be about 233 TiB
+
+        assert self.caption_with_edited_header(trained, tmp_path, edit) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: model config is too large to allocate" in captured.err
+
 
 class TestEvalCommand:
     def test_overfit_model_scores_perfectly(self, trained, tmp_path, capsys):
@@ -495,6 +504,12 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run"), *flag]) == 1
         assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_a_model_too_large_to_allocate_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "run.cfg", joint_dim=10**12)  # fuse.img.w would be about 233 TiB
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert "config error: model config is too large to allocate" in capsys.readouterr().err
+        assert list((tmp_path / "run").iterdir()) == []
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_a_channel_count_the_dataset_lacks_is_a_config_error(self, tmp_path, capsys, command):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dualcap import flops
-from dualcap.autograd import Tensor, mean, mul
+from dualcap.autograd import Tensor, mean
 from dualcap.encoder import (
     EncoderConfig,
     block_branches,
@@ -27,6 +27,7 @@ from dualcap.encoder import (
 )
 from dualcap.errors import ConfigError, ContractError, ShapeError
 
+from composed import mul
 from gradcheck import check_grads
 
 

@@ -78,9 +78,9 @@ class TestPoolAndProject:
         probe = Tensor(rng.standard_normal(3))
 
         def build():
-            from dualcap.autograd import mean, mul
+            from dualcap.autograd import mean
             v = pool_and_project(feats, w, b)
-            return mean(mul(v, probe))
+            return mean(composed.mul(v, probe))
 
         check_grads(build, [feats, w, b], tol=1e-6)
 

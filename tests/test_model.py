@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from dualcap.autograd import Tape, Tensor, cross_entropy, slice_axis
+from dualcap.autograd import Tape, Tensor, cross_entropy
 from dualcap.encoder import EncoderConfig
 from dualcap.errors import ConfigError
 from dualcap.model import (
@@ -26,6 +26,7 @@ from dualcap.model import (
 )
 from dualcap.textdec import DecoderConfig, TokenSequence, Vocabulary, decode_text, encode_caption
 
+from composed import slice_axis
 from gradcheck import check_grads
 
 
@@ -95,6 +96,15 @@ class TestBuild:
         vocab = Vocabulary(["red", "dot", "blue", "box"])
         with pytest.raises(ConfigError, match="vocabulary"):
             build_model(tiny_config(len(vocab) + 1), vocab)
+
+    def test_a_config_too_large_to_allocate_is_a_config_error(self):
+        vocab = Vocabulary(["red", "dot"])
+        enc = EncoderConfig(image_size=4, patch_size=2, image_channels=3, dim=16,
+                            heads=2, window_patches=2, groups=2, depth=1)
+        dec = DecoderConfig(vocab_size=len(vocab), dim=4, heads=2, depth=1, context_width=enc.feature_width)
+        # fuse.img.w alone is 32 x 10**12 float64s, about 233 TiB: far more than any machine holds
+        with pytest.raises(ConfigError, match="model config is too large to allocate"):
+            build_model(ModelConfig(encoder=enc, decoder=dec, joint_dim=10**12), vocab)
 
     def test_same_seed_same_params(self):
         a, b = tiny_model(seed=3), tiny_model(seed=3)

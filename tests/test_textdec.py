@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dualcap.autograd import Tensor, mean, mul
+from dualcap.autograd import Tape, Tensor, mean
 from dualcap.errors import ConfigError, ContractError, VocabError
 from dualcap.textdec import (
     BOS_ID,
@@ -23,6 +23,7 @@ from dualcap.textdec import (
     tokenize,
 )
 
+from composed import mul
 from gradcheck import check_grads
 
 
@@ -267,6 +268,22 @@ class TestDecodeText:
         with pytest.raises(ConfigError, match="context"):  # checked by the call that projects
             decode_text(np.array([[BOS_ID], [BOS_ID]]), params, cfg, context=Tensor(np.zeros((2, 3, 5))),
                         cache=DecoderCache(image=np.arange(2)))
+
+    @pytest.mark.parametrize("with_context", [True, False])
+    def test_a_filled_cache_step_cannot_be_recorded(self, with_context):
+        cfg = tiny_cfg(depth=2)
+        rng = np.random.default_rng(11)
+        params = init_decoder_params(cfg, rng)
+        ctx = Tensor(rng.standard_normal((2, 3, 6))) if with_context else None
+        cache = DecoderCache(image=np.arange(2))
+        with Tape() as tape:
+            decode_text(np.array([[BOS_ID], [BOS_ID]]), params, cfg, context=ctx, cache=cache)  # a prefill records
+            assert len(tape) > 0
+            with pytest.raises(ContractError, match="generation-only"):
+                decode_text(np.array([[4], [5]]), params, cfg, context=ctx, cache=cache)
+        assert cache.length == 1 and all(k.shape[2] == 1 for k, _ in cache.past)
+        decode_text(np.array([[4], [5]]), params, cfg, context=ctx, cache=cache)  # the same step, untaped
+        assert cache.length == 2
 
     def test_gradients_match_finite_differences(self):
         cfg = tiny_cfg()

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dualcap.model as model_mod
 import dualcap.train as train_mod
 from dualcap import autograd, flops
 from dualcap.autograd import (
@@ -26,7 +27,6 @@ from dualcap.autograd import (
     mean,
     reshape,
     scale,
-    slice_axis,
     zero_grads,
 )
 from dualcap.data import make_synthetic
@@ -74,6 +74,8 @@ from dualcap.train import (
     train_step,
     training_pairs,
 )
+
+from composed import slice_axis
 
 
 def synthetic_setup(n=8, dim=16, seed=1, pos_encoding="sinusoidal", **train_kw):
@@ -304,21 +306,26 @@ def step_forward_flops(model, caption_tokens: int, batch_size: int) -> int:
     """Closed-form forward matmul FLOPs of one train step on equal-length captions.
 
     Per pair: the encoder (every block's branches, every block's tail but
-    the last), the decoder with image context, the image pooling, the
-    conditioned head (the only tied head), the context-free decoder and
-    the text pooling; per batch, the contrastive similarity matrix.
+    the last), the decoder with image context over the caption's T - 1
+    input positions, the image pooling, the conditioned head (the only
+    tied head) over those positions, the context-free decoder over all T
+    and the text pooling; per batch, the contrastive similarity matrix.
     """
     e, d, j = model.cfg.encoder, model.cfg.decoder, model.cfg.joint_dim
-    p, c, w, t = e.patches, e.dim, e.feature_width, caption_tokens
+    p, c, w = e.patches, e.dim, e.feature_width
     dd, v = d.dim, d.vocab_size
     branches = 6 * p * c * c + 4 * p * e.window_patches * c + 10 * p * c * e.group_dim  # windows + groups
     tail = 2 * p * w * c + 4 * e.ffn_expansion * p * c * c  # block projection + feed-forward
     encoder = 2 * p * e.patch_len * c + e.depth * branches + (e.depth - 1) * tail
-    self_block = 6 * t * dd * d.head_dim + 4 * t * t * dd + 4 * d.ffn_expansion * t * dd * dd
+
+    def self_block(t):
+        return 6 * t * dd * d.head_dim + 4 * t * t * dd + 4 * d.ffn_expansion * t * dd * dd
+
+    t = caption_tokens - 1
     cross = 2 * t * dd * d.head_dim + 4 * p * w * dd + 4 * t * p * dd
-    with_context = d.depth * (self_block + cross)
+    with_context = d.depth * (self_block(t) + cross)
     conditioned = 2 * t * t * dd + 2 * t * dd * j + 2 * t * j + 4 * t * j * dd + 2 * t * dd * v
-    without_context = d.depth * self_block
+    without_context = d.depth * self_block(caption_tokens)
     per_pair = encoder + with_context + 2 * w * j + conditioned + without_context + 2 * dd * j
     return batch_size * per_pair + 2 * batch_size * j * batch_size
 
@@ -340,8 +347,22 @@ class TestBatchedStep:
             else:
                 np.testing.assert_allclose(t.grad, expected_grads[name], atol=1e-12, rtol=0, err_msg=name)
 
+    def test_the_context_pass_runs_the_input_positions_and_the_text_tower_all(self, monkeypatch):
+        _, vocab, model, pairs, cfg = synthetic_setup(contrastive_weight=0.5)
+        batch = ragged_batch(vocab, pairs)
+        longest = max(len(pair.tokens.ids) for pair in batch)
+        calls = []
+
+        def spy(tokens, params, dec_cfg, context=None, cache=None):
+            calls.append((token_ids(tokens).shape, context is not None))
+            return decode_text(tokens, params, dec_cfg, context=context, cache=cache)
+
+        monkeypatch.setattr(model_mod, "decode_text", spy)
+        train_step(model, batch, AdamState(), cfg)
+        assert sorted(calls) == [((len(batch), longest - 1), True), ((len(batch), longest), False)]
+
     @pytest.mark.parametrize("patches", [16, 256])
-    def test_records_at_most_60_tape_ops(self, monkeypatch, patches):
+    def test_records_at_most_59_tape_ops(self, monkeypatch, patches):
         ds, vocab, model, pairs, cfg = synthetic_setup()
         if patches == 256:  # 32 x 32 images in patches of 2, dim 32: the same ops on bigger arrays
             ds = make_synthetic(8, grid=32, seed=0)
@@ -360,7 +381,7 @@ class TestBatchedStep:
 
         monkeypatch.setattr(autograd.Tape, "backward", counting_backward)
         train_step(model, pairs, AdamState(), cfg)
-        assert len(records) == 1 and records[0] <= 60
+        assert len(records) == 1 and records[0] <= 59
 
     def test_forward_flops_match_the_closed_form(self):
         ds, vocab, model, pairs, cfg = synthetic_setup()
