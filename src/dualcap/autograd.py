@@ -612,6 +612,8 @@ def attention(
     the softmax weights P as an (n, ..., T_q, T_k) array, and the
     (keys, values) the scores read).
     """
+    if (wk is None) != (wv is None) or (wk is None and cached is None):
+        raise ContractError("attention: give wk and wv together, or neither with cached keys and values")
     inputs = (x, wq) if wk is None else (x, wq, wk, wv) + (() if context is None else (context,))
     if cached is not None and Tape._active is not None and any(t.requires_grad for t in inputs):
         raise ContractError("attention: a step over cached keys and values is generation-only and cannot be recorded")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import flops
 from .autograd import Tensor
 from .checkpoint import load_checkpoint, model_from_checkpoint, save_model
-from .data import CaptionDataset, load_dataset, make_synthetic, read_netpbm, write_netpbm
+from .data import CaptionDataset, Record, load_dataset, make_synthetic, read_netpbm, write_netpbm
 from .encoder import (
     EncoderConfig,
     channel_group_attention,
@@ -40,7 +40,7 @@ from .errors import (
     VocabError,
 )
 from .metrics import ScoredCorpus, format_reports, score_report
-from .model import ModelConfig, build_model, encode_image, set_channel_stats
+from .model import CaptionModel, ModelConfig, build_model, encode_image, set_channel_stats
 from .textdec import DecoderConfig, Vocabulary
 from .train import (
     TrainConfig,
@@ -56,51 +56,40 @@ from .train import (
 BENCH_PATCHES = (64, 128, 256, 512)
 
 
-@dataclass
-class RunConfig:
-    """Every tunable of a run, flat so a key=value file covers it all."""
+# The CLI defaults that differ from the typed configs' own (or stand in where those have none).
+CLI_DEFAULTS = {"image_size": 16, "patch_size": 4, "dim": 16, "dec_dim": 16, "joint_dim": 8}
 
+
+def _config_keys(cls, prefix: str = "", derived: tuple[str, ...] = ()) -> list[tuple]:
+    """One (key, type, default) per field of a typed config, less the fields a run derives."""
+    return [
+        (prefix + f.name, f.type, CLI_DEFAULTS.get(prefix + f.name, f.default))
+        for f in fields(cls) if f.name not in derived
+    ]
+
+
+RunConfig = make_dataclass("RunConfig", [
     # dataset: either synthetic=N or images=DIR with captions=FILE
-    images: str = ""
-    captions: str = ""
-    synthetic: int = 0
-    ratios: tuple = (0.8, 0.1, 0.1)
-    min_freq: int = 1
-    # vision encoder
-    image_size: int = 16
-    patch_size: int = 4
-    image_channels: int = 3
-    dim: int = 16
-    heads: int = 2
-    window_patches: int = 4
-    groups: int = 4
-    depth: int = 1
-    mode: str = "dual"
-    window_layout: str = "1d"
-    pos_encoding: str = "sinusoidal"
-    ffn_expansion: int = 4
-    # text decoder and fusion
-    dec_dim: int = 16
-    dec_heads: int = 2
-    dec_depth: int = 1
-    dec_ffn_expansion: int = 4
-    joint_dim: int = 8
-    # optimization
-    lr: float = 0.003
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    contrastive_weight: float = 0.5
-    batch_size: int = 8
-    epochs: int = 1
+    ("images", str, ""),
+    ("captions", str, ""),
+    ("synthetic", int, 0),
+    ("ratios", tuple, (0.8, 0.1, 0.1)),
+    ("min_freq", int, 1),
+    # model and optimization: the typed configs' fields, the decoder's under dec_
+    *_config_keys(EncoderConfig),
+    *_config_keys(DecoderConfig, "dec_", derived=("vocab_size", "context_width")),
+    *_config_keys(ModelConfig, derived=("encoder", "decoder")),
+    *_config_keys(TrainConfig),
+    ("epochs", int, 1),
     # generation and evaluation
-    max_len: int = 16
-    beam_width: int = 1
-    eval_split: str = "val"
+    ("max_len", int, 16),
+    ("beam_width", int, 1),
+    ("eval_split", str, "val"),
     # run plumbing
-    vocab: str = ""
-    seed: int = 0
-    out: str = "out"
+    ("vocab", str, ""),
+    ("seed", int, 0),
+    ("out", str, "out"),
+], namespace={"__doc__": "Every tunable of a run, flat so a key=value file covers it all.", "__module__": __name__})
 
 
 _CASTS = {int: int, float: float, str: str, tuple: lambda raw: tuple(float(p) for p in raw.split(","))}
@@ -134,7 +123,7 @@ def parse_config_file(path) -> dict[str, str]:
 def run_config(args) -> RunConfig:
     """The RunConfig for parsed CLI args: file values, then flag overrides."""
     rc = RunConfig()
-    known = {f.name: f.type for f in fields(RunConfig)}
+    known = {f.name for f in fields(RunConfig)}
     if args.config:
         for key, value in parse_config_file(args.config).items():
             if key not in known:
@@ -153,29 +142,19 @@ def run_config(args) -> RunConfig:
     return rc
 
 
-def encoder_config(rc: RunConfig) -> EncoderConfig:
-    return EncoderConfig(
-        image_size=rc.image_size, patch_size=rc.patch_size, image_channels=rc.image_channels,
-        dim=rc.dim, heads=rc.heads, window_patches=rc.window_patches, groups=rc.groups,
-        depth=rc.depth, mode=rc.mode, window_layout=rc.window_layout,
-        pos_encoding=rc.pos_encoding, ffn_expansion=rc.ffn_expansion,
-    )
+def typed_config(cls, rc: RunConfig, prefix: str = "", /, **derived):
+    """``cls`` from the run's keys for its fields (each named prefix + field), plus the derived fields."""
+    return cls(**{f.name: getattr(rc, prefix + f.name) for f in fields(cls) if f.name not in derived}, **derived)
 
 
 def model_config(rc: RunConfig, vocab_size: int) -> ModelConfig:
-    enc = encoder_config(rc)
-    dec = DecoderConfig(
-        vocab_size=vocab_size, dim=rc.dec_dim, heads=rc.dec_heads, depth=rc.dec_depth,
-        context_width=enc.feature_width, ffn_expansion=rc.dec_ffn_expansion,
-    )
-    return ModelConfig(encoder=enc, decoder=dec, joint_dim=rc.joint_dim)
+    enc = typed_config(EncoderConfig, rc)
+    dec = typed_config(DecoderConfig, rc, "dec_", vocab_size=vocab_size, context_width=enc.feature_width)
+    return typed_config(ModelConfig, rc, encoder=enc, decoder=dec)
 
 
 def train_config(rc: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        lr=rc.lr, beta1=rc.beta1, beta2=rc.beta2, eps=rc.eps,
-        contrastive_weight=rc.contrastive_weight, batch_size=rc.batch_size,
-    )
+    return typed_config(TrainConfig, rc)
 
 
 def load_run_dataset(rc: RunConfig) -> CaptionDataset:
@@ -192,11 +171,28 @@ def out_dir(rc: RunConfig) -> Path:
     return out
 
 
-def load_vocab(rc: RunConfig, checkpoint_path) -> Vocabulary:
+def train_vocab(rc: RunConfig, ds: CaptionDataset) -> tuple[Vocabulary, int]:
+    """The vocabulary of the training captions, and how many there are."""
+    captions = [c for _, c in ds.caption_pairs("train")]
+    if not captions:
+        raise DataError("training split has no captions")
+    return Vocabulary.from_corpus(captions, min_freq=rc.min_freq), len(captions)
+
+
+def eval_records(rc: RunConfig, ds: CaptionDataset) -> list[Record]:
+    records = ds.split_records(rc.eval_split)
+    if not records:
+        raise DataError(f"split {rc.eval_split!r} is empty")
+    return records
+
+
+def load_run_model(rc: RunConfig, checkpoint_path) -> CaptionModel:
+    """The checkpoint's model, with the vocab key's vocabulary or else the vocab.txt beside it."""
+    ckpt = load_checkpoint(checkpoint_path)
     path = Path(rc.vocab) if rc.vocab else Path(checkpoint_path).parent / "vocab.txt"
     if not path.exists():
         raise DataError(f"vocabulary file {path} not found (set the vocab= config key)")
-    return Vocabulary.load(path)
+    return model_from_checkpoint(ckpt, Vocabulary.load(path))[0]
 
 
 def load_image(path, cfg: EncoderConfig) -> Tensor:
@@ -220,10 +216,7 @@ def cmd_train(args) -> int:
     if used:
         raise ConfigError(f"--out {out} already holds a run ({used[0]} exists); give a new directory")
     ds = load_run_dataset(rc)
-    captions = [c for _, c in ds.caption_pairs("train")]
-    if not captions:
-        raise DataError("training split has no captions")
-    vocab = Vocabulary.from_corpus(captions, min_freq=rc.min_freq)
+    vocab, _ = train_vocab(rc, ds)
     model = build_model(model_config(rc, len(vocab)), vocab, seed=rc.seed)
     set_channel_stats(model, ds.mean, ds.std)
     vocab.save(out / "vocab.txt")
@@ -248,12 +241,10 @@ def cmd_train(args) -> int:
 
 def cmd_caption(args) -> int:
     rc = run_config(args)
-    ckpt = load_checkpoint(args.checkpoint)
-    vocab = load_vocab(rc, args.checkpoint)
-    model, _ = model_from_checkpoint(ckpt, vocab)
+    model = load_run_model(rc, args.checkpoint)
     image = load_image(args.image, model.cfg.encoder)
     seq = generate(model, image, max_len=rc.max_len, beam_width=rc.beam_width)
-    print(sequence_text(vocab, seq))
+    print(sequence_text(model.vocab, seq))
     return 0
 
 
@@ -261,12 +252,8 @@ def cmd_eval(args) -> int:
     rc = run_config(args)
     out = out_dir(rc)
     ds = load_run_dataset(rc)
-    ckpt = load_checkpoint(args.checkpoint)
-    vocab = load_vocab(rc, args.checkpoint)
-    model, _ = model_from_checkpoint(ckpt, vocab)
-    records = ds.split_records(rc.eval_split)
-    if not records:
-        raise DataError(f"split {rc.eval_split!r} is empty")
+    model = load_run_model(rc, args.checkpoint)
+    records = eval_records(rc, ds)
     generated = caption_records(model, records, max_len=rc.max_len, beam_width=rc.beam_width)
     with open(out / "candidates.tsv", "w") as f:
         for name, (hypothesis, _) in generated.items():
@@ -281,9 +268,7 @@ def cmd_eval(args) -> int:
 def cmd_heatmap(args) -> int:
     rc = run_config(args)
     out = out_dir(rc)
-    ckpt = load_checkpoint(args.checkpoint)
-    vocab = load_vocab(rc, args.checkpoint)
-    model, _ = model_from_checkpoint(ckpt, vocab)
+    model = load_run_model(rc, args.checkpoint)
     image = load_image(args.image, model.cfg.encoder)
     enc_out = encode_image(model, image)
     stem = Path(args.image).stem
@@ -299,13 +284,11 @@ def cmd_ablate(args) -> int:
     rc = run_config(args)
     out = out_dir(rc)
     ds = load_run_dataset(rc)
-    captions = [c for _, c in ds.caption_pairs("train")]
-    if not captions:
-        raise DataError("training split has no captions")
-    vocab = Vocabulary.from_corpus(captions, min_freq=rc.min_freq)
-    steps = rc.epochs * steps_per_epoch(len(ds.caption_pairs("train")), rc.batch_size)
+    vocab, n_captions = train_vocab(rc, ds)
+    steps = rc.epochs * steps_per_epoch(n_captions, rc.batch_size)
     if steps < 1:
         raise ConfigError("ablate needs epochs >= 1")
+    eval_records(rc, ds)  # an empty eval split fails here, not after the first variant trains
     reports = run_ablation(
         ds, vocab, model_config(rc, len(vocab)), train_config(rc), steps,
         seed=rc.seed, eval_split=rc.eval_split, max_len=rc.max_len,

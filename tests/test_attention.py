@@ -185,3 +185,10 @@ class TestFusedAttention:
         with pytest.raises(ShapeError, match="do not cover"):
             attention(x, Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))), 1.0,
                       windows=np.arange(4).reshape(2, 2))
+
+    @pytest.mark.parametrize("keys", ["none", "wk only", "wv only"])
+    def test_key_and_value_weights_come_together_or_cached_replaces_them(self, keys):
+        w = Tensor(np.zeros((2, 2, 3)))
+        wk, wv = {"none": (None, None), "wk only": (w, None), "wv only": (None, w)}[keys]
+        with pytest.raises(ContractError, match="wk and wv together"):
+            attention(Tensor(np.zeros((2, 3, 4))), w, wk, wv, 0.5)

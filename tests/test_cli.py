@@ -13,7 +13,7 @@ import struct
 import subprocess
 import sys
 import zlib
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +25,10 @@ from dualcap.cli import (
     RunConfig,
     bench_rows,
     main,
+    model_config,
     parse_config_file,
     run_config,
+    train_config,
 )
 from dualcap.data import make_synthetic, read_netpbm, write_dataset
 from dualcap.checkpoint import save_model
@@ -43,6 +45,52 @@ CFG_KEYS = {
     "heads": 2, "window_patches": 4, "groups": 4, "depth": 1,
     "batch_size": 8, "lr": 0.003, "max_len": 12, "eval_split": "train", "seed": 0,
 }
+
+
+# every model and training key: a valid non-default value and the typed field it must reach
+TYPED_KEYS = [
+    ("image_size", "32", "encoder.image_size", 32),
+    ("patch_size", "8", "encoder.patch_size", 8),
+    ("image_channels", "1", "encoder.image_channels", 1),
+    ("dim", "32", "encoder.dim", 32),
+    ("heads", "4", "encoder.heads", 4),
+    ("window_patches", "8", "encoder.window_patches", 8),
+    ("groups", "2", "encoder.groups", 2),
+    ("depth", "2", "encoder.depth", 2),
+    ("mode", "spatial", "encoder.mode", "spatial"),
+    ("window_layout", "2d", "encoder.window_layout", "2d"),
+    ("pos_encoding", "learned", "encoder.pos_encoding", "learned"),
+    ("ffn_expansion", "2", "encoder.ffn_expansion", 2),
+    ("dec_dim", "32", "decoder.dim", 32),
+    ("dec_heads", "4", "decoder.heads", 4),
+    ("dec_depth", "2", "decoder.depth", 2),
+    ("dec_ffn_expansion", "2", "decoder.ffn_expansion", 2),
+    ("joint_dim", "4", "model.joint_dim", 4),
+    ("lr", "0.01", "train.lr", 0.01),
+    ("beta1", "0.8", "train.beta1", 0.8),
+    ("beta2", "0.99", "train.beta2", 0.99),
+    ("eps", "1e-6", "train.eps", 1e-6),
+    ("contrastive_weight", "0.25", "train.contrastive_weight", 0.25),
+    ("batch_size", "4", "train.batch_size", 4),
+]
+
+# the "key = default" lines of `dualcap <cmd> --help`, in order
+HELP_KEYS = [
+    "images = ", "captions = ", "synthetic = 0", "ratios = 0.8,0.1,0.1", "min_freq = 1",
+    "image_size = 16", "patch_size = 4", "image_channels = 3", "dim = 16", "heads = 2",
+    "window_patches = 4", "groups = 4", "depth = 1", "mode = dual", "window_layout = 1d",
+    "pos_encoding = sinusoidal", "ffn_expansion = 4",
+    "dec_dim = 16", "dec_heads = 2", "dec_depth = 1", "dec_ffn_expansion = 4", "joint_dim = 8",
+    "lr = 0.003", "beta1 = 0.9", "beta2 = 0.999", "eps = 1e-08", "contrastive_weight = 0.5", "batch_size = 8",
+    "epochs = 1", "max_len = 16", "beam_width = 1", "eval_split = val", "vocab = ", "seed = 0", "out = out",
+]
+
+
+def readme_model_config(vocab_size):
+    """The model a config file with no model keys asks for, built by hand."""
+    enc = EncoderConfig(image_size=16, patch_size=4, dim=16)
+    dec = DecoderConfig(vocab_size=vocab_size, dim=16, context_width=enc.feature_width)
+    return ModelConfig(encoder=enc, decoder=dec, joint_dim=8)
 
 
 def write_cfg(path, **overrides):
@@ -130,6 +178,28 @@ class TestConfigParsing:
     def test_defaults_without_config(self):
         args = type("A", (), {"config": None, "seed": None, "out": None})
         assert run_config(args) == RunConfig()
+
+    def test_default_keys_give_the_readme_model_and_the_library_training_config(self):
+        assert model_config(RunConfig(), 10) == readme_model_config(10)
+        assert train_config(RunConfig()) == TrainConfig()
+
+    @pytest.mark.parametrize("key, text, target, value", TYPED_KEYS, ids=[k[0] for k in TYPED_KEYS])
+    def test_every_model_and_training_key_reaches_its_typed_field(self, tmp_path, key, text, target, value):
+        p = tmp_path / "a.cfg"
+        p.write_text(f"{key} = {text}\n")
+        rc = run_config(type("A", (), {"config": str(p), "seed": None, "out": None}))
+        section, name = target.split(".")
+        if section == "train":
+            assert getattr(TrainConfig(), name) != value
+            assert train_config(rc) == replace(TrainConfig(), **{name: value})
+            return
+        default = readme_model_config(10)
+        assert getattr(default if section == "model" else getattr(default, section), name) != value
+        enc = replace(default.encoder, **{name: value}) if section == "encoder" else default.encoder
+        dec = replace(default.decoder, **{name: value}) if section == "decoder" else default.decoder
+        joint_dim = value if section == "model" else default.joint_dim
+        want = ModelConfig(encoder=enc, decoder=replace(dec, context_width=enc.feature_width), joint_dim=joint_dim)
+        assert model_config(rc, 10) == want
 
 
 class TestTrainCommand:
@@ -433,6 +503,14 @@ class TestAblateCommand:
         for variant in ("dual", "dual-nc", "spatial", "channel-nc", "global"):
             assert f"\n{variant} " in table or table.startswith(f"{variant} ")
 
+    def test_an_empty_eval_split_is_a_data_error_before_any_training(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"  # the README's smallest config: 8 synthetic images leave val empty
+        cfg.write_text("synthetic = 8\nimage_size = 16\ndim = 16\ndec_dim = 16\njoint_dim = 8\n"
+                       "epochs = 50\nlr = 0.003\nseed = 1\n")
+        assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 2
+        assert "data error: split 'val' is empty" in capsys.readouterr().err
+        assert not (tmp_path / "ab" / "ablation.txt").exists()
+
 
 class TestBenchCommand:
     def test_table_flops_match_closed_forms(self, tmp_path, capsys):
@@ -524,6 +602,11 @@ class TestExitCodes:
         assert "  ratios = 0.8,0.1,0.1\n" in out
         for f in fields(RunConfig):
             assert f"\n  {f.name} = " in out, f.name
+
+    def test_train_help_lists_the_config_keys_in_order(self, capsys):
+        assert main(["train", "--help"]) == 0
+        listing = capsys.readouterr().out.split("config keys (key = default):\n", 1)[1]
+        assert [line.removeprefix("  ") for line in listing.splitlines()] == HELP_KEYS
 
     def test_unknown_subcommand(self, capsys):
         assert main(["nonsense"]) == 1
