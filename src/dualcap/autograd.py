@@ -580,7 +580,7 @@ def attention(
     context: Tensor | None = None,
     cached: tuple[Array, Array] | None = None,
     mask: Array | None = None,
-    windows: Array | None = None,
+    window: int | None = None,
     channels: bool = False,
 ):
     """One attention branch as one tape op: project, softmax(Q K^T * factor + mask) V, merge the heads.
@@ -600,8 +600,8 @@ def attention(
     that would be recorded (a tape is active and an input requires
     grad) raises ContractError.
     ``mask`` is added to the scores, broadcast against (n, ..., T, T_k).
-    ``windows`` is an (N_w, P_w) array of row indices: the rows of each
-    window attend only among themselves.  With ``channels`` every head
+    With ``window`` each run of that many consecutive rows is one window
+    whose rows attend only among themselves.  With ``channels`` every head
     attends over its d feature columns instead of its rows, reading its
     projections transposed, so its scores are d x d whatever T is.
 
@@ -620,14 +620,11 @@ def attention(
     lead, (t, c) = x.shape[:-2], x.shape[-2:]
     wq_heads, q_full = _heads(wq, c)
     n, _, d = wq_heads.shape
-    rows, items, rows_per_item, order = x.data.reshape(-1, c), lead, t, None
-    if windows is not None:
-        if windows.size != t:
-            raise ShapeError(f"attention: windows {windows.shape} do not cover {t} rows")
-        items, rows_per_item = lead + windows.shape[:1], windows.shape[1]
-        if not np.array_equal(windows.reshape(-1), np.arange(t)):  # not runs of consecutive rows: gather them
-            order = windows.reshape(-1)
-            rows = x.data[..., order, :].reshape(-1, c)
+    rows, items, rows_per_item = x.data.reshape(-1, c), lead, t
+    if window is not None:
+        if window < 1 or t % window != 0:
+            raise ShapeError(f"attention: {window}-row windows do not tile {t} rows")
+        items, rows_per_item = lead + (t // window,), window
     q = _project(rows, wq_heads, q_full).reshape((n,) + items + (rows_per_item, d))
     if wk is None:
         k, v = cached
@@ -665,12 +662,9 @@ def attention(
     else:
         np.matmul(p, v, out=_heads_first(heads))
     out = heads.reshape(lead + (t, n * d))
-    if order is not None:
-        out = np.empty_like(out)
-        out[..., order, :] = heads.reshape(out.shape)
 
     def grad_fn(g: Array):
-        do = _heads_first((g if order is None else g[..., order, :]).reshape(items + (rows_per_item, n, d)))
+        do = _heads_first(g.reshape(items + (rows_per_item, n, d)))
         # Gradients of the projections go straight into side-by-side slots, one buffer per input they read.
         own = context is None
         buf, slots = _grad_slots(q.shape, 3 if own else 1, q_full)
@@ -697,11 +691,7 @@ def attention(
         if not own:
             dsource, (dwk, dwv) = _project_grad(source_rows, [wk_heads, wv_heads], kv_full, source_buf)
             grads += [dwk, dwv, dsource.reshape(context.shape)]
-        if order is None:
-            dx = drows.reshape(x.shape)
-        else:
-            dx = np.empty_like(x.data)
-            dx[..., order, :] = drows.reshape(x.shape)
+        dx = drows.reshape(x.shape)
         return (dx,) + tuple(gw.reshape(w.shape) for gw, w in zip(grads, (wq, wk, wv))) + tuple(grads[3:])
 
     return _record(_new(out), inputs, grad_fn), p, (k, v)

@@ -272,7 +272,7 @@ def cmd_heatmap(args) -> int:
     image = load_image(args.image, model.cfg.encoder)
     enc_out = encode_image(model, image)
     stem = Path(args.image).stem
-    for block in range(model.cfg.encoder.depth):
+    for block in range(max(model.cfg.encoder.depth, 1)):  # depth 0 ends in heatmap's "no blocks" error
         gray = heatmap_to_gray(heatmap(enc_out, block=block))
         path = out / f"{stem}-heatmap-block{block}.pgm"
         write_netpbm(path, gray)
@@ -319,7 +319,7 @@ def bench_rows(rc: RunConfig) -> list[dict]:
         row = {"patches": p}
         for kernel, run in (
             ("global", lambda: global_attention(x, *heads)),
-            ("windowed", lambda: spatial_window_attention(x, *spatial, (1, rc.window_patches))),
+            ("windowed", lambda: spatial_window_attention(x, *spatial, rc.window_patches)),
             ("channel", lambda: channel_group_attention(x, *groups)),
         ):
             with flops.count_flops() as counter:

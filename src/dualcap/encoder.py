@@ -47,6 +47,7 @@ from .autograd import (
     gelu,
     layer_norm,
     matmul,
+    take_rows,
 )
 from .errors import ConfigError, ContractError, ShapeError
 from .init import ones_init, uniform_init, zeros_init
@@ -151,14 +152,6 @@ class EncoderConfig:
         """Width of the encoder output rows: 2C past any block, C otherwise."""
         return 2 * self.dim if self.depth >= 1 else self.dim
 
-    @property
-    def window_shape(self) -> tuple[int, int]:
-        """One spatial window as (rows, columns) of patches; see window_patch_indices."""
-        if self.window_layout == "1d":
-            return 1, self.window_patches
-        side = math.isqrt(self.window_patches)
-        return side, side
-
 
 @dataclass
 class EncoderOutput:
@@ -166,7 +159,9 @@ class EncoderOutput:
 
     For a batch every shape gains a leading B axis.  A depth-D encoder
     has D entries in each weight list: every block runs its branches,
-    and only the D-1 blocks another block reads run their tails.
+    and only the D-1 blocks another block reads run their tails.  Rows
+    of the features, and the windows of the spatial weights, run in
+    window order: row i holds grid patch ``patch_order(cfg)[i]``.
     """
 
     features: Tensor  # final block's pre-projection concat P x 2C for depth >= 1, else the P x C embeddings
@@ -214,8 +209,27 @@ def _sinusoid_table(count: int, dim: int) -> np.ndarray:
     return table
 
 
+def _window_major(blocks: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
+    """(..., g, u, g, v) grids of blocks as (N, g/s, g/s, s, s, u, v): their s x s tiles, row-major.
+
+    s is the 2d window side; 1d windows (s = 1) keep row-major grid order.
+    """
+    s = math.isqrt(cfg.window_patches) if cfg.window_layout == "2d" else 1
+    g, u, _, v = blocks.shape[-4:]
+    return blocks.reshape(-1, g // s, s, u, g // s, s, v).transpose(0, 1, 4, 2, 5, 3, 6)
+
+
+def patch_order(cfg: EncoderConfig) -> np.ndarray:
+    """The grid patch (row-major index) behind each encoder row: (P,) ints, window by window.
+
+    Each window is a run of window_patches consecutive rows.  The order is
+    the identity for 1d layouts; 2d ones take the grid's square tiles row-major.
+    """
+    return _window_major(np.arange(cfg.patches).reshape(cfg.grid, 1, cfg.grid, 1), cfg).reshape(-1)
+
+
 def split_patches(image: Tensor, cfg: EncoderConfig) -> np.ndarray:
-    """Cut (B x) H x W x ch pixels into P rows of row-major flattened patches."""
+    """Cut (B x) H x W x ch pixels into P rows of row-major flattened patches, in patch_order."""
     lead, (h, w, ch) = image.shape[:-3], image.shape[-3:]
     if image.data.ndim not in (3, 4) or (h, w, ch) != (cfg.image_size, cfg.image_size, cfg.image_channels):
         raise ShapeError(
@@ -223,50 +237,22 @@ def split_patches(image: Tensor, cfg: EncoderConfig) -> np.ndarray:
             f"({cfg.image_size}, {cfg.image_size}, {cfg.image_channels})"
         )
     g, ps = cfg.grid, cfg.patch_size
-    tiles = np.swapaxes(image.data.reshape(lead + (g, ps, g, ps, ch)), -4, -3)
+    tiles = _window_major(image.data.reshape(lead + (g, ps, g, ps * ch)), cfg)
     return tiles.reshape(lead + (cfg.patches, cfg.patch_len))
 
 
 def embed_patches(image: Tensor, cfg: EncoderConfig, w_proj: Tensor, positions: Tensor) -> Tensor:
-    """Flatten patches row-major, project linearly to C, add positions: (B x) P x C.
+    """Flatten patches row-major, project linearly to C, add positions: (B x) P x C in patch_order.
 
-    The projection carries no bias so a zero image with zero positions
-    embeds to exactly zero.
+    ``positions`` row i belongs to grid patch i.  The projection carries
+    no bias so a zero image with zero positions embeds to exactly zero.
     """
     patches = Tensor(split_patches(image, cfg))
     if w_proj.shape != (cfg.patch_len, cfg.dim):
         raise ShapeError(f"patch projection must be {(cfg.patch_len, cfg.dim)}, got {w_proj.shape}")
     if positions.shape != (cfg.patches, cfg.dim):
         raise ShapeError(f"positions must be {(cfg.patches, cfg.dim)}, got {positions.shape}")
-    return add_bias(matmul(patches, w_proj), positions)
-
-
-def _windows(patches: int, window: tuple[int, int]) -> np.ndarray:
-    """The (N_w, P_w) array behind window_patch_indices.
-
-    A 1 x n window is a run of n consecutive patch indices, i.e. a 1 x n
-    tile of a (P/n) x n grid; a taller window is a tile of the square
-    patch grid.  Windows that do not tile the patches raise ShapeError.
-    """
-    wr, wc = window
-    side = math.isqrt(patches)
-    if wr == 1 and wc >= 1 and patches % wc == 0:
-        rows, tr, cols, tc = patches // wc, 1, 1, wc
-    elif wr > 1 and wc >= 1 and side * side == patches and side % wr == 0 and side % wc == 0:
-        rows, tr, cols, tc = side // wr, wr, side // wc, wc
-    else:
-        raise ShapeError(f"{wr} x {wc} windows do not tile {patches} patches")
-    return np.arange(patches).reshape(rows, tr, cols, tc).transpose(0, 2, 1, 3).reshape(rows * cols, tr * tc)
-
-
-def window_patch_indices(patches: int, window: tuple[int, int]) -> list[list[int]]:
-    """Partition of patch indices into attention windows, in window order.
-
-    ``window`` is (rows, columns) as in EncoderConfig.window_shape: 1 x n
-    windows are contiguous runs in row-major patch order, taller ones
-    tiles of the square patch grid.
-    """
-    return _windows(patches, window).tolist()
+    return add_bias(matmul(patches, w_proj), take_rows(positions, patch_order(cfg)))
 
 
 def _per_item(weights: np.ndarray) -> np.ndarray:
@@ -301,23 +287,21 @@ def global_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor):
     return out, _per_item(attn)
 
 
-def spatial_window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, window: tuple[int, int]):
+def spatial_window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, window_patches: int):
     """Single-head attention restricted to disjoint patch windows.
 
-    ``window`` is one window's (rows, columns) of patches, as in
-    window_patch_indices.  All windows share one set of C x C
-    projections; scores inside a window are scaled by 1/sqrt(C).
-    Patches never attend outside their window, which caps the score
-    matrices at P_w x P_w and keeps the cost linear in P.  Returns
-    (output P x C in original patch order, weights N_w x P_w x P_w in
-    window order).
+    Each run of ``window_patches`` consecutive rows is one window, so
+    rows in patch_order make the configured 1d or 2d windows.  All
+    windows share one set of C x C projections; scores inside a window
+    are scaled by 1/sqrt(C).  Patches never attend outside their window,
+    which caps the score matrices at P_w x P_w and keeps the cost linear
+    in P.  Returns (output P x C, weights N_w x P_w x P_w).
     """
-    p, c = x.shape[-2:]
+    c = x.shape[-1]
     if wq.shape != (c, c) or wk.shape != (c, c) or wv.shape != (c, c):
         raise ShapeError(f"spatial_window_attention: projections must be {(c, c)}, got {wq.shape}")
-    windows = _windows(p, window)
     with flops.scope("spatial_window"):
-        out, attn, _ = attention(x, wq, wk, wv, 1.0 / math.sqrt(c), windows=windows)
+        out, attn, _ = attention(x, wq, wk, wv, 1.0 / math.sqrt(c), window=window_patches)
     return out, attn[0]
 
 
@@ -383,7 +367,7 @@ def block_branches(x: Tensor, params: dict[str, Tensor], prefix: str, cfg: Encod
     for branch in ("spatial", "channel") if cfg.mode == "dual" else (cfg.mode,):
         wq, wk, wv = (params[f"{prefix}.{branch}.{name}"] for name in ("wq", "wk", "wv"))
         if branch == "spatial":
-            out, attn[branch] = spatial_window_attention(x, wq, wk, wv, cfg.window_shape)
+            out, attn[branch] = spatial_window_attention(x, wq, wk, wv, cfg.window_patches)
         elif branch == "channel":
             out, attn[branch] = channel_group_attention(x, wq, wk, wv)
         else:
@@ -444,36 +428,37 @@ def encode(image: Tensor, cfg: EncoderConfig, params: dict[str, Tensor]) -> Enco
 
 
 def patch_saliency(output: EncoderOutput, block: int = -1) -> np.ndarray:
-    """Attention received per patch: column sums of one block's window weights.
+    """Attention received per grid patch: column sums of one block's window weights, (B x) P.
 
     Every query row of the window attention is a distribution over the
-    window's patches, so the raw saliency over all P patches sums to P.
+    window's patches, so an image's raw saliency sums to P.  Entry i is
+    grid patch i (row-major) whatever the window layout.
     """
-    if not output.spatial_weights:
+    depth = len(output.spatial_weights)
+    if depth == 0:
         raise ContractError("patch_saliency: encoder has no blocks")
+    if not -depth <= block < depth:
+        raise ContractError(f"patch_saliency: block {block} is out of range for encoder depth {depth}")
     weights = output.spatial_weights[block]
     if weights is None:
         raise ContractError(f"patch_saliency: block {block} has no spatial branch (mode {output.cfg.mode!r})")
-    cfg = output.cfg
-    saliency = np.zeros(cfg.patches)
-    for w, idx in enumerate(window_patch_indices(cfg.patches, cfg.window_shape)):
-        saliency[np.asarray(idx)] += weights[w].sum(axis=0)
+    received = weights.sum(axis=-2).reshape(weights.shape[:-3] + (-1,))  # per encoder row
+    saliency = np.empty_like(received)
+    saliency[..., patch_order(output.cfg)] = received
     return saliency
 
 
 def heatmap(output: EncoderOutput, block: int = -1) -> np.ndarray:
-    """Min-max normalized saliency as a grid x grid map in [0, 1].
+    """Min-max normalized saliency as a (B x) grid x grid map in [0, 1], each image on its own.
 
     A constant saliency map normalizes to all zeros.
     """
     saliency = patch_saliency(output, block)
-    lo, hi = saliency.min(), saliency.max()
-    if hi > lo:
-        saliency = (saliency - lo) / (hi - lo)
-    else:
-        saliency = np.zeros_like(saliency)
+    lo = saliency.min(axis=-1, keepdims=True)
+    span = saliency.max(axis=-1, keepdims=True) - lo
+    saliency = np.divide(saliency - lo, span, out=np.zeros_like(saliency), where=span > 0)
     g = output.cfg.grid
-    return saliency.reshape(g, g)
+    return saliency.reshape(saliency.shape[:-1] + (g, g))
 
 
 def heatmap_to_gray(hm: np.ndarray) -> np.ndarray:

@@ -391,11 +391,7 @@ def ablate(
     if variant not in ABLATION_VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}, expected one of {ABLATION_VARIANTS}")
     mode, _, suffix = variant.partition("-")
-    cfg = ModelConfig(
-        encoder=replace(model_cfg.encoder, mode=mode),
-        decoder=model_cfg.decoder,
-        joint_dim=model_cfg.joint_dim,
-    )
+    cfg = replace(model_cfg, encoder=replace(model_cfg.encoder, mode=mode))
     tcfg = replace(train_cfg, contrastive_weight=0.0) if suffix == "nc" else train_cfg
     model = build_model(cfg, vocab, seed=seed)
     set_channel_stats(model, ds.mean, ds.std)

@@ -43,7 +43,6 @@ from dualcap.encoder import (
     init_encoder_params,
     patch_saliency,
     spatial_window_attention,
-    window_patch_indices,
 )
 from dualcap.fusion import contrastive_loss, retrieval_accuracy
 from dualcap.metrics import ScoredCorpus, bleu, cider, meteor, rouge_l
@@ -220,11 +219,11 @@ def test_criterion_2_attention_algebra():
         # window locality: perturbing window 1 leaves window 0 bit-exact
         x = Tensor(rng.standard_normal((dual.patches, dual.dim)))
         wq, wk, wv = (Tensor(rng.standard_normal((dual.dim, dual.dim))) for _ in range(3))
-        base_out, base_w = spatial_window_attention(x, wq, wk, wv, dual.window_shape)
-        idx = window_patch_indices(dual.patches, dual.window_shape)
+        base_out, base_w = spatial_window_attention(x, wq, wk, wv, dual.window_patches)
+        idx = np.arange(dual.patches).reshape(dual.windows, dual.window_patches)  # runs of consecutive rows
         bumped = x.data.copy()
         bumped[idx[1]] += 1.0
-        pert_out, pert_w = spatial_window_attention(Tensor(bumped), wq, wk, wv, dual.window_shape)
+        pert_out, pert_w = spatial_window_attention(Tensor(bumped), wq, wk, wv, dual.window_patches)
         np.testing.assert_array_equal(base_w[0], pert_w[0])
         np.testing.assert_array_equal(base_out.data[idx[0]], pert_out.data[idx[0]])
         assert not np.array_equal(base_w[1], pert_w[1])
@@ -244,7 +243,7 @@ def test_criterion_2_attention_algebra():
         # one window spanning every patch equals single-head global attention
         whole = EncoderConfig(image_size=8, patch_size=2, image_channels=3, dim=8,
                               heads=1, window_patches=16, groups=4, depth=1)
-        win_out, _ = spatial_window_attention(x, wq, wk, wv, whole.window_shape)
+        win_out, _ = spatial_window_attention(x, wq, wk, wv, whole.window_patches)
         glob_out, _ = global_attention(x, *one_head(wq, wk, wv))
         np.testing.assert_allclose(win_out.data, glob_out.data, atol=1e-12)
 
@@ -259,7 +258,7 @@ def test_criterion_3_complexity_accounting():
             x = Tensor(rng.standard_normal((p, c)))
             wq, wk, wv = (Tensor(rng.standard_normal((c, c))) for _ in range(3))
             with flops.count_flops() as fc:
-                spatial_window_attention(x, wq, wk, wv, (1, p_w))
+                spatial_window_attention(x, wq, wk, wv, p_w)
             assert fc.by_scope["spatial_window.core"] == 4 * p * p_w * c
             assert fc.total == 6 * p * c * c + 4 * p * p_w * c
 

@@ -95,15 +95,20 @@ def cases(rng):
     ctx, wkv = rand(rng, b, 6, 5), [rand(rng, 2, 5, 3) for _ in range(2)]
     tiles = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)  # 2 x 2 tiles of a 4 x 4 grid
     runs = np.arange(16).reshape(4, 4)
+
+    def tiled(t):
+        """Rows of each item of a (2, 16, w) stack gathered tile by tile, as runs of 4."""
+        order = (np.arange(b)[:, None] * 16 + tiles.reshape(-1)).reshape(-1)
+        return reshape(take_rows(reshape(t, (b * 16, t.shape[-1])), order), (b, 16, t.shape[-1]))
     mask = decoder_mask(b)
     f = 0.7
     return [
         ("sliced heads", [x, *heads], lambda: attention(x, *heads, f)[0], lambda: composed_attention(x, *heads, f)),
         ("causal and PAD mask", [x, *heads], lambda: attention(x, *heads, f, mask=mask)[0],
          lambda: composed_attention(x, *heads, f, mask=mask)),
-        ("one head, 2d windows", [x8, *single], lambda: attention(x8, *single, f, windows=tiles)[0],
-         lambda: composed_attention(x8, *single, f, windows=tiles)),
-        ("one head, 1d windows", [x8, *single], lambda: attention(x8, *single, f, windows=runs)[0],
+        ("one head, 2d windows", [x8, *single], lambda: attention(tiled(x8), *single, f, window=4)[0],
+         lambda: tiled(composed_attention(x8, *single, f, windows=tiles))),
+        ("one head, 1d windows", [x8, *single], lambda: attention(x8, *single, f, window=4)[0],
          lambda: composed_attention(x8, *single, f, windows=runs)),
         ("channel groups", [x8, *groups], lambda: attention(x8, *groups, f, channels=True)[0],
          lambda: composed_attention(x8, *groups, f, channels=True)),
@@ -182,9 +187,10 @@ class TestFusedAttention:
         with pytest.raises(ShapeError, match="one map per item"):
             kv = Tensor(np.zeros((2, 5, 3)))
             attention(x, w, kv, kv, 1.0, context=Tensor(np.zeros((3, 6, 5))))
-        with pytest.raises(ShapeError, match="do not cover"):
-            attention(x, Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))), 1.0,
-                      windows=np.arange(4).reshape(2, 2))
+        for window in (2, 0):  # 2 does not divide 5 rows
+            with pytest.raises(ShapeError, match="windows do not tile 5 rows"):
+                attention(x, Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))), 1.0,
+                          window=window)
 
     @pytest.mark.parametrize("keys", ["none", "wk only", "wv only"])
     def test_key_and_value_weights_come_together_or_cached_replaces_them(self, keys):

@@ -59,8 +59,8 @@ class TestFiniteDifferenceOracles:
         assert sorted(recording - primitive_cases(np.random.default_rng(0)).keys()) == []
 
     def test_every_recording_op_has_a_caller_in_src(self):
-        """An op no other package module calls belongs in tests/composed.py, not in autograd."""
-        called = set()
+        """An op, or a keyword-only mode of one, that no other package module uses belongs in tests."""
+        called, passed = set(), set()
         for path in Path(ag.__file__).parent.glob("*.py"):
             module = importlib.import_module("dualcap" if path.stem == "__init__" else f"dualcap.{path.stem}")
             if module is ag:
@@ -70,8 +70,13 @@ class TestFiniteDifferenceOracles:
                     fn = getattr(module, node.func.id, None)  # an op re-exported by another module counts too
                     if inspect.isfunction(fn) and fn.__module__ == ag.__name__:
                         called.add(fn.__name__)
+                        passed.update((fn.__name__, kw.arg) for kw in node.keywords)
         assert "attention" in called
         assert sorted(recording_ops() - called) == []
+        modes = {(name, p.name) for name in recording_ops()
+                 for p in inspect.signature(getattr(ag, name)).parameters.values() if p.kind is p.KEYWORD_ONLY}
+        assert ("attention", "window") in modes
+        assert sorted(modes - passed) == []
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matmul_sum(self, seed):

@@ -492,6 +492,20 @@ class TestHeatmapCommand:
         assert maxval == 255
         assert pixels.shape == (4, 4, 1)
 
+    def test_a_model_without_blocks_is_a_config_error(self, trained, tmp_path, capsys):
+        cfg = trained["model"].cfg
+        flat = replace(cfg, encoder=replace(cfg.encoder, depth=0),
+                       decoder=replace(cfg.decoder, context_width=cfg.encoder.dim))
+        save_model(tmp_path / "flat.ckpt", build_model(flat, trained["vocab"], seed=0))
+        trained["vocab"].save(tmp_path / "vocab.txt")
+        image_path = trained["data"] / trained["ds"].records[0].name
+        code = main(["heatmap", "--config", str(trained["cfg"]),
+                     "--out", str(tmp_path / "maps"), str(tmp_path / "flat.ckpt"), str(image_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "encoder has no blocks" in captured.err and captured.out == ""
+        assert list((tmp_path / "maps").glob("*.pgm")) == []
+
 
 class TestAblateCommand:
     def test_writes_table_with_all_variants(self, tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Vision encoder: attention oracles, locality, FLOP accounting, heatmaps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualcap import flops
 from dualcap.autograd import Tensor, mean
@@ -19,11 +21,11 @@ from dualcap.encoder import (
     heatmap_to_gray,
     init_encoder_params,
     normalize_image,
+    patch_order,
     patch_saliency,
     sinusoidal_positions,
     spatial_window_attention,
     split_patches,
-    window_patch_indices,
 )
 from dualcap.errors import ConfigError, ContractError, ShapeError
 
@@ -69,6 +71,11 @@ def oracle_channel(x, groups):
     return np.concatenate(outs, axis=1)
 
 
+def runs(cfg):
+    """The 1d windows of a config: runs of window_patches consecutive patch indices."""
+    return np.arange(cfg.patches).reshape(cfg.windows, cfg.window_patches)
+
+
 def small_cfg(**kw):
     base = dict(image_size=8, patch_size=2, image_channels=1, dim=8, heads=2,
                 window_patches=4, groups=2, depth=1)
@@ -110,8 +117,8 @@ class TestAttentionOracles:
         cfg = small_cfg()
         x = Tensor(rng.standard_normal((cfg.patches, cfg.dim)))
         wq, wk, wv = (Tensor(rng.standard_normal((8, 8))) for _ in range(3))
-        out, weights = spatial_window_attention(x, wq, wk, wv, cfg.window_shape)
-        expected = oracle_window(x.data, wq.data, wk.data, wv.data, window_patch_indices(cfg.patches, cfg.window_shape))
+        out, weights = spatial_window_attention(x, wq, wk, wv, cfg.window_patches)
+        expected = oracle_window(x.data, wq.data, wk.data, wv.data, runs(cfg))
         np.testing.assert_allclose(out.data, expected, atol=1e-12, rtol=0)
         assert weights.shape == (cfg.windows, 4, 4)
         np.testing.assert_allclose(weights.sum(axis=2), np.ones((cfg.windows, 4)), atol=1e-9, rtol=0)
@@ -134,7 +141,7 @@ class TestAttentionOracles:
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((1, 4)))
         wq, wk, wv = (Tensor(rng.standard_normal((4, 4))) for _ in range(3))
-        out, weights = spatial_window_attention(x, wq, wk, wv, cfg.window_shape)
+        out, weights = spatial_window_attention(x, wq, wk, wv, cfg.window_patches)
         np.testing.assert_array_equal(weights, np.ones((1, 1, 1)))
         np.testing.assert_allclose(out.data, x.data @ wv.data, atol=1e-12, rtol=0)
 
@@ -144,7 +151,7 @@ class TestAttentionOracles:
         assert cfg.windows == 1
         x = Tensor(rng.standard_normal((16, 8)))
         wq, wk, wv = (Tensor(rng.standard_normal((8, 8))) for _ in range(3))
-        windowed, _ = spatial_window_attention(x, wq, wk, wv, cfg.window_shape)
+        windowed, _ = spatial_window_attention(x, wq, wk, wv, cfg.window_patches)
         full, _ = global_attention(x, *one_head(wq, wk, wv))
         np.testing.assert_allclose(windowed.data, full.data, atol=1e-12, rtol=0)
 
@@ -157,8 +164,8 @@ class TestLocality:
         poked = base.copy()
         poked[5] += 10.0  # patch 5 lives in window 1
         wq, wk, wv = (Tensor(rng.standard_normal((8, 8))) for _ in range(3))
-        out_a, _ = spatial_window_attention(Tensor(base), wq, wk, wv, cfg.window_shape)
-        out_b, _ = spatial_window_attention(Tensor(poked), wq, wk, wv, cfg.window_shape)
+        out_a, _ = spatial_window_attention(Tensor(base), wq, wk, wv, cfg.window_patches)
+        out_b, _ = spatial_window_attention(Tensor(poked), wq, wk, wv, cfg.window_patches)
         np.testing.assert_array_equal(out_a.data[:4], out_b.data[:4])
         np.testing.assert_array_equal(out_a.data[8:], out_b.data[8:])
         assert not np.array_equal(out_a.data[4:8], out_b.data[4:8])
@@ -177,23 +184,73 @@ class TestLocality:
 
     def test_2d_windows_tile_the_grid(self):
         cfg = small_cfg(window_layout="2d")  # grid 4x4, 2x2 windows
-        assert window_patch_indices(cfg.patches, cfg.window_shape) == [
+        assert patch_order(cfg).reshape(cfg.windows, cfg.window_patches).tolist() == [
             [0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]
         ]
 
     def test_2d_windows_are_isolated_and_match_oracle(self):
+        """encode's 2d windows against window attention over grid-order embeddings and explicit tiles."""
         rng = np.random.default_rng(3)
-        cfg = small_cfg(window_layout="2d")
-        base = rng.standard_normal((16, 8))
+        base = rng.uniform(0, 1, (8, 8, 1))
         poked = base.copy()
-        poked[5] += 10.0  # window [0, 1, 4, 5]
-        wq, wk, wv = (Tensor(rng.standard_normal((8, 8))) for _ in range(3))
-        out_a, _ = spatial_window_attention(Tensor(base), wq, wk, wv, cfg.window_shape)
-        out_b, _ = spatial_window_attention(Tensor(poked), wq, wk, wv, cfg.window_shape)
-        expected = oracle_window(base, wq.data, wk.data, wv.data, window_patch_indices(cfg.patches, cfg.window_shape))
-        np.testing.assert_allclose(out_a.data, expected, atol=1e-12, rtol=0)
+        poked[2:4, 0:2] += 10.0  # grid patch 4, in window [0, 1, 4, 5]
+        grid_rows = split_patches(Tensor(base), small_cfg())  # the 1d layout keeps grid order
+        tiles = [[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]]
         untouched = [2, 3, 6, 7, 8, 9, 12, 13, 10, 11, 14, 15]
-        np.testing.assert_array_equal(out_a.data[untouched], out_b.data[untouched])
+        for pos_encoding in ("sinusoidal", "learned"):
+            cfg = small_cfg(window_layout="2d", mode="spatial", pos_encoding=pos_encoding)
+            params = init_encoder_params(cfg, rng)
+            positions = params["enc.pos"].data if pos_encoding == "learned" else sinusoidal_positions(16, 8).data
+            x = grid_rows @ params["enc.patch.w"].data + positions
+            expected = oracle_window(x, *(params[f"enc.b0.spatial.{w}"].data for w in ("wq", "wk", "wv")), tiles)
+            on_grid = []
+            for image in (base, poked):
+                features = encode(Tensor(image), cfg, params).features.data[:, :8]
+                on_grid.append(np.empty_like(features))
+                on_grid[-1][patch_order(cfg)] = features
+            np.testing.assert_allclose(on_grid[0], expected, atol=1e-12, rtol=0, err_msg=pos_encoding)
+            np.testing.assert_array_equal(on_grid[0][untouched], on_grid[1][untouched])
+            assert not np.array_equal(on_grid[0][[0, 1, 4, 5]], on_grid[1][[0, 1, 4, 5]])
+
+
+@st.composite
+def encoder_configs(draw):
+    """Valid configs of both window layouts on grids of 1 to 12 patches a side."""
+    layout = draw(st.sampled_from(["1d", "2d"]))
+    patch_size = draw(st.integers(1, 3))
+    if layout == "2d":
+        side = draw(st.integers(1, 4))
+        grid = side * draw(st.integers(1, 12 // side))
+        window = side * side
+    else:
+        grid = draw(st.integers(1, 12))
+        window = draw(st.sampled_from([n for n in range(1, grid * grid + 1) if grid * grid % n == 0]))
+    return EncoderConfig(image_size=grid * patch_size, patch_size=patch_size, image_channels=1, dim=2,
+                         heads=1, window_patches=window, groups=1, window_layout=layout)
+
+
+class TestPatchOrder:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(cfg=encoder_configs())
+    def test_is_a_permutation_whose_windows_are_the_layout(self, cfg):
+        order = patch_order(cfg)
+        assert sorted(order.tolist()) == list(range(cfg.patches))
+        if cfg.window_layout == "1d":
+            np.testing.assert_array_equal(order, np.arange(cfg.patches))
+            return
+        side, g = math.isqrt(cfg.window_patches), cfg.grid
+        for run in order.reshape(cfg.windows, cfg.window_patches):
+            rows, cols = np.divmod(run, g)
+            assert rows.min() % side == 0 and cols.min() % side == 0  # a tile's corner
+            np.testing.assert_array_equal(rows, rows.min() + np.repeat(np.arange(side), side))
+            np.testing.assert_array_equal(cols, cols.min() + np.tile(np.arange(side), side))
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(cfg=encoder_configs())
+    def test_split_patches_emits_the_grid_rows_in_patch_order(self, cfg):
+        image = Tensor(np.random.default_rng(cfg.patches).random((2, cfg.image_size, cfg.image_size, 1)))
+        grid_rows = split_patches(image, replace(cfg, window_layout="1d"))
+        np.testing.assert_array_equal(split_patches(image, cfg), grid_rows[:, patch_order(cfg)])
 
 
 class TestPatchEmbedding:
@@ -275,7 +332,7 @@ class TestEncoderBlockAndEncode:
         embeddings = embed_patches(image, cfg, params["enc.patch.w"], sinusoidal_positions(cfg.patches, cfg.dim))
         sp, _ = spatial_window_attention(
             embeddings, params["enc.b0.spatial.wq"], params["enc.b0.spatial.wk"],
-            params["enc.b0.spatial.wv"], cfg.window_shape)
+            params["enc.b0.spatial.wv"], cfg.window_patches)
         ch, _ = channel_group_attention(
             embeddings, params["enc.b0.channel.wq"], params["enc.b0.channel.wk"], params["enc.b0.channel.wv"])
         np.testing.assert_array_equal(out.features.data, np.concatenate([sp.data, ch.data], axis=1))
@@ -361,7 +418,7 @@ class TestFlopAccounting:
         heads = rand_heads(rng, 2, c // 2)
 
         with flops.count_flops() as fc:
-            spatial_window_attention(x, wq, wk, wv, cfg.window_shape)
+            spatial_window_attention(x, wq, wk, wv, cfg.window_patches)
         assert fc.by_scope["spatial_window.core"] == 4 * p * p_w * c
         assert fc.total == 6 * p * c * c + 4 * p * p_w * c
 
@@ -418,6 +475,37 @@ class TestHeatmap:
         sal = patch_saliency(self._output(window_layout="2d"))
         np.testing.assert_allclose(sal.sum(), 16.0, atol=1e-9, rtol=0)
 
+    @pytest.mark.parametrize("layout,window,patch,cell", [
+        ("1d", 1, 0, (1, 0)),  # encoder rows 4-7 are grid row 1
+        ("2d", 1, 0, (0, 2)),  # encoder rows 4-7 are the tile at grid rows 0-1, columns 2-3
+        ("2d", 2, 3, (3, 1)),  # the last patch of the tile at grid rows 2-3, columns 0-1
+    ])
+    def test_the_heatmap_peaks_at_the_grid_cell_of_the_attended_patch(self, layout, window, patch, cell):
+        out = self._output(window_layout=layout)
+        weights = np.full((4, 4, 4), 0.25)
+        weights[window] = np.eye(4)[[patch] * 4]  # every query of this window attends to one of its patches
+        out.spatial_weights[-1] = weights
+        hm = heatmap(out)
+        assert np.argwhere(hm == 1.0).tolist() == [list(cell)]
+
+    def test_a_batch_gives_one_map_per_image(self):
+        cfg = small_cfg(window_layout="2d")
+        rng = np.random.default_rng(16)
+        params = init_encoder_params(cfg, rng)
+        images = rng.uniform(0, 1, (3, 8, 8, 1))
+        batch = encode(Tensor(images), cfg, params)
+        singles = [encode(Tensor(image), cfg, params) for image in images]
+        assert patch_saliency(batch).shape == (3, 16) and heatmap(batch).shape == (3, 4, 4)
+        for i, single in enumerate(singles):
+            np.testing.assert_allclose(patch_saliency(batch)[i], patch_saliency(single), atol=1e-12, rtol=0)
+            np.testing.assert_allclose(heatmap(batch)[i], heatmap(single), atol=1e-12, rtol=0)
+            assert heatmap(batch)[i].min() == 0.0 and heatmap(batch)[i].max() == 1.0
+
+    @pytest.mark.parametrize("block", [1, 3, -2])
+    def test_a_block_the_encoder_lacks_is_a_contract_error(self, block):
+        with pytest.raises(ContractError, match=f"block {block} is out of range for encoder depth 1"):
+            patch_saliency(self._output(), block=block)
+
     def test_gray_quantization(self):
         hm = np.array([[0.0, 0.5], [0.25, 1.0]])
         np.testing.assert_array_equal(heatmap_to_gray(hm), [[0, 128], [64, 255]])
@@ -448,7 +536,7 @@ class TestConfigValidation:
         rng = np.random.default_rng(15)
         x = Tensor(rng.standard_normal((12, 8)))
         wq, wk, wv = (Tensor(rng.standard_normal((8, 8))) for _ in range(3))
-        for window in ((1, 5), (2, 2), (1, 0)):  # 5 does not divide 12; 12 patches are no square grid
+        for window in (5, 0):  # 5 does not divide 12 rows
             with pytest.raises(ShapeError, match="windows do not tile"):
                 spatial_window_attention(x, wq, wk, wv, window)
         for groups in (rand_heads(rng, 3, 2), rand_heads(rng, 0, 2)):  # 3 groups do not divide width 8
@@ -461,5 +549,3 @@ class TestConfigValidation:
         assert (cfg.grid, cfg.patches, cfg.windows) == (4, 16, 4)
         assert (cfg.head_dim, cfg.group_dim, cfg.patch_len) == (8, 4, 48)
         assert cfg.feature_width == 64
-        assert cfg.window_shape == (1, 4)
-        assert small_cfg(window_layout="2d").window_shape == (2, 2)
