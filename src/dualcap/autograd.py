@@ -372,13 +372,15 @@ def mean_rows(x: Tensor, counts=None) -> Tensor:
     if n.size and (n.min() < 1 or n.max() > t):
         raise ContractError(f"mean_rows: row counts must lie in [1, {t}], got {n.tolist()}")
     flat = x.data.reshape(-1, t, c)
-    kept = (np.arange(t) < n[:, None])[..., None]  # (items, T, 1): row r of item i is among its first n[i]
+    # (items, T, 1): row r of item i is among its first n[i]; every row when counts is None
+    kept = True if counts is None else (np.arange(t) < n[:, None])[..., None]
     out = _new((np.add.reduce(flat, axis=1, where=kept) / n[:, None]).reshape(lead + (c,)))
 
     def grad_fn(g: Array):
         full = np.empty_like(flat)
         full[...] = (g.reshape(-1, c) / n[:, None])[:, None, :]
-        full[~kept[..., 0]] = 0.0
+        if counts is not None:
+            full[~kept[..., 0]] = 0.0
         return (full.reshape(x.shape),)
 
     return _record(out, (x,), grad_fn)

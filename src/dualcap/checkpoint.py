@@ -5,15 +5,16 @@ Layout:
     magic "TFN1" | u32 header length | u32 CRC-32 | JSON header | payload
 
 Both integers are little-endian; the CRC-32 covers the header and the
-payload.  The header carries the format number (3), the step count, an
-arbitrary JSON config snapshot and a manifest of arrays (name, kind,
-shape, byte offset into the payload).  The payload is float64 bytes,
-little-endian, in manifest order: parameters (model insertion order),
-then Adam first and second moments in trainable-parameter order, zero
-for a parameter no loss reaches.  JSON keys are sorted, so the same
-state always produces byte-identical files.  Earlier formats are
-rejected by number: format 1 kept attention weights per head or group,
-format 2 its header right after the length and a payload-only CRC-32.
+payload.  The header carries the format number (4), the step count, an
+arbitrary JSON config snapshot, a manifest of (name, shape) entries, one
+per parameter in model insertion order, and ``moments``: 0 or the size
+of each Adam moment buffer.  The payload is little-endian float64: the
+parameters in manifest order, then the first and the second moment as
+runs of ``moments`` values laid out like ``CaptionModel.flat``.  JSON
+keys are sorted, so the same state always produces byte-identical files.
+Earlier formats are rejected by number: format 1 kept attention weights
+per head or group, format 2 its header right after the length and a
+payload-only CRC-32, format 3 a kind and an offset per array.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +37,8 @@ from .textdec import Vocabulary
 from .train import AdamState
 
 MAGIC = b"TFN1"
-FORMAT = 3
+FORMAT = 4
 _PREFIX = 12  # magic, header length, CRC-32
-_KINDS = ("param", "adam_m", "adam_v")
 
 
 @dataclass
@@ -45,8 +46,8 @@ class Checkpoint:
     config: dict
     step: int
     params: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_m: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None  # Adam moments, laid out like CaptionModel.flat; None when not stored
+    v: np.ndarray | None = None
 
 
 def save_checkpoint(path, params: dict[str, Tensor], config: dict, state: AdamState | None = None) -> None:
@@ -55,32 +56,31 @@ def save_checkpoint(path, params: dict[str, Tensor], config: dict, state: AdamSt
     The file is replaced in one rename, so a reader sees the old file or
     the new one, never a partial write.
     """
-    sections = [("param", [(name, t.shape)], t.data) for name, t in params.items()]
+    arrays = [np.ascontiguousarray(t.data, dtype="<f8") for t in params.values()]
+    moments = 0
     if state is not None and state.m is not None:
-        trainable = [(name, t.shape) for name, t in params.items() if t.requires_grad]
-        if not state.m.shape == state.v.shape == (sum(math.prod(shape) for _, shape in trainable),):
+        moments = sum(t.size for t in params.values() if t.requires_grad)
+        if not state.m.shape == state.v.shape == (moments,):
             raise ContractError(f"moments of shapes {state.m.shape}, {state.v.shape} do not fit the trainable params")
-        sections += [("adam_m", trainable, state.m), ("adam_v", trainable, state.v)]
-    manifest, chunks, offset = [], [], 0
-    for kind, entries, arr in sections:  # one payload chunk per section
-        for name, shape in entries:
-            manifest.append({"name": name, "kind": kind, "shape": list(shape), "offset": offset})
-            offset += math.prod(shape) * 8
-        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        arrays += [np.ascontiguousarray(state.m, dtype="<f8"), np.ascontiguousarray(state.v, dtype="<f8")]
     header = {
         "format": FORMAT,
         "step": state.step if state is not None else 0,
         "config": config,
-        "arrays": manifest,
+        "arrays": [{"name": name, "shape": list(t.shape)} for name, t in params.items()],
+        "moments": moments,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    crc = zlib.crc32(b"".join(chunks), zlib.crc32(blob))
-    data = b"".join([MAGIC, struct.pack("<II", len(blob), crc), blob, *chunks])
+    crc = zlib.crc32(blob)
+    for arr in arrays:
+        crc = zlib.crc32(arr, crc)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            f.write(MAGIC + struct.pack("<II", len(blob), crc) + blob)
+            for arr in arrays:
+                f.write(arr)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -90,12 +90,12 @@ def save_checkpoint(path, params: dict[str, Tensor], config: dict, state: AdamSt
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint back; any damage found raises IntegrityError.
 
-    The manifest must tile the payload exactly, and header and payload
-    must match the CRC-32, which is checked after the manifest walk so
-    that structural damage is named as such.  Every header value must
-    have its type: the step and each entry's offset an int, each name a
-    str and each shape a list of non-negative ints.  The arrays are
-    read-only views of the file's bytes.
+    The manifest and the moment count must tile the payload exactly, and
+    header and payload must match the CRC-32, which is checked after the
+    manifest walk so that structural damage is named as such.  The step
+    and the moment count must be non-negative ints, each name a str and
+    each shape a list of non-negative ints.  The arrays are read-only
+    views of the file's bytes.
     """
     path = Path(path)
     try:
@@ -115,49 +115,41 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{path}: corrupt header: not a JSON object")
     if header.get("format") != FORMAT:
         raise IntegrityError(f"{path}: unsupported format {header.get('format')!r}")
-    for key in ("step", "config", "arrays"):
+    for key in ("step", "config", "arrays", "moments"):
         if key not in header:
             raise IntegrityError(f"{path}: header missing {key!r}")
-    if not _is_int(header["step"]):
-        raise IntegrityError(f"{path}: step {header['step']!r} is not an integer")
+    for key in ("step", "moments"):
+        if type(header[key]) is not int or header[key] < 0:  # JSON gives int or bool; bool is not a count
+            raise IntegrityError(f"{path}: {key} {header[key]!r} is not an integer >= 0")
     if not isinstance(header["config"], dict) or not isinstance(header["arrays"], list):
         raise IntegrityError(f"{path}: corrupt header: config must be an object and arrays a list")
-    payload = memoryview(data)[_PREFIX + header_len:]
+    payload_bytes = len(data) - _PREFIX - header_len
+    values = np.frombuffer(data, dtype="<f8", count=payload_bytes // 8, offset=_PREFIX + header_len)
     ckpt = Checkpoint(config=header["config"], step=header["step"])
-    stores = {"param": ckpt.params, "adam_m": ckpt.adam_m, "adam_v": ckpt.adam_v}
-    expected_offset = 0
+    start = 0  # in values
     for entry in header["arrays"]:
-        try:
-            name, kind, shape, offset = entry["name"], entry["kind"], entry["shape"], entry["offset"]
-        except (KeyError, TypeError) as e:
-            raise IntegrityError(f"{path}: malformed manifest entry: {entry!r}") from e
-        if not (isinstance(name, str) and isinstance(shape, list) and all(map(_is_int, shape)) and _is_int(offset)):
+        name, shape = (entry.get("name"), entry.get("shape")) if type(entry) is dict else (None, None)
+        if not (type(name) is str and type(shape) is list and all(type(s) is int and s >= 0 for s in shape)):
             raise IntegrityError(f"{path}: malformed manifest entry: {entry!r}")
-        if kind not in _KINDS:
-            raise IntegrityError(f"{path}: unknown array kind {kind!r}")
-        if offset != expected_offset:
-            raise IntegrityError(f"{path}: array {name!r} offset {offset}, expected {expected_offset}")
-        shape = tuple(shape)
-        if any(s < 0 for s in shape):
-            raise IntegrityError(f"{path}: array {name!r} has negative shape {shape}")
-        nbytes = math.prod(shape) * 8
-        if offset + nbytes > len(payload):
+        end = start + math.prod(shape)
+        if end > values.size:
             raise IntegrityError(f"{path}: array {name!r} runs past end of payload")
-        if name in stores[kind]:
-            raise IntegrityError(f"{path}: duplicate array {kind}/{name}")
-        arr = np.frombuffer(payload, dtype="<f8", count=nbytes // 8, offset=offset)
-        stores[kind][name] = arr.reshape(shape)
-        expected_offset = offset + nbytes
-    if expected_offset != len(payload):
-        raise IntegrityError(f"{path}: {len(payload) - expected_offset} trailing payload bytes")
+        if name in ckpt.params:
+            raise IntegrityError(f"{path}: duplicate array {name!r}")
+        ckpt.params[name] = values[start:end].reshape(shape)
+        start = end
+    moments = header["moments"]
+    if start + 2 * moments > values.size:
+        raise IntegrityError(f"{path}: moments of {moments} values each run past end of payload")
+    if moments:
+        ckpt.m, ckpt.v = values[start:start + 2 * moments].reshape(2, moments)
+        start += 2 * moments
+    if start * 8 != payload_bytes:
+        raise IntegrityError(f"{path}: {payload_bytes - start * 8} trailing payload bytes")
     actual = zlib.crc32(memoryview(data)[_PREFIX:])
     if actual != crc:
         raise IntegrityError(f"{path}: CRC-32 {actual} of header and payload does not match the stored {crc}")
     return ckpt
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _earlier_format(data: bytes) -> str | None:
@@ -184,24 +176,29 @@ def save_model(path, model: CaptionModel, state: AdamState | None = None, extra:
 def model_from_checkpoint(ckpt: Checkpoint, vocab: Vocabulary) -> tuple[CaptionModel, AdamState]:
     """Build the checkpoint's model carrying exactly its parameters, with its Adam state.
 
-    Every model parameter must be stored, and every stored array must
-    fit a target by name and shape: a model parameter, or a trainable
-    parameter's run of a moment buffer.  Moments not stored are zero.
+    The stored (name, shape) list must be the model's, in order, and the
+    moments, when stored, must be as long as ``model.flat``; moments not
+    stored are zero.
     """
     if "model" not in ckpt.config:
         raise IntegrityError("checkpoint config has no model entry")
     model = build_model(ModelConfig.from_dict(ckpt.config["model"]), vocab, seed=0)
-    missing = sorted(set(model.params) - set(ckpt.params))
-    if missing:
-        raise IntegrityError(f"checkpoint parameter mismatch: missing {missing}")
-    state = AdamState(ckpt.step, np.zeros_like(model.flat), np.zeros_like(model.flat))
-    targets = ({name: t.data for name, t in model.params.items()}, model.views(state.m), model.views(state.v))
-    for kind, stored, views in zip(_KINDS, (ckpt.params, ckpt.adam_m, ckpt.adam_v), targets):
-        for name, arr in stored.items():
-            if name not in views or arr.shape != views[name].shape:
-                raise IntegrityError(f"{kind} array {name!r} of shape {arr.shape} fits no parameter of the model")
-            views[name][...] = arr
-    return model, state
+    stored = [(name, arr.shape) for name, arr in ckpt.params.items()]
+    expected = [(name, t.shape) for name, t in model.params.items()]
+    if stored != expected:
+        missing = sorted(dict(expected).keys() - dict(stored).keys())
+        if missing:
+            raise IntegrityError(f"checkpoint parameter mismatch: missing {missing}")
+        (name, shape), want = next((s, e) for s, e in zip_longest(stored, expected) if s != e)
+        raise IntegrityError(f"param array {name!r} of shape {shape} fits no parameter of the model"
+                             + (f" (expected {want[0]!r} of shape {want[1]})" if want else ""))
+    if ckpt.m is not None and ckpt.m.size != model.flat.size:
+        raise IntegrityError(f"moments of {ckpt.m.size} values each do not fit the model's {model.flat.size} trainable values")
+    for name, t in model.params.items():
+        t.data[...] = ckpt.params[name]
+    if ckpt.m is None:
+        return model, AdamState(ckpt.step, np.zeros_like(model.flat), np.zeros_like(model.flat))
+    return model, AdamState(ckpt.step, ckpt.m.astype(np.float64), ckpt.v.astype(np.float64))
 
 
 def load_model(path, vocab: Vocabulary) -> tuple[CaptionModel, AdamState, Checkpoint]:

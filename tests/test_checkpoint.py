@@ -47,16 +47,6 @@ def small_setup(seed=1):
     return ds, vocab, model, pairs, TrainConfig(lr=0.003, batch_size=4)
 
 
-def per_name(trainable: dict, buffer: np.ndarray) -> dict[str, bytes]:
-    """The bytes of each trainable parameter's run of a flat buffer, in order, sized by its tensor."""
-    out, start = {}, 0
-    for name, t in trainable.items():
-        out[name] = buffer[start:start + t.size].tobytes()
-        start += t.size
-    assert start == buffer.size
-    return out
-
-
 class TestRoundTrip:
     def test_params_restore_bitwise(self, tmp_path):
         _, vocab, model, pairs, cfg = small_setup()
@@ -68,8 +58,8 @@ class TestRoundTrip:
         assert set(ckpt.params) == set(model.params)
         for name, t in model.params.items():
             assert ckpt.params[name].tobytes() == t.data.tobytes()
-        for stored, buffer in ((ckpt.adam_m, state.m), (ckpt.adam_v, state.v)):
-            assert {name: arr.tobytes() for name, arr in stored.items()} == per_name(model.trainable(), buffer)
+        assert (ckpt.m.tobytes(), ckpt.v.tobytes()) == (state.m.tobytes(), state.v.tobytes())
+        assert not ckpt.m.flags.writeable and not ckpt.v.flags.writeable
 
     def test_same_state_same_bytes(self, tmp_path):
         _, _, model, pairs, cfg = small_setup()
@@ -86,11 +76,13 @@ class TestRoundTrip:
         assert ckpt.config["note"] == {"k": [1, 2]}
 
     def test_without_state_step_is_zero(self, tmp_path):
-        _, _, model, _, _ = small_setup()
+        _, vocab, model, _, _ = small_setup()
         save_model(tmp_path / "m.ckpt", model)
         ckpt = load_checkpoint(tmp_path / "m.ckpt")
         assert ckpt.step == 0
-        assert ckpt.adam_m == {} and ckpt.adam_v == {}
+        assert ckpt.m is None and ckpt.v is None
+        _, state, _ = load_model(tmp_path / "m.ckpt", vocab)
+        assert not state.m.any() and not state.v.any() and state.m.shape == state.v.shape == model.flat.shape
 
     def test_load_model_rebuilds_equivalent_model(self, tmp_path):
         _, vocab, model, pairs, cfg = small_setup()
@@ -138,21 +130,19 @@ class TestResume:
             np.testing.assert_array_equal(solo.params[name].data, resumed.params[name].data)
 
 
-def per_array_checkpoint(params: dict, config: dict, step: int, m: dict, v: dict) -> bytes:
-    """Format 3 bytes written one array at a time: the writer from before the flat moment buffers."""
-    arrays = [(name, "param", t.data) for name, t in params.items()]
-    arrays.extend((name, "adam_m", arr) for name, arr in m.items())
-    arrays.extend((name, "adam_v", arr) for name, arr in v.items())
-    manifest, chunks, offset = [], [], 0
-    for name, kind, arr in arrays:
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        manifest.append({"name": name, "kind": kind, "shape": list(arr.shape), "offset": offset})
-        chunks.append(raw)
-        offset += len(raw)
-    header = {"format": 3, "step": step, "config": config, "arrays": manifest}
+def per_array_checkpoint(params: dict, config: dict, step: int, m: np.ndarray, v: np.ndarray) -> bytes:
+    """Format 4 bytes built one value at a time, from the layout alone."""
+    header = {
+        "format": 4,
+        "step": step,
+        "config": config,
+        "arrays": [{"name": name, "shape": list(t.shape)} for name, t in params.items()],
+        "moments": len(m),
+    }
+    values = [float(x) for t in params.values() for x in t.data.flat] + [float(x) for x in m] + [float(x) for x in v]
+    payload = struct.pack(f"<{len(values)}d", *values)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    crc = zlib.crc32(b"".join(chunks), zlib.crc32(blob))
-    return b"".join([MAGIC, struct.pack("<II", len(blob), crc), blob, *chunks])
+    return MAGIC + struct.pack("<II", len(blob), zlib.crc32(blob + payload)) + blob + payload
 
 
 class TestFlatMoments:
@@ -161,12 +151,7 @@ class TestFlatMoments:
         _, _, model, pairs, cfg = small_setup()
         state, _ = fit(model, pairs, replace(cfg, contrastive_weight=weight), steps=3)
         save_model(tmp_path / "m.ckpt", model, state, extra={"seed": 1})
-        trainable = model.trainable()
-        m, v = (
-            {name: np.frombuffer(raw).reshape(trainable[name].shape) for name, raw in per_name(trainable, buffer).items()}
-            for buffer in (state.m, state.v)
-        )
-        expected = per_array_checkpoint(model.params, {"model": model.cfg.to_dict(), "seed": 1}, state.step, m, v)
+        expected = per_array_checkpoint(model.params, {"model": model.cfg.to_dict(), "seed": 1}, state.step, state.m, state.v)
         assert (tmp_path / "m.ckpt").read_bytes() == expected
 
 
@@ -230,22 +215,6 @@ class TestCorruption:
         with pytest.raises(IntegrityError, match="trailing"):
             load_checkpoint(path)
 
-    def test_unknown_kind(self, tmp_path):
-        path, _ = self.make_file(tmp_path)
-        header, payload, crc = split_file(path.read_bytes())
-        header["arrays"][0]["kind"] = "momentum"
-        path.write_bytes(join_file(header, payload, crc))
-        with pytest.raises(IntegrityError, match="kind"):
-            load_checkpoint(path)
-
-    def test_wrong_offset(self, tmp_path):
-        path, _ = self.make_file(tmp_path)
-        header, payload, crc = split_file(path.read_bytes())
-        header["arrays"][1]["offset"] += 8
-        path.write_bytes(join_file(header, payload, crc))
-        with pytest.raises(IntegrityError, match="offset"):
-            load_checkpoint(path)
-
     def edit_header(self, tmp_path, edit):
         path, _ = self.make_file(tmp_path)
         header, payload, crc = split_file(path.read_bytes())
@@ -255,17 +224,58 @@ class TestCorruption:
 
     @pytest.mark.parametrize("key, value", [
         ("shape", "ab"), ("shape", 5), ("shape", [1.5]), ("shape", [True]), ("shape", None),
-        ("name", ["fuse", "img"]), ("name", 7), ("offset", "0"), ("offset", 0.0), ("offset", None),
+        ("name", ["fuse", "img"]), ("name", 7),
     ])
     def test_manifest_values_of_the_wrong_type(self, tmp_path, key, value):
         path = self.edit_header(tmp_path, lambda h: h["arrays"][0].__setitem__(key, value))
         with pytest.raises(IntegrityError, match=f"malformed manifest entry: .*'{key}': {re.escape(repr(value))}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("entry", [["enc.patch.w", [48, 8]], {"name": "enc.patch.w"}, {"shape": [48, 8]}, 5])
+    def test_a_manifest_entry_that_is_not_a_name_and_a_shape(self, tmp_path, entry):
+        path = self.edit_header(tmp_path, lambda h: h["arrays"].__setitem__(0, entry))
+        with pytest.raises(IntegrityError, match=f"malformed manifest entry: {re.escape(repr(entry))}"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("value", ["x", None, 1.5, True, [1]])
     def test_a_step_that_is_not_an_int(self, tmp_path, value):
         path = self.edit_header(tmp_path, lambda h: h.__setitem__("step", value))
         with pytest.raises(IntegrityError, match=f"step {re.escape(repr(value))} is not an integer"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["0", 0.0, None, True, [1]])
+    def test_a_moment_count_that_is_not_an_int(self, tmp_path, value):
+        path = self.edit_header(tmp_path, lambda h: h.__setitem__("moments", value))
+        with pytest.raises(IntegrityError, match=f"moments {re.escape(repr(value))} is not an integer"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["step", "moments"])
+    def test_a_negative_step_or_moment_count(self, tmp_path, key):
+        path = self.edit_header(tmp_path, lambda h: h.__setitem__(key, -1))
+        with pytest.raises(IntegrityError, match=f"{key} -1 is not an integer >= 0"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["step", "config", "arrays", "moments"])
+    def test_a_missing_header_key(self, tmp_path, key):
+        path = self.edit_header(tmp_path, lambda h: h.pop(key))
+        with pytest.raises(IntegrityError, match=f"header missing '{key}'"):
+            load_checkpoint(path)
+
+    def test_a_moment_count_the_payload_does_not_hold(self, tmp_path):
+        path = self.edit_header(tmp_path, lambda h: h.__setitem__("moments", h["moments"] + 1))
+        moments = split_file(path.read_bytes())[0]["moments"]
+        with pytest.raises(IntegrityError, match=f"moments of {moments} values each run past end of payload"):
+            load_checkpoint(path)
+
+    def test_a_negative_shape(self, tmp_path):
+        # the product, 12, is a size the payload holds, so only the sign check catches it
+        path = self.edit_header(tmp_path, lambda h: h["arrays"][0].__setitem__("shape", [-2, -6]))
+        with pytest.raises(IntegrityError, match=r"malformed manifest entry: .*'shape': \[-2, -6\]"):
+            load_checkpoint(path)
+
+    def test_a_duplicate_name(self, tmp_path):
+        path = self.edit_header(tmp_path, lambda h: h["arrays"][1].__setitem__("name", h["arrays"][0]["name"]))
+        with pytest.raises(IntegrityError, match="duplicate array 'enc.patch.w'"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key, value", [("config", [1]), ("arrays", {"a": 1}), ("arrays", 5)])
@@ -305,7 +315,23 @@ class TestCorruption:
         path, model = self.make_file(tmp_path)
         ckpt = load_checkpoint(path)
         ckpt.params["fuse.img.b"] = np.zeros(7)
-        with pytest.raises(IntegrityError, match=r"param array 'fuse.img.b' of shape \(7,\)"):
+        with pytest.raises(IntegrityError, match=r"param array 'fuse.img.b' of shape \(7,\) fits no parameter "
+                                                 r"of the model \(expected 'fuse.img.b' of shape \(4,\)\)"):
+            model_from_checkpoint(ckpt, model.vocab)
+
+    def test_parameters_in_another_order_are_refused(self, tmp_path):
+        path, model = self.make_file(tmp_path)
+        ckpt = load_checkpoint(path)
+        ckpt.params["enc.patch.w"] = ckpt.params.pop("enc.patch.w")
+        second = list(model.params)[1]
+        with pytest.raises(IntegrityError, match=f"param array '{re.escape(second)}' .* \\(expected 'enc.patch.w'"):
+            model_from_checkpoint(ckpt, model.vocab)
+
+    def test_an_extra_parameter_is_refused(self, tmp_path):
+        path, model = self.make_file(tmp_path)
+        ckpt = load_checkpoint(path)
+        ckpt.params["fuse.other.b"] = np.zeros(4)
+        with pytest.raises(IntegrityError, match=r"param array 'fuse.other.b' of shape \(4,\) fits no parameter of the model$"):
             model_from_checkpoint(ckpt, model.vocab)
 
     def test_parameters_are_copies_of_the_read_only_file_views(self, tmp_path):
@@ -323,33 +349,23 @@ class TestCorruption:
         restored, state = model_from_checkpoint(ckpt, model.vocab)
         assert isinstance(state, AdamState) and state.step == 1
         assert state.m.shape == state.v.shape == restored.flat.shape
-        for stored, buffer in ((ckpt.adam_m, state.m), (ckpt.adam_v, state.v)):
-            assert buffer.flags.writeable and not any(np.shares_memory(buffer, arr) for arr in stored.values())
-            assert {name: arr.tobytes() for name, arr in stored.items()} == per_name(restored.trainable(), buffer)
+        for stored, buffer in ((ckpt.m, state.m), (ckpt.v, state.v)):
+            assert buffer.flags.writeable and not np.shares_memory(buffer, stored)
+            assert buffer.tobytes() == stored.tobytes()
 
-    def test_missing_moments_load_as_zeros(self, tmp_path):
+    @pytest.mark.parametrize("flipped", ["fuse.log_temp", "norm.mean"])
+    def test_a_stored_moment_that_fits_no_parameter_is_an_integrity_error(self, tmp_path, flipped):
+        # moments written for a model that trains one parameter fewer or more
         _, vocab, model, pairs, cfg = small_setup()
-        state, _ = fit(model, pairs, cfg, steps=2)
-        # as written before every trainable had moments: fuse.log_temp, last in the layout, without
-        params = {name: Tensor(t.data) if name == "fuse.log_temp" else t for name, t in model.params.items()}
+        state, _ = fit(model, pairs, cfg, steps=1)
+        params = {name: Tensor(t.data, not t.requires_grad) if name == flipped else t for name, t in model.params.items()}
+        size = sum(t.size for t in params.values() if t.requires_grad)
         save_checkpoint(tmp_path / "m.ckpt", params, {"model": model.cfg.to_dict()},
-                        AdamState(state.step, state.m[:-1], state.v[:-1]))
-        assert "fuse.log_temp" not in load_checkpoint(tmp_path / "m.ckpt").adam_m
-        restored, rstate, _ = load_model(tmp_path / "m.ckpt", vocab)
-        assert rstate.m[-1] == 0.0 and rstate.v[-1] == 0.0
-        assert rstate.m[:-1].tobytes() == state.m[:-1].tobytes()
-        assert rstate.v[:-1].tobytes() == state.v[:-1].tobytes()
-
-    @pytest.mark.parametrize("change", ["shape", "name"])
-    def test_a_stored_moment_that_fits_no_parameter_is_an_integrity_error(self, tmp_path, change):
-        path, model = self.make_file(tmp_path)
-        ckpt = load_checkpoint(path)
-        if change == "shape":
-            ckpt.adam_v["fuse.img.b"] = np.zeros(7)
-        else:
-            ckpt.adam_m["fuse.other.b"] = ckpt.adam_m.pop("fuse.img.b")
-        with pytest.raises(IntegrityError, match="adam_[mv] array 'fuse.(img|other).b' of shape"):
-            model_from_checkpoint(ckpt, model.vocab)
+                        AdamState(state.step, np.resize(state.m, size), np.resize(state.v, size)))
+        assert load_checkpoint(tmp_path / "m.ckpt").m.size == size != model.flat.size
+        with pytest.raises(IntegrityError, match=f"moments of {size} values each do not fit "
+                                                 f"the model's {model.flat.size} trainable values"):
+            load_model(tmp_path / "m.ckpt", vocab)
 
     def test_moments_that_do_not_match_the_parameters_are_refused(self, tmp_path):
         _, _, model, pairs, cfg = small_setup()

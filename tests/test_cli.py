@@ -335,6 +335,7 @@ class TestCaptionCommand:
 
     @pytest.mark.parametrize("key, value, message", [
         ("step", "x", "step 'x' is not an integer"),
+        ("step", -1, "step -1 is not an integer >= 0"),
         ("shape", [2**32, 2**32], "runs past end of payload"),
         ("shape", [1.5], "malformed manifest entry"),
     ])
@@ -375,12 +376,21 @@ class TestCaptionCommand:
         assert self.caption_with_earlier_format(trained, tmp_path, 2) == 3
         assert "unsupported format 2" in capsys.readouterr().err
 
+    def test_format_3_checkpoint_is_integrity_error(self, trained, tmp_path, capsys):
+        # format 3 has format 4's prefix and CRC-32, so only its number tells them apart
+        def as_format_3(header, payload):
+            header["format"] = 3
+            return payload
+
+        assert self.caption_with_edited_header(trained, tmp_path, as_format_3) == 3
+        assert "unsupported format 3" in capsys.readouterr().err
+
     def caption_with_edited_header(self, trained, tmp_path, edit) -> int:
-        """Caption with the trained checkpoint after edit(header), its CRC-32 made to match again."""
+        """Caption with the trained checkpoint after payload = edit(header, payload), its CRC-32 made to match again."""
         data = trained["ckpt"].read_bytes()
         (hlen,) = struct.unpack("<I", data[4:8])
         header, payload = json.loads(data[12:12 + hlen]), data[12 + hlen:]
-        edit(header)
+        payload = edit(header, payload)
         blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         crafted = tmp_path / "crafted.ckpt"
         (tmp_path / "vocab.txt").write_bytes((trained["root"] / "vocab.txt").read_bytes())
@@ -390,14 +400,19 @@ class TestCaptionCommand:
                      "--out", str(tmp_path), str(crafted), str(image_path)])
 
     def test_a_stored_moment_that_fits_no_parameter_is_integrity_error(self, trained, tmp_path, capsys):
-        def rename(header):
-            entry = next(e for e in header["arrays"] if (e["kind"], e["name"]) == ("adam_m", "fuse.img.b"))
-            entry["name"] = "fuse.other.b"
+        size = trained["model"].flat.size
 
-        assert self.caption_with_edited_header(trained, tmp_path, rename) == 3
+        def one_value_short(header, payload):
+            # moments as a model with one trainable value fewer would store them
+            assert header["moments"] == size
+            header["moments"] = size - 1
+            params, m, v = payload[:-16 * size], payload[-16 * size:-8 * size], payload[-8 * size:]
+            return params + m[8:] + v[8:]
+
+        assert self.caption_with_edited_header(trained, tmp_path, one_value_short) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "integrity error: adam_m array 'fuse.other.b' of shape (8,)" in captured.err
+        assert f"integrity error: moments of {size - 1} values each do not fit the model's {size} trainable values" in captured.err
 
     @pytest.mark.parametrize("section, key, value", [
         ("encoder", "dim", 16.0),
@@ -406,17 +421,19 @@ class TestCaptionCommand:
         ("encoder", "depth", True),
     ])
     def test_a_model_config_value_of_the_wrong_type_is_config_error(self, trained, tmp_path, capsys, section, key, value):
-        def edit(header):
+        def edit(header, payload):
             model = header["config"]["model"]
             (model[section] if section else model)[key] = value
+            return payload
 
         assert self.caption_with_edited_header(trained, tmp_path, edit) == 1
         name = f"{section}.{key}" if section else key
         assert f"config error: model config {name} must be" in capsys.readouterr().err
 
     def test_a_model_config_too_large_to_allocate_is_config_error(self, trained, tmp_path, capsys):
-        def edit(header):
+        def edit(header, payload):
             header["config"]["model"]["joint_dim"] = 10**12  # fuse.img.w would be about 233 TiB
+            return payload
 
         assert self.caption_with_edited_header(trained, tmp_path, edit) == 1
         captured = capsys.readouterr()
