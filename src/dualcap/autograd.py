@@ -34,6 +34,7 @@ over its rows and over its columns, differentiable in the temperature.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,25 +129,19 @@ class Tape:
             raise ContractError(f"backward root must be scalar, got shape {root.shape}")
         if root.tape is not self:
             raise ContractError("backward root was not recorded on this tape, or the tape was already replayed")
-        grads: dict[int, Array] = {id(root): np.ones_like(root.data)}
-        holders: dict[int, Tensor] = {id(root): root}
+        # id -> (tensor, its gradient so far); only tensors that require grad enter
+        grads: dict[int, tuple[Tensor, Array]] = {id(root): (root, np.ones_like(root.data))}
         for rec in reversed(self._records):
-            g_out = grads.get(id(rec.output))
-            if g_out is None:
+            entry = grads.get(id(rec.output))
+            if entry is None:
                 continue
-            for tensor, g_in in zip(rec.inputs, rec.grad_fn(g_out)):
+            for tensor, g_in in zip(rec.inputs, rec.grad_fn(entry[1])):
                 if g_in is None or not tensor.requires_grad:
                     continue
-                key = id(tensor)
-                if key in grads:
-                    grads[key] = grads[key] + g_in
-                else:
-                    grads[key] = g_in
-                    holders[key] = tensor
-        for key, tensor in holders.items():
-            if tensor.requires_grad:
-                g = grads[key]
-                tensor.grad = g if tensor.grad is None else tensor.grad + g
+                prior = grads.get(id(tensor))
+                grads[id(tensor)] = (tensor, g_in if prior is None else prior[1] + g_in)
+        for tensor, g in grads.values():
+            tensor.grad = g if tensor.grad is None else tensor.grad + g
         # The tape is spent: unlinking the outputs breaks the tensor <-> tape
         # cycle, so the step's graph is freed by reference counting, and a
         # second backward from the same root fails the check above.
@@ -307,19 +302,8 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         if ref[:axis] + ref[axis + 1:] != other[:axis] + other[axis + 1:]:
             raise ShapeError(f"concat: shapes differ off-axis: {tensors[0].shape} vs {t.shape}")
     out = _new(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-
-    def grad_fn(g: Array):
-        pieces = []
-        start = 0
-        for s in sizes:
-            index = [np.s_[:]] * ndim
-            index[axis] = np.s_[start:start + s]
-            pieces.append(g[tuple(index)])
-            start += s
-        return tuple(pieces)
-
-    return _record(out, tuple(tensors), grad_fn)
+    sizes = [t.shape[axis] for t in tensors[:-1]]
+    return _record(out, tuple(tensors), lambda g: np.split(g, [*accumulate(sizes)], axis=axis))
 
 
 def take_rows(x: Tensor, indices) -> Tensor:
@@ -604,8 +588,9 @@ def attention(
     ``mask`` is added to the scores, broadcast against (n, ..., T, T_k).
     With ``window`` each run of that many consecutive rows is one window
     whose rows attend only among themselves.  With ``channels`` every head
-    attends over its d feature columns instead of its rows, reading its
-    projections transposed, so its scores are d x d whatever T is.
+    attends over its d feature columns instead of its rows: the same core
+    runs on transposed views of the projections, the head outputs and
+    their gradients, so its scores are d x d whatever T is.
 
     The backward is analytic: dV = P^T dO and, with dP = dO V^T,
     dS = P * (dP - rowsum(dP * P)), dQ = factor * dS K and
@@ -644,29 +629,25 @@ def attention(
         if cached is not None:
             k, v = np.concatenate([cached[0], k], axis=-2), np.concatenate([cached[1], v], axis=-2)
 
-    mats, tq, tk = q.size // (rows_per_item * d), q.shape[-2], k.shape[-2]  # (T, d) matrices per projection
-    if channels:  # per head, scores Q^T K (d x T by T x d) and output V P^T (T x d by d x d)
-        flops.add_matmul(mats * d, tq, d, part="core")
-        p = np.matmul(np.swapaxes(q, -1, -2), k)
-    else:  # scores Q K^T (T x d by d x T_k) and output P V (T x T_k by T_k x d)
-        flops.add_matmul(mats * tq, d, tk, part="core")
-        p = np.matmul(q, np.swapaxes(k, -1, -2))
+    # The row core below reads (rows, features) matrices; channel heads give it theirs transposed.
+    view = (lambda a: np.swapaxes(a, -1, -2)) if channels else (lambda a: a)
+    qc, kc, vc = view(q), view(k), view(v)
+    mats, (tq, dq), tk = q.size // (rows_per_item * d), qc.shape[-2:], kc.shape[-2]  # (T, d) matrices per projection
+    flops.add_matmul(mats * tq, dq, tk, part="core")  # scores Q K^T (T x d by d x T_k)
+    p = np.matmul(qc, np.swapaxes(kc, -1, -2))
     p *= factor
     if mask is not None:
         p += mask
     p -= np.maximum.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
-    flops.add_matmul(mats * tq, d if channels else tk, d, part="core")
+    flops.add_matmul(mats * tq, tk, dq, part="core")  # output P V (T x T_k by T_k x d)
     heads = np.empty(items + (rows_per_item, n, d))  # the output, heads side by side
-    if channels:
-        np.matmul(v, np.swapaxes(p, -1, -2), out=_heads_first(heads))
-    else:
-        np.matmul(p, v, out=_heads_first(heads))
+    np.matmul(p, vc, out=view(_heads_first(heads)))
     out = heads.reshape(lead + (t, n * d))
 
     def grad_fn(g: Array):
-        do = _heads_first(g.reshape(items + (rows_per_item, n, d)))
+        do = view(_heads_first(g.reshape(items + (rows_per_item, n, d))))
         # Gradients of the projections go straight into side-by-side slots, one buffer per input they read.
         own = context is None
         buf, slots = _grad_slots(q.shape, 3 if own else 1, q_full)
@@ -674,21 +655,13 @@ def attention(
             dk_slot, dv_slot = slots[1:]
         else:
             source_buf, (dk_slot, dv_slot) = _grad_slots(k.shape, 2, kv_full)
-        if channels:
-            np.matmul(do, p, out=dv_slot)
-            ds = np.matmul(np.swapaxes(do, -1, -2), v)
-        else:
-            np.matmul(np.swapaxes(p, -1, -2), do, out=dv_slot)
-            ds = np.matmul(do, np.swapaxes(v, -1, -2))
+        np.matmul(np.swapaxes(p, -1, -2), do, out=view(dv_slot))
+        ds = np.matmul(do, np.swapaxes(vc, -1, -2))
         ds -= np.add.reduce(ds * p, axis=-1, keepdims=True)
         ds *= p
         ds *= factor
-        if channels:
-            np.matmul(k, np.swapaxes(ds, -1, -2), out=slots[0])
-            np.matmul(q, ds, out=dk_slot)
-        else:
-            np.matmul(ds, k, out=slots[0])
-            np.matmul(np.swapaxes(ds, -1, -2), q, out=dk_slot)
+        np.matmul(ds, kc, out=view(slots[0]))
+        np.matmul(np.swapaxes(ds, -1, -2), qc, out=view(dk_slot))
         drows, grads = _project_grad(rows, [wq_heads, wk_heads, wv_heads] if own else [wq_heads], q_full, buf)
         if not own:
             dsource, (dwk, dwv) = _project_grad(source_rows, [wk_heads, wv_heads], kv_full, source_buf)

@@ -313,7 +313,8 @@ def channel_group_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor):
     axis), and forms channel-to-channel scores Q^T K / sqrt(P), so the
     attention matrix is C_g x C_g regardless of patch count.  Values
     aggregate as (A V^T)^T = V A^T, returning P x C_g per group; groups
-    concatenate back to width C.  Returns (output P x C, weights
+    concatenate back to width C.  This is the row attention core run on
+    the transposed P x C_g projections.  Returns (output P x C, weights
     N_g x C_g x C_g).
     """
     p, c = x.shape[-2:]

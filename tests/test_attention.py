@@ -93,6 +93,7 @@ def cases(rng):
     single = [rand(rng, 4, 4) for _ in range(3)]
     groups = [rand(rng, 2, 2, 2) for _ in range(3)]
     ctx, wkv = rand(rng, b, 6, 5), [rand(rng, 2, 5, 3) for _ in range(2)]
+    group = [rand(rng, 1, 4, 4) for _ in range(3)]  # one group reads every column: the full-head layout
     tiles = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)  # 2 x 2 tiles of a 4 x 4 grid
     runs = np.arange(16).reshape(4, 4)
 
@@ -112,6 +113,8 @@ def cases(rng):
          lambda: composed_attention(x8, *single, f, windows=runs)),
         ("channel groups", [x8, *groups], lambda: attention(x8, *groups, f, channels=True)[0],
          lambda: composed_attention(x8, *groups, f, channels=True)),
+        ("one channel group", [x8, *group], lambda: attention(x8, *group, f, channels=True)[0],
+         lambda: composed_attention(x8, *group, f, channels=True)),
         ("cross-attention", [x, heads[0], *wkv, ctx], lambda: attention(x, heads[0], *wkv, f, context=ctx)[0],
          lambda: composed_attention(x, heads[0], *wkv, f, context=ctx)),
     ]

@@ -123,6 +123,11 @@ class TestFiniteDifferenceOracles:
         c = rand(rng, 2, 3)
         check_grads(lambda: mean(mul(concat([a, b, c], axis=1), concat([c, a, b], axis=1))), [a, b, c], tol=1e-6)
         check_grads(lambda: mean(mul(concat([a, b], axis=0), concat([b, a], axis=0))), [a, b], tol=1e-6)
+        check_grads(lambda: mean(mul(concat([a], axis=1), b)), [a, b], tol=1e-6)  # a single input
+        empty = rand(rng, 2, 0)
+        check_grads(lambda: mean(mul(concat([a, empty, b], axis=1), concat([b, a], axis=1))), [a, b], tol=1e-6)
+        got = analytic_grads(lambda: mean(concat([a, empty, b], axis=1)), [a, empty, b])
+        assert [g.shape for g in got] == [(2, 3), (2, 0), (2, 3)]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_reductions(self, seed):
