@@ -18,8 +18,12 @@ finished beams are ranked by log-probability divided by length^0.7 and
 ties broken toward lexicographically smaller id sequences.  Beam width
 1 reduces to greedy decoding exactly.  A batch of images is one search
 over the live (image, beam) rows: one encoder pass and one decoder call
-per step.  caption_records captions a split CAPTION_BATCH images per
-search, which bounds the decoder cache a search holds.
+per step.  An image leaves the search once its caption is decided: its
+best finished score beats the best any of its live rows could reach at
+the length cap (the "optimal stopping" of Huang et al., arXiv
+1708.00111, for these scores), so captions are those of the full search.
+caption_records captions a split CAPTION_BATCH images per search, which
+bounds the decoder cache a search holds.
 """
 
 from __future__ import annotations
@@ -277,8 +281,13 @@ def generate_batch(model: CaptionModel, images: Tensor, max_len: int = 16, beam_
     conditioned_logits.  Each image keeps its best beam_width
     candidates by log-probability, ties to the smaller id sequence;
     finished beams rank by log-probability / length^0.7, ties the same
-    way.  The cache holds B x beam_width rows, so caption_records passes
-    a split CAPTION_BATCH images at a time.
+    way.  An image is decided, and all its rows leave the search, once
+    its best finished score beats the best score any of its live rows
+    could still reach (see _beam_search); the search ends when every
+    image is decided or out of room.  The cache holds B x beam_width
+    rows, so caption_records passes a split CAPTION_BATCH images at a
+    time.  An image with a non-finite pixel raises ContractError; a
+    search too large to allocate raises ConfigError.
     """
     if images.data.ndim != 4:
         raise ShapeError(f"generate_batch: images must be B x H x W x ch, got {images.shape}")
@@ -286,24 +295,57 @@ def generate_batch(model: CaptionModel, images: Tensor, max_len: int = 16, beam_
         raise ContractError(f"generate: max_len must be >= 3, got {max_len}")
     if beam_width < 1:
         raise ContractError(f"generate: beam_width must be >= 1, got {beam_width}")
+    finite = np.isfinite(images.data)
+    if not finite.all():
+        bad = np.flatnonzero(~finite.reshape(len(finite), -1).all(axis=1))[0]
+        raise ContractError(f"generate: image {bad} of the batch has a non-finite pixel")
+    if not len(images.data):
+        return []
+    try:
+        return _beam_search(model, images, max_len, beam_width)
+    except MemoryError as e:
+        raise ConfigError(
+            f"max_len {max_len} with beam_width {beam_width} on a batch of {len(images.data)} "
+            f"is too large to search: {e}"
+        ) from e
+
+
+def _beam_search(model: CaptionModel, images: Tensor, max_len: int, beam_width: int) -> list[TokenSequence]:
+    """generate_batch's search over a non-empty batch of finite images.
+
+    The early stop is exact.  A row's cost never falls, since every
+    log-probability is <= 0 as computed, and a caption has at most
+    max_len - 1 generated tokens, so a live row of cost c finishes no
+    better than -c / (max_len - 1)^0.7, computed as finish computes a
+    score.  An image whose best finished score is strictly above that
+    for each of its live rows keeps that caption whatever they become.
+    Only whole images leave: dropping single rows would free beam slots
+    for others and could change the answer.
+    """
     enc_out = encode_image(model, images)
     features = enc_out.features
     img_rows = Tensor(image_embedding(model, enc_out).data[:, None])  # each live row's image vector, (rows, 1, D)
     n = len(images.data)
     cache = DecoderCache(image=np.arange(n))
     hidden_sum = np.zeros((n, 1, model.cfg.decoder.dim))  # each live row's sum of its hidden states
-    seqs = np.full((n, max_len), BOS_ID)  # the ids of every live row, ids[:step + 1] at step
+    seqs = np.full((n, 1), BOS_ID)  # the ids of every live row so far, one column per step
     cost = np.zeros(n)  # and its negated log-probability
     rank = np.zeros(n, dtype=np.intp)  # and a rank that orders an image's live rows by their ids
     done = [[] for _ in range(n)]  # per image: (normalized score, ids) of each finished beam
+    best_done = np.full(n, -np.inf)  # per image: the best of those scores
+    longest = float(max_len - 1) ** LENGTH_NORM_POWER  # the length divisor of a caption of max_len ids
     words = np.array([EOS_ID, *range(UNK_ID + 1, model.cfg.decoder.vocab_size)])  # never PAD, BOS or UNK
+    deciding = False  # an image may be decided once a beam of a beam_width > 1 search has finished
 
     def finish(row: int, row_cost: float) -> None:
-        ids = (*seqs[row, :step + 1].tolist(), EOS_ID)
-        done[cache.image[row]].append((-float(row_cost) / float(len(ids) - 1) ** LENGTH_NORM_POWER, ids))
+        ids = (*seqs[row].tolist(), EOS_ID)
+        image = cache.image[row]
+        score = -float(row_cost) / float(len(ids) - 1) ** LENGTH_NORM_POWER
+        done[image].append((score, ids))
+        best_done[image] = max(best_done[image], score)
 
     for step in range(max_len - 1):
-        hidden = decode_text(seqs[:, step:step + 1], model.params, model.cfg.decoder, context=features, cache=cache)
+        hidden = decode_text(seqs[:, -1:], model.params, model.cfg.decoder, context=features, cache=cache)
         hidden_sum = hidden_sum + hidden.data
         logits = conditioned_logits(model, hidden, img_rows, pooled=Tensor(hidden_sum / (step + 1))).data[:, -1, words]
         top = logits.max(axis=1, keepdims=True)
@@ -327,17 +369,25 @@ def generate_batch(model: CaptionModel, images: Tensor, max_len: int = 16, beam_
             parent, tok, cost = parent[order], tok[order], cost[order]
             rank = np.argsort(np.lexsort((tok, rank[parent])))
         live = tok != EOS_ID
-        if not live.all():
+        ended = not live.all()
+        if ended:
             for row, c in zip(parent[~live], cost[~live]):
                 finish(row, c)
+            deciding = beam_width > 1  # a greedy image's one row ends with its caption: nothing to decide
+        if deciding:  # every row of a decided image leaves; an image with a live row that may still win stays
+            image = cache.image[parent]
+            undecided = np.zeros(n, dtype=bool)
+            undecided[image[live & (best_done[image] <= -cost / longest)]] = True
+            live &= undecided[image]
+            ended = not live.all()
+        if ended:
             if not live.any():
                 break
             parent, tok, cost, rank = parent[live], tok[live], cost[live], rank[live]
-        seqs = seqs[parent]
-        seqs[:, step + 1] = tok
         if beam_width > 1 or len(parent) < len(cache.image):  # one beam per image, none ended: rows stay put
             cache.select(parent)
-            hidden_sum, img_rows = hidden_sum[parent], Tensor(img_rows.data[parent])
+            hidden_sum, img_rows, seqs = hidden_sum[parent], Tensor(img_rows.data[parent]), seqs[parent]
+        seqs = np.concatenate((seqs, tok[:, None]), axis=1)
     chosen = [min(finished, key=lambda c: (-c[0], c[1]))[1] for finished in done]
     return [TokenSequence(ids=ids, length=len(ids)) for ids in chosen]
 

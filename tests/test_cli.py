@@ -296,6 +296,15 @@ class TestCaptionCommand:
         assert printed == trained["expected"][record.name][0]
         assert printed == record.captions[0]
 
+    def test_a_huge_max_len_captions_like_a_small_one(self, trained, tmp_path, capsys):
+        # the search grows its ids a column per step: max_len bounds its steps, not what it allocates
+        cfg = write_cfg(tmp_path / "run.cfg", max_len=100_000_000, beam_width=3)
+        for record in trained["ds"].records[:2]:
+            code = main(["caption", "--config", str(cfg), "--out", str(tmp_path),
+                         str(trained["ckpt"]), str(trained["data"] / record.name)])
+            assert code == 0
+            assert capsys.readouterr().out.strip() == trained["expected"][record.name][0]
+
     def test_identical_invocations_identical_output(self, trained, tmp_path, capsys):
         record = trained["ds"].records[1]
         image_path = trained["data"] / record.name

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dualcap.model as model_mod
 import dualcap.train as train_mod
@@ -612,11 +613,7 @@ class TestGenerate:
             seq = generate(model, p.image, max_len=max_len, beam_width=beam_width)
             want_ids, want_steps = full_recompute_generate(model, p.image, max_len, beam_width)
             assert seq.ids == want_ids
-            assert [s.shape for s in steps] == [s.shape for s in want_steps]
-            for got, want in zip(steps, want_steps):
-                finite = np.isfinite(want)
-                assert np.array_equal(finite, np.isfinite(got))
-                np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=1e-12)
+            assert_a_prefix_of_the_oracle_steps(steps, want_steps)
 
     def test_greedy_feeds_each_token_to_the_decoder_once(self, overfit_run, monkeypatch):
         _, _, model, pairs, _ = overfit_run
@@ -639,6 +636,26 @@ class TestGenerate:
             generate(model, pairs[0].image, max_len=2)
         with pytest.raises(ContractError, match="beam_width"):
             generate(model, pairs[0].image, beam_width=0)
+
+    def test_an_image_with_a_non_finite_pixel_is_a_contract_error(self):
+        _, _, model, pairs, _ = synthetic_setup()
+        images = np.stack([p.image.data for p in pairs[:3]])
+        images[1, 5, 7, 2] = np.nan
+        images[2, 0, 0, 0] = np.inf
+        with pytest.raises(ContractError, match="image 1 of the batch has a non-finite pixel"):
+            generate_batch(model, Tensor(images), beam_width=3)
+        with pytest.raises(ContractError, match="image 0 of the batch"):
+            generate(model, Tensor(images[2]))
+
+    def test_a_search_too_large_to_allocate_is_a_config_error(self, monkeypatch):
+        _, _, model, pairs, _ = synthetic_setup()
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(train_mod, "decode_text", out_of_memory)
+        with pytest.raises(ConfigError, match="max_len 100000000 with beam_width 3 on a batch of 1 is too large"):
+            generate(model, pairs[0].image, max_len=100_000_000, beam_width=3)
 
 
 def spy_word_logprobs(monkeypatch) -> list:
@@ -664,17 +681,22 @@ def spy_word_logprobs(monkeypatch) -> list:
     return steps
 
 
+def assert_a_prefix_of_the_oracle_steps(got_steps, want_steps):
+    """The steps a search ran equal the oracle's first steps: an image decided early runs fewer."""
+    assert 0 < len(got_steps) <= len(want_steps)
+    assert [s.shape for s in got_steps] == [s.shape for s in want_steps[:len(got_steps)]]
+    for got, want in zip(got_steps, want_steps):
+        finite = np.isfinite(want)
+        assert np.array_equal(finite, np.isfinite(got))
+        np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=1e-12)
+
+
 def assert_each_image_matches_the_oracle(model, images, got_ids, steps, max_len, beam_width):
-    """Every image's ids and per-step log-probs equal its own full-recompute search."""
+    """Every image's ids equal its own full-recompute search's, its per-step log-probs a prefix of that search's."""
     for i, image in enumerate(images):
         want_ids, want_steps = full_recompute_generate(model, image, max_len, beam_width)
         assert got_ids[i] == want_ids
-        got_steps = [lp[rows == i] for rows, lp in steps if (rows == i).any()]
-        assert [s.shape for s in got_steps] == [s.shape for s in want_steps]
-        for got, want in zip(got_steps, want_steps):
-            finite = np.isfinite(want)
-            assert np.array_equal(finite, np.isfinite(got))
-            np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=1e-12)
+        assert_a_prefix_of_the_oracle_steps([lp[rows == i] for rows, lp in steps if (rows == i).any()], want_steps)
 
 
 @pytest.fixture(scope="module")
@@ -741,7 +763,8 @@ class TestBatchedGenerate:
         steps = spy_word_logprobs(monkeypatch)
         images = [p.image for p in pairs[:2]]
         seqs = generate_batch(model, Tensor(np.stack([im.data for im in images])), max_len=6, beam_width=beam_width)
-        assert len(steps) == 5
+        # a live row costs 4x the immediate EOS after 4 steps, more than 5**0.7x: the EOS is decided
+        assert len(steps) == 4
         assert_each_image_matches_the_oracle(model, images, [s.ids for s in seqs], steps, 6, beam_width)
 
     @pytest.mark.parametrize("beam_width", [1, 4])
@@ -750,6 +773,52 @@ class TestBatchedGenerate:
         for p in pairs:
             alone = generate(model, p.image, max_len=12, beam_width=beam_width)
             assert generate_batch(model, Tensor(p.image.data[None]), max_len=12, beam_width=beam_width) == [alone]
+
+    def test_an_empty_batch_captions_to_nothing(self, midway_run, monkeypatch):
+        model, pairs = midway_run
+        monkeypatch.setattr(train_mod, "encode_image", None)  # not reached
+        for beam_width in (1, 3):
+            assert generate_batch(model, Tensor(np.zeros((0, 16, 16, 3))), beam_width=beam_width) == []
+
+    @pytest.mark.parametrize("beam_width", [3, 4])
+    def test_a_decided_image_stops_before_the_oracle(self, overfit_run, monkeypatch, beam_width):
+        # a converged model's best beam ends first; its losing beams need not run on to max_len
+        _, _, model, pairs, _ = overfit_run
+        calls = []
+        decode = train_mod.decode_text
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "decode_text", counted)
+        pruned = 0
+        for p in pairs:
+            calls.clear()
+            seq = generate(model, p.image, max_len=16, beam_width=beam_width)
+            want_ids, want_steps = full_recompute_generate(model, p.image, 16, beam_width)
+            assert seq.ids == want_ids
+            assert len(calls) <= len(want_steps)
+            pruned += len(calls) < len(want_steps)
+        assert pruned >= 2
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 16),
+        beam_width=st.integers(2, 6),
+        max_len=st.integers(3, 16),
+        picks=st.lists(st.integers(0, 7), min_size=1, max_size=3),
+    )
+    def test_random_models_caption_like_the_unpruned_oracle(self, seed, beam_width, max_len, picks):
+        # about one search in four on these untrained models decides an image before the oracle stops
+        _, _, model, pairs, _ = synthetic_setup(seed=seed)
+        images = [pairs[i].image for i in picks]
+        with pytest.MonkeyPatch.context() as mp:
+            steps = spy_word_logprobs(mp)
+            batched = generate_batch(model, Tensor(np.stack([im.data for im in images])), max_len=max_len, beam_width=beam_width)
+        ids = [s.ids for s in batched]
+        assert_each_image_matches_the_oracle(model, images, ids, steps, max_len, beam_width)
+        assert [generate(model, im, max_len=max_len, beam_width=beam_width).ids for im in images] == ids
 
     def test_a_batch_is_a_stack_of_images(self, midway_run):
         model, pairs = midway_run
