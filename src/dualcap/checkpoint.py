@@ -12,6 +12,8 @@ of each Adam moment buffer.  The payload is little-endian float64: the
 parameters in manifest order, then the first and the second moment as
 runs of ``moments`` values laid out like ``CaptionModel.flat``.  JSON
 keys are sorted, so the same state always produces byte-identical files.
+A load checks the manifest against the stored config's parameter table
+before it allocates anything, so it never allocates more than the file holds.
 Earlier formats are rejected by number: format 1 kept attention weights
 per head or group, format 2 its header right after the length and a
 payload-only CRC-32, format 3 a kind and an offset per array.
@@ -25,14 +27,14 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .autograd import Tensor
 from .errors import ContractError, IntegrityError
-from .model import CaptionModel, ModelConfig, build_model
+from .model import CaptionModel, ModelConfig, check_vocabulary, param_table
 from .textdec import Vocabulary
 from .train import AdamState
 
@@ -174,28 +176,31 @@ def save_model(path, model: CaptionModel, state: AdamState | None = None, extra:
 
 
 def model_from_checkpoint(ckpt: Checkpoint, vocab: Vocabulary) -> tuple[CaptionModel, AdamState]:
-    """Build the checkpoint's model carrying exactly its parameters, with its Adam state.
+    """The checkpoint's model, copies of its arrays (nothing is drawn at random), with its Adam state.
 
-    The stored (name, shape) list must be the model's, in order, and the
-    moments, when stored, must be as long as ``model.flat``; moments not
-    stored are zero.
+    The stored (name, shape) list must be the config's parameter table,
+    in order, and the moments, when stored, must be as long as
+    ``model.flat``; moments not stored are zero.
     """
     if "model" not in ckpt.config:
         raise IntegrityError("checkpoint config has no model entry")
-    model = build_model(ModelConfig.from_dict(ckpt.config["model"]), vocab, seed=0)
+    cfg = ModelConfig.from_dict(ckpt.config["model"])
+    check_vocabulary(cfg, vocab)
+    table = param_table(cfg)
     stored = [(name, arr.shape) for name, arr in ckpt.params.items()]
-    expected = [(name, t.shape) for name, t in model.params.items()]
+    rows = list(islice(table, len(stored) + 1))  # one row past the file's refutes a larger config
+    expected = [(row.name, row.shape) for row in rows]
     if stored != expected:
-        missing = sorted(dict(expected).keys() - dict(stored).keys())
+        missing = sorted(dict(expected).keys() - ckpt.params.keys())
         if missing:
-            raise IntegrityError(f"checkpoint parameter mismatch: missing {missing}")
+            more = " and more" if next(table, None) is not None else ""
+            raise IntegrityError(f"checkpoint parameter mismatch: missing {missing}{more}")
         (name, shape), want = next((s, e) for s, e in zip_longest(stored, expected) if s != e)
         raise IntegrityError(f"param array {name!r} of shape {shape} fits no parameter of the model"
                              + (f" (expected {want[0]!r} of shape {want[1]})" if want else ""))
+    model = CaptionModel(cfg, vocab, {row.name: Tensor(ckpt.params[row.name], row.trainable) for row in rows})
     if ckpt.m is not None and ckpt.m.size != model.flat.size:
         raise IntegrityError(f"moments of {ckpt.m.size} values each do not fit the model's {model.flat.size} trainable values")
-    for name, t in model.params.items():
-        t.data[...] = ckpt.params[name]
     if ckpt.m is None:
         return model, AdamState(ckpt.step, np.zeros_like(model.flat), np.zeros_like(model.flat))
     return model, AdamState(ckpt.step, ckpt.m.astype(np.float64), ckpt.v.astype(np.float64))

@@ -137,8 +137,9 @@ def run_config(args) -> RunConfig:
         rc.seed = args.seed
     if args.out is not None:
         rc.out = args.out
-    if rc.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {rc.seed}")
+    for key, least in (("seed", 0), ("epochs", 0), ("max_len", 3), ("beam_width", 1)):
+        if getattr(rc, key) < least:
+            raise ConfigError(f"{key} must be >= {least}, got {getattr(rc, key)}")
     return rc
 
 
@@ -209,8 +210,6 @@ def load_image(path, cfg: EncoderConfig) -> Tensor:
 def cmd_train(args) -> int:
     rc = run_config(args)
     tcfg = train_config(rc)
-    if rc.epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {rc.epochs}")
     out = out_dir(rc)
     used = [p for p in (out / "loss.tsv", *sorted(out.glob("epoch-*.ckpt"))) if p.exists()]
     if used:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .autograd import (
     take_rows,
 )
 from .errors import ConfigError, ContractError, ShapeError
-from .init import ones_init, uniform_init, zeros_init
+from .init import Param, init_params
 
 MODES = ("dual", "global", "spatial", "channel")
 WINDOW_LAYOUTS = ("1d", "2d")
@@ -248,8 +249,6 @@ def embed_patches(image: Tensor, cfg: EncoderConfig, w_proj: Tensor, positions: 
     no bias so a zero image with zero positions embeds to exactly zero.
     """
     patches = Tensor(split_patches(image, cfg))
-    if w_proj.shape != (cfg.patch_len, cfg.dim):
-        raise ShapeError(f"patch projection must be {(cfg.patch_len, cfg.dim)}, got {w_proj.shape}")
     if positions.shape != (cfg.patches, cfg.dim):
         raise ShapeError(f"positions must be {(cfg.patches, cfg.dim)}, got {positions.shape}")
     return add_bias(matmul(patches, w_proj), take_rows(positions, patch_order(cfg)))
@@ -324,38 +323,37 @@ def channel_group_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor):
     return out, _per_item(attn)
 
 
-def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Fresh trainable parameters for the configured encoder."""
-    c, c_h, c_g = cfg.dim, cfg.head_dim, cfg.group_dim
-    params: dict[str, Tensor] = {}
-    params["enc.patch.w"] = uniform_init(rng, (cfg.patch_len, c))
+def encoder_param_rows(cfg: EncoderConfig) -> Iterator[Param]:
+    """The encoder's rows of the parameter table, in build order."""
+    c, hidden = cfg.dim, cfg.dim * cfg.ffn_expansion
+    yield Param("enc.patch.w", (cfg.patch_len, c))
     if cfg.pos_encoding == "learned":
-        params["enc.pos"] = uniform_init(rng, (cfg.patches, c), fan_in=c)
-    hidden = c * cfg.ffn_expansion
+        yield Param("enc.pos", (cfg.patches, c), fan_in=c)
+    # per branch: the stacked group or head count, and each projection's width
+    stacks = {"spatial": ((), c), "channel": ((cfg.groups,), cfg.group_dim), "global": ((cfg.heads,), cfg.head_dim)}
     for i in range(cfg.depth):
         b = f"enc.b{i}"
-        if cfg.mode in ("dual", "spatial"):
+        for branch in ("spatial", "channel") if cfg.mode == "dual" else (cfg.mode,):
+            stack, w = stacks[branch]
             for name in ("wq", "wk", "wv"):
-                params[f"{b}.spatial.{name}"] = uniform_init(rng, (c, c))
-        if cfg.mode in ("dual", "channel"):
-            for name in ("wq", "wk", "wv"):
-                params[f"{b}.channel.{name}"] = uniform_init(rng, (cfg.groups, c_g, c_g), fan_in=c_g)
-        if cfg.mode == "global":
-            for name in ("wq", "wk", "wv"):
-                params[f"{b}.global.{name}"] = uniform_init(rng, (cfg.heads, c_h, c_h), fan_in=c_h)
+                yield Param(f"{b}.{branch}.{name}", stack + (w, w), fan_in=w)
         if i == cfg.depth - 1:
             break  # nothing reads the final block's tail
-        params[f"{b}.proj.w"] = uniform_init(rng, (2 * c, c))
-        params[f"{b}.proj.b"] = zeros_init(c)
-        params[f"{b}.ln1.g"] = ones_init(c)
-        params[f"{b}.ln1.b"] = zeros_init(c)
-        params[f"{b}.ffn.w1"] = uniform_init(rng, (c, hidden))
-        params[f"{b}.ffn.b1"] = zeros_init(hidden)
-        params[f"{b}.ffn.w2"] = uniform_init(rng, (hidden, c))
-        params[f"{b}.ffn.b2"] = zeros_init(c)
-        params[f"{b}.ln2.g"] = ones_init(c)
-        params[f"{b}.ln2.b"] = zeros_init(c)
-    return params
+        yield Param(f"{b}.proj.w", (2 * c, c))
+        yield Param(f"{b}.proj.b", (c,), fill=0.0)
+        yield Param(f"{b}.ln1.g", (c,), fill=1.0)
+        yield Param(f"{b}.ln1.b", (c,), fill=0.0)
+        yield Param(f"{b}.ffn.w1", (c, hidden))
+        yield Param(f"{b}.ffn.b1", (hidden,), fill=0.0)
+        yield Param(f"{b}.ffn.w2", (hidden, c))
+        yield Param(f"{b}.ffn.b2", (c,), fill=0.0)
+        yield Param(f"{b}.ln2.g", (c,), fill=1.0)
+        yield Param(f"{b}.ln2.b", (c,), fill=0.0)
+
+
+def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Fresh trainable parameters for the configured encoder."""
+    return init_params(encoder_param_rows(cfg), rng)
 
 
 def block_branches(x: Tensor, params: dict[str, Tensor], prefix: str, cfg: EncoderConfig):

@@ -1,29 +1,34 @@
-"""Parameter initialization helpers shared by the encoder and decoder."""
+"""Rows of the parameter table (one per parameter, declared next to the code that reads it) and their draw."""
 
 from __future__ import annotations
 
 import math
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .autograd import Tensor
 
 
-def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int | None = None) -> Tensor:
-    """Trainable tensor drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)).
+class Param(NamedTuple):
+    """One parameter: every value ``fill``, or else drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)).
 
-    fan_in defaults to the first dimension, which is the input width for
-    the x @ W convention used throughout.
+    fan_in defaults to shape[0], the input width for the x @ W convention.
     """
-    if fan_in is None:
-        fan_in = shape[0]
-    bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
+
+    name: str
+    shape: tuple[int, ...]
+    fill: float | None = None
+    fan_in: int | None = None
+    trainable: bool = True
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        if self.fill is not None:
+            return np.full(self.shape, self.fill)
+        bound = 1.0 / math.sqrt(self.shape[0] if self.fan_in is None else self.fan_in)
+        return rng.uniform(-bound, bound, self.shape)
 
 
-def ones_init(n: int) -> Tensor:
-    return Tensor(np.ones(n), requires_grad=True)
-
-
-def zeros_init(n: int) -> Tensor:
-    return Tensor(np.zeros(n), requires_grad=True)
+def init_params(rows: Iterable[Param], rng: np.random.Generator) -> dict[str, Tensor]:
+    """Fresh parameters for the rows, drawn in row order."""
+    return {row.name: Tensor(row.draw(rng), requires_grad=row.trainable) for row in rows}

@@ -1,13 +1,14 @@
 """The full captioning model: encoder, decoder, and fusion head in one bundle.
 
-Parameters for all three parts live in one name -> Tensor dict; the
-trainable ones, in dict order, are views of one float64 buffer.  The
-fusion head owns four pieces: an image projection (pooled encoder
-features -> joint space), a text projection (pooled decoder states ->
-joint space, shared between the contrastive tower and generation
-conditioning), a conditioning map from the fused joint vector back into
-decoder width, and the learnable log-temperature of the contrastive
-loss.
+Parameters for all three parts live in one name -> Tensor dict, one
+entry per row of :func:`param_table` (``build_model`` draws the rows, a
+checkpoint load checks its manifest against them); the trainable ones,
+in dict order, are views of one float64 buffer.  The fusion head owns
+four pieces: an image projection (pooled encoder features -> joint
+space), a text projection (pooled decoder states -> joint space, shared
+between the contrastive tower and generation conditioning), a
+conditioning map from the fused joint vector back into decoder width,
+and the learnable log-temperature of the contrastive loss.
 
 Conditioning works per position: position t pools the decoder's hidden
 states 0..t (a causal mean, so generation stays causal), projects and
@@ -19,6 +20,8 @@ hidden state before the tied output head.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
+from itertools import accumulate
+from typing import Iterator
 
 import numpy as np
 
@@ -32,11 +35,11 @@ from .autograd import (
     reshape,
     transpose,
 )
-from .encoder import EncoderConfig, EncoderOutput, encode, init_encoder_params
+from .encoder import EncoderConfig, EncoderOutput, encode, encoder_param_rows
 from .errors import ConfigError
 from .fusion import initial_log_temperature, pool_and_project
-from .init import uniform_init, zeros_init
-from .textdec import DecoderConfig, TokenSequence, Vocabulary, decode_text, init_decoder_params
+from .init import Param, init_params
+from .textdec import DecoderConfig, TokenSequence, Vocabulary, decode_text, decoder_param_rows
 
 
 @dataclass(frozen=True)
@@ -55,11 +58,7 @@ class ModelConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "encoder": asdict(self.encoder),
-            "decoder": asdict(self.decoder),
-            "joint_dim": self.joint_dim,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
@@ -105,9 +104,31 @@ class CaptionModel:
 
     def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
         """Each trainable parameter's view of a buffer laid out like ``flat``."""
-        trainable = self.trainable()
-        ends = np.cumsum([t.size for t in trainable.values()]).tolist()
-        return {name: buffer[end - t.size:end].reshape(t.shape) for (name, t), end in zip(trainable.items(), ends)}
+        arrays = {name: t.data for name, t in self.trainable().items()}
+        ends = accumulate(a.size for a in arrays.values())
+        return {name: buffer[end - a.size:end].reshape(a.shape) for (name, a), end in zip(arrays.items(), ends)}
+
+
+def param_table(cfg: ModelConfig) -> Iterator[Param]:
+    """Every parameter of the model, one row each, in ``params`` order; lazily, so that
+    a check against a file can stop at the file's end whatever the config asks for."""
+    yield from encoder_param_rows(cfg.encoder)
+    yield from decoder_param_rows(cfg.decoder)
+    fw, dd, jd = cfg.encoder.feature_width, cfg.decoder.dim, cfg.joint_dim
+    for name, width in (("img", fw), ("txt", dd)):
+        yield Param(f"fuse.{name}.w", (width, jd))
+        yield Param(f"fuse.{name}.b", (jd,), fill=0.0)
+    yield Param("fuse.cond.w", (2 * jd, dd))
+    yield Param("fuse.cond.b", (dd,), fill=0.0)
+    yield Param("fuse.log_temp", (1,), fill=initial_log_temperature())
+    ch = cfg.encoder.image_channels
+    yield Param("norm.mean", (ch,), fill=0.0, trainable=False)
+    yield Param("norm.std", (ch,), fill=1.0, trainable=False)
+
+
+def check_vocabulary(cfg: ModelConfig, vocab: Vocabulary) -> None:
+    if len(vocab) != cfg.decoder.vocab_size:
+        raise ConfigError(f"vocabulary has {len(vocab)} tokens, config says {cfg.decoder.vocab_size}")
 
 
 def build_model(cfg: ModelConfig, vocab: Vocabulary, seed: int = 0) -> CaptionModel:
@@ -115,26 +136,10 @@ def build_model(cfg: ModelConfig, vocab: Vocabulary, seed: int = 0) -> CaptionMo
 
     A config whose parameters do not fit in memory is a ConfigError.
     """
-    if len(vocab) != cfg.decoder.vocab_size:
-        raise ConfigError(f"vocabulary has {len(vocab)} tokens, config says {cfg.decoder.vocab_size}")
-    rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
+    check_vocabulary(cfg, vocab)
     try:
-        params.update(init_encoder_params(cfg.encoder, rng))
-        params.update(init_decoder_params(cfg.decoder, rng))
-        fw, dd, jd = cfg.encoder.feature_width, cfg.decoder.dim, cfg.joint_dim
-        params["fuse.img.w"] = uniform_init(rng, (fw, jd))
-        params["fuse.img.b"] = zeros_init(jd)
-        params["fuse.txt.w"] = uniform_init(rng, (dd, jd))
-        params["fuse.txt.b"] = zeros_init(jd)
-        params["fuse.cond.w"] = uniform_init(rng, (2 * jd, dd))
-        params["fuse.cond.b"] = zeros_init(dd)
-        params["fuse.log_temp"] = Tensor([initial_log_temperature()], requires_grad=True)
-        ch = cfg.encoder.image_channels
-        params["norm.mean"] = Tensor(np.zeros(ch))
-        params["norm.std"] = Tensor(np.ones(ch))
-        return CaptionModel(cfg=cfg, vocab=vocab, params=params)
-    except MemoryError as e:
+        return CaptionModel(cfg=cfg, vocab=vocab, params=init_params(param_table(cfg), np.random.default_rng(seed)))
+    except (MemoryError, ValueError) as e:  # numpy refuses a dimension past int64 with a ValueError
         raise ConfigError(f"model config is too large to allocate: {e}") from e
 
 

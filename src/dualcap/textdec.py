@@ -33,7 +33,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .autograd import (
 )
 from .encoder import sinusoidal_positions
 from .errors import ConfigError, ContractError, VocabError
-from .init import ones_init, uniform_init, zeros_init
+from .init import Param, init_params
 
 PAD_ID = 0
 BOS_ID = 1
@@ -223,30 +223,31 @@ class DecoderConfig:
         return self.dim // self.heads
 
 
-def init_decoder_params(cfg: DecoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Fresh trainable parameters for the configured decoder."""
+def decoder_param_rows(cfg: DecoderConfig) -> Iterator[Param]:
+    """The decoder's rows of the parameter table, in build order."""
     c, c_h, n_h, w = cfg.dim, cfg.head_dim, cfg.heads, cfg.context_width
-    params: dict[str, Tensor] = {}
-    params["dec.emb"] = uniform_init(rng, (cfg.vocab_size, c), fan_in=c)
     hidden = c * cfg.ffn_expansion
+    yield Param("dec.emb", (cfg.vocab_size, c), fan_in=c)
     for i in range(cfg.depth):
         b = f"dec.b{i}"
-        for name in ("wq", "wk", "wv"):
-            params[f"{b}.self.{name}"] = uniform_init(rng, (n_h, c_h, c_h), fan_in=c_h)
-        params[f"{b}.cross.wq"] = uniform_init(rng, (n_h, c_h, c_h), fan_in=c_h)
-        params[f"{b}.cross.wk"] = uniform_init(rng, (n_h, w, c_h), fan_in=w)
-        params[f"{b}.cross.wv"] = uniform_init(rng, (n_h, w, c_h), fan_in=w)
-        params[f"{b}.ln1.g"] = ones_init(c)
-        params[f"{b}.ln1.b"] = zeros_init(c)
-        params[f"{b}.ln2.g"] = ones_init(c)
-        params[f"{b}.ln2.b"] = zeros_init(c)
-        params[f"{b}.ffn.w1"] = uniform_init(rng, (c, hidden))
-        params[f"{b}.ffn.b1"] = zeros_init(hidden)
-        params[f"{b}.ffn.w2"] = uniform_init(rng, (hidden, c))
-        params[f"{b}.ffn.b2"] = zeros_init(c)
-        params[f"{b}.ln3.g"] = ones_init(c)
-        params[f"{b}.ln3.b"] = zeros_init(c)
-    return params
+        for name in ("self.wq", "self.wk", "self.wv", "cross.wq"):
+            yield Param(f"{b}.{name}", (n_h, c_h, c_h), fan_in=c_h)
+        for name in ("cross.wk", "cross.wv"):
+            yield Param(f"{b}.{name}", (n_h, w, c_h), fan_in=w)
+        for ln in ("ln1", "ln2"):
+            yield Param(f"{b}.{ln}.g", (c,), fill=1.0)
+            yield Param(f"{b}.{ln}.b", (c,), fill=0.0)
+        yield Param(f"{b}.ffn.w1", (c, hidden))
+        yield Param(f"{b}.ffn.b1", (hidden,), fill=0.0)
+        yield Param(f"{b}.ffn.w2", (hidden, c))
+        yield Param(f"{b}.ffn.b2", (c,), fill=0.0)
+        yield Param(f"{b}.ln3.g", (c,), fill=1.0)
+        yield Param(f"{b}.ln3.b", (c,), fill=0.0)
+
+
+def init_decoder_params(cfg: DecoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Fresh trainable parameters for the configured decoder."""
+    return init_params(decoder_param_rows(cfg), rng)
 
 
 def token_ids(tokens) -> np.ndarray:

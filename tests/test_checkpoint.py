@@ -9,6 +9,7 @@ silently wrong parameters.
 import json
 import re
 import struct
+import tracemalloc
 import zlib
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualcap import checkpoint
+from dualcap import checkpoint, init
 from dualcap.autograd import Tensor
 from dualcap.checkpoint import (
     MAGIC,
@@ -28,7 +29,7 @@ from dualcap.checkpoint import (
 )
 from dualcap.data import make_synthetic
 from dualcap.encoder import EncoderConfig
-from dualcap.errors import ContractError, IntegrityError
+from dualcap.errors import ConfigError, ContractError, IntegrityError
 from dualcap.model import ModelConfig, build_model, set_channel_stats
 from dualcap.textdec import DecoderConfig, Vocabulary
 from dualcap.train import AdamState, TrainConfig, fit, generate, sequence_text, training_pairs
@@ -373,6 +374,62 @@ class TestCorruption:
         with pytest.raises(ContractError, match="moments of shapes"):
             save_model(tmp_path / "m.ckpt", model, AdamState(state.step, state.m[:-1], state.v[:-1]))
         assert list(tmp_path.iterdir()) == []
+
+
+def readme_file(tmp_path, section=None, key=None, value=None):
+    """A README-sized checkpoint with Adam moments; a given model config key is set to value, the CRC-32 made to match."""
+    vocab = Vocabulary([f"w{i}" for i in range(13)])
+    enc = EncoderConfig(image_size=16, patch_size=4, dim=16)
+    dec = DecoderConfig(vocab_size=len(vocab), dim=16, context_width=enc.feature_width)
+    model = build_model(ModelConfig(encoder=enc, decoder=dec, joint_dim=8), vocab, seed=1)
+    path = tmp_path / "readme.ckpt"
+    save_model(path, model, AdamState(2, np.full_like(model.flat, 0.5), np.full_like(model.flat, 0.25)))
+    header, payload, _ = split_file(path.read_bytes())
+    if key is not None:
+        model_config = header["config"]["model"]
+        (model_config[section] if section else model_config)[key] = value
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(join_file(header, payload, struct.pack("<I", zlib.crc32(payload, zlib.crc32(blob)))))
+    return path, model
+
+
+class TestLoadBuildsNothing:
+    def test_a_load_draws_no_random_values(self, tmp_path, monkeypatch):
+        path, model = readme_file(tmp_path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a load drew random values")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(init.Param, "draw", no_draws)
+        restored, state, _ = load_model(path, model.vocab)
+        assert restored.flat.tobytes() == model.flat.tobytes()
+        assert [(n, t.shape, t.data.tobytes()) for n, t in restored.params.items()] == [
+            (n, t.shape, t.data.tobytes()) for n, t in model.params.items()]
+        assert state.step == 2 and np.all(state.m == 0.5) and np.all(state.v == 0.25)
+
+    def test_a_config_larger_than_the_file_allocates_nothing(self, tmp_path):
+        path, model = readme_file(tmp_path, None, "joint_dim", 10**12)  # fuse.img.w would be about 233 TiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntegrityError, match=re.escape(
+                    f"param array 'fuse.img.w' of shape (32, 8) fits no parameter of the model "
+                    f"(expected 'fuse.img.w' of shape (32, {10**12}))")):
+                load_model(path, model.vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_a_config_with_far_more_parameters_than_the_file_is_refuted_from_its_first_rows(self, tmp_path):
+        path, model = readme_file(tmp_path, "encoder", "depth", 10**12)
+        with pytest.raises(IntegrityError, match=r"missing \[.*'enc\.b0\.proj\.w'.*\] and more$"):
+            load_model(path, model.vocab)
+
+    def test_a_vocabulary_of_another_size_is_a_config_error(self, tmp_path):
+        path, _ = readme_file(tmp_path)
+        with pytest.raises(ConfigError, match="vocabulary has 6 tokens, config says 17"):
+            load_model(path, Vocabulary(["red", "dot"]))
 
 
 class _TornFile:

@@ -439,15 +439,17 @@ class TestCaptionCommand:
         name = f"{section}.{key}" if section else key
         assert f"config error: model config {name} must be" in capsys.readouterr().err
 
-    def test_a_model_config_too_large_to_allocate_is_config_error(self, trained, tmp_path, capsys):
+    def test_a_model_config_larger_than_the_file_is_integrity_error(self, trained, tmp_path, capsys):
         def edit(header, payload):
             header["config"]["model"]["joint_dim"] = 10**12  # fuse.img.w would be about 233 TiB
             return payload
 
-        assert self.caption_with_edited_header(trained, tmp_path, edit) == 1
+        assert self.caption_with_edited_header(trained, tmp_path, edit) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "config error: model config is too large to allocate" in captured.err
+        fw = trained["model"].cfg.encoder.feature_width
+        assert (f"integrity error: param array 'fuse.img.w' of shape ({fw}, 8) fits no parameter of the model "
+                f"(expected 'fuse.img.w' of shape ({fw}, {10**12}))") in captured.err
 
 
 class TestEvalCommand:
@@ -621,6 +623,18 @@ class TestExitCodes:
         flag = ["--seed", "-1"] if where == "flag" else []
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run"), *flag]) == 1
         assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"max_len": 1, "beam_width": 0}, "max_len must be >= 3, got 1"),
+        ({"max_len": 2}, "max_len must be >= 3, got 2"),
+        ({"beam_width": 0}, "beam_width must be >= 1, got 0"),
+    ])
+    def test_a_max_len_or_beam_width_no_search_accepts_is_a_config_error(self, tmp_path, capsys, entries, message):
+        # train would write a full run that eval and caption then refuse
+        cfg = write_cfg(tmp_path / "run.cfg", **entries)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_a_model_too_large_to_allocate_is_a_config_error(self, tmp_path, capsys):

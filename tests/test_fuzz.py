@@ -8,20 +8,27 @@ the characters the parsers split on), so the fuzzing reaches past the
 first check.  The two config paths, a run's key=value file and a
 checkpoint's model config, must build a model or raise a DualcapError;
 their ints stay small (16 or less) so that every model built is tiny.
-Runs are derandomized and keep no example database.
+A CRC-valid checkpoint whose stored model config asks for 0, 1, 2 or a
+huge count must load exactly or raise IntegrityError or ConfigError,
+never allocate what the file does not hold.  Runs are derandomized and
+keep no example database.
 """
 
 import copy
+import json
+import struct
+import zlib
 from argparse import Namespace
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualcap.checkpoint import MAGIC, load_model, save_model
 from dualcap.cli import RunConfig, load_run_dataset, model_config, parse_config_file, run_config, train_config
 from dualcap.data import parse_caption_file, parse_netpbm
 from dualcap.encoder import EncoderConfig
-from dualcap.errors import ConfigError, DataError, DualcapError, VocabError
+from dualcap.errors import ConfigError, DataError, DualcapError, IntegrityError, VocabError
 from dualcap.model import ModelConfig, build_model, set_channel_stats
 from dualcap.textdec import DecoderConfig, Vocabulary
 
@@ -135,3 +142,38 @@ def test_a_stored_model_config_builds_a_model_or_raises_a_dualcap_error(edits):
     except DualcapError:
         return
     assert model.cfg.to_dict() == data
+
+
+INT_KEYS = [(section, f.name) for section, cls in (("encoder", EncoderConfig), ("decoder", DecoderConfig))
+            for f in fields(cls) if f.type == "int"] + [(None, "joint_dim")]
+counts = st.lists(st.tuples(st.sampled_from(INT_KEYS), st.sampled_from([0, 1, 2, 2**63])), min_size=1, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def stored_model(tmp_path_factory):
+    """A checkpoint of the MODEL_BASE model: its path, model, and the header and payload of its bytes."""
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    model = build_model(ModelConfig.from_dict(MODEL_BASE), MODEL_VOCAB, seed=0)
+    save_model(path, model)
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<I", data[4:8])
+    return path, model, json.loads(data[12:12 + header_len]), data[12 + header_len:]
+
+
+@FUZZ
+@given(edits=counts)
+def test_a_stored_model_config_of_any_size_loads_exactly_or_raises_integrity_or_config_error(stored_model, edits):
+    path, model, header, payload = stored_model
+    header = copy.deepcopy(header)
+    for (section, key), value in edits:
+        model_config = header["config"]["model"]
+        (model_config[section] if section else model_config)[key] = value
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    crafted = path.with_name("crafted.ckpt")
+    crafted.write_bytes(MAGIC + struct.pack("<II", len(blob), zlib.crc32(payload, zlib.crc32(blob))) + blob + payload)
+    try:
+        loaded, _, _ = load_model(crafted, MODEL_VOCAB)
+    except (IntegrityError, ConfigError):
+        return
+    assert loaded.flat.tobytes() == model.flat.tobytes()
+    assert [(name, t.shape) for name, t in loaded.params.items()] == [(name, t.shape) for name, t in model.params.items()]

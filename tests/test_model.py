@@ -5,6 +5,7 @@ and for causality (position t must not see tokens after t); gradients
 of the full pipeline are checked with finite differences.
 """
 
+import hashlib
 import re
 
 import numpy as np
@@ -21,6 +22,7 @@ from dualcap.model import (
     conditioned_logits,
     encode_image,
     image_embedding,
+    param_table,
     set_channel_stats,
     text_embedding,
 )
@@ -105,12 +107,40 @@ class TestBuild:
         # fuse.img.w alone is 32 x 10**12 float64s, about 233 TiB: far more than any machine holds
         with pytest.raises(ConfigError, match="model config is too large to allocate"):
             build_model(ModelConfig(encoder=enc, decoder=dec, joint_dim=10**12), vocab)
+        # a dimension past int64 numpy refuses outright
+        with pytest.raises(ConfigError, match="model config is too large to allocate"):
+            build_model(ModelConfig(encoder=enc, decoder=dec, joint_dim=2**63), vocab)
 
     def test_same_seed_same_params(self):
         a, b = tiny_model(seed=3), tiny_model(seed=3)
         assert set(a.params) == set(b.params)
         for name in a.params:
             np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
+
+    # sha256 of build_model(cfg, vocab, seed=1).flat bytes and of repr([(name, shape), ...]), recorded
+    # before the parameter table existed, when build_model drew each parameter in its own init call
+    @pytest.mark.parametrize("overrides, flat_sha, names_sha", [
+        ({}, "99aada7a389e6841d22a08d4d34928da2a6cabb06122f5f8050e53e983e46874",
+         "eb5e9aa3f8c3c57a96be61f906adf65cf1ab1d167ea2e2e9c15851426fcc7c75"),
+        ({"depth": 2, "mode": "global", "pos_encoding": "learned"},
+         "43c1a6ca2502271ba47d947d3b3c72d79501dcd9f9296daa5ea676193ea81ae5",
+         "3ece7965c8ddc4e41d633a169b52dfa355295b2fa89e278a04056b9b21a97009"),
+    ], ids=["readme", "depth2-global-learned"])
+    def test_seeded_init_is_pinned_bytewise(self, overrides, flat_sha, names_sha):
+        vocab = Vocabulary([f"w{i}" for i in range(13)])
+        enc = EncoderConfig(image_size=16, patch_size=4, dim=16, **overrides)  # the README model
+        dec = DecoderConfig(vocab_size=len(vocab), dim=16, context_width=enc.feature_width)
+        model = build_model(ModelConfig(encoder=enc, decoder=dec, joint_dim=8), vocab, seed=1)
+        names = [(name, t.shape) for name, t in model.params.items()]
+        assert hashlib.sha256(repr(names).encode()).hexdigest() == names_sha
+        assert hashlib.sha256(model.flat.tobytes()).hexdigest() == flat_sha
+
+    @pytest.mark.parametrize("mode", ["dual", "global", "spatial", "channel"])
+    def test_the_table_lists_every_parameter_once_in_order(self, mode):
+        model = tiny_model(mode=mode)
+        rows = list(param_table(model.cfg))
+        assert [(row.name, row.shape, row.trainable) for row in rows] == [
+            (name, t.shape, t.requires_grad) for name, t in model.params.items()]
 
     def test_different_seed_differs(self):
         a, b = tiny_model(seed=3), tiny_model(seed=4)
