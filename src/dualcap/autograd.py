@@ -13,7 +13,7 @@ with leading batch axes.  :func:`matmul` multiplies (..., m, k) by
 (..., k, n) when the batch shapes are equal or one operand is a single
 2-D matrix that every item shares; the shared operand's gradient sums
 over the stack, and any other batch mismatch is a ShapeError naming both
-shapes.  :func:`transpose` swaps the last two axes.  :func:`layer_norm`,
+shapes.  :func:`transpose` swaps the last two axes.  :func:`add_norm`,
 :func:`l2_normalize` and :func:`cross_entropy` work on the last axis of
 any rank; cross_entropy gives one mean per (T, V) matrix.  The only
 broadcast is :func:`add_bias`, which adds a tensor to every trailing
@@ -29,6 +29,10 @@ softmax core over any stack of heads, windows or channel groups, and
 the head merge.  :func:`contrastive_loss` is the fusion head's
 symmetric InfoNCE: one similarity GEMM, then cross_entropy's arithmetic
 over its rows and over its columns, differentiable in the temperature.
+Three more fuse the layers around them, each bit for bit the chain of
+ops it stands for: :func:`linear` (matmul, then add_bias),
+:func:`add_norm` (a post-norm residual: the layer norm of an add) and
+:func:`ffn` (linear, exact GELU, linear).
 """
 
 from __future__ import annotations
@@ -264,6 +268,60 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), grad_fn)
 
 
+def _affine_shapes(op: str, rows: tuple[int, ...], w: Tensor, b: Tensor) -> None:
+    if w.data.ndim != 2 or len(rows) < 2 or rows[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"{op}: need (..., m, k) rows, a (k, n) weight and an (n,) bias, got {rows}, {w.shape}, {b.shape}")
+
+
+def _affine(x: Array, w: Array, b: Array) -> Array:
+    """x @ w + b over every row of x: matmul's one GEMM against a shared matrix, then add_bias's sum."""
+    k, n = w.shape
+    flops.add_matmul(x.size // k, k, n)
+    out = (x.reshape(-1, k) @ w).reshape(x.shape[:-1] + (n,))
+    out += b
+    return out
+
+
+def _affine_grad(x: Array, w: Array, g: Array, need_x: bool) -> tuple[Array | None, Array, Array]:
+    """Gradients of _affine given its output's: (x's if need_x, w's, b's), as matmul and add_bias give them."""
+    k, n = w.shape
+    rows = g.reshape(-1, n)
+    dx = (rows @ w.T).reshape(x.shape) if need_x else None
+    return dx, x.reshape(-1, k).T @ rows, rows.sum(axis=0)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one op: ``add_bias(matmul(x, w), b)`` for a (k, n) weight and an (n,) bias.
+
+    Values, gradients and FLOPs are those of the two ops, bit for bit.
+    """
+    _affine_shapes("linear", x.shape, w, b)
+    out = _new(_affine(x.data, w.data, b.data))
+    return _record(out, (x, w, b), lambda g: _affine_grad(x.data, w.data, g, x.requires_grad))
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """A feed-forward sublayer as one op: linear(gelu(linear(x, w1, b1)), w2, b2).
+
+    The GELU is the exact 0.5 * u * (1 + erf(u / sqrt(2))).  Values,
+    gradients and FLOPs are those of the three ops, bit for bit.
+    """
+    _affine_shapes("ffn", x.shape, w1, b1)
+    _affine_shapes("ffn", x.shape[:-1] + w1.shape[1:], w2, b2)
+    pre = _affine(x.data, w1.data, b1.data)
+    e = erf(pre * _INV_SQRT2)
+    inner = 0.5 * pre * (1.0 + e)
+    out = _new(_affine(inner, w2.data, b2.data))
+
+    def grad_fn(g: Array):
+        d_inner, dw2, db2 = _affine_grad(inner, w2.data, g, True)
+        pdf = np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
+        dx, dw1, db1 = _affine_grad(x.data, w1.data, d_inner * (0.5 * (1.0 + e) + pre * pdf), x.requires_grad)
+        return dx, dw1, db1, dw2, db2
+
+    return _record(out, (x, w1, b1, w2, b2), grad_fn)
+
+
 # ---------------------------------------------------------------------------
 # shape manipulation
 
@@ -327,6 +385,25 @@ def take_rows(x: Tensor, indices) -> Tensor:
     return _record(out, (x,), grad_fn)
 
 
+def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    """The contiguous run [start, stop) along one axis; the whole axis is x itself and records nothing."""
+    ndim = x.data.ndim
+    if axis < 0 or axis >= ndim:
+        raise ShapeError(f"slice_axis: axis {axis} out of range for rank {ndim}")
+    if not 0 <= start < stop <= x.shape[axis]:
+        raise ShapeError(f"slice_axis: range [{start}, {stop}) invalid for axis of size {x.shape[axis]}")
+    if stop - start == x.shape[axis]:
+        return x
+    index = (np.s_[:],) * axis + (np.s_[start:stop],)
+
+    def grad_fn(g: Array):
+        full = np.zeros_like(x.data)
+        full[index] = g
+        return (full,)
+
+    return _record(_new(x.data[index]), (x,), grad_fn)
+
+
 # ---------------------------------------------------------------------------
 # reductions and nonlinearities
 
@@ -370,31 +447,23 @@ def mean_rows(x: Tensor, counts=None) -> Tensor:
     return _record(out, (x,), grad_fn)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian error linear unit, 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    e = erf(x.data * _INV_SQRT2)
-    out = _new(0.5 * x.data * (1.0 + e))
+def add_norm(h: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """A post-norm residual as one op: h + y normalized over its last axis, then scaled and shifted.
 
-    def grad_fn(g: Array):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        return (g * (0.5 * (1.0 + e) + x.data * pdf),)
-
-    return _record(out, (x,), grad_fn)
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance; then scale and shift.
-
-    eps sits inside the square root.  gain and bias are length-C vectors
-    applied to every row of a tensor of any rank.
+    The sum gets zero mean and unit variance per row (eps inside the
+    square root); gain and bias are length-C vectors applied to every
+    row of a tensor of any rank.
     """
-    if x.data.ndim < 1:
-        raise ShapeError(f"layer_norm: expected at least 1-D input, got {x.shape}")
-    c = x.shape[-1]
+    if h.shape != y.shape:
+        raise ShapeError(f"add_norm: shapes differ: {h.shape} vs {y.shape}")
+    if h.data.ndim < 1:
+        raise ShapeError(f"add_norm: expected at least 1-D input, got {h.shape}")
+    c = h.shape[-1]
     if gain.shape != (c,) or bias.shape != (c,):
-        raise ShapeError(f"layer_norm: gain/bias must be ({c},), got {gain.shape} and {bias.shape}")
+        raise ShapeError(f"add_norm: gain/bias must be ({c},), got {gain.shape} and {bias.shape}")
+    x = h.data + y.data
     # np.mean and np.var, written out: the same sums and divisions, fewer calls
-    centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / c
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / c
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / c
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
@@ -405,11 +474,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         m1 = gy.mean(axis=-1, keepdims=True)
         m2 = (gy * xhat).mean(axis=-1, keepdims=True)
         dx = inv * (gy - m1 - xhat * m2)
-        dgain = (g * xhat).reshape(-1, c).sum(axis=0)
-        dbias = g.reshape(-1, c).sum(axis=0)
-        return dx, dgain, dbias
+        return dx, dx, (g * xhat).reshape(-1, c).sum(axis=0), g.reshape(-1, c).sum(axis=0)
 
-    return _record(out, (x, gain, bias), grad_fn)
+    return _record(out, (h, y, gain, bias), grad_fn)
 
 
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:

@@ -45,6 +45,7 @@ from .textdec import DecoderConfig, Vocabulary
 from .train import (
     TrainConfig,
     caption_records,
+    check_batches,
     fit,
     generate,
     run_ablation,
@@ -218,8 +219,9 @@ def cmd_train(args) -> int:
     vocab, _ = train_vocab(rc, ds)
     model = build_model(model_config(rc, len(vocab)), vocab, seed=rc.seed)
     set_channel_stats(model, ds.mean, ds.std)
-    vocab.save(out / "vocab.txt")
     pairs = training_pairs(ds, vocab)
+    check_batches(len(pairs), tcfg)  # a refused run writes nothing
+    vocab.save(out / "vocab.txt")
     extra = {"seed": rc.seed}
     save_model(out / "epoch-0000.ckpt", model, None, extra=extra)
     state = None

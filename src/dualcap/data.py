@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .textdec import tokenize
 
 SPLIT_NAMES = ("train", "val", "test")
@@ -359,13 +359,16 @@ def make_synthetic(n: int, grid: int = 16, seed: int = 0) -> CaptionDataset:
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(combos))
     records = []
-    for i in range(n):
-        color, shape, position = combos[order[i % len(combos)]]
-        records.append(Record(
-            name=f"synthetic_{i:04d}.ppm",
-            image=render_combo(color, shape, position, grid),
-            captions=[combo_caption(color, shape, position)],
-        ))
+    try:
+        for i in range(n):
+            color, shape, position = combos[order[i % len(combos)]]
+            records.append(Record(
+                name=f"synthetic_{i:04d}.ppm",
+                image=render_combo(color, shape, position, grid),
+                captions=[combo_caption(color, shape, position)],
+            ))
+    except (MemoryError, ValueError) as e:  # numpy refuses a side past int64 with a ValueError
+        raise ConfigError(f"make_synthetic: images of side {grid} are too large to make: {e}") from e
     ds = CaptionDataset(records=records, splits={"train": list(range(n)), "val": [], "test": []})
     with warnings.catch_warnings():
         # tiny color palettes often zero out a channel; that is expected here

@@ -41,12 +41,12 @@ import numpy as np
 from . import flops
 from .autograd import (
     Tensor,
-    add,
     add_bias,
+    add_norm,
     attention,
     concat,
-    gelu,
-    layer_norm,
+    ffn,
+    linear,
     matmul,
     take_rows,
 )
@@ -383,12 +383,11 @@ def block_tail(x: Tensor, branches: Tensor, params: dict[str, Tensor], prefix: s
     ``x`` is the block input and ``branches`` its block_branches concat.
     """
     with flops.scope("block_proj"):
-        projected = add_bias(matmul(branches, params[f"{prefix}.proj.w"]), params[f"{prefix}.proj.b"])
-    y = layer_norm(add(x, projected), params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
+        projected = linear(branches, params[f"{prefix}.proj.w"], params[f"{prefix}.proj.b"])
+    y = add_norm(x, projected, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     with flops.scope("ffn"):
-        inner = gelu(add_bias(matmul(y, params[f"{prefix}.ffn.w1"]), params[f"{prefix}.ffn.b1"]))
-        ffn_out = add_bias(matmul(inner, params[f"{prefix}.ffn.w2"]), params[f"{prefix}.ffn.b2"])
-    return layer_norm(add(y, ffn_out), params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
+        ffn_out = ffn(y, *(params[f"{prefix}.ffn.{name}"] for name in ("w1", "b1", "w2", "b2")))
+    return add_norm(y, ffn_out, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
 
 
 def encode(image: Tensor, cfg: EncoderConfig, params: dict[str, Tensor]) -> EncoderOutput:

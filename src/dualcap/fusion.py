@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .autograd import Tensor, add_bias, contrastive_loss, l2_normalize, matmul, mean_rows, reshape
+from .autograd import Tensor, contrastive_loss, l2_normalize, linear, mean_rows, reshape
 from .errors import ShapeError
 
 INITIAL_TEMPERATURE = 0.07
@@ -36,7 +36,7 @@ def pool_and_project(features: Tensor, w: Tensor, b: Tensor, rows=None) -> Tenso
     if w.shape[0] != width:
         raise ShapeError(f"pool_and_project: projection expects width {w.shape[0]}, got {features.shape}")
     pooled = reshape(mean_rows(features, rows), (features.size // (t * width), width))
-    vec = l2_normalize(add_bias(matmul(pooled, w), b))
+    vec = l2_normalize(linear(pooled, w, b))
     return reshape(vec, lead + (w.shape[1],))
 
 

@@ -28,9 +28,9 @@ import numpy as np
 from .autograd import (
     Tensor,
     add,
-    add_bias,
     concat,
     l2_normalize,
+    linear,
     matmul,
     reshape,
     transpose,
@@ -169,14 +169,16 @@ def _lengths(tokens: TokenSequence | list[TokenSequence]):
     return tokens.length if isinstance(tokens, TokenSequence) else [seq.length for seq in tokens]
 
 
-def text_embedding(model: CaptionModel, seq: TokenSequence | list[TokenSequence]) -> Tensor:
+def text_embedding(model: CaptionModel, seq: TokenSequence | list[TokenSequence], hidden: Tensor | None = None) -> Tensor:
     """Unit-norm joint-space embedding of a caption on its own, shape (D,).
 
     Runs the decoder without image context and pools the non-PAD rows,
     so the embedding describes only the text.  A list of sequences runs
-    as one PAD-padded batch and gives (B, D).
+    as one PAD-padded batch and gives (B, D).  A caller that already has
+    those context-free states passes them as ``hidden``.
     """
-    hidden = decode_text(seq, model.params, model.cfg.decoder, context=None)
+    if hidden is None:
+        hidden = decode_text(seq, model.params, model.cfg.decoder, context=None)
     return pool_and_project(hidden, model.params["fuse.txt.w"], model.params["fuse.txt.b"], rows=_lengths(seq))
 
 
@@ -198,12 +200,12 @@ def conditioned_logits(model: CaptionModel, hidden: Tensor, image_vec: Tensor, p
     if pooled is None:
         causal_mean = Tensor(np.tril(np.ones((t, t))) / np.arange(1.0, t + 1.0)[:, None])
         pooled = matmul(causal_mean, hidden)
-    text_rows = l2_normalize(add_bias(matmul(pooled, p["fuse.txt.w"]), p["fuse.txt.b"]))
+    text_rows = l2_normalize(linear(pooled, p["fuse.txt.w"], p["fuse.txt.b"]))
     image_rows = image_vec
     if image_vec.shape != lead + (t, jd):  # one vector per item: repeat it at every position
         image_rows = matmul(Tensor(np.ones((t, 1))), reshape(image_vec, lead + (1, jd)))
     fused = concat([image_rows, text_rows], axis=len(lead) + 1)
-    conditioning = add_bias(matmul(fused, p["fuse.cond.w"]), p["fuse.cond.b"])
+    conditioning = linear(fused, p["fuse.cond.w"], p["fuse.cond.b"])
     return matmul(add(hidden, conditioning), transpose(p["dec.emb"]))
 
 
@@ -212,8 +214,7 @@ def caption_logits(model: CaptionModel, image: Tensor, seq: TokenSequence | list
 
     One image with one sequence gives T x V logits; a B x H x W x ch
     batch with a list of B sequences runs as one PAD-padded stack and
-    gives B x T x V logits.  A (B, T) array of ids runs as given;
-    train_step passes every position of its captions but the last.
+    gives B x T x V logits.  A (B, T) array of ids runs as given.
     """
     enc_out = encode_image(model, image)
     hidden = decode_text(seq, model.params, model.cfg.decoder, context=enc_out.features)

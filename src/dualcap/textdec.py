@@ -5,7 +5,8 @@ through a frequency-ordered vocabulary with four reserved ids (PAD=0,
 BOS=1, EOS=2, UNK=3).  The decoder itself is a stack of post-norm
 transformer blocks: causal self-attention (a position sees itself and
 earlier positions only; PAD keys are masked out), cross-attention over
-encoder patch features, and a GELU feed-forward.  Each attention
+encoder patch features, and a GELU feed-forward (one ``autograd.ffn``
+op), each closed by a post-norm residual (``add_norm``).  Each attention
 sublayer stores its heads stacked, one (N_h, C_in, C_h) weight per
 projection, and runs as one :func:`autograd.attention` op: the
 cross-attention keys and values are one GEMM of the context rows
@@ -16,7 +17,10 @@ model.conditioned_logits after the fused image-text conditioning.
 The cross-attention sublayer always runs.  With context=None its
 attention term is exactly zero, which makes no-context decoding
 bitwise identical to decoding against a zero context with zero
-cross-value weights; the contrastive text pathway relies on this.
+cross-value weights; the contrastive text pathway relies on this.  A
+teacher-forced batch can mix both kinds of row: a context that covers
+only the first rows adds that exact zero term to the others, so one
+call runs the captions and the text tower together.
 
 Every call runs against a :class:`DecoderCache` of what earlier
 positions computed: the cross-attention keys and values of a stack of
@@ -40,12 +44,12 @@ import numpy as np
 from .autograd import (
     MASK_VALUE,
     Tensor,
-    add,
     add_bias,
+    add_norm,
     attention,
-    gelu,
-    layer_norm,
-    matmul,
+    concat,
+    ffn,
+    slice_axis,
     take_rows,
 )
 from .encoder import sinusoidal_positions
@@ -325,7 +329,11 @@ def decode_text(
     with a B x P x W context; a batch runs as one stack.  Without a
     ``cache`` this is a teacher-forced pass, the prefill of a fresh
     cache, and PAD positions are returned too (mask their targets out
-    of the loss instead).
+    of the loss instead).  Its context may also hold N < B maps: rows
+    0..N-1 read them, and the cross-attention of the other rows adds an
+    exact zero, so those rows get the states of a context-free pass.
+    train_step runs its captions and its text tower this way, as one
+    call; given a cache, such a context raises ContractError.
 
     A filled ``cache`` takes B x 1 ids, one new position at
     ``cache.length`` for each of its B rows, and ``context`` is the
@@ -343,6 +351,7 @@ def decode_text(
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise VocabError(f"token id out of range for vocabulary of {cfg.vocab_size}")
     lead, t = ids.shape[:-1], ids.shape[-1]
+    cache_given = cache is not None
     if cache is None:
         cache = DecoderCache(image=np.arange(math.prod(lead)))
     if math.prod(lead) != len(cache.image):
@@ -360,31 +369,37 @@ def decode_text(
     mask = attention_masks(ids).data if t > 1 else None
     inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)
     project = context is not None and not cache.cross  # this call projects the cross-attention K and V
-    if project and (context.data.ndim != len(lead) + 2 or context.shape[:-2] != lead or context.shape[-1] != w):
+    if project and not (context.data.ndim == len(lead) + 2 and context.shape[-1] == w
+                        and context.shape[1:-2] == lead[1:] and (not lead or 0 < context.shape[0] <= lead[0])):
         raise ConfigError(f"context must be one P x {w} map per row of ids {ids.shape}, got {context.shape}")
+    partial = project and context.shape[:-2] != lead  # the maps cover the first rows only
+    if partial and cache_given:
+        raise ContractError(f"decode_text: {context.shape[0]} context maps for {lead[0]} rows of ids; "
+                            "a partial context is for a teacher-forced pass without a cache")
 
     for i in range(cfg.depth):
         b = f"dec.b{i}"
         wq, wk, wv = (params[f"{b}.self.{name}"] for name in ("wq", "wk", "wv"))
         self_out, _, cache.past[i] = attention(h, wq, wk, wv, inv_sqrt, mask=mask, cached=cache.past[i])
-        h = layer_norm(add(h, self_out), params[f"{b}.ln1.g"], params[f"{b}.ln1.b"])
+        h = add_norm(h, self_out, params[f"{b}.ln1.g"], params[f"{b}.ln1.b"])
 
-        if context is not None:
-            wq = params[f"{b}.cross.wq"]
-            if project:
-                wk, wv = params[f"{b}.cross.wk"], params[f"{b}.cross.wv"]
-                cross_out, _, kv = attention(h, wq, wk, wv, inv_sqrt, context=context)
-                cache.cross.append(kv)
-            else:
-                cross_out, _, _ = attention(h, wq, None, None, inv_sqrt, cached=cache.cross[i])
-            h = layer_norm(add(h, cross_out), params[f"{b}.ln2.g"], params[f"{b}.ln2.b"])
+        # a row without an image map adds an exact zero attention term: h + 0.0 is h
+        wq = params[f"{b}.cross.wq"]
+        if context is None:
+            cross_out = Tensor(np.zeros(h.shape))
+        elif project:
+            wk, wv = params[f"{b}.cross.wk"], params[f"{b}.cross.wv"]
+            queries = slice_axis(h, 0, 0, len(context.data)) if partial else h
+            cross_out, _, kv = attention(queries, wq, wk, wv, inv_sqrt, context=context)
+            cache.cross.append(kv)
+            if partial:
+                zeros = Tensor(np.zeros((lead[0] - len(context.data),) + cross_out.shape[1:]))
+                cross_out = concat([cross_out, zeros], axis=0)
         else:
-            # context-free pass: the attention term is exactly zero, so
-            # the residual add is skipped and only the norm runs
-            h = layer_norm(h, params[f"{b}.ln2.g"], params[f"{b}.ln2.b"])
+            cross_out, _, _ = attention(h, wq, None, None, inv_sqrt, cached=cache.cross[i])
+        h = add_norm(h, cross_out, params[f"{b}.ln2.g"], params[f"{b}.ln2.b"])
 
-        inner = gelu(add_bias(matmul(h, params[f"{b}.ffn.w1"]), params[f"{b}.ffn.b1"]))
-        ffn_out = add_bias(matmul(inner, params[f"{b}.ffn.w2"]), params[f"{b}.ffn.b2"])
-        h = layer_norm(add(h, ffn_out), params[f"{b}.ln3.g"], params[f"{b}.ln3.b"])
+        ffn_out = ffn(h, *(params[f"{b}.ffn.{name}"] for name in ("w1", "b1", "w2", "b2")))
+        h = add_norm(h, ffn_out, params[f"{b}.ln3.g"], params[f"{b}.ln3.b"])
     cache.length += t
     return h

@@ -6,12 +6,13 @@ The training objective per batch is
 
 where the cross-entropy for one pair covers positions 0..L-2 predicting
 ids 1..L-1 (teacher forcing, PAD ignored) and the contrastive term
-aligns pooled image and text embeddings across the batch.  The decoder
-pass with image context runs only those L-1 input positions, the ones a
-search runs to generate L tokens; the context-free text tower runs all
-L, because it pools through EOS.  Batches are consecutive slices of
-the pair list in a fixed order, so a run is fully determined by the
-seed that built the model.
+aligns pooled image and text embeddings across the batch.  Both come
+from one decoder call over all L positions of a stack of 2B rows: the
+captions with image context, then the same captions without, the
+context-free text tower, which pools through EOS.  Position L-1 of a
+caption row predicts nothing and is left out of the loss.  Batches are
+consecutive slices of the pair list in a fixed order, so a run is fully
+determined by the seed that built the model.
 
 Generation is beam search over word tokens with PAD/BOS/UNK masked out;
 finished beams are ranked by log-probability divided by length^0.7 and
@@ -41,6 +42,7 @@ from .autograd import (
     exp,
     mean,
     scale,
+    slice_axis,
     zero_grads,
 )
 from .data import CaptionDataset, Record
@@ -51,7 +53,6 @@ from .model import (
     CaptionModel,
     ModelConfig,
     build_model,
-    caption_logits,
     conditioned_logits,
     encode_image,
     image_embedding,
@@ -185,13 +186,14 @@ def adam_step(model: CaptionModel, state: AdamState, cfg: TrainConfig) -> None:
 def train_step(model: CaptionModel, batch: list[TrainingPair], state: AdamState, cfg: TrainConfig) -> StepLosses:
     """Forward, backward, and Adam update over one batch.
 
-    The batch runs as one stack: one encoder pass over its images, one
-    decoder pass with image context over its captions' input positions
-    (all but the last) and one without over the whole captions,
-    PAD-padded to the longest.  Each pair's caption cross-entropy is the
-    mean over its own predicted tokens, and the batch's is the mean over
-    pairs.  A loss that is not finite raises NonFiniteError before the
-    update.
+    The batch runs as one stack: one encoder pass over its images and
+    one decoder call over its captions, PAD-padded to the longest.  With
+    the contrastive term on, that call stacks the B captions twice: the
+    first B rows read the image features and feed the conditioned head,
+    and the other B, which read no image, are the text tower.  Each
+    pair's caption cross-entropy is the mean over its own predicted
+    tokens, and the batch's is the mean over pairs.  A loss that is not
+    finite raises NonFiniteError before the update.
     """
     if not batch:
         raise ContractError("train_step: empty batch")
@@ -204,12 +206,20 @@ def train_step(model: CaptionModel, batch: list[TrainingPair], state: AdamState,
     images = Tensor(np.stack([pair.image.data for pair in batch]))
     seqs = [pair.tokens for pair in batch]
     ids = token_ids(seqs)
+    b, towers = len(batch), 2 if cfg.contrastive_weight > 0 else 1
+    # each position predicts the next token; the last predicts nothing, and its PAD target leaves it out
+    targets = np.concatenate([ids[:, 1:], np.full((b, 1), PAD_ID)], axis=1)
     with Tape() as tape:
-        logits, _, img_vecs = caption_logits(model, images, ids[:, :-1])
-        ce = mean(cross_entropy(logits, ids[:, 1:], ignore_id=PAD_ID))
-        if cfg.contrastive_weight > 0:
+        enc_out = encode_image(model, images)
+        img_vecs = image_embedding(model, enc_out)
+        # one decoder call: the caption rows read the images, the text tower's rows after them none
+        hidden = decode_text(np.concatenate([ids] * towers), model.params, model.cfg.decoder, context=enc_out.features)
+        logits = conditioned_logits(model, slice_axis(hidden, 0, 0, b), img_vecs)
+        ce = mean(cross_entropy(logits, targets, ignore_id=PAD_ID))
+        if towers == 2:
             temperature = exp(model.params["fuse.log_temp"])
-            closs = contrastive_loss(img_vecs, text_embedding(model, seqs), temperature)
+            text_vecs = text_embedding(model, seqs, hidden=slice_axis(hidden, 0, b, 2 * b))
+            closs = contrastive_loss(img_vecs, text_vecs, temperature)
             total = add(ce, scale(closs, cfg.contrastive_weight))
             contrastive_value = closs.item()
         else:
@@ -238,16 +248,10 @@ def fit(
     s mod ceil(len(pairs) / batch_size), so a run split across calls or
     checkpoint resumes sees the identical batch schedule.
     """
-    if not pairs:
-        raise ContractError("fit: no training pairs")
+    check_batches(len(pairs), cfg)
     if steps < 1:
         raise ContractError(f"fit: steps must be >= 1, got {steps}")
     per_epoch = steps_per_epoch(len(pairs), cfg.batch_size)
-    if cfg.contrastive_weight > 0 and len(pairs) % cfg.batch_size == 1:
-        raise ContractError(
-            f"{len(pairs)} pairs with batch_size {cfg.batch_size} leaves a "
-            "1-pair batch, too small for the contrastive loss"
-        )
     state = state if state is not None else AdamState()
     history = []
     for _ in range(steps):
@@ -258,6 +262,21 @@ def fit(
         if on_step is not None:
             on_step(losses)
     return state, history
+
+
+def check_batches(n_pairs: int, cfg: TrainConfig) -> None:
+    """fit's check of its pairs, for a caller to make before it writes anything.
+
+    A ContractError if there are none, or if a batch of one pair would
+    meet the contrastive loss.
+    """
+    if not n_pairs:
+        raise ContractError("fit: no training pairs")
+    if cfg.contrastive_weight > 0 and (cfg.batch_size == 1 or n_pairs % cfg.batch_size == 1):
+        raise ContractError(
+            f"{n_pairs} pairs with batch_size {cfg.batch_size} leaves a "
+            "1-pair batch, too small for the contrastive loss"
+        )
 
 
 def steps_per_epoch(n_pairs: int, batch_size: int) -> int:

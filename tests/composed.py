@@ -1,19 +1,22 @@
 """Generic tape ops that the library no longer calls, kept as oracles and probes.
 
-The package records the attention softmax inside ``autograd.attention``
-and the symmetric InfoNCE loss as ``autograd.contrastive_loss``, and its
-teacher-forced pass computes only the positions it scores.  The ops
-here are the per-op pieces those replaced, each with its own backward
-rule, so a test can rebuild a fused op record by record and compare
-values and gradients, slice a full teacher-forced pass, or weight an
-output elementwise by a probe.
+The package records the attention softmax inside ``autograd.attention``,
+the symmetric InfoNCE loss as ``autograd.contrastive_loss``, the GELU
+inside ``autograd.ffn`` and the layer norm inside ``autograd.add_norm``.
+The ops here are the per-op pieces those replaced, each with its own
+backward rule, so a test can rebuild a fused op record by record and
+compare values and gradients, or weight an output elementwise by a
+probe.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import erf
 
-from dualcap.autograd import Tensor, _new, _record, add, cross_entropy, matmul, scale, transpose
+from dualcap.autograd import (
+    _INV_SQRT2, _INV_SQRT_2PI, Tensor, _new, _record, add, cross_entropy, matmul, scale, transpose,
+)
 from dualcap.errors import ContractError, ShapeError
 
 
@@ -48,23 +51,33 @@ def reciprocal(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g: (-g * out.data * out.data,))
 
 
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start, stop) along one axis."""
-    ndim = x.data.ndim
-    if axis < 0 or axis >= ndim:
-        raise ShapeError(f"slice_axis: axis {axis} out of range for rank {ndim}")
-    if not (0 <= start < stop <= x.shape[axis]):
-        raise ShapeError(f"slice_axis: range [{start}, {stop}) invalid for axis of size {x.shape[axis]}")
-    index = [np.s_[:]] * ndim
-    index[axis] = np.s_[start:stop]
-    index = tuple(index)
+def gelu(x: Tensor) -> Tensor:
+    """Exact Gaussian error linear unit, 0.5 * x * (1 + erf(x / sqrt(2))): the middle op of ``autograd.ffn``."""
+    e = erf(x.data * _INV_SQRT2)
+    out = _new(0.5 * x.data * (1.0 + e))
 
     def grad_fn(g):
-        full = np.zeros_like(x.data)
-        full[index] = g
-        return (full,)
+        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
+        return (g * (0.5 * (1.0 + e) + x.data * pdf),)
 
-    return _record(_new(x.data[index]), (x,), grad_fn)
+    return _record(out, (x,), grad_fn)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance, then scale and shift: ``autograd.add_norm`` without the add."""
+    c = x.shape[-1]
+    centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / c
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / c
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+
+    def grad_fn(g):
+        gy = g * gain.data
+        m1 = gy.mean(axis=-1, keepdims=True)
+        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+        return inv * (gy - m1 - xhat * m2), (g * xhat).reshape(-1, c).sum(axis=0), g.reshape(-1, c).sum(axis=0)
+
+    return _record(_new(xhat * gain.data + bias.data), (x, gain, bias), grad_fn)
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:

@@ -136,6 +136,10 @@ def primitive_cases(rng):
     stack, rows_probe, img, txt = (Tensor(own.standard_normal(shape), requires_grad=True)
                                    for shape in [(2, 3, 4), (2, 4), (3, 4), (3, 4)])
     tau = Tensor([0.8], requires_grad=True)
+    fused = np.random.default_rng(11)  # the fused layers' own stream, for the same reason
+    rows, w1, b1, w2, b2, residual = (Tensor(fused.standard_normal(shape), requires_grad=True)
+                                      for shape in [(2, 3, 4), (4, 6), (6,), (6, 4), (4,), (2, 3, 4)])
+    wide_probe, rows_probe3 = Tensor(fused.standard_normal((2, 3, 6))), Tensor(fused.standard_normal((2, 3, 4)))
 
     return {
         "add": (lambda: ag.mean(ag.add(a, b)), [a, b]),
@@ -147,17 +151,21 @@ def primitive_cases(rng):
         "exp": (lambda: ag.mean(ag.exp(a)), [a]),
         "reciprocal": (lambda: ag.mean(composed.reciprocal(pos)), [pos]),
         "matmul": (lambda: ag.mean(ag.matmul(m1, m2)), [m1, m2]),
+        "linear": (lambda: ag.mean(composed.mul(ag.linear(rows, w1, b1), wide_probe)), [rows, w1, b1]),
+        "ffn": (lambda: ag.mean(composed.mul(ag.ffn(rows, w1, b1, w2, b2), rows_probe3)), [rows, w1, b1, w2, b2]),
         "transpose": (lambda: ag.mean(ag.matmul(ag.transpose(m1), a)), [m1, a]),
         "reshape": (lambda: ag.mean(ag.reshape(a, (4, 3))), [a]),
         "concat": (lambda: ag.mean(ag.concat([cat1, cat2], axis=0)), [cat1, cat2]),
-        "slice_axis": (lambda: ag.mean(composed.slice_axis(a, 1, 1, 3)), [a]),
+        "slice_axis": (lambda: ag.mean(ag.slice_axis(a, 1, 1, 3)), [a]),
         "take_rows": (lambda: ag.mean(ag.take_rows(a, [2, 0, 2])), [a]),
         "mean_axis": (lambda: ag.mean(composed.mean_axis(a, 0)), [a]),
         "mean": (lambda: ag.mean(a), [a]),
         "mean_rows": (lambda: ag.mean(composed.mul(ag.mean_rows(stack, [1, 2]), rows_probe)), [stack]),
         "softmax": (lambda: ag.mean(composed.mul(composed.softmax(a, axis=1), b)), [a]),
-        "gelu": (lambda: ag.mean(ag.gelu(a)), [a]),
-        "layer_norm": (lambda: ag.mean(ag.layer_norm(a, gain, beta)), [a, gain, beta]),
+        "gelu": (lambda: ag.mean(composed.gelu(a)), [a]),
+        "layer_norm": (lambda: ag.mean(composed.layer_norm(a, gain, beta)), [a, gain, beta]),
+        "add_norm": (lambda: ag.mean(composed.mul(ag.add_norm(rows, residual, gain, beta), rows_probe3)),
+                     [rows, residual, gain, beta]),
         "l2_normalize": (lambda: ag.mean(composed.mul(ag.l2_normalize(a), b)), [a]),
         "cross_entropy": (lambda: cross_entropy(logits, [2, 0, 5, 1]), [logits]),
         "attention": (lambda: ag.mean(composed.mul(ag.attention(a, wq, wk, wv, 0.5)[0], heads_probe)), [a, wq, wk, wv]),
@@ -189,7 +197,7 @@ def test_criterion_1_gradient_integrity():
             ce_terms, img_rows, txt_rows = [], [], []
             for image, seq in zip(images, seqs):
                 logits, _, img_vec = caption_logits(model, image, seq)
-                predictions = composed.slice_axis(logits, 0, 0, seq.length - 1)
+                predictions = ag.slice_axis(logits, 0, 0, seq.length - 1)
                 ce_terms.append(cross_entropy(predictions, list(seq.ids[1:seq.length])))
                 img_rows.append(ag.reshape(img_vec, (1, 4)))
                 txt_rows.append(ag.reshape(text_embedding(model, seq), (1, 4)))

@@ -15,13 +15,14 @@ from dualcap.autograd import (
     mean,
     reshape,
     scale,
+    slice_axis,
     take_rows,
     transpose,
 )
 from dualcap.errors import ContractError, ShapeError
 from dualcap.textdec import attention_masks
 
-from composed import mul, slice_axis, softmax
+from composed import mul, softmax
 from gradcheck import analytic_grads, check_grads
 
 

@@ -10,31 +10,34 @@ import numpy as np
 import pytest
 
 import dualcap.autograd as ag
+from dualcap import flops
 from dualcap.autograd import (
     MASK_VALUE,
     Tape,
     Tensor,
     add,
     add_bias,
+    add_norm,
     backward,
     concat,
     cross_entropy,
     exp,
-    gelu,
+    ffn,
     l2_normalize,
-    layer_norm,
+    linear,
     matmul,
     mean,
     mean_rows,
     reshape,
     scale,
+    slice_axis,
     take_rows,
     transpose,
     zero_grads,
 )
 from dualcap.errors import ContractError, ShapeError
 
-from composed import mean_axis, mul, scale_by, slice_axis, softmax, sub
+from composed import gelu, layer_norm, mean_axis, mul, scale_by, softmax, sub
 from gradcheck import check_grads, fd_grads, analytic_grads, max_rel_err
 from test_acceptance import primitive_cases
 
@@ -431,6 +434,75 @@ class TestOpSemantics:
         loss = cross_entropy(scale(x, 10.0), [0, 1, 2, 3, 4])
         for t in (chain, loss):
             assert np.all(np.isfinite(t.data))
+
+
+def fused_layers(rng, x_grad):
+    """(name, inputs, the fused op, the chain of ops it stands for) for linear, add_norm and ffn."""
+    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=x_grad)
+    y, w1, b1, w2, b2 = (rand(rng, *shape) for shape in [(2, 3, 4), (4, 6), (6,), (6, 4), (4,)])
+    gain = Tensor(rng.uniform(0.5, 1.5, 4), requires_grad=True)
+    beta = rand(rng, 4)
+    return [
+        ("linear", [x, w1, b1], lambda: linear(x, w1, b1), lambda: add_bias(matmul(x, w1), b1)),
+        ("add_norm", [x, y, gain, beta], lambda: add_norm(x, y, gain, beta),
+         lambda: layer_norm(add(x, y), gain, beta)),
+        ("ffn", [x, w1, b1, w2, b2], lambda: ffn(x, w1, b1, w2, b2),
+         lambda: add_bias(matmul(gelu(add_bias(matmul(x, w1), b1)), w2), b2)),
+    ]
+
+
+class TestFusedLayers:
+    """Each fused layer op is bit for bit the chain of generic ops it replaces."""
+
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-no-grad"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_values_and_every_gradient_equal_the_chain(self, seed, x_grad):
+        rng = np.random.default_rng(1600 + seed)
+        for name, tensors, fused, chain in fused_layers(rng, x_grad):
+            probe = Tensor(rng.standard_normal(fused().shape))
+            grads = []
+            for build in (fused, chain):
+                zero_grads(tensors)
+                with Tape() as tape:
+                    out = build()
+                    tape.backward(mean(mul(out, probe)))
+                grads.append([t.grad for t in tensors])
+            np.testing.assert_array_equal(fused().data, chain().data, err_msg=name)
+            assert (grads[0][0] is None) == (grads[1][0] is None) == (not x_grad), name
+            for got, want in zip(grads[0], grads[1]):
+                if want is not None:
+                    np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_flops_equal_the_chain(self):
+        counts = {}
+        for name, _, fused, chain in fused_layers(np.random.default_rng(1700), True):
+            for kind, build in (("fused", fused), ("chain", chain)):
+                with flops.count_flops() as counter:
+                    build()
+                counts[name, kind] = counter.total
+        # 6 rows of 4 through (4, 6), and for the FFN on through (6, 4)
+        assert counts == {("linear", "fused"): 288, ("linear", "chain"): 288, ("add_norm", "fused"): 0,
+                          ("add_norm", "chain"): 0, ("ffn", "fused"): 576, ("ffn", "chain"): 576}
+
+    def test_slicing_a_whole_axis_is_the_input_itself(self):
+        x = rand(np.random.default_rng(1800), 2, 3)
+        with Tape() as tape:
+            assert slice_axis(x, 1, 0, 3) is x
+            assert slice_axis(x, 0, 0, 1).shape == (1, 3)
+        assert len(tape) == 1
+
+    def test_shape_errors_name_the_op(self):
+        x, w, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(4))
+        with pytest.raises(ShapeError, match="linear"):
+            linear(x, w, Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match="linear"):
+            linear(Tensor(np.zeros(3)), w, b)
+        with pytest.raises(ShapeError, match="ffn"):
+            ffn(x, w, b, Tensor(np.zeros((3, 3))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match="add_norm"):
+            add_norm(x, Tensor(np.zeros((3, 2))), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match="add_norm"):
+            add_norm(x, x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
 
 
 class TestShapeErrors:

@@ -279,6 +279,16 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         assert "epoch-0000.ckpt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("synthetic, batch_size", [(9, 8), (8, 1)])
+    def test_a_schedule_fit_refuses_writes_nothing(self, tmp_path, capsys, synthetic, batch_size):
+        cfg = write_cfg(tmp_path / "run.cfg", synthetic=synthetic, batch_size=batch_size)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "1-pair batch" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert main(["train", "--config", str(write_cfg(cfg, synthetic=synthetic, batch_size=batch_size,
+                                                          contrastive_weight=0)), "--out", str(out)]) == 0
+
     def test_unset_dataset_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "run.cfg", synthetic=0)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1

@@ -10,23 +10,31 @@ checkpoint's model config, must build a model or raise a DualcapError;
 their ints stay small (16 or less) so that every model built is tiny.
 A CRC-valid checkpoint whose stored model config asks for 0, 1, 2 or a
 huge count must load exactly or raise IntegrityError or ConfigError,
-never allocate what the file does not hold.  Runs are derandomized and
+never allocate what the file does not hold.  A whole CLI session, run
+in process, ends in a documented exit code with a one-line message for
+any integer key set to 0, 1 or a huge value.  Runs are derandomized and
 keep no example database.
 """
 
+import contextlib
 import copy
+import io
 import json
 import struct
+import tempfile
 import zlib
 from argparse import Namespace
 from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualcap.checkpoint import MAGIC, load_model, save_model
-from dualcap.cli import RunConfig, load_run_dataset, model_config, parse_config_file, run_config, train_config
-from dualcap.data import parse_caption_file, parse_netpbm
+from dualcap.cli import RunConfig, load_run_dataset, main, model_config, parse_config_file, run_config, train_config
+from dualcap.data import parse_caption_file, parse_netpbm, write_netpbm
 from dualcap.encoder import EncoderConfig
 from dualcap.errors import ConfigError, DataError, DualcapError, IntegrityError, VocabError
 from dualcap.model import ModelConfig, build_model, set_channel_stats
@@ -177,3 +185,53 @@ def test_a_stored_model_config_of_any_size_loads_exactly_or_raises_integrity_or_
         return
     assert loaded.flat.tobytes() == model.flat.tobytes()
     assert [(name, t.shape) for name, t in loaded.params.items()] == [(name, t.shape) for name, t in model.params.items()]
+
+
+# A tiny run for the in-process CLI session below: 4 synthetic 8 x 8 images, one step per epoch.
+CLI_BASE = {"synthetic": 4, "image_size": 8, "patch_size": 4, "dim": 8, "heads": 2, "window_patches": 2,
+            "groups": 2, "dec_dim": 8, "dec_heads": 2, "joint_dim": 4, "batch_size": 4, "epochs": 1,
+            "max_len": 5, "eval_split": "train"}
+HUGE = 2**63
+# Keys whose huge value asks for unbounded work rather than a bad run, left at 0 and 1: `epochs` trains
+# that long, `synthetic` renders that many images, `depth` and `dec_depth` build that many blocks, and
+# `max_len` lets an untrained model caption until eval's METEOR search overflows the stack (see CHANGES.md).
+UNBOUNDED = {"epochs", "synthetic", "depth", "dec_depth", "max_len"}
+CLI_EDITS = [(f.name, value) for f in fields(RunConfig) if type(f.default) is int
+             for value in (0, 1, HUGE) if not (value == HUGE and f.name in UNBOUNDED)]
+EXIT_CODES = {0, 1, 2, 3, 4}
+
+
+def cli(*argv: str) -> tuple[int, str]:
+    """main(argv) in process: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def assert_documented(code: int, err: str) -> None:
+    assert code in EXIT_CODES
+    assert (code == 0) == (err == "") and "Traceback" not in err
+    assert err.count("\n") <= 1, err
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(edits=st.lists(st.sampled_from(CLI_EDITS), min_size=1, max_size=2))
+def test_a_cli_session_ends_in_a_documented_exit_code(edits):
+    """train, then caption and eval with the same config; a train that exits 1 writes nothing."""
+    entries = {**CLI_BASE, **dict(edits)}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg, out = root / "run.cfg", root / "run"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+        code, err = cli("train", "--config", str(cfg), "--out", str(out))
+        assert_documented(code, err)
+        if code == 1:
+            assert not out.exists() or not any(out.iterdir())
+        if code != 0:
+            return
+        checkpoint = str(max(out.glob("epoch-*.ckpt")))
+        image = root / "image.ppm"
+        write_netpbm(image, np.zeros((entries["image_size"],) * 2 + (3,), dtype=np.uint8))
+        assert_documented(*cli("caption", "--config", str(cfg), checkpoint, str(image)))
+        assert_documented(*cli("eval", "--config", str(cfg), "--out", str(root / "eval"), checkpoint))

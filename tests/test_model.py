@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from dualcap.autograd import Tape, Tensor, cross_entropy
+from dualcap.autograd import Tape, Tensor, cross_entropy, slice_axis
 from dualcap.encoder import EncoderConfig
 from dualcap.errors import ConfigError
 from dualcap.model import (
@@ -28,7 +28,6 @@ from dualcap.model import (
 )
 from dualcap.textdec import DecoderConfig, TokenSequence, Vocabulary, decode_text, encode_caption
 
-from composed import slice_axis
 from gradcheck import check_grads
 
 

@@ -269,6 +269,24 @@ class TestDecodeText:
             decode_text(np.array([[BOS_ID], [BOS_ID]]), params, cfg, context=Tensor(np.zeros((2, 3, 5))),
                         cache=DecoderCache(image=np.arange(2)))
 
+    def test_a_partial_context_covers_the_first_rows(self):
+        cfg = tiny_cfg(depth=2)
+        rng = np.random.default_rng(12)
+        params = init_decoder_params(cfg, rng)
+        ids = np.array([[BOS_ID, 4, 5, EOS_ID], [BOS_ID, 7, EOS_ID, PAD_ID], [BOS_ID, 6, 8, 4]])
+        ctx = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=True)
+        mixed = decode_text(ids, params, cfg, context=ctx).data
+        np.testing.assert_allclose(mixed[:2], decode_text(ids[:2], params, cfg, context=ctx).data, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(mixed[2:], decode_text(ids[2:], params, cfg).data, atol=1e-12, rtol=0)
+        probe = Tensor(rng.standard_normal(mixed.shape))
+        check_grads(lambda: mean(mul(decode_text(ids, params, cfg, context=ctx), probe)),
+                    [ctx] + list(params.values()), tol=1e-5)
+        with pytest.raises(ContractError, match="partial context"):
+            decode_text(ids, params, cfg, context=ctx, cache=DecoderCache(image=np.arange(3)))
+        for maps in (0, 4):
+            with pytest.raises(ConfigError, match="context"):
+                decode_text(ids, params, cfg, context=Tensor(np.zeros((maps, 3, 6))))
+
     @pytest.mark.parametrize("with_context", [True, False])
     def test_a_filled_cache_step_cannot_be_recorded(self, with_context):
         cfg = tiny_cfg(depth=2)

@@ -28,6 +28,7 @@ from dualcap.autograd import (
     mean,
     reshape,
     scale,
+    slice_axis,
     zero_grads,
 )
 from dualcap.data import make_synthetic
@@ -75,8 +76,6 @@ from dualcap.train import (
     train_step,
     training_pairs,
 )
-
-from composed import slice_axis
 
 
 def synthetic_setup(n=8, dim=16, seed=1, pos_encoding="sinusoidal", **train_kw):
@@ -307,10 +306,11 @@ def step_forward_flops(model, caption_tokens: int, batch_size: int) -> int:
     """Closed-form forward matmul FLOPs of one train step on equal-length captions.
 
     Per pair: the encoder (every block's branches, every block's tail but
-    the last), the decoder with image context over the caption's T - 1
-    input positions, the image pooling, the conditioned head (the only
-    tied head) over those positions, the context-free decoder over all T
-    and the text pooling; per batch, the contrastive similarity matrix.
+    the last), the image pooling, and the one stacked decoder call over
+    all T positions of two rows: the caption's with image context, then
+    the text tower's without.  Then the conditioned head (the only tied
+    head) over the caption row's T positions and the text pooling; per
+    batch, the contrastive similarity matrix.
     """
     e, d, j = model.cfg.encoder, model.cfg.decoder, model.cfg.joint_dim
     p, c, w = e.patches, e.dim, e.feature_width
@@ -322,11 +322,11 @@ def step_forward_flops(model, caption_tokens: int, batch_size: int) -> int:
     def self_block(t):
         return 6 * t * dd * d.head_dim + 4 * t * t * dd + 4 * d.ffn_expansion * t * dd * dd
 
-    t = caption_tokens - 1
+    t = caption_tokens
     cross = 2 * t * dd * d.head_dim + 4 * p * w * dd + 4 * t * p * dd
     with_context = d.depth * (self_block(t) + cross)
     conditioned = 2 * t * t * dd + 2 * t * dd * j + 2 * t * j + 4 * t * j * dd + 2 * t * dd * v
-    without_context = d.depth * self_block(caption_tokens)
+    without_context = d.depth * self_block(t)
     per_pair = encoder + with_context + 2 * w * j + conditioned + without_context + 2 * dd * j
     return batch_size * per_pair + 2 * batch_size * j * batch_size
 
@@ -349,21 +349,44 @@ class TestBatchedStep:
                 np.testing.assert_allclose(t.grad, expected_grads[name], atol=1e-12, rtol=0, err_msg=name)
 
     def test_the_context_pass_runs_the_input_positions_and_the_text_tower_all(self, monkeypatch):
+        """One stacked decoder call: the captions with their images, then the text tower's copies without."""
         _, vocab, model, pairs, cfg = synthetic_setup(contrastive_weight=0.5)
         batch = ragged_batch(vocab, pairs)
-        longest = max(len(pair.tokens.ids) for pair in batch)
+        ids = token_ids([pair.tokens for pair in batch])
         calls = []
 
         def spy(tokens, params, dec_cfg, context=None, cache=None):
-            calls.append((token_ids(tokens).shape, context is not None))
+            calls.append((token_ids(tokens), None if context is None else context.shape, cache))
             return decode_text(tokens, params, dec_cfg, context=context, cache=cache)
 
+        monkeypatch.setattr(train_mod, "decode_text", spy)
         monkeypatch.setattr(model_mod, "decode_text", spy)
         train_step(model, batch, AdamState(), cfg)
-        assert sorted(calls) == [((len(batch), longest - 1), True), ((len(batch), longest), False)]
+        (stacked, context, cache), = calls
+        np.testing.assert_array_equal(stacked, np.concatenate([ids, ids]))
+        assert context[0] == len(batch) and cache is None
+        calls.clear()
+        train_step(model, batch, AdamState(), replace(cfg, contrastive_weight=0.0))
+        (alone, context, _), = calls
+        np.testing.assert_array_equal(alone, ids)
+        assert context[0] == len(batch)
+
+    def test_the_text_rows_are_a_context_free_pass(self):
+        _, vocab, model, pairs, _ = synthetic_setup()
+        batch = ragged_batch(vocab, pairs)
+        seqs = [pair.tokens for pair in batch]
+        ids = token_ids(seqs)
+        features = encode_image(model, Tensor(np.stack([pair.image.data for pair in batch]))).features
+        stacked = decode_text(np.concatenate([ids, ids]), model.params, model.cfg.decoder, context=features)
+        with_images = decode_text(ids, model.params, model.cfg.decoder, context=features)
+        text_only = decode_text(ids, model.params, model.cfg.decoder)
+        np.testing.assert_allclose(stacked.data[len(batch):], text_only.data, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(stacked.data[:len(batch)], with_images.data, atol=1e-12, rtol=0)
+        pooled = text_embedding(model, seqs, hidden=slice_axis(stacked, 0, len(batch), 2 * len(batch)))
+        np.testing.assert_allclose(pooled.data, text_embedding(model, seqs).data, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("patches", [16, 256])
-    def test_records_at_most_59_tape_ops(self, monkeypatch, patches):
+    def test_records_at_most_40_tape_ops(self, monkeypatch, patches):
         ds, vocab, model, pairs, cfg = synthetic_setup()
         if patches == 256:  # 32 x 32 images in patches of 2, dim 32: the same ops on bigger arrays
             ds = make_synthetic(8, grid=32, seed=0)
@@ -382,7 +405,7 @@ class TestBatchedStep:
 
         monkeypatch.setattr(autograd.Tape, "backward", counting_backward)
         train_step(model, pairs, AdamState(), cfg)
-        assert len(records) == 1 and records[0] <= 59
+        assert len(records) == 1 and records[0] <= 40
 
     def test_forward_flops_match_the_closed_form(self):
         ds, vocab, model, pairs, cfg = synthetic_setup()
