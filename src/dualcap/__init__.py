@@ -5,7 +5,7 @@ masked text decoder with a contrastive image-text head, training and
 generation, caption metrics, netpbm/TSV data handling, and a CLI.
 """
 
-from .autograd import Tape, Tensor, backward
+from .autograd import Tape, Tensor, backward, contrastive_loss
 from .data import CaptionDataset, load_dataset, make_synthetic, read_netpbm, write_netpbm
 from .encoder import EncoderConfig, encode, heatmap, init_encoder_params, patch_saliency
 from .errors import (
@@ -18,9 +18,8 @@ from .errors import (
     ShapeError,
     VocabError,
 )
-from .fusion import contrastive_loss, retrieval_accuracy
 from .metrics import ScoredCorpus, bleu, cider, meteor, rouge_l, score_report
-from .model import CaptionModel, ModelConfig, build_model, encode_image
+from .model import CaptionModel, ModelConfig, build_model, encode_image, retrieval_accuracy
 from .checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from .textdec import DecoderConfig, TokenSequence, Vocabulary, decode_text, encode_caption
 from .train import TrainConfig, evaluate_model, fit, generate, run_ablation, training_pairs

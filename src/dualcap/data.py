@@ -358,17 +358,19 @@ def make_synthetic(n: int, grid: int = 16, seed: int = 0) -> CaptionDataset:
     ]
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(combos))
+    try:  # every image at once, so that too many fail before any is drawn
+        pixels = np.zeros((n, grid, grid, 3))
+    except (MemoryError, ValueError) as e:  # numpy refuses a size past int64 with a ValueError
+        raise ConfigError(f"make_synthetic: {n} images of side {grid} cannot be allocated: {e}") from e
     records = []
-    try:
-        for i in range(n):
-            color, shape, position = combos[order[i % len(combos)]]
-            records.append(Record(
-                name=f"synthetic_{i:04d}.ppm",
-                image=render_combo(color, shape, position, grid),
-                captions=[combo_caption(color, shape, position)],
-            ))
-    except (MemoryError, ValueError) as e:  # numpy refuses a side past int64 with a ValueError
-        raise ConfigError(f"make_synthetic: images of side {grid} are too large to make: {e}") from e
+    for i, image in enumerate(pixels):
+        color, shape, position = combos[order[i % len(combos)]]
+        image[...] = render_combo(color, shape, position, grid)
+        records.append(Record(
+            name=f"synthetic_{i:04d}.ppm",
+            image=image,
+            captions=[combo_caption(color, shape, position)],
+        ))
     ds = CaptionDataset(records=records, splits={"train": list(range(n)), "val": [], "test": []})
     with warnings.catch_warnings():
         # tiny color palettes often zero out a channel; that is expected here

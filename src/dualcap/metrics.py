@@ -204,14 +204,15 @@ def _best_alignment(cand: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
 
     An alignment matches candidate positions to distinct reference
     positions with equal tokens.  A chunk is a maximal run of matches
-    that is contiguous and in order on both sides.  Exact search with
-    memoization over (candidate position, used reference positions,
-    previous match).  Every maximum alignment matches min(count in cand,
-    count in ref) of each word, so the search leaves candidate position
-    i (word w) unmatched only if the occurrences of w at i or later
-    outnumber the unused reference positions holding w; otherwise i
-    must take one of them.  Still exponential in the worst case (many
-    repeats of one word), fine at caption scale.
+    that is contiguous and in order on both sides.  Exact search in one
+    forward pass over candidate positions, keeping the best (matches,
+    -chunks) of each (used reference positions, previous match) state.
+    Every maximum alignment matches min(count in cand, count in ref) of
+    each word, so the search leaves candidate position i (word w)
+    unmatched only if the occurrences of w at i or later outnumber the
+    unused reference positions holding w; otherwise i must take one of
+    them.  Still exponential in the worst case (many repeats of one
+    word), fine at caption scale.
     """
     slots: dict[str, list[int]] = {}  # word -> reference positions holding it
     for j, w in enumerate(ref):
@@ -219,23 +220,27 @@ def _best_alignment(cand: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
     rest = [cand[i:].count(w) for i, w in enumerate(cand)]
 
     @lru_cache(maxsize=None)
-    def best(ci: int, used: int, prev: int) -> tuple[int, int]:
-        if ci == len(cand):
-            return (0, 0)
+    def moves(ci: int, used: int) -> list[tuple[int, int]]:
+        """Each way to place cand[ci]: (used after, matched reference position, or -2 for none)."""
         free = [j for j in slots.get(cand[ci], ()) if not used >> j & 1]
-        score = (-1, 0)  # beaten by any branch; at least one is always taken
+        placed = [(used | 1 << j, j) for j in free]
         if rest[ci] > len(free):  # leaving cand[ci] unmatched can still reach the maximum
-            matches, chunks = best(ci + 1, used, -2)
-            score = (matches, -chunks)
-        for j in free:
-            m, c = best(ci + 1, used | 1 << j, j)
-            c += 0 if prev == j - 1 else 1
-            score = max(score, (m + 1, -c))
-        return (score[0], -score[1])
+            placed.append((used, -2))
+        return placed  # never empty: one of the two always holds
 
-    result = best(0, 0, -2)
-    best.cache_clear()
-    return result
+    states = {(0, -2): (0, 0)}  # (used, previous match) -> best (matches, -chunks) so far
+    for ci in range(len(cand)):
+        reached: dict[tuple[int, int], tuple[int, int]] = {}
+        for (used, prev), (m, c) in states.items():
+            for state in moves(ci, used):
+                j = state[1]
+                score = (m, c) if j == -2 else (m + 1, c - (prev != j - 1))
+                if score > reached.get(state, (-1, 0)):
+                    reached[state] = score
+        states = reached
+    moves.cache_clear()
+    matches, chunks = max(states.values())
+    return matches, -chunks
 
 
 def meteor(corpus: ScoredCorpus) -> float:

@@ -8,7 +8,9 @@ four pieces: an image projection (pooled encoder features -> joint
 space), a text projection (pooled decoder states -> joint space, shared
 between the contrastive tower and generation conditioning), a
 conditioning map from the fused joint vector back into decoder width,
-and the learnable log-temperature of the contrastive loss.
+and the learnable log-temperature of the symmetric InfoNCE loss (the
+tape op ``autograd.contrastive_loss``), which pulls each image's
+unit-length joint vector toward its own caption's within a batch.
 
 Conditioning works per position: position t pools the decoder's hidden
 states 0..t (a causal mean, so generation stays causal), projects and
@@ -19,6 +21,7 @@ hidden state before the tied output head.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from itertools import accumulate
 from typing import Iterator
@@ -32,14 +35,17 @@ from .autograd import (
     l2_normalize,
     linear,
     matmul,
+    mean_rows,
     reshape,
     transpose,
 )
 from .encoder import EncoderConfig, EncoderOutput, encode, encoder_param_rows
 from .errors import ConfigError
-from .fusion import initial_log_temperature, pool_and_project
 from .init import Param, init_params
 from .textdec import DecoderConfig, TokenSequence, Vocabulary, decode_text, decoder_param_rows
+
+
+INITIAL_TEMPERATURE = 0.07
 
 
 @dataclass(frozen=True)
@@ -120,7 +126,7 @@ def param_table(cfg: ModelConfig) -> Iterator[Param]:
         yield Param(f"fuse.{name}.b", (jd,), fill=0.0)
     yield Param("fuse.cond.w", (2 * jd, dd))
     yield Param("fuse.cond.b", (dd,), fill=0.0)
-    yield Param("fuse.log_temp", (1,), fill=initial_log_temperature())
+    yield Param("fuse.log_temp", (1,), fill=math.log(INITIAL_TEMPERATURE))
     ch = cfg.encoder.image_channels
     yield Param("norm.mean", (ch,), fill=0.0, trainable=False)
     yield Param("norm.std", (ch,), fill=1.0, trainable=False)
@@ -163,6 +169,28 @@ def encode_image(model: CaptionModel, image: Tensor) -> EncoderOutput:
 def image_embedding(model: CaptionModel, enc_out: EncoderOutput) -> Tensor:
     """Unit-norm joint-space embedding of an encoded image, shape (D,) or (B, D)."""
     return pool_and_project(enc_out.features, model.params["fuse.img.w"], model.params["fuse.img.b"])
+
+
+def pool_and_project(features: Tensor, w: Tensor, b: Tensor, rows=None) -> Tensor:
+    """Mean-pool rows, apply a linear layer, L2-normalize; returns (D,).
+
+    ``rows`` limits pooling to the first rows (used to exclude PAD
+    positions when pooling decoder states).  A (B, T, W) stack of
+    feature maps gives (B, D), with ``rows`` one count per item.
+    """
+    pooled = mean_rows(features, rows)
+    lead, width = pooled.shape[:-1], pooled.shape[-1]
+    vec = l2_normalize(linear(reshape(pooled, (math.prod(lead), width)), w, b))
+    return reshape(vec, lead + (w.shape[1],))
+
+
+def retrieval_accuracy(image_vecs: np.ndarray, text_vecs: np.ndarray) -> float:
+    """Mean of image->text and text->image top-1 retrieval accuracy."""
+    sims = np.asarray(image_vecs) @ np.asarray(text_vecs).T
+    b = sims.shape[0]
+    i2t = float((sims.argmax(axis=1) == np.arange(b)).mean())
+    t2i = float((sims.argmax(axis=0) == np.arange(b)).mean())
+    return 0.5 * (i2t + t2i)
 
 
 def _lengths(tokens: TokenSequence | list[TokenSequence]):

@@ -38,6 +38,7 @@ from .autograd import (
     Tape,
     Tensor,
     add,
+    contrastive_loss,
     cross_entropy,
     exp,
     mean,
@@ -47,7 +48,6 @@ from .autograd import (
 )
 from .data import CaptionDataset, Record
 from .errors import ConfigError, ContractError, NonFiniteError, ShapeError
-from .fusion import contrastive_loss
 from .metrics import ScoredCorpus, ScoreReport, score_report
 from .model import (
     CaptionModel,

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 import dualcap.autograd as ag
-from dualcap.autograd import Tensor, cross_entropy
+from dualcap.autograd import Tensor, contrastive_loss, cross_entropy
 from dualcap import flops
 from dualcap.checkpoint import load_checkpoint, save_model
 from dualcap.cli import main
@@ -44,7 +44,6 @@ from dualcap.encoder import (
     patch_saliency,
     spatial_window_attention,
 )
-from dualcap.fusion import contrastive_loss, retrieval_accuracy
 from dualcap.metrics import ScoredCorpus, bleu, cider, meteor, rouge_l
 from dualcap.model import (
     ModelConfig,
@@ -52,6 +51,7 @@ from dualcap.model import (
     caption_logits,
     encode_image,
     image_embedding,
+    retrieval_accuracy,
     set_channel_stats,
     text_embedding,
 )

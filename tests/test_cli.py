@@ -30,7 +30,7 @@ from dualcap.cli import (
     run_config,
     train_config,
 )
-from dualcap.data import make_synthetic, read_netpbm, write_dataset
+from dualcap.data import make_synthetic, read_netpbm, write_dataset, write_netpbm
 from dualcap.checkpoint import save_model
 from dualcap.encoder import EncoderConfig
 from dualcap.errors import ConfigError
@@ -289,6 +289,15 @@ class TestTrainCommand:
         assert main(["train", "--config", str(write_cfg(cfg, synthetic=synthetic, batch_size=batch_size,
                                                           contrastive_weight=0)), "--out", str(out)]) == 0
 
+    def test_a_split_with_no_training_captions_is_a_data_error(self, trained, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "run.cfg", synthetic=0, images=str(trained["data"]),
+                        captions=str(trained["data"] / "captions.tsv"), ratios="0,1,0")
+        with pytest.warns(UserWarning, match="empty train split: using identity channel stats"):
+            code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == "data error: training split has no captions\n"
+        assert list((tmp_path / "run").iterdir()) == []
+
     def test_unset_dataset_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "run.cfg", synthetic=0)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
@@ -342,6 +351,22 @@ class TestCaptionCommand:
         assert code == 2
         capsys.readouterr()
 
+    def test_a_checkpoint_without_a_vocabulary_is_a_data_error(self, trained, tmp_path, capsys):
+        lone = tmp_path / "lone.ckpt"
+        lone.write_bytes(trained["ckpt"].read_bytes())
+        image_path = trained["data"] / trained["ds"].records[0].name
+        code = main(["caption", "--config", str(trained["cfg"]), "--out", str(tmp_path), str(lone), str(image_path)])
+        assert code == 2
+        vocab = tmp_path / "vocab.txt"
+        assert capsys.readouterr().err == f"data error: vocabulary file {vocab} not found (set the vocab= config key)\n"
+
+    def test_an_image_of_another_size_is_a_data_error(self, trained, tmp_path, capsys):
+        small = tmp_path / "small.ppm"
+        write_netpbm(small, np.zeros((8, 8, 3), dtype=np.uint8))
+        code = main(["caption", "--config", str(trained["cfg"]), "--out", str(tmp_path), str(trained["ckpt"]), str(small)])
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: image {small} is (8, 8, 3), model expects (16, 16, 3)\n"
+
     def test_corrupt_checkpoint_is_integrity_error(self, trained, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"not a checkpoint at all")
@@ -371,6 +396,17 @@ class TestCaptionCommand:
                      "--out", str(tmp_path), str(bad), str(image_path)])
         assert code == 3
         assert message in capsys.readouterr().err
+
+    def test_a_header_that_is_not_a_json_object_is_integrity_error(self, trained, tmp_path, capsys):
+        data = trained["ckpt"].read_bytes()
+        (hlen,) = struct.unpack("<I", data[4:8])
+        blob, payload = b"[" + data[12:12 + hlen] + b"]", data[12 + hlen:]  # the header inside a list
+        listed = tmp_path / "listed.ckpt"
+        listed.write_bytes(data[:4] + struct.pack("<II", len(blob), zlib.crc32(payload, zlib.crc32(blob))) + blob + payload)
+        image_path = trained["data"] / trained["ds"].records[0].name
+        code = main(["caption", "--config", str(trained["cfg"]), "--out", str(tmp_path), str(listed), str(image_path)])
+        assert code == 3
+        assert capsys.readouterr().err == f"integrity error: {listed}: corrupt header: not a JSON object\n"
 
     def caption_with_earlier_format(self, trained, tmp_path, fmt) -> int:
         # formats 1 and 2 put the JSON header right after its length (format 2 with a payload CRC-32)
@@ -417,6 +453,14 @@ class TestCaptionCommand:
         image_path = trained["data"] / trained["ds"].records[0].name
         return main(["caption", "--config", str(trained["cfg"]),
                      "--out", str(tmp_path), str(crafted), str(image_path)])
+
+    def test_a_checkpoint_config_without_a_model_is_integrity_error(self, trained, tmp_path, capsys):
+        def edit(header, payload):
+            del header["config"]["model"]
+            return payload
+
+        assert self.caption_with_edited_header(trained, tmp_path, edit) == 3
+        assert capsys.readouterr().err == "integrity error: checkpoint config has no model entry\n"
 
     def test_a_stored_moment_that_fits_no_parameter_is_integrity_error(self, trained, tmp_path, capsys):
         size = trained["model"].flat.size
@@ -516,6 +560,14 @@ class TestEvalCommand:
         assert "val" in capsys.readouterr().err
 
 
+    def test_an_unknown_split_is_a_config_error(self, trained, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "run.cfg", eval_split="dev")
+        code = main(["eval", "--config", str(cfg), "--out", str(tmp_path / "ev"), str(trained["ckpt"])])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: unknown split 'dev', have ['test', 'train', 'val']\n"
+        assert list((tmp_path / "ev").iterdir()) == []
+
+
 class TestHeatmapCommand:
     def test_writes_one_pgm_per_block(self, trained, tmp_path, capsys):
         record = trained["ds"].records[0]
@@ -562,6 +614,13 @@ class TestAblateCommand:
         assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 2
         assert "data error: split 'val' is empty" in capsys.readouterr().err
         assert not (tmp_path / "ab" / "ablation.txt").exists()
+
+
+    def test_zero_epochs_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "run.cfg", epochs=0)
+        assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ab")]) == 1
+        assert capsys.readouterr().err == "config error: ablate needs epochs >= 1\n"
+        assert list((tmp_path / "ab").iterdir()) == []
 
 
 class TestBenchCommand:

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dualcap import data
 from dualcap.data import (
     POSITIONS,
     SHAPES,
@@ -28,7 +29,7 @@ from dualcap.data import (
     write_dataset,
     write_netpbm,
 )
-from dualcap.errors import ContractError, DataError
+from dualcap.errors import ConfigError, ContractError, DataError
 
 
 class TestNetpbm:
@@ -74,6 +75,10 @@ class TestNetpbm:
             parse_netpbm(b"P5\n1 1\n10\n" + bytes([11]))
         with pytest.raises(DataError, match="dimensions"):
             parse_netpbm(b"P5\n0 2\n255\n")
+
+    def test_a_raster_must_follow_whitespace(self):
+        with pytest.raises(DataError, match="<bytes>: missing whitespace before raster"):
+            parse_netpbm(b"P5\n1 1\n255")
 
     def test_header_value_past_the_int_digit_limit(self):
         with pytest.raises(DataError, match="5000 digits"):
@@ -157,6 +162,10 @@ class TestCaptionFile:
         with pytest.raises(DataError, match="no caption lines"):
             parse_caption_file(path)
 
+    def test_a_directory_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match=f"cannot read captions {tmp_path}: "):
+            parse_caption_file(tmp_path)
+
     def test_not_utf8_is_a_data_error(self, tmp_path):
         path = tmp_path / "captions.tsv"
         path.write_bytes(b"a.pgm\tfine\nb.pgm\tnot \xff fine\n")
@@ -193,6 +202,13 @@ class TestLoadDataset:
         write_netpbm(tmp_path / "b.ppm", np.zeros((2, 2, 3), dtype=np.uint8))
         (tmp_path / "c.tsv").write_text("a.pgm\tgray one\nb.ppm\tcolor one\n")
         with pytest.raises(DataError, match="mixed channel"):
+            load_dataset(tmp_path, tmp_path / "c.tsv")
+
+    def test_mixed_sizes_rejected(self, tmp_path):
+        write_netpbm(tmp_path / "a.pgm", np.zeros((2, 2, 1), dtype=np.uint8))
+        write_netpbm(tmp_path / "b.pgm", np.zeros((2, 3, 1), dtype=np.uint8))
+        (tmp_path / "c.tsv").write_text("a.pgm\tsmall one\nb.pgm\twide one\n")
+        with pytest.raises(DataError, match=r"mixed image sizes in dataset: \[\(2, 2\), \(2, 3\)\]"):
             load_dataset(tmp_path, tmp_path / "c.tsv")
 
     def test_stats_come_from_train_split_only(self, tmp_path):
@@ -279,3 +295,11 @@ class TestSynthetic:
             make_synthetic(1)
         with pytest.raises(ContractError):
             render_combo("red", "square", "top left", 7)
+
+    def test_too_many_images_are_refused_before_any_is_drawn(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("an image was drawn")
+
+        monkeypatch.setattr(data, "render_combo", draw)
+        with pytest.raises(ConfigError, match=f"make_synthetic: {2**40} images of side 16 cannot be allocated"):
+            make_synthetic(2**40)

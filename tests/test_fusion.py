@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 
 import dualcap.autograd as ag
-from dualcap.autograd import Tape, Tensor, backward, concat, exp, reshape
+from dualcap.autograd import Tape, Tensor, backward, concat, contrastive_loss, exp, reshape
 from dualcap.errors import ContractError, ShapeError
-from dualcap.fusion import (
-    INITIAL_TEMPERATURE,
-    contrastive_loss,
-    initial_log_temperature,
-    pool_and_project,
-    retrieval_accuracy,
-)
+from dualcap.model import INITIAL_TEMPERATURE, pool_and_project, retrieval_accuracy
 
 import composed
 from gradcheck import check_grads
@@ -155,7 +149,7 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(40 + seed)
         img = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         txt = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        log_temp = Tensor([initial_log_temperature()], requires_grad=True)
+        log_temp = Tensor([math.log(INITIAL_TEMPERATURE)], requires_grad=True)
 
         def build():
             return contrastive_loss(img, txt, temperature=exp(log_temp))

@@ -193,9 +193,9 @@ CLI_BASE = {"synthetic": 4, "image_size": 8, "patch_size": 4, "dim": 8, "heads":
             "max_len": 5, "eval_split": "train"}
 HUGE = 2**63
 # Keys whose huge value asks for unbounded work rather than a bad run, left at 0 and 1: `epochs` trains
-# that long, `synthetic` renders that many images, `depth` and `dec_depth` build that many blocks, and
-# `max_len` lets an untrained model caption until eval's METEOR search overflows the stack (see CHANGES.md).
-UNBOUNDED = {"epochs", "synthetic", "depth", "dec_depth", "max_len"}
+# that long, `depth` and `dec_depth` build that many blocks, and `max_len` lets an untrained model
+# caption that many tokens.
+UNBOUNDED = {"epochs", "depth", "dec_depth", "max_len"}
 CLI_EDITS = [(f.name, value) for f in fields(RunConfig) if type(f.default) is int
              for value in (0, 1, HUGE) if not (value == HUGE and f.name in UNBOUNDED)]
 EXIT_CODES = {0, 1, 2, 3, 4}

@@ -430,6 +430,16 @@ class TestAlignmentSearch:
         assert _best_alignment(words, words) == (16, 1)
         assert states <= 17
 
+    def test_a_1000_token_candidate_gets_its_closed_form_score(self):
+        words = [f"w{i}" for i in range(1000)]
+        # its last 500 words are the reference, in order: 500 matches in one chunk
+        f_mean = 10 * 0.5 * 1.0 / (1.0 + 9 * 0.5)
+        assert meteor(corpus_of([(words, [words[500:]])])) == pytest.approx(f_mean * (1 - 0.5 / 500**3), rel=1e-12)
+        # one word repeated, as an untrained model captions: one match in one chunk
+        p, r = 1 / 1000, 1 / 3
+        f_mean = 10 * p * r / (r + 9 * p)
+        assert meteor(corpus_of([(["a"] * 1000, [["a", "red", "square"]])])) == pytest.approx(f_mean * 0.5, rel=1e-12)
+
     def test_best_alignment_matches_brute_force(self):
         sequences = [s for n in range(6) for s in itertools.product("ab", repeat=n)]
         for cand in sequences:

@@ -23,6 +23,7 @@ from dualcap.autograd import (
     Tensor,
     add,
     concat,
+    contrastive_loss,
     cross_entropy,
     exp,
     mean,
@@ -34,7 +35,6 @@ from dualcap.autograd import (
 from dualcap.data import make_synthetic
 from dualcap.encoder import EncoderConfig
 from dualcap.errors import ConfigError, ContractError, NonFiniteError, ShapeError
-from dualcap.fusion import contrastive_loss
 from dualcap.metrics import ScoreReport
 from dualcap.model import (
     CaptionModel,
