@@ -13,7 +13,7 @@ with leading batch axes.  :func:`matmul` multiplies (..., m, k) by
 (..., k, n) when the batch shapes are equal or one operand is a single
 2-D matrix that every item shares; the shared operand's gradient sums
 over the stack, and any other batch mismatch is a ShapeError naming both
-shapes.  :func:`transpose` swaps the last two axes.  :func:`add_norm`,
+shapes.  :func:`add_norm`,
 :func:`l2_normalize` and :func:`cross_entropy` work on the last axis of
 any rank; cross_entropy gives one mean per (T, V) matrix.  The only
 broadcast is :func:`add_bias`, which adds a tensor to every trailing
@@ -21,14 +21,18 @@ block of its own shape: a length-C bias to every row, a T x C table to
 every item of a stack.  A tape and the tensors recorded on it belong to
 one thread.
 
-Two ops are whole model stages with a hand-written backward, in place
-of the records the composed ops would leave on the tape.
+Three ops are whole model stages with a hand-written backward, in
+place of the records the composed ops would leave on the tape.
 :func:`attention` is one attention branch: the query, key and value
 projections (one GEMM each over all rows), the scaled and masked
 softmax core over any stack of heads, windows or channel groups, and
 the head merge.  :func:`contrastive_loss` is the fusion head's
 symmetric InfoNCE: one similarity GEMM, then cross_entropy's arithmetic
 over its rows and over its columns, differentiable in the temperature.
+:func:`fused_logits` is the rest of the fusion head: each position's
+causal mean of the decoder states, projected and normalized beside
+its image vector, mapped back to decoder width and added to the state,
+then the tied output head; training and generation both run it.
 Three more fuse the layers around them, each bit for bit the chain of
 ops it stands for: :func:`linear` (matmul, then add_bias),
 :func:`add_norm` (a post-norm residual: the layer norm of an add) and
@@ -168,7 +172,7 @@ def zero_grads(tensors: Sequence[Tensor]) -> None:
 def _new(data: Array) -> Tensor:
     """An op's output: a float64 array the op computed, wrapped without a copy.
 
-    Op outputs may be views of their inputs (reshape, transpose); no op
+    Op outputs may be views of their inputs (reshape, slice_axis); no op
     writes into an array it did not allocate, so sharing is safe.
     """
     out = Tensor.__new__(Tensor)
@@ -324,14 +328,6 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # shape manipulation
-
-
-def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes: a matrix transpose, item by item for a stack."""
-    if x.data.ndim < 2:
-        raise ShapeError(f"transpose: expected at least 2-D, got {x.shape}")
-    out = _new(np.swapaxes(x.data, -1, -2))
-    return _record(out, (x,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -779,3 +775,72 @@ def contrastive_loss(image_vecs: Tensor, text_vecs: Tensor, temperature: Tensor)
 
     out = _new(np.array([(rows_loss + cols_loss) * 0.5]))
     return _record(out, (image_vecs, text_vecs, temperature), grad_fn)
+
+
+def fused_logits(
+    hidden: Tensor,
+    image_vecs: Tensor,
+    txt_w: Tensor,
+    txt_b: Tensor,
+    cond_w: Tensor,
+    cond_b: Tensor,
+    emb: Tensor,
+    pooled: Tensor | None = None,
+) -> Tensor:
+    """The fusion head's conditioning and the tied output head as one tape op: (..., T, V) logits.
+
+    ``hidden`` is a (..., T, C) stack of decoder states and
+    ``image_vecs`` one (..., D) joint-space vector per item.  Position t
+    pools rows 0..t of its item (the causal mean, one GEMM with a T x T
+    matrix, unless ``pooled`` gives the (..., T, C) means), projects the
+    mean through ``txt_w``, ``txt_b`` and scales it to unit length.  The
+    item's image vector beside it makes a (..., T, 2D) fused row, which
+    ``cond_w``, ``cond_b`` map to width C and add to the hidden state
+    before the product with ``emb``^T.  Values and gradients are those
+    of the generic ops (matmul, linear, l2_normalize, concat, add, the
+    transposed embedding) bit for bit.  So are the FLOPs, less the
+    product with a column of ones that once repeated the image vector
+    over the positions: a broadcast repeats it exactly.
+    """
+    if hidden.data.ndim < 2 or txt_w.data.ndim != 2 or emb.data.ndim != 2:
+        raise ShapeError(f"fused_logits: need (..., T, C) states, a (C, D) text weight and a (V, C) embedding, "
+                         f"got {hidden.shape}, {txt_w.shape} and {emb.shape}")
+    lead, (t, c), (d, v) = hidden.shape[:-2], hidden.shape[-2:], (txt_w.shape[1], emb.shape[0])
+    got = (image_vecs.shape, txt_w.shape, txt_b.shape, cond_w.shape, cond_b.shape, emb.shape,
+           hidden.shape if pooled is None else pooled.shape)
+    want = (lead + (d,), (c, d), (d,), (2 * d, c), (c,), (v, c), hidden.shape)
+    if got != want:
+        raise ShapeError(f"fused_logits: image vectors, text weight and bias, conditioning weight and bias, "
+                         f"embedding and means must be {want}, got {got}")
+    if pooled is None:
+        causal = np.tril(np.ones((t, t))) / np.arange(1.0, t + 1.0)[:, None]
+        flops.add_matmul(math.prod(lead) * t, t, c)
+        means = np.matmul(causal, hidden.data)
+    else:
+        means = pooled.data
+    proj = _affine(means, txt_w.data, txt_b.data)
+    norm = np.sqrt(np.add.reduce(proj * proj, axis=-1, keepdims=True) + 1e-12)
+    fused = np.empty(lead + (t, 2 * d))  # each row: its item's image vector, then its unit text vector
+    fused[..., :d] = image_vecs.data[..., None, :]
+    text = np.divide(proj, norm, out=fused[..., d:])
+    summed = hidden.data + _affine(fused, cond_w.data, cond_b.data)
+    flops.add_matmul(summed.size // c, c, v)
+    out = _new((summed.reshape(-1, c) @ emb.data.T).reshape(lead + (t, v)))
+
+    def grad_fn(g: Array):
+        rows = g.reshape(-1, v)
+        d_summed = (rows @ emb.data).reshape(summed.shape)
+        d_emb = (summed.reshape(-1, c).T @ rows).T
+        d_fused, d_cond_w, d_cond_b = _affine_grad(fused, cond_w.data, d_summed, True)
+        d_text = d_fused[..., d:]
+        d_proj = (d_text - text * (d_text * text).sum(axis=-1, keepdims=True)) / norm
+        d_means, d_txt_w, d_txt_b = _affine_grad(means, txt_w.data, d_proj, True)
+        # the sum over positions as a product with a row of ones, whose order of additions the chain had
+        d_image = np.matmul(np.ones((t, 1)).T, d_fused[..., :d]).reshape(image_vecs.shape)
+        grads = (d_txt_w, d_txt_b, d_cond_w, d_cond_b, d_emb)
+        if pooled is not None:
+            return (d_summed, d_image) + grads + (d_means,)
+        return (d_summed + np.matmul(causal.T, d_means), d_image) + grads
+
+    inputs = (hidden, image_vecs, txt_w, txt_b, cond_w, cond_b, emb) + (() if pooled is None else (pooled,))
+    return _record(out, inputs, grad_fn)

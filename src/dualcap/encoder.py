@@ -191,16 +191,16 @@ def normalize_image(image: Tensor, mean, std) -> Tensor:
     return Tensor((image.data - mean) / std)
 
 
-def sinusoidal_positions(count: int, dim: int) -> Tensor:
-    """Fixed sin/cos positional table over patch index, shape count x dim."""
+def sinusoidal_positions(count: int, dim: int, start: int = 0) -> Tensor:
+    """Fixed sin/cos positional table over positions start .. start + count - 1, shape count x dim."""
     if dim % 2 != 0:
         raise ConfigError(f"sinusoidal positions need an even dim, got {dim}")
-    return Tensor(_sinusoid_table(count, dim))
+    return Tensor(_sinusoid_table(start + count, dim)[start:])
 
 
 @functools.lru_cache(maxsize=64)
 def _sinusoid_table(count: int, dim: int) -> np.ndarray:
-    """The table behind sinusoidal_positions, built once per shape (callers get a copy)."""
+    """The table behind sinusoidal_positions, built once per shape (callers get a copy of their rows)."""
     pos = np.arange(count, dtype=np.float64)[:, None]
     idx = np.arange(dim // 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * idx / dim)

@@ -16,29 +16,21 @@ Conditioning works per position: position t pools the decoder's hidden
 states 0..t (a causal mean, so generation stays causal), projects and
 normalizes them into the joint space, concatenates the image embedding,
 and maps the fused vector through a linear layer that is added to the
-hidden state before the tied output head.
+hidden state before the tied output head.  That whole path is one tape
+op, ``autograd.fused_logits``, which a train step records once and a
+generation step calls once, on each row's running mean.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
 
-from .autograd import (
-    Tensor,
-    add,
-    concat,
-    l2_normalize,
-    linear,
-    matmul,
-    mean_rows,
-    reshape,
-    transpose,
-)
+from .autograd import Tensor, fused_logits, l2_normalize, linear, mean_rows, reshape
 from .encoder import EncoderConfig, EncoderOutput, encode, encoder_param_rows
 from .errors import ConfigError
 from .init import Param, init_params
@@ -137,16 +129,39 @@ def check_vocabulary(cfg: ModelConfig, vocab: Vocabulary) -> None:
         raise ConfigError(f"vocabulary has {len(vocab)} tokens, config says {cfg.decoder.vocab_size}")
 
 
+def parameter_count(cfg: ModelConfig) -> int:
+    """How many values the rows of ``param_table(cfg)`` hold, in closed form.
+
+    Each encoder block past the first adds the same rows, and so does
+    each decoder block, so the count is that of a table one block deep
+    (none for a depth-0 encoder) plus the depths times one block's rows:
+    a table of depth 2**63 is never walked.
+    """
+    def count(enc_depth: int, dec_depth: int) -> int:
+        shallow = replace(cfg, encoder=replace(cfg.encoder, depth=enc_depth),
+                          decoder=replace(cfg.decoder, depth=dec_depth))
+        return sum(math.prod(row.shape) for row in param_table(shallow))
+
+    enc_depth, dec_depth = cfg.encoder.depth, cfg.decoder.depth
+    first = count(min(enc_depth, 1), 1)
+    enc_block = count(2, 1) - count(1, 1) if enc_depth > 1 else 0
+    dec_block = count(min(enc_depth, 1), 2) - first if dec_depth > 1 else 0
+    return first + max(enc_depth - 1, 0) * enc_block + (dec_depth - 1) * dec_block
+
+
 def build_model(cfg: ModelConfig, vocab: Vocabulary, seed: int = 0) -> CaptionModel:
     """Model with freshly initialized parameters, deterministic in seed.
 
-    A config whose parameters do not fit in memory is a ConfigError.
+    A config whose parameters do not fit in memory is a ConfigError,
+    raised before any row is drawn.
     """
     check_vocabulary(cfg, vocab)
+    count = parameter_count(cfg)
     try:
+        np.empty(count)  # one buffer of them all: refused at once when they cannot fit
         return CaptionModel(cfg=cfg, vocab=vocab, params=init_params(param_table(cfg), np.random.default_rng(seed)))
-    except (MemoryError, ValueError) as e:  # numpy refuses a dimension past int64 with a ValueError
-        raise ConfigError(f"model config is too large to allocate: {e}") from e
+    except (MemoryError, ValueError) as e:  # numpy refuses a size past int64 with a ValueError
+        raise ConfigError(f"model config is too large to allocate: {count} parameters: {e}") from e
 
 
 def set_channel_stats(model: CaptionModel, mean, std) -> None:
@@ -211,30 +226,19 @@ def text_embedding(model: CaptionModel, seq: TokenSequence | list[TokenSequence]
 
 
 def conditioned_logits(model: CaptionModel, hidden: Tensor, image_vec: Tensor, pooled: Tensor | None = None) -> Tensor:
-    """Tied logits with the fused image-text vector added per position.
+    """Tied logits with the fused image-text vector added per position: one ``autograd.fused_logits`` op.
 
     Position t sees the causal mean of hidden states 0..t projected into
     the joint space (same projection as the contrastive text tower),
     fused with the image embedding, and mapped back to decoder width.
     ``hidden`` is T x C with a (D,) image vector, or a B x T x C stack
-    with (B, D) image vectors; an ``image_vec`` already of shape
-    (..., T, D) gives each position its own.  ``pooled`` replaces the
-    causal mean when the caller has it: generation, whose hidden states
-    are each row's newest position only, passes its running means.
+    with (B, D) image vectors.  ``pooled`` replaces the causal mean when
+    the caller has it: generation, whose hidden states are each row's
+    newest position only, passes its running means.
     """
-    lead, t = hidden.shape[:-2], hidden.shape[-2]
-    jd = model.cfg.joint_dim
     p = model.params
-    if pooled is None:
-        causal_mean = Tensor(np.tril(np.ones((t, t))) / np.arange(1.0, t + 1.0)[:, None])
-        pooled = matmul(causal_mean, hidden)
-    text_rows = l2_normalize(linear(pooled, p["fuse.txt.w"], p["fuse.txt.b"]))
-    image_rows = image_vec
-    if image_vec.shape != lead + (t, jd):  # one vector per item: repeat it at every position
-        image_rows = matmul(Tensor(np.ones((t, 1))), reshape(image_vec, lead + (1, jd)))
-    fused = concat([image_rows, text_rows], axis=len(lead) + 1)
-    conditioning = linear(fused, p["fuse.cond.w"], p["fuse.cond.b"])
-    return matmul(add(hidden, conditioning), transpose(p["dec.emb"]))
+    return fused_logits(hidden, image_vec, p["fuse.txt.w"], p["fuse.txt.b"], p["fuse.cond.w"], p["fuse.cond.b"],
+                        p["dec.emb"], pooled)
 
 
 def caption_logits(model: CaptionModel, image: Tensor, seq: TokenSequence | list[TokenSequence] | np.ndarray):

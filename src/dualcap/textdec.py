@@ -364,8 +364,7 @@ def decode_text(
             raise ContractError("decode_text: first position must not be PAD")
         cache.past = [None] * cfg.depth
     c, w = cfg.dim, cfg.context_width
-    positions = Tensor(sinusoidal_positions(start + t, c).data[start:])
-    h = add_bias(take_rows(params["dec.emb"], ids), positions)
+    h = add_bias(take_rows(params["dec.emb"], ids), sinusoidal_positions(t, c, start=start))
     mask = attention_masks(ids).data if t > 1 else None
     inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)
     project = context is not None and not cache.cross  # this call projects the cross-attention K and V

@@ -343,7 +343,7 @@ def _beam_search(model: CaptionModel, images: Tensor, max_len: int, beam_width: 
     """
     enc_out = encode_image(model, images)
     features = enc_out.features
-    img_rows = Tensor(image_embedding(model, enc_out).data[:, None])  # each live row's image vector, (rows, 1, D)
+    img_rows = image_embedding(model, enc_out)  # each live row's image vector, (rows, D)
     n = len(images.data)
     cache = DecoderCache(image=np.arange(n))
     hidden_sum = np.zeros((n, 1, model.cfg.decoder.dim))  # each live row's sum of its hidden states

@@ -2,11 +2,12 @@
 
 The package records the attention softmax inside ``autograd.attention``,
 the symmetric InfoNCE loss as ``autograd.contrastive_loss``, the GELU
-inside ``autograd.ffn`` and the layer norm inside ``autograd.add_norm``.
-The ops here are the per-op pieces those replaced, each with its own
-backward rule, so a test can rebuild a fused op record by record and
-compare values and gradients, or weight an output elementwise by a
-probe.
+inside ``autograd.ffn``, the layer norm inside ``autograd.add_norm`` and
+the fusion head's conditioning and transposed output head inside
+``autograd.fused_logits``.  The ops here are the per-op pieces those
+replaced, each with its own backward rule, so a test can rebuild a fused
+op record by record and compare values and gradients, or weight an
+output elementwise by a probe.
 """
 
 from __future__ import annotations
@@ -15,9 +16,17 @@ import numpy as np
 from scipy.special import erf
 
 from dualcap.autograd import (
-    _INV_SQRT2, _INV_SQRT_2PI, Tensor, _new, _record, add, cross_entropy, matmul, scale, transpose,
+    _INV_SQRT2, _INV_SQRT_2PI, Tensor, _new, _record, add, concat, cross_entropy, l2_normalize, linear, matmul,
+    reshape, scale,
 )
 from dualcap.errors import ContractError, ShapeError
+
+
+def transpose(x: Tensor) -> Tensor:
+    """Swap the last two axes: a matrix transpose, item by item for a stack."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"transpose: expected at least 2-D, got {x.shape}")
+    return _record(_new(np.swapaxes(x.data, -1, -2)), (x,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -107,3 +116,19 @@ def contrastive_loss(image_vecs: Tensor, text_vecs: Tensor, temperature: Tensor)
     scaled = scale_by(matmul(image_vecs, transpose(text_vecs)), reciprocal(temperature))
     targets = list(range(image_vecs.shape[0]))
     return scale(add(cross_entropy(scaled, targets), cross_entropy(transpose(scaled), targets)), 0.5)
+
+
+def fused_logits(hidden, image_vecs, txt_w, txt_b, cond_w, cond_b, emb, pooled=None) -> Tensor:
+    """The conditioned tied head as generic records: the oracle for ``autograd.fused_logits``.
+
+    Ten records for a causal mean; with ``pooled`` given, nine.  The
+    image vector reaches every position through a product with a column
+    of ones, as the head did before it was one op.
+    """
+    lead, t, d = hidden.shape[:-2], hidden.shape[-2], txt_w.shape[1]
+    if pooled is None:
+        pooled = matmul(Tensor(np.tril(np.ones((t, t))) / np.arange(1.0, t + 1.0)[:, None]), hidden)
+    text_rows = l2_normalize(linear(pooled, txt_w, txt_b))
+    image_rows = matmul(Tensor(np.ones((t, 1))), reshape(image_vecs, lead + (1, d)))
+    conditioning = linear(concat([image_rows, text_rows], axis=len(lead) + 1), cond_w, cond_b)
+    return matmul(add(hidden, conditioning), transpose(emb))

@@ -140,6 +140,10 @@ def primitive_cases(rng):
     rows, w1, b1, w2, b2, residual = (Tensor(fused.standard_normal(shape), requires_grad=True)
                                       for shape in [(2, 3, 4), (4, 6), (6,), (6, 4), (4,), (2, 3, 4)])
     wide_probe, rows_probe3 = Tensor(fused.standard_normal((2, 3, 6))), Tensor(fused.standard_normal((2, 3, 4)))
+    head = np.random.default_rng(13)  # the conditioned head's own stream
+    head_inputs = [Tensor(head.standard_normal(shape), requires_grad=True)
+                   for shape in [(2, 3, 4), (2, 3), (4, 3), (3,), (6, 4), (4,), (5, 4)]]
+    logits_probe = Tensor(head.standard_normal((2, 3, 5)))
 
     return {
         "add": (lambda: ag.mean(ag.add(a, b)), [a, b]),
@@ -153,7 +157,7 @@ def primitive_cases(rng):
         "matmul": (lambda: ag.mean(ag.matmul(m1, m2)), [m1, m2]),
         "linear": (lambda: ag.mean(composed.mul(ag.linear(rows, w1, b1), wide_probe)), [rows, w1, b1]),
         "ffn": (lambda: ag.mean(composed.mul(ag.ffn(rows, w1, b1, w2, b2), rows_probe3)), [rows, w1, b1, w2, b2]),
-        "transpose": (lambda: ag.mean(ag.matmul(ag.transpose(m1), a)), [m1, a]),
+        "transpose": (lambda: ag.mean(ag.matmul(composed.transpose(m1), a)), [m1, a]),
         "reshape": (lambda: ag.mean(ag.reshape(a, (4, 3))), [a]),
         "concat": (lambda: ag.mean(ag.concat([cat1, cat2], axis=0)), [cat1, cat2]),
         "slice_axis": (lambda: ag.mean(ag.slice_axis(a, 1, 1, 3)), [a]),
@@ -170,6 +174,7 @@ def primitive_cases(rng):
         "cross_entropy": (lambda: cross_entropy(logits, [2, 0, 5, 1]), [logits]),
         "attention": (lambda: ag.mean(composed.mul(ag.attention(a, wq, wk, wv, 0.5)[0], heads_probe)), [a, wq, wk, wv]),
         "contrastive_loss": (lambda: ag.contrastive_loss(img, txt, tau), [img, txt, tau]),
+        "fused_logits": (lambda: ag.mean(composed.mul(ag.fused_logits(*head_inputs), logits_probe)), head_inputs),
     }
 
 

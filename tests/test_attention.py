@@ -17,12 +17,11 @@ from dualcap.autograd import (
     scale,
     slice_axis,
     take_rows,
-    transpose,
 )
 from dualcap.errors import ContractError, ShapeError
 from dualcap.textdec import attention_masks
 
-from composed import mul, softmax
+from composed import mul, softmax, transpose
 from gradcheck import analytic_grads, check_grads
 
 

@@ -32,12 +32,11 @@ from dualcap.autograd import (
     scale,
     slice_axis,
     take_rows,
-    transpose,
     zero_grads,
 )
 from dualcap.errors import ContractError, ShapeError
 
-from composed import gelu, layer_norm, mean_axis, mul, scale_by, softmax, sub
+from composed import gelu, layer_norm, mean_axis, mul, scale_by, softmax, sub, transpose
 from gradcheck import check_grads, fd_grads, analytic_grads, max_rel_err
 from test_acceptance import primitive_cases
 

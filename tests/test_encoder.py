@@ -279,6 +279,13 @@ class TestPatchEmbedding:
         with pytest.raises(ConfigError):
             sinusoidal_positions(4, 5)
 
+    def test_sinusoidal_positions_from_a_start_are_those_rows_of_the_table_in_a_copy(self):
+        rows = sinusoidal_positions(3, 8, start=5)
+        assert rows.data.base is None
+        np.testing.assert_array_equal(rows.data, sinusoidal_positions(8, 8).data[5:])
+        rows.data[...] = 7.0  # the cached table behind them is not written
+        np.testing.assert_array_equal(sinusoidal_positions(3, 8, start=5).data, sinusoidal_positions(8, 8).data[5:])
+
     def test_image_shape_mismatch_is_rejected(self):
         cfg = small_cfg()
         with pytest.raises(ShapeError):

@@ -1,4 +1,4 @@
-"""Contrastive fusion: InfoNCE oracle, unit norms, temperature gradient."""
+"""Contrastive fusion: InfoNCE oracle, unit norms, temperature gradient, the conditioned head as one op."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dualcap.autograd as ag
+from dualcap import flops
 from dualcap.autograd import Tape, Tensor, backward, concat, contrastive_loss, exp, reshape
 from dualcap.errors import ContractError, ShapeError
 from dualcap.model import INITIAL_TEMPERATURE, pool_and_project, retrieval_accuracy
@@ -166,6 +167,50 @@ class TestContrastiveLoss:
             loss = contrastive_loss(img, txt, temperature=exp(log_temp))
         backward(loss)
         assert log_temp.grad is not None and log_temp.grad.shape == (1,)
+
+
+class TestFusedLogits:
+    """The conditioned tied head as one op against its generic-op chain in tests/composed.py."""
+
+    @pytest.mark.parametrize("lead, t, pooled", [((), 5, False), ((3,), 7, False), ((2,), 9, False),
+                                                 ((4,), 1, True), ((2,), 6, True)])
+    def test_one_op_is_bitwise_the_composed_chain(self, lead, t, pooled):
+        """Logits and every gradient equal the chain's bit for bit; FLOPs lose only the repeat's product."""
+        rng = np.random.default_rng(70 + t)
+        c, d, v = 6, 3, 11
+        shapes = [lead + (t, c), lead + (d,), (c, d), (d,), (2 * d, c), (c,), (v, c)] + [lead + (t, c)] * pooled
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        arrays[1] /= np.linalg.norm(arrays[1], axis=-1, keepdims=True)
+        probe = Tensor(rng.standard_normal(lead + (t, v)))
+        results = []
+        for head in (ag.fused_logits, composed.fused_logits):
+            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+            with flops.count_flops() as counter, Tape() as tape:
+                logits = head(*inputs)
+                backward(ag.mean(composed.mul(logits, probe)))
+            results.append((len(tape) - 2, counter.total, logits.data, [x.grad for x in inputs]))
+        (records, fused_flops, *fused), (chain_records, chain_flops, *chain) = results
+        assert (records, chain_records) == (1, 9 if pooled else 10)
+        assert fused_flops == chain_flops - 2 * math.prod(lead) * t * d
+        np.testing.assert_array_equal(fused[0], chain[0])
+        for got, want in zip(fused[1], chain[1]):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_mismatched_shapes_are_shape_errors(self):
+        c, d, v = 4, 2, 5
+        hidden, image, txt_w, txt_b, cond_w, cond_b, emb = (
+            Tensor(np.zeros(shape)) for shape in [(3, 5, c), (3, d), (c, d), (d,), (2 * d, c), (c,), (v, c)])
+        for bad in ([Tensor(np.zeros(c)), image], [hidden, Tensor(np.zeros((3, 1, d)))],
+                    [hidden, Tensor(np.zeros((2, d)))]):
+            with pytest.raises(ShapeError, match="fused_logits"):
+                ag.fused_logits(*bad, txt_w, txt_b, cond_w, cond_b, emb)
+        with pytest.raises(ShapeError, match="fused_logits"):
+            ag.fused_logits(hidden, image, txt_w, txt_b, Tensor(np.zeros((2 * d, c + 1))), Tensor(np.zeros(c + 1)), emb)
+        with pytest.raises(ShapeError, match="fused_logits"):
+            ag.fused_logits(hidden, image, txt_w, txt_b, cond_w, cond_b, Tensor(np.zeros((v, c + 1))))
+        with pytest.raises(ShapeError, match="fused_logits"):
+            ag.fused_logits(hidden, image, txt_w, txt_b, cond_w, cond_b, emb, Tensor(np.zeros((3, 4, c))))
 
 
 class TestFuseAndRetrieval:

@@ -193,9 +193,8 @@ CLI_BASE = {"synthetic": 4, "image_size": 8, "patch_size": 4, "dim": 8, "heads":
             "max_len": 5, "eval_split": "train"}
 HUGE = 2**63
 # Keys whose huge value asks for unbounded work rather than a bad run, left at 0 and 1: `epochs` trains
-# that long, `depth` and `dec_depth` build that many blocks, and `max_len` lets an untrained model
-# caption that many tokens.
-UNBOUNDED = {"epochs", "depth", "dec_depth", "max_len"}
+# that long, and `max_len` lets an untrained model caption that many tokens.
+UNBOUNDED = {"epochs", "max_len"}
 CLI_EDITS = [(f.name, value) for f in fields(RunConfig) if type(f.default) is int
              for value in (0, 1, HUGE) if not (value == HUGE and f.name in UNBOUNDED)]
 EXIT_CODES = {0, 1, 2, 3, 4}
@@ -215,9 +214,7 @@ def assert_documented(code: int, err: str) -> None:
     assert err.count("\n") <= 1, err
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(edits=st.lists(st.sampled_from(CLI_EDITS), min_size=1, max_size=2))
-def test_a_cli_session_ends_in_a_documented_exit_code(edits):
+def run_cli_session(edits) -> None:
     """train, then caption and eval with the same config; a train that exits 1 writes nothing."""
     entries = {**CLI_BASE, **dict(edits)}
     with tempfile.TemporaryDirectory() as tmp:
@@ -235,3 +232,15 @@ def test_a_cli_session_ends_in_a_documented_exit_code(edits):
         write_netpbm(image, np.zeros((entries["image_size"],) * 2 + (3,), dtype=np.uint8))
         assert_documented(*cli("caption", "--config", str(cfg), checkpoint, str(image)))
         assert_documented(*cli("eval", "--config", str(cfg), "--out", str(root / "eval"), checkpoint))
+
+
+@pytest.mark.parametrize("key, value", CLI_EDITS, ids=[f"{key}={value}" for key, value in CLI_EDITS])
+def test_a_cli_session_with_one_edit_ends_in_a_documented_exit_code(key, value):
+    run_cli_session([(key, value)])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(edits=st.lists(st.sampled_from(CLI_EDITS), min_size=2, max_size=2))
+def test_a_cli_session_ends_in_a_documented_exit_code(edits):
+    """Pairs of edits; every single edit runs in the test above."""
+    run_cli_session(edits)

@@ -6,7 +6,12 @@ of the full pipeline are checked with finite differences.
 """
 
 import hashlib
+import itertools
+import math
 import re
+import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from dualcap.model import (
     encode_image,
     image_embedding,
     param_table,
+    parameter_count,
     set_channel_stats,
     text_embedding,
 )
@@ -109,6 +115,32 @@ class TestBuild:
         # a dimension past int64 numpy refuses outright
         with pytest.raises(ConfigError, match="model config is too large to allocate"):
             build_model(ModelConfig(encoder=enc, decoder=dec, joint_dim=2**63), vocab)
+
+    @pytest.mark.parametrize("section", ["encoder", "decoder"])
+    def test_a_huge_depth_is_refused_before_any_block_is_drawn(self, section):
+        vocab = Vocabulary(["red", "dot"])
+        cfg = tiny_config(len(vocab))
+        cfg = replace(cfg, **{section: replace(getattr(cfg, section), depth=2**63)})
+        count = parameter_count(cfg)
+        assert count > 2**63
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ConfigError, match=f"model config is too large to allocate: {count} parameters"):
+                build_model(cfg, vocab)
+            elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 2**16
+
+    @pytest.mark.parametrize("mode, pos_encoding", [("dual", "sinusoidal"), ("global", "learned")])
+    def test_the_parameter_count_is_the_tables(self, mode, pos_encoding):
+        base = tiny_config(8, mode=mode)
+        for enc_depth, dec_depth in itertools.product(range(4), range(1, 4)):
+            enc = replace(base.encoder, depth=enc_depth, pos_encoding=pos_encoding)
+            cfg = replace(base, encoder=enc, decoder=replace(base.decoder, depth=dec_depth,
+                                                             context_width=enc.feature_width))
+            assert parameter_count(cfg) == sum(math.prod(row.shape) for row in param_table(cfg))
 
     def test_same_seed_same_params(self):
         a, b = tiny_model(seed=3), tiny_model(seed=3)
