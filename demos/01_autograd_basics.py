@@ -10,18 +10,19 @@ plain numpy, which is what generation uses.
 
 import numpy as np
 
-from dualcap.autograd import Tape, Tensor, backward, cross_entropy, matmul
+from dualcap.autograd import Tape, Tensor, backward, cross_entropy, linear
 
 rng = np.random.default_rng(0)
 
-# a tiny linear classifier: logits = x @ w, mean cross entropy to targets
+# a tiny linear classifier: logits = x @ w + b, mean cross entropy to targets
 x = Tensor(rng.standard_normal((3, 4)))
 w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+b = Tensor(np.zeros(2))
 targets = [0, 1, 0]
 
 
 def forward():
-    return cross_entropy(matmul(x, w), targets)
+    return cross_entropy(linear(x, w, b), targets)
 
 
 with Tape():

@@ -9,17 +9,18 @@ tape block the same functions run as plain numpy compute, which is how
 generation and evaluation avoid graph bookkeeping.
 
 Shapes are strict.  Ops on matrices and rows also take stacks of them,
-with leading batch axes.  :func:`matmul` multiplies (..., m, k) by
-(..., k, n) when the batch shapes are equal or one operand is a single
-2-D matrix that every item shares; the shared operand's gradient sums
-over the stack, and any other batch mismatch is a ShapeError naming both
-shapes.  :func:`add_norm`,
-:func:`l2_normalize` and :func:`cross_entropy` work on the last axis of
-any rank; cross_entropy gives one mean per (T, V) matrix.  The only
-broadcast is :func:`add_bias`, which adds a tensor to every trailing
-block of its own shape: a length-C bias to every row, a T x C table to
-every item of a stack.  A tape and the tensors recorded on it belong to
-one thread.
+with leading batch axes.  :func:`add_norm`, :func:`l2_normalize` and
+:func:`cross_entropy` work on the last axis of any rank; cross_entropy
+gives one mean per (T, V) matrix.  The only broadcast is the bias of
+:func:`add_bias` and :func:`linear`, which adds to every trailing block
+of its own shape: a length-C bias to every row, a T x C table to every
+item of a stack.  A tape and the tensors recorded on it belong to one
+thread.
+
+Every matrix product an op computes in its forward pass is one call of
+``_gemm``, which runs ``np.matmul`` and counts its FLOPs (see
+:mod:`dualcap.flops`) from the operand shapes; no other code counts
+them.  Backward products are not counted.
 
 Three ops are whole model stages with a hand-written backward, in
 place of the records the composed ops would leave on the tape.
@@ -34,7 +35,7 @@ causal mean of the decoder states, projected and normalized beside
 its image vector, mapped back to decoder width and added to the state,
 then the tied output head; training and generation both run it.
 Three more fuse the layers around them, each bit for bit the chain of
-ops it stands for: :func:`linear` (matmul, then add_bias),
+ops it stands for: :func:`linear` (a matrix product, then add_bias),
 :func:`add_norm` (a post-norm residual: the layer norm of an add) and
 :func:`ffn` (linear, exact GELU, linear).
 """
@@ -217,10 +218,9 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
     A length-C bias goes to every row of a (..., T, C) tensor; a T x C
     table goes to every item of a (B, T, C) stack.  This is the only
-    broadcasting operation in the package.
+    broadcast in the package; linear's bias follows the same rule.
     """
-    k = b.data.ndim
-    if k == 0 or x.data.ndim < k or x.shape[x.data.ndim - k:] != b.shape:
+    if not _ends(x.shape, b.shape):
         raise ShapeError(f"add_bias: bias shape must end the input shape, got {x.shape} and {b.shape}")
     out = _new(x.data + b.data)
     return _record(out, (x, b), lambda g: (g, g.reshape((-1,) + b.shape).sum(axis=0)))
@@ -231,77 +231,53 @@ def exp(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g: (g * out.data,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two matrices, two stacks, or a stack and one shared matrix.
+def _ends(shape: tuple[int, ...], tail: tuple[int, ...]) -> bool:
+    """Whether ``tail`` is a non-empty shape that ends ``shape``: add_bias's rule for a bias."""
+    return 0 < len(tail) <= len(shape) and shape[len(shape) - len(tail):] == tail
 
-    Operands are (..., m, k) and (..., k, n).  Their batch shapes must be
-    equal unless one operand is 2-D, in which case every item of the
-    other's stack multiplies it.  FLOPs count 2*m*k*n per item.
-    """
-    shape_a, shape_b = a.data.shape, b.data.shape
-    if len(shape_a) < 2 or len(shape_b) < 2:
-        raise ShapeError(f"matmul: operands must be at least 2-D, got {shape_a} and {shape_b}")
-    lead_a, (m, k) = shape_a[:-2], shape_a[-2:]
-    lead_b, n = shape_b[:-2], shape_b[-1]
-    if k != shape_b[-2]:
-        raise ShapeError(f"matmul: inner dimensions differ: {shape_a} vs {shape_b}")
-    if lead_a and lead_b and lead_a != lead_b:
-        raise ShapeError(f"matmul: batch dimensions differ: {shape_a} vs {shape_b}")
-    flops.add_matmul(math.prod(lead_a or lead_b) * m, k, n)
-    if lead_b:
-        out = _new(np.matmul(a.data, b.data))
-    else:  # one GEMM over every row of the stack
-        out = _new((a.data.reshape(-1, k) @ b.data).reshape(lead_a + (m, n)))
 
-    def grad_fn(g: Array):
-        ga = gb = None
-        if a.requires_grad:
-            if lead_b:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-                if not lead_a:
-                    ga = ga.reshape(-1, m, k).sum(axis=0)
-            else:
-                ga = (g.reshape(-1, n) @ b.data.T).reshape(a.shape)
-        if b.requires_grad:
-            if lead_b:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            else:
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
-        return ga, gb
-
-    return _record(out, (a, b), grad_fn)
+def _gemm(a: Array, b: Array, out: Array | None = None, part: str | None = None) -> Array:
+    """np.matmul(a, b), counted by :func:`flops.add_matmul`: every op's forward matrix product."""
+    flops.add_matmul(a, b, part)
+    return np.matmul(a, b, out=out)
 
 
 def _affine_shapes(op: str, rows: tuple[int, ...], w: Tensor, b: Tensor) -> None:
-    if w.data.ndim != 2 or len(rows) < 2 or rows[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"{op}: need (..., m, k) rows, a (k, n) weight and an (n,) bias, got {rows}, {w.shape}, {b.shape}")
+    # an (n,) bias, or one whose shape ends the output's; the first test spares each decoder step a call
+    if w.data.ndim != 2 or len(rows) < 2 or rows[-1] != w.shape[0] or (
+            b.shape != w.shape[1:] and not _ends(rows[:-1] + w.shape[1:], b.shape)):
+        raise ShapeError(f"{op}: need (..., m, k) rows, a (k, n) weight and a bias that ends the (..., m, n) output, "
+                         f"got {rows}, {w.shape}, {b.shape}")
 
 
-def _affine(x: Array, w: Array, b: Array) -> Array:
-    """x @ w + b over every row of x: matmul's one GEMM against a shared matrix, then add_bias's sum."""
+def _affine(x: Array, w: Array, b: Array | None = None) -> Array:
+    """x @ w (+ b) over every row of x: one GEMM against a shared matrix, then add_bias's sum."""
     k, n = w.shape
-    flops.add_matmul(x.size // k, k, n)
-    out = (x.reshape(-1, k) @ w).reshape(x.shape[:-1] + (n,))
-    out += b
+    out = _gemm(x.reshape(-1, k), w).reshape(x.shape[:-1] + (n,))
+    if b is not None:
+        out += b
     return out
 
 
-def _affine_grad(x: Array, w: Array, g: Array, need_x: bool) -> tuple[Array | None, Array, Array]:
-    """Gradients of _affine given its output's: (x's if need_x, w's, b's), as matmul and add_bias give them."""
+def _affine_grad(x: Array, w: Array, b: Array, g: Array, need_x: bool) -> tuple[Array | None, Array, Array]:
+    """Gradients of _affine given its output's: (x's if need_x, w's, b's), as a product and add_bias give them."""
     k, n = w.shape
     rows = g.reshape(-1, n)
     dx = (rows @ w.T).reshape(x.shape) if need_x else None
-    return dx, x.reshape(-1, k).T @ rows, rows.sum(axis=0)
+    return dx, x.reshape(-1, k).T @ rows, g.reshape((-1,) + b.shape).sum(axis=0)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b as one op: ``add_bias(matmul(x, w), b)`` for a (k, n) weight and an (n,) bias.
+    """x @ w + b as one op, for (..., m, k) rows and a (k, n) weight.
 
-    Values, gradients and FLOPs are those of the two ops, bit for bit.
+    The bias follows add_bias's rule: any shape that ends the output's,
+    an (n,) vector for every row or an m x n table for every item of a
+    stack.  Values, gradients and FLOPs are those of a matrix product
+    followed by add_bias, bit for bit.
     """
     _affine_shapes("linear", x.shape, w, b)
     out = _new(_affine(x.data, w.data, b.data))
-    return _record(out, (x, w, b), lambda g: _affine_grad(x.data, w.data, g, x.requires_grad))
+    return _record(out, (x, w, b), lambda g: _affine_grad(x.data, w.data, b.data, g, x.requires_grad))
 
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -318,9 +294,9 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     out = _new(_affine(inner, w2.data, b2.data))
 
     def grad_fn(g: Array):
-        d_inner, dw2, db2 = _affine_grad(inner, w2.data, g, True)
+        d_inner, dw2, db2 = _affine_grad(inner, w2.data, b2.data, g, True)
         pdf = np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
-        dx, dw1, db1 = _affine_grad(x.data, w1.data, d_inner * (0.5 * (1.0 + e) + pre * pdf), x.requires_grad)
+        dx, dw1, db1 = _affine_grad(x.data, w1.data, b1.data, d_inner * (0.5 * (1.0 + e) + pre * pdf), x.requires_grad)
         return dx, dw1, db1, dw2, db2
 
     return _record(out, (x, w1, b1, w2, b2), grad_fn)
@@ -571,10 +547,9 @@ def _project(rows: Array, w: Array, full: bool) -> Array:
     against the weights side by side.
     """
     n, k, d = w.shape
-    flops.add_matmul(rows.shape[0], k, n * d)
     if full:
-        return (rows @ w.transpose(1, 0, 2).reshape(k, n * d)).reshape(-1, n, d).transpose(1, 0, 2)
-    return np.matmul(rows.reshape(-1, n, k).transpose(1, 0, 2), w)
+        return _gemm(rows, w.transpose(1, 0, 2).reshape(k, n * d)).reshape(-1, n, d).transpose(1, 0, 2)
+    return _gemm(rows.reshape(-1, n, k).transpose(1, 0, 2), w)
 
 
 def _heads_first(a: Array) -> Array:
@@ -695,18 +670,15 @@ def attention(
     # The row core below reads (rows, features) matrices; channel heads give it theirs transposed.
     view = (lambda a: np.swapaxes(a, -1, -2)) if channels else (lambda a: a)
     qc, kc, vc = view(q), view(k), view(v)
-    mats, (tq, dq), tk = q.size // (rows_per_item * d), qc.shape[-2:], kc.shape[-2]  # (T, d) matrices per projection
-    flops.add_matmul(mats * tq, dq, tk, part="core")  # scores Q K^T (T x d by d x T_k)
-    p = np.matmul(qc, np.swapaxes(kc, -1, -2))
+    p = _gemm(qc, np.swapaxes(kc, -1, -2), part="core")  # scores Q K^T
     p *= factor
     if mask is not None:
         p += mask
     p -= np.maximum.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
-    flops.add_matmul(mats * tq, tk, dq, part="core")  # output P V (T x T_k by T_k x d)
-    heads = np.empty(items + (rows_per_item, n, d))  # the output, heads side by side
-    np.matmul(p, vc, out=view(_heads_first(heads)))
+    heads = np.empty(items + (rows_per_item, n, d))  # the output P V, heads side by side
+    _gemm(p, vc, out=view(_heads_first(heads)), part="core")
     out = heads.reshape(lead + (t, n * d))
 
     def grad_fn(g: Array):
@@ -759,8 +731,7 @@ def contrastive_loss(image_vecs: Tensor, text_vecs: Tensor, temperature: Tensor)
     if temperature.size != 1 or not temperature.item() > 0:
         raise ContractError(f"contrastive_loss: temperature must be a single positive value, got {temperature.data}")
     inv = 1.0 / temperature.item()
-    flops.add_matmul(b, d, b)
-    sims = image_vecs.data @ text_vecs.data.T
+    sims = _gemm(image_vecs.data, text_vecs.data.T)
     scaled = sims * inv
     targets, keep = np.arange(b), np.ones(b, dtype=bool)
     (rows_loss, rows_grad), (cols_loss, cols_grad) = (_nll(s, targets, keep, b) for s in (scaled, scaled.T))
@@ -814,8 +785,7 @@ def fused_logits(
                          f"embedding and means must be {want}, got {got}")
     if pooled is None:
         causal = np.tril(np.ones((t, t))) / np.arange(1.0, t + 1.0)[:, None]
-        flops.add_matmul(math.prod(lead) * t, t, c)
-        means = np.matmul(causal, hidden.data)
+        means = _gemm(causal, hidden.data)
     else:
         means = pooled.data
     proj = _affine(means, txt_w.data, txt_b.data)
@@ -824,17 +794,16 @@ def fused_logits(
     fused[..., :d] = image_vecs.data[..., None, :]
     text = np.divide(proj, norm, out=fused[..., d:])
     summed = hidden.data + _affine(fused, cond_w.data, cond_b.data)
-    flops.add_matmul(summed.size // c, c, v)
-    out = _new((summed.reshape(-1, c) @ emb.data.T).reshape(lead + (t, v)))
+    out = _new(_affine(summed, emb.data.T))
 
     def grad_fn(g: Array):
         rows = g.reshape(-1, v)
         d_summed = (rows @ emb.data).reshape(summed.shape)
         d_emb = (summed.reshape(-1, c).T @ rows).T
-        d_fused, d_cond_w, d_cond_b = _affine_grad(fused, cond_w.data, d_summed, True)
+        d_fused, d_cond_w, d_cond_b = _affine_grad(fused, cond_w.data, cond_b.data, d_summed, True)
         d_text = d_fused[..., d:]
         d_proj = (d_text - text * (d_text * text).sum(axis=-1, keepdims=True)) / norm
-        d_means, d_txt_w, d_txt_b = _affine_grad(means, txt_w.data, d_proj, True)
+        d_means, d_txt_w, d_txt_b = _affine_grad(means, txt_w.data, txt_b.data, d_proj, True)
         # the sum over positions as a product with a row of ones, whose order of additions the chain had
         d_image = np.matmul(np.ones((t, 1)).T, d_fused[..., :d]).reshape(image_vecs.shape)
         grads = (d_txt_w, d_txt_b, d_cond_w, d_cond_b, d_emb)

@@ -301,12 +301,24 @@ def cmd_ablate(args) -> int:
 
 
 def bench_rows(rc: RunConfig) -> list[dict]:
-    """FLOPs and wall time for each attention kernel at each patch count."""
+    """FLOPs and wall time for each attention kernel at each patch count.
+
+    A ``dim`` whose kernel inputs cannot be allocated is a ConfigError,
+    raised before any input is drawn.
+    """
     rows = []
     c = rc.dim
+    if c < 1:
+        raise ConfigError(f"dim must be >= 1, got {c}")
     for key, n in (("heads", rc.heads), ("groups", rc.groups)):
-        if n < 1 or c % n != 0:
-            raise ConfigError(f"{key} {n} does not divide dim {c}")
+        if n < 1:
+            raise ConfigError(f"{key} must be >= 1, got {n}")
+        if c % n != 0:
+            raise ConfigError(f"dim {c} is not a multiple of {key} {n}")
+    try:  # the inputs of the largest patch count: x, and three projections per kernel
+        np.empty(max(BENCH_PATCHES) * c + 3 * c * (c // rc.heads + c + c // rc.groups))
+    except (MemoryError, ValueError) as e:  # numpy refuses a size past int64 with a ValueError
+        raise ConfigError(f"dim {c} is too large to allocate the bench inputs: {e}") from e
     rng = np.random.default_rng(rc.seed)
 
     def qkv(*shape: int) -> list[Tensor]:

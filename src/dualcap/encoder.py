@@ -41,13 +41,11 @@ import numpy as np
 from . import flops
 from .autograd import (
     Tensor,
-    add_bias,
     add_norm,
     attention,
     concat,
     ffn,
     linear,
-    matmul,
     take_rows,
 )
 from .errors import ConfigError, ContractError, ShapeError
@@ -245,13 +243,14 @@ def split_patches(image: Tensor, cfg: EncoderConfig) -> np.ndarray:
 def embed_patches(image: Tensor, cfg: EncoderConfig, w_proj: Tensor, positions: Tensor) -> Tensor:
     """Flatten patches row-major, project linearly to C, add positions: (B x) P x C in patch_order.
 
-    ``positions`` row i belongs to grid patch i.  The projection carries
-    no bias so a zero image with zero positions embeds to exactly zero.
+    ``positions`` row i belongs to grid patch i.  One ``linear`` op takes
+    the position table as its bias, and the projection has none of its
+    own, so a zero image with zero positions embeds to exactly zero.
     """
     patches = Tensor(split_patches(image, cfg))
     if positions.shape != (cfg.patches, cfg.dim):
         raise ShapeError(f"positions must be {(cfg.patches, cfg.dim)}, got {positions.shape}")
-    return add_bias(matmul(patches, w_proj), take_rows(positions, patch_order(cfg)))
+    return linear(patches, w_proj, take_rows(positions, patch_order(cfg)))
 
 
 def _per_item(weights: np.ndarray) -> np.ndarray:

@@ -1,17 +1,24 @@
 """Floating-point-operation accounting for matrix multiplies.
 
 A matmul of (m x k) by (k x n) costs 2*m*k*n FLOPs (one multiply and one
-add per inner-product term).  Counting is opt-in: operations only record
-into the counter installed by :func:`count_flops`, and nested
-:func:`scope` labels let callers split the total by pipeline stage.
-Only forward-pass matmuls are counted; backward passes bypass the
-counter so complexity claims stay comparable across train and inference.
+add per inner-product term), per item of a stack.  Counting is opt-in:
+:func:`add_matmul` records only into the counter installed by
+:func:`count_flops`, and nested :func:`scope` labels let callers split
+the total by pipeline stage.  Its one caller is ``autograd._gemm``, the
+forward matrix product of every op, which passes its operands; so FLOPs
+are counted in one place, and generation, which runs without a counter,
+pays one call and one check per product.  Only forward-pass matmuls are
+counted; backward passes bypass the counter so complexity claims stay
+comparable across train and inference.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass
@@ -57,14 +64,18 @@ def scope(label: str):
         _scopes.pop()
 
 
-def add_matmul(m: int, k: int, n: int, part: str | None = None) -> None:
-    """Record one (m x k) @ (k x n) product if a counter is active.
+def add_matmul(a: np.ndarray, b: np.ndarray, part: str | None = None) -> None:
+    """Record np.matmul(a, b) of a (..., m, k) and a (..., k, n) array if a counter is active.
 
-    ``part`` names a stage of a fused op, counted as a scope nested in
-    the active one (``spatial_window.core``); outside every scope it
-    counts as ``unscoped`` like the rest of the op.
+    It costs 2*m*k*n per item of the broadcast batch; the shapes are read
+    only while a counter is active.  ``part`` names a stage of a fused
+    op, counted as a scope nested in the active one
+    (``spatial_window.core``); outside every scope it counts as
+    ``unscoped`` like the rest of the op.
     """
     if _active is None:
         return
+    (m, k), n = a.shape[-2:], b.shape[-1]
+    items = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
     label = ".".join(_scopes + [part] if part else _scopes) if _scopes else "unscoped"
-    _active.add(2 * m * k * n, label)
+    _active.add(2 * items * m * k * n, label)

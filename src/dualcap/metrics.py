@@ -217,7 +217,9 @@ def _best_alignment(cand: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
     slots: dict[str, list[int]] = {}  # word -> reference positions holding it
     for j, w in enumerate(ref):
         slots.setdefault(w, []).append(j)
-    rest = [cand[i:].count(w) for i, w in enumerate(cand)]
+    rest, seen = [0] * len(cand), {}  # rest[i]: occurrences of cand[i] at i or later, counted in one reverse pass
+    for i in range(len(cand) - 1, -1, -1):
+        rest[i] = seen[cand[i]] = seen.get(cand[i], 0) + 1
 
     @lru_cache(maxsize=None)
     def moves(ci: int, used: int) -> list[tuple[int, int]]:

@@ -2,12 +2,13 @@
 
 The package records the attention softmax inside ``autograd.attention``,
 the symmetric InfoNCE loss as ``autograd.contrastive_loss``, the GELU
-inside ``autograd.ffn``, the layer norm inside ``autograd.add_norm`` and
+inside ``autograd.ffn``, the layer norm inside ``autograd.add_norm``,
 the fusion head's conditioning and transposed output head inside
-``autograd.fused_logits``.  The ops here are the per-op pieces those
-replaced, each with its own backward rule, so a test can rebuild a fused
-op record by record and compare values and gradients, or weight an
-output elementwise by a probe.
+``autograd.fused_logits`` and the patch embedding's product as
+``autograd.linear``.  The ops here are the per-op pieces those replaced,
+each with its own backward rule, so a test can rebuild a fused op record
+by record and compare values and gradients (and, through the same
+counted product, FLOPs), or weight an output elementwise by a probe.
 """
 
 from __future__ import annotations
@@ -16,10 +17,52 @@ import numpy as np
 from scipy.special import erf
 
 from dualcap.autograd import (
-    _INV_SQRT2, _INV_SQRT_2PI, Tensor, _new, _record, add, concat, cross_entropy, l2_normalize, linear, matmul,
+    _INV_SQRT2, _INV_SQRT_2PI, Tensor, _gemm, _new, _record, add, concat, cross_entropy, l2_normalize, linear,
     reshape, scale,
 )
 from dualcap.errors import ContractError, ShapeError
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two matrices, two stacks, or a stack and one shared matrix.
+
+    Operands are (..., m, k) and (..., k, n).  Their batch shapes must be
+    equal unless one operand is 2-D, in which case every item of the
+    other's stack multiplies it; the shared operand's gradient sums over
+    the stack, and any other batch mismatch is a ShapeError naming both
+    shapes.  FLOPs count 2*m*k*n per item, through ``autograd._gemm``.
+    """
+    shape_a, shape_b = a.data.shape, b.data.shape
+    if len(shape_a) < 2 or len(shape_b) < 2:
+        raise ShapeError(f"matmul: operands must be at least 2-D, got {shape_a} and {shape_b}")
+    lead_a, (m, k) = shape_a[:-2], shape_a[-2:]
+    lead_b, n = shape_b[:-2], shape_b[-1]
+    if k != shape_b[-2]:
+        raise ShapeError(f"matmul: inner dimensions differ: {shape_a} vs {shape_b}")
+    if lead_a and lead_b and lead_a != lead_b:
+        raise ShapeError(f"matmul: batch dimensions differ: {shape_a} vs {shape_b}")
+    if lead_b:
+        out = _new(_gemm(a.data, b.data))
+    else:  # one GEMM over every row of the stack
+        out = _new(_gemm(a.data.reshape(-1, k), b.data).reshape(lead_a + (m, n)))
+
+    def grad_fn(g):
+        ga = gb = None
+        if a.requires_grad:
+            if lead_b:
+                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+                if not lead_a:
+                    ga = ga.reshape(-1, m, k).sum(axis=0)
+            else:
+                ga = (g.reshape(-1, n) @ b.data.T).reshape(a.shape)
+        if b.requires_grad:
+            if lead_b:
+                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            else:
+                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
+        return ga, gb
+
+    return _record(out, (a, b), grad_fn)
 
 
 def transpose(x: Tensor) -> Tensor:

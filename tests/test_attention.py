@@ -11,7 +11,6 @@ from dualcap.autograd import (
     add,
     attention,
     concat,
-    matmul,
     mean,
     reshape,
     scale,
@@ -21,7 +20,7 @@ from dualcap.autograd import (
 from dualcap.errors import ContractError, ShapeError
 from dualcap.textdec import attention_masks
 
-from composed import mul, softmax, transpose
+from composed import matmul, mul, softmax, transpose
 from gradcheck import analytic_grads, check_grads
 
 

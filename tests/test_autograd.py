@@ -25,7 +25,6 @@ from dualcap.autograd import (
     ffn,
     l2_normalize,
     linear,
-    matmul,
     mean,
     mean_rows,
     reshape,
@@ -36,7 +35,7 @@ from dualcap.autograd import (
 )
 from dualcap.errors import ContractError, ShapeError
 
-from composed import gelu, layer_norm, mean_axis, mul, scale_by, softmax, sub, transpose
+from composed import gelu, layer_norm, matmul, mean_axis, mul, scale_by, softmax, sub, transpose
 from gradcheck import check_grads, fd_grads, analytic_grads, max_rel_err
 from test_acceptance import primitive_cases
 
@@ -57,7 +56,7 @@ class TestFiniteDifferenceOracles:
 
     def test_every_recording_op_has_a_criterion_1_case(self):
         recording = recording_ops()
-        assert {"add", "matmul", "attention", "contrastive_loss"} <= recording
+        assert {"add", "linear", "attention", "contrastive_loss"} <= recording
         assert sorted(recording - primitive_cases(np.random.default_rng(0)).keys()) == []
 
     def test_every_recording_op_has_a_caller_in_src(self):
@@ -79,6 +78,20 @@ class TestFiniteDifferenceOracles:
                  for p in inspect.signature(getattr(ag, name)).parameters.values() if p.kind is p.KEYWORD_ONLY}
         assert ("attention", "window") in modes
         assert sorted(modes - passed) == []
+
+    def test_only_gemm_counts_flops_in_src(self):
+        """Every forward product goes through autograd._gemm, the one place in the package that counts FLOPs."""
+        owners = []
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if getattr(child, "attr", getattr(child, "id", None)) == flops.add_matmul.__name__:
+                    owners.append(owner)
+                visit(child, f"{owner}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner)
+
+        for path in sorted(Path(ag.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        assert owners == ["autograd._gemm"]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matmul_sum(self, seed):
@@ -482,6 +495,23 @@ class TestFusedLayers:
         # 6 rows of 4 through (4, 6), and for the FFN on through (6, 4)
         assert counts == {("linear", "fused"): 288, ("linear", "chain"): 288, ("add_norm", "fused"): 0,
                           ("add_norm", "chain"): 0, ("ffn", "fused"): 576, ("ffn", "chain"): 576}
+
+    def test_a_linear_bias_may_be_a_table_as_for_add_bias(self):
+        """The patch embedding's case: a (P, C) table added to every item of a (B, P, k) stack."""
+        rng = np.random.default_rng(1750)
+        x, w, table = (rand(rng, *shape) for shape in [(2, 3, 4), (4, 6), (3, 6)])
+        probe = Tensor(rng.standard_normal((2, 3, 6)))
+        results = []
+        for build in (lambda: linear(x, w, table), lambda: add_bias(matmul(x, w), table)):
+            zero_grads([x, w, table])
+            with flops.count_flops() as counter, Tape() as tape:
+                out = build()
+                tape.backward(mean(mul(out, probe)))
+            results.append((out.data, counter.total, x.grad, w.grad, table.grad))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(ShapeError, match="linear"):
+            linear(x, w, Tensor(np.zeros((2, 6))))
 
     def test_slicing_a_whole_axis_is_the_input_itself(self):
         x = rand(np.random.default_rng(1800), 2, 3)

@@ -646,6 +646,15 @@ class TestBenchCommand:
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", [0, 1, 2**30, 2**63])
+    def test_a_dim_the_kernels_cannot_take_is_a_one_line_error_naming_dim(self, tmp_path, capsys, dim):
+        """0 and 1 have no head width; 2**30 and 2**63 ask for inputs numpy refuses, before any is drawn."""
+        cfg = write_cfg(tmp_path / "run.cfg", dim=dim)
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: dim {'must be >= 1' if dim < 1 else dim}") and err.count("\n") == 1
+        assert not (tmp_path / "b" / "bench.txt").exists()
+
     def test_fit_quality_separates_linear_from_quadratic(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "run.cfg")
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0

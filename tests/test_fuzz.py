@@ -214,13 +214,19 @@ def assert_documented(code: int, err: str) -> None:
     assert err.count("\n") <= 1, err
 
 
+def write_config(root: Path, edits) -> Path:
+    """CLI_BASE with the edits applied, as a config file in root."""
+    cfg = root / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in {**CLI_BASE, **dict(edits)}.items()))
+    return cfg
+
+
 def run_cli_session(edits) -> None:
     """train, then caption and eval with the same config; a train that exits 1 writes nothing."""
     entries = {**CLI_BASE, **dict(edits)}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        cfg, out = root / "run.cfg", root / "run"
-        cfg.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+        cfg, out = write_config(root, edits), root / "run"
         code, err = cli("train", "--config", str(cfg), "--out", str(out))
         assert_documented(code, err)
         if code == 1:
@@ -237,6 +243,16 @@ def run_cli_session(edits) -> None:
 @pytest.mark.parametrize("key, value", CLI_EDITS, ids=[f"{key}={value}" for key, value in CLI_EDITS])
 def test_a_cli_session_with_one_edit_ends_in_a_documented_exit_code(key, value):
     run_cli_session([(key, value)])
+
+
+@pytest.mark.parametrize("key, value", CLI_EDITS, ids=[f"{key}={value}" for key, value in CLI_EDITS])
+def test_bench_with_one_edit_ends_in_a_documented_exit_code(key, value):
+    """bench writes its table exactly when it exits 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "bench"
+        code, err = cli("bench", "--config", str(write_config(Path(tmp), [(key, value)])), "--out", str(out))
+        assert_documented(code, err)
+        assert (out / "bench.txt").exists() == (code == 0)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
