@@ -20,7 +20,7 @@ rows = bench_rows(rc)
 for row in rows:
     p = row["patches"]
     match = (row["windowed_flops"] == 6 * p * c * c + 4 * p * p_w * c
-             and row["channel_flops"] == 10 * p * c * c_g
+             and row["channel_flops"] == 4 * p * c * c_g + 6 * c * c_g * c_g
              and row["global_flops"] == 6 * p * c * c_h + 4 * p * p * c)
     print(f"P = {p:>3}: FLOPs match the closed forms exactly: {match}")
 print(format_bench(rows))

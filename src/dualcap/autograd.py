@@ -22,12 +22,14 @@ Every matrix product an op computes in its forward pass is one call of
 :mod:`dualcap.flops`) from the operand shapes; no other code counts
 them.  Backward products are not counted.
 
-Three ops are whole model stages with a hand-written backward, in
+Four ops are whole model stages with a hand-written backward, in
 place of the records the composed ops would leave on the tape.
 :func:`attention` is one attention branch: the query, key and value
 projections (one GEMM each over all rows), the scaled and masked
-softmax core over any stack of heads, windows or channel groups, and
-the head merge.  :func:`contrastive_loss` is the fusion head's
+softmax core over any stack of heads or windows, and the head merge.
+:func:`channel_attention` is the encoder's channel-group branch, its
+scores and output formed from each group's Gram matrix, so only two of
+its products run over the rows.  :func:`contrastive_loss` is the fusion head's
 symmetric InfoNCE: one similarity GEMM, then cross_entropy's arithmetic
 over its rows and over its columns, differentiable in the temperature.
 :func:`fused_logits` is the rest of the fusion head: each position's
@@ -605,7 +607,6 @@ def attention(
     cached: tuple[Array, Array] | None = None,
     mask: Array | None = None,
     window: int | None = None,
-    channels: bool = False,
 ):
     """One attention branch as one tape op: project, softmax(Q K^T * factor + mask) V, merge the heads.
 
@@ -625,10 +626,7 @@ def attention(
     grad) raises ContractError.
     ``mask`` is added to the scores, broadcast against (n, ..., T, T_k).
     With ``window`` each run of that many consecutive rows is one window
-    whose rows attend only among themselves.  With ``channels`` every head
-    attends over its d feature columns instead of its rows: the same core
-    runs on transposed views of the projections, the head outputs and
-    their gradients, so its scores are d x d whatever T is.
+    whose rows attend only among themselves.
 
     The backward is analytic: dV = P^T dO and, with dP = dO V^T,
     dS = P * (dP - rowsum(dP * P)), dQ = factor * dS K and
@@ -667,10 +665,7 @@ def attention(
         if cached is not None:
             k, v = np.concatenate([cached[0], k], axis=-2), np.concatenate([cached[1], v], axis=-2)
 
-    # The row core below reads (rows, features) matrices; channel heads give it theirs transposed.
-    view = (lambda a: np.swapaxes(a, -1, -2)) if channels else (lambda a: a)
-    qc, kc, vc = view(q), view(k), view(v)
-    p = _gemm(qc, np.swapaxes(kc, -1, -2), part="core")  # scores Q K^T
+    p = _gemm(q, np.swapaxes(k, -1, -2), part="core")  # scores Q K^T
     p *= factor
     if mask is not None:
         p += mask
@@ -678,11 +673,11 @@ def attention(
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
     heads = np.empty(items + (rows_per_item, n, d))  # the output P V, heads side by side
-    _gemm(p, vc, out=view(_heads_first(heads)), part="core")
+    _gemm(p, v, out=_heads_first(heads), part="core")
     out = heads.reshape(lead + (t, n * d))
 
     def grad_fn(g: Array):
-        do = view(_heads_first(g.reshape(items + (rows_per_item, n, d))))
+        do = _heads_first(g.reshape(items + (rows_per_item, n, d)))
         # Gradients of the projections go straight into side-by-side slots, one buffer per input they read.
         own = context is None
         buf, slots = _grad_slots(q.shape, 3 if own else 1, q_full)
@@ -690,13 +685,13 @@ def attention(
             dk_slot, dv_slot = slots[1:]
         else:
             source_buf, (dk_slot, dv_slot) = _grad_slots(k.shape, 2, kv_full)
-        np.matmul(np.swapaxes(p, -1, -2), do, out=view(dv_slot))
-        ds = np.matmul(do, np.swapaxes(vc, -1, -2))
+        np.matmul(np.swapaxes(p, -1, -2), do, out=dv_slot)
+        ds = np.matmul(do, np.swapaxes(v, -1, -2))
         ds -= np.add.reduce(ds * p, axis=-1, keepdims=True)
         ds *= p
         ds *= factor
-        np.matmul(ds, kc, out=view(slots[0]))
-        np.matmul(np.swapaxes(ds, -1, -2), qc, out=view(dk_slot))
+        np.matmul(ds, k, out=slots[0])
+        np.matmul(np.swapaxes(ds, -1, -2), q, out=dk_slot)
         drows, grads = _project_grad(rows, [wq_heads, wk_heads, wv_heads] if own else [wq_heads], q_full, buf)
         if not own:
             dsource, (dwk, dwv) = _project_grad(source_rows, [wk_heads, wv_heads], kv_full, source_buf)
@@ -705,6 +700,67 @@ def attention(
         return (dx,) + tuple(gw.reshape(w.shape) for gw, w in zip(grads, (wq, wk, wv))) + tuple(grads[3:])
 
     return _record(_new(out), inputs, grad_fn), p, (k, v)
+
+
+def channel_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, factor: float):
+    """Attention over the channels of G column groups as one tape op, through each group's Gram matrix.
+
+    ``x`` is a (..., P, C) stack and the weights are (G, C_g, C_g)
+    stacks with G * C_g = C; group g's columns X_g project to
+    Q = X_g wq[g], K and V likewise, and it attends over its C_g
+    channels: A = softmax(factor * Q^T K) and the output is V A^T.
+    Since every projection is linear in X_g, the scores are
+    factor * wq^T (X_g^T X_g) wk and the output X_g (wv A^T), so only
+    the Gram matrix X_g^T X_g and the output are products over the P
+    rows; both count under the ``core`` part, the three C_g x C_g
+    products under the active scope.  Groups are batched products, so
+    no sum mixes two groups.  Returns (output (..., P, C), the weights
+    A as a (..., G, C_g, C_g) array).
+
+    The op holds A transposed, so that the softmax reduces over columns
+    and M = wv A^T is a plain product.  With R = X_g^T X_g and
+    dS = factor * A * (dA - rowsum(dA * A)), the backward is
+    dM = X_g^T dO, dA = dM^T wv, dR = wq dS wk^T,
+    dX_g = dO M^T + X_g (dR + dR^T), dwq = R wk dS^T, dwk = R wq dS and
+    dwv = dM A, each weight's summed over the stack.
+    """
+    lead, (t, c) = x.shape[:-2], x.shape[-2:]
+    n, k = wq.shape[:2] if wq.data.ndim == 3 else (0, 0)
+    if n * k != c or any(w.shape != (n, k, k) for w in (wq, wk, wv)):
+        raise ShapeError(f"channel_attention: need (G, C/G, C/G) weights for width {c}, "
+                         f"got {wq.shape}, {wk.shape} and {wv.shape}")
+    xg = x.data.reshape(-1, t, n, k).transpose(0, 2, 1, 3)  # (items, G, P, C_g) views of the groups' columns
+    gram = _gemm(np.swapaxes(xg, -1, -2), xg, part="core")
+    gram_wq = _gemm(gram, wq.data)
+    at = _gemm(np.swapaxes(wk.data, -1, -2), gram_wq)  # the scores transposed, made A^T in place
+    at *= factor
+    at -= np.maximum.reduce(at, axis=-2, keepdims=True)
+    np.exp(at, out=at)
+    at /= np.add.reduce(at, axis=-2, keepdims=True)
+    a = np.swapaxes(at, -1, -2)  # the weights
+    m = _gemm(wv.data, at)
+    out = np.empty(xg.shape[:1] + (t, n, k))  # groups side by side
+    _gemm(xg, m, out=out.transpose(0, 2, 1, 3), part="core")
+
+    def grad_fn(g: Array):
+        do = g.reshape(out.shape).transpose(0, 2, 1, 3)
+        dm = np.matmul(np.swapaxes(xg, -1, -2), do)
+        dat = np.matmul(np.swapaxes(wv.data, -1, -2), dm)
+        dst = dat - np.add.reduce(dat * at, axis=-2, keepdims=True)
+        dst *= at
+        dst *= factor  # dS^T
+        wk_dst = np.matmul(wk.data, dst)
+        dgram_t = np.matmul(wk_dst, np.swapaxes(wq.data, -1, -2))
+        # dX_g's two terms go into buffers laid out like x, so that their sum runs over contiguous rows;
+        # M^T is a product of its own, since a transposed view of M would slow the P-row product
+        dx, rest = np.empty_like(out), np.empty_like(out)
+        np.matmul(do, np.matmul(a, np.swapaxes(wv.data, -1, -2)), out=dx.transpose(0, 2, 1, 3))
+        np.matmul(xg, dgram_t + np.swapaxes(dgram_t, -1, -2), out=rest.transpose(0, 2, 1, 3))
+        dx += rest
+        dwq, dwk, dwv = np.matmul(gram, wk_dst), np.matmul(gram_wq, np.swapaxes(dst, -1, -2)), np.matmul(dm, a)
+        return dx.reshape(x.shape), dwq.sum(axis=0), dwk.sum(axis=0), dwv.sum(axis=0)
+
+    return _record(_new(out.reshape(x.shape)), (x, wq, wk, wv), grad_fn), a.reshape(lead + (n, k, k))
 
 
 # ---------------------------------------------------------------------------

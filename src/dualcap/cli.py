@@ -4,13 +4,15 @@ Configuration comes from a key=value file (one pair per line, # starts
 a comment) plus the --seed and --out overrides; unknown keys are
 rejected before any compute.  All outputs land under the --out
 directory.  Exit codes: 0 success, 1 usage or config error, 2 data
-error, 3 checkpoint integrity error, 4 non-finite training (a loss,
-gradient or update that is not finite; that epoch writes no checkpoint).
+error, 3 checkpoint integrity error, 4 non-finite values (a loss,
+gradient or update in training, and that epoch writes no checkpoint; or
+a caption's scores), 141 a closed stdout (a broken pipe).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import fields, make_dataclass
@@ -55,6 +57,7 @@ from .train import (
 )
 
 BENCH_PATCHES = (64, 128, 256, 512)
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a command that SIGPIPE ended
 
 
 # The CLI defaults that differ from the typed configs' own (or stand in where those have none).
@@ -420,6 +423,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()  # a reader that closed the pipe early fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # as in the Python docs' note on SIGPIPE: whatever is still buffered goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -431,7 +445,7 @@ def main(argv=None) -> int:
         print(f"integrity error: {e}", file=sys.stderr)
         return 3
     except NonFiniteError as e:
-        print(f"non-finite training: {e}", file=sys.stderr)
+        print(f"non-finite error: {e}", file=sys.stderr)
         return 4
     except (DataError, VocabError) as e:
         print(f"data error: {e}", file=sys.stderr)

@@ -43,6 +43,7 @@ from .autograd import (
     Tensor,
     add_norm,
     attention,
+    channel_attention,
     concat,
     ffn,
     linear,
@@ -311,15 +312,14 @@ def channel_group_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor):
     axis), and forms channel-to-channel scores Q^T K / sqrt(P), so the
     attention matrix is C_g x C_g regardless of patch count.  Values
     aggregate as (A V^T)^T = V A^T, returning P x C_g per group; groups
-    concatenate back to width C.  This is the row attention core run on
-    the transposed P x C_g projections.  Returns (output P x C, weights
-    N_g x C_g x C_g).
+    concatenate back to width C.  One :func:`autograd.channel_attention`
+    op computes it through each group's Gram matrix.  Returns (output
+    P x C, weights N_g x C_g x C_g).
     """
     p, c = x.shape[-2:]
     _stacked_count("channel_group_attention", "group", c, (wq, wk, wv))
     with flops.scope("channel_group"):
-        out, attn, _ = attention(x, wq, wk, wv, 1.0 / math.sqrt(p), channels=True)
-    return out, _per_item(attn)
+        return channel_attention(x, wq, wk, wv, 1.0 / math.sqrt(p))
 
 
 def encoder_param_rows(cfg: EncoderConfig) -> Iterator[Param]:

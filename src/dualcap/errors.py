@@ -34,4 +34,4 @@ class IntegrityError(DualcapError, ValueError):
 
 
 class NonFiniteError(DualcapError, ArithmeticError):
-    """Training produced a non-finite loss, gradient or parameter update."""
+    """Training produced a non-finite loss, gradient or parameter update, or generation a non-finite score."""

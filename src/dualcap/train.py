@@ -305,8 +305,11 @@ def generate_batch(model: CaptionModel, images: Tensor, max_len: int = 16, beam_
     could still reach (see _beam_search); the search ends when every
     image is decided or out of room.  The cache holds B x beam_width
     rows, so caption_records passes a split CAPTION_BATCH images at a
-    time.  An image with a non-finite pixel raises ContractError; a
-    search too large to allocate raises ConfigError.
+    time.  An image with a non-finite pixel raises ContractError, and a
+    step whose scores are not all finite (a model whose values overflow)
+    raises NonFiniteError naming the image and the step (step n picks
+    token n after BOS); a search too large to allocate raises
+    ConfigError.
     """
     if images.data.ndim != 4:
         raise ShapeError(f"generate_batch: images must be B x H x W x ch, got {images.shape}")
@@ -369,6 +372,9 @@ def _beam_search(model: CaptionModel, images: Tensor, max_len: int, beam_width: 
         logits = conditioned_logits(model, hidden, img_rows, pooled=Tensor(hidden_sum / (step + 1))).data[:, -1, words]
         top = logits.max(axis=1, keepdims=True)
         lp = logits - (top + np.log(np.exp(logits - top).sum(axis=1, keepdims=True)))
+        if not np.isfinite(lp).all():
+            image = cache.image[np.isfinite(lp).all(axis=1).argmin()]  # the first row with a non-finite score
+            raise NonFiniteError(f"generate: image {image} of the batch has a non-finite score at step {step + 1}")
         costs = cost[:, None] - lp  # of every (row, next word) candidate
         if step == max_len - 2:  # out of room: close every live beam with a forced EOS
             for row, c in enumerate(costs[:, 0]):

@@ -144,6 +144,9 @@ def primitive_cases(rng):
     head_inputs = [Tensor(head.standard_normal(shape), requires_grad=True)
                    for shape in [(2, 3, 4), (2, 3), (4, 3), (3,), (6, 4), (4,), (5, 4)]]
     logits_probe = Tensor(head.standard_normal((2, 3, 5)))
+    chan = np.random.default_rng(17)  # the channel-group op's own stream
+    chan_x, cq, ck, cv, chan_probe = (Tensor(chan.standard_normal(shape), requires_grad=True)
+                                      for shape in [(2, 5, 4), (2, 2, 2), (2, 2, 2), (2, 2, 2), (2, 5, 4)])
 
     return {
         "add": (lambda: ag.mean(ag.add(a, b)), [a, b]),
@@ -173,6 +176,8 @@ def primitive_cases(rng):
         "l2_normalize": (lambda: ag.mean(composed.mul(ag.l2_normalize(a), b)), [a]),
         "cross_entropy": (lambda: cross_entropy(logits, [2, 0, 5, 1]), [logits]),
         "attention": (lambda: ag.mean(composed.mul(ag.attention(a, wq, wk, wv, 0.5)[0], heads_probe)), [a, wq, wk, wv]),
+        "channel_attention": (lambda: ag.mean(composed.mul(ag.channel_attention(chan_x, cq, ck, cv, 0.6)[0], chan_probe)),
+                              [chan_x, cq, ck, cv]),
         "contrastive_loss": (lambda: ag.contrastive_loss(img, txt, tau), [img, txt, tau]),
         "fused_logits": (lambda: ag.mean(composed.mul(ag.fused_logits(*head_inputs), logits_probe)), head_inputs),
     }
@@ -279,7 +284,7 @@ def test_criterion_3_complexity_accounting():
             with flops.count_flops() as fc:
                 channel_group_attention(x, *groups)
             assert fc.by_scope["channel_group.core"] == 4 * p * c * c_g
-            assert fc.total == 10 * p * c * c_g
+            assert fc.total == 4 * p * c * c_g + 6 * c * c_g * c_g
 
             heads = rand_heads(rng, n_h, c_h)
             with flops.count_flops() as fc:

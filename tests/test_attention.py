@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualcap.autograd import (
     Tape,
     Tensor,
     add,
     attention,
+    channel_attention,
     concat,
     mean,
     reshape,
@@ -110,9 +112,9 @@ def cases(rng):
          lambda: tiled(composed_attention(x8, *single, f, windows=tiles))),
         ("one head, 1d windows", [x8, *single], lambda: attention(x8, *single, f, window=4)[0],
          lambda: composed_attention(x8, *single, f, windows=runs)),
-        ("channel groups", [x8, *groups], lambda: attention(x8, *groups, f, channels=True)[0],
+        ("channel groups", [x8, *groups], lambda: channel_attention(x8, *groups, f)[0],
          lambda: composed_attention(x8, *groups, f, channels=True)),
-        ("one channel group", [x8, *group], lambda: attention(x8, *group, f, channels=True)[0],
+        ("one channel group", [x8, *group], lambda: channel_attention(x8, *group, f)[0],
          lambda: composed_attention(x8, *group, f, channels=True)),
         ("cross-attention", [x, heads[0], *wkv, ctx], lambda: attention(x, heads[0], *wkv, f, context=ctx)[0],
          lambda: composed_attention(x, heads[0], *wkv, f, context=ctx)),
@@ -200,3 +202,30 @@ class TestFusedAttention:
         wk, wv = {"none": (None, None), "wk only": (w, None), "wv only": (None, w)}[keys]
         with pytest.raises(ContractError, match="wk and wv together"):
             attention(Tensor(np.zeros((2, 3, 4))), w, wk, wv, 0.5)
+
+
+class TestChannelAttention:
+    """The Gram-form channel op against the composed channel-mode oracle, on any stack, group count and P."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(lead=st.sampled_from([(), (1,), (3,), (2, 2)]), groups=st.sampled_from([1, 2, 4]),
+           group_dim=st.integers(1, 3), p=st.integers(1, 9), seed=st.integers(0, 2**16))
+    def test_matches_the_composed_ops_forward_and_backward(self, lead, groups, group_dim, p, seed):
+        rng = np.random.default_rng(seed)
+        x = rand(rng, *lead, p, groups * group_dim)
+        weights = [rand(rng, groups, group_dim, group_dim) for _ in range(3)]
+        tensors, f = [x, *weights], 1.0 / math.sqrt(p)
+        out, a = channel_attention(x, *weights, f)
+        assert out.shape == x.shape and a.shape == lead + (groups, group_dim, group_dim)
+        np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(out.data, composed_attention(x, *weights, f, channels=True).data, atol=1e-12, rtol=0)
+        probe = Tensor(rng.standard_normal(x.shape))
+        got = analytic_grads(lambda: mean(mul(channel_attention(x, *weights, f)[0], probe)), tensors)
+        want = analytic_grads(lambda: mean(mul(composed_attention(x, *weights, f, channels=True), probe)), tensors)
+        for t, g, w in zip(tensors, got, want):
+            np.testing.assert_allclose(g, w, atol=1e-12, rtol=0, err_msg=f"gradient of {t.shape}")
+
+    @pytest.mark.parametrize("shapes", [[(4, 4)] * 3, [(3, 2, 2)] * 3, [(2, 2, 2), (2, 2, 2), (2, 2, 1)]])
+    def test_rejects_weights_that_are_not_group_stacks_of_the_width(self, shapes):
+        with pytest.raises(ShapeError, match="need \\(G, C/G, C/G\\) weights for width 4"):
+            channel_attention(Tensor(np.zeros((5, 4))), *(Tensor(np.zeros(s)) for s in shapes), 0.5)

@@ -56,7 +56,7 @@ class TestFiniteDifferenceOracles:
 
     def test_every_recording_op_has_a_criterion_1_case(self):
         recording = recording_ops()
-        assert {"add", "linear", "attention", "contrastive_loss"} <= recording
+        assert {"add", "linear", "attention", "channel_attention", "contrastive_loss"} <= recording
         assert sorted(recording - primitive_cases(np.random.default_rng(0)).keys()) == []
 
     def test_every_recording_op_has_a_caller_in_src(self):
@@ -72,7 +72,7 @@ class TestFiniteDifferenceOracles:
                     if inspect.isfunction(fn) and fn.__module__ == ag.__name__:
                         called.add(fn.__name__)
                         passed.update((fn.__name__, kw.arg) for kw in node.keywords)
-        assert "attention" in called
+        assert {"attention", "channel_attention"} <= called
         assert sorted(recording_ops() - called) == []
         modes = {(name, p.name) for name in recording_ops()
                  for p in inspect.signature(getattr(ag, name)).parameters.values() if p.kind is p.KEYWORD_ONLY}

@@ -3,7 +3,7 @@
 Commands run in-process through main(argv); a shared fixture trains one
 small model to convergence so caption/eval tests can check real output
 quality.  Exit codes follow the contract: 0 ok, 1 usage/config, 2 data,
-3 integrity, 4 non-finite training.
+3 integrity, 4 non-finite values, 141 a closed stdout.
 """
 
 import hashlib
@@ -31,7 +31,7 @@ from dualcap.cli import (
     train_config,
 )
 from dualcap.data import make_synthetic, read_netpbm, write_dataset, write_netpbm
-from dualcap.checkpoint import save_model
+from dualcap.checkpoint import load_model, save_model
 from dualcap.encoder import EncoderConfig
 from dualcap.errors import ConfigError
 from dualcap.metrics import ScoredCorpus, score_report
@@ -634,7 +634,8 @@ class TestBenchCommand:
         for row in rows:
             p = row["patches"]
             assert row["windowed_flops"] == 6 * p * c * c + 4 * p * rc.window_patches * c
-            assert row["channel_flops"] == 10 * p * c * (c // rc.groups)
+            c_g = c // rc.groups
+            assert row["channel_flops"] == 4 * p * c * c_g + 6 * c * c_g * c_g
             assert row["global_flops"] == 6 * p * c * (c // rc.heads) + 4 * p * p * c
         text = (tmp_path / "b" / "bench.txt").read_text().splitlines()
         assert len(text) == 1 + len(BENCH_PATCHES) + 3
@@ -727,6 +728,40 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
         assert "do not fit image_channels 1" in capsys.readouterr().err
         assert list((tmp_path / "run").iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("beam_width", [1, 4])
+    def test_a_model_whose_scores_overflow_exits_4_from_caption_and_eval(self, trained, tmp_path, capsys, beam_width):
+        """Finite parameters scaled by 1e150 overflow the forward pass: the search stops rather than caption nothing."""
+        model, state, _ = load_model(trained["ckpt"], trained["vocab"])
+        model.flat *= 1e150
+        huge = tmp_path / "huge.ckpt"
+        save_model(huge, model, state)  # CRC-valid, and every value is finite
+        trained["vocab"].save(tmp_path / "vocab.txt")
+        cfg = write_cfg(tmp_path / "run.cfg", beam_width=beam_width)
+        image_path = trained["data"] / trained["ds"].records[0].name
+        assert main(["caption", "--config", str(cfg), "--out", str(tmp_path), str(huge), str(image_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "non-finite error: generate: image 0 of the batch has a non-finite score at step 1\n"
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "eval"), str(huge)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("non-finite error: generate: image ") and err.count("\n") == 1
+        assert not (tmp_path / "eval" / "report.txt").exists()
+
+    def test_a_reader_that_closes_the_pipe_early_ends_in_exit_141_without_a_traceback(
+            self, trained, tmp_path, capsys, monkeypatch):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # as `dualcap eval ... | head -1` leaves it once head has its line
+        stdout = open(write_end, "w")  # its write, or the flush after it, raises BrokenPipeError
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            code = main(["eval", "--config", str(trained["cfg"]), "--out", str(tmp_path), str(trained["ckpt"])])
+        finally:
+            stdout.close()  # the descriptor now points at devnull, so what is still buffered goes there
+        assert code == 141
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "report.txt").exists()
 
     def test_train_help_lists_every_config_key_with_its_default(self, capsys):
         assert main(["train", "--help"]) == 0

@@ -432,7 +432,7 @@ class TestFlopAccounting:
         with flops.count_flops() as fc:
             channel_group_attention(x, *group_w)
         assert fc.by_scope["channel_group.core"] == 4 * p * c * c_g
-        assert fc.total == 10 * p * c * c_g
+        assert fc.total == 4 * p * c * c_g + 6 * c * c_g * c_g
 
         with flops.count_flops() as fc:
             global_attention(x, *heads)

@@ -221,8 +221,11 @@ def write_config(root: Path, edits) -> Path:
     return cfg
 
 
-def run_cli_session(edits) -> None:
-    """train, then caption and eval with the same config; a train that exits 1 writes nothing."""
+def run_cli_session(edits) -> list[int]:
+    """train, then caption and eval with the same config; a train that exits 1 writes nothing.
+
+    Returns the exit codes of the commands that ran.
+    """
     entries = {**CLI_BASE, **dict(edits)}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -232,17 +235,28 @@ def run_cli_session(edits) -> None:
         if code == 1:
             assert not out.exists() or not any(out.iterdir())
         if code != 0:
-            return
+            return [code]
         checkpoint = str(max(out.glob("epoch-*.ckpt")))
         image = root / "image.ppm"
         write_netpbm(image, np.zeros((entries["image_size"],) * 2 + (3,), dtype=np.uint8))
-        assert_documented(*cli("caption", "--config", str(cfg), checkpoint, str(image)))
-        assert_documented(*cli("eval", "--config", str(cfg), "--out", str(root / "eval"), checkpoint))
+        codes = [code]
+        for argv in (("caption", "--config", str(cfg), checkpoint, str(image)),
+                     ("eval", "--config", str(cfg), "--out", str(root / "eval"), checkpoint)):
+            code, err = cli(*argv)
+            assert_documented(code, err)
+            codes.append(code)
+        return codes
 
 
 @pytest.mark.parametrize("key, value", CLI_EDITS, ids=[f"{key}={value}" for key, value in CLI_EDITS])
 def test_a_cli_session_with_one_edit_ends_in_a_documented_exit_code(key, value):
     run_cli_session([(key, value)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_huge_lr_trains_finite_parameters_whose_captions_exit_4():
+    """One Adam step of lr 1e200 leaves finite parameters near 1e200, so train exits 0; the captions overflow."""
+    assert run_cli_session([("lr", 1e200)]) == [0, 4, 4]
 
 
 @pytest.mark.parametrize("key, value", CLI_EDITS, ids=[f"{key}={value}" for key, value in CLI_EDITS])

@@ -311,7 +311,9 @@ def encoder_forward_flops(model) -> int:
     """
     e = model.cfg.encoder
     p, c = e.patches, e.dim
-    branches = 6 * p * c * c + 4 * p * e.window_patches * c + 10 * p * c * e.group_dim  # windows + groups
+    c_g = e.group_dim
+    # windows, then groups: the Gram matrices and outputs over the P rows, and three C_g x C_g products each
+    branches = 6 * p * c * c + 4 * p * e.window_patches * c + 4 * p * c * c_g + 6 * c * c_g * c_g
     tail = 2 * p * e.feature_width * c + 4 * e.ffn_expansion * p * c * c  # block projection + feed-forward
     return 2 * p * e.patch_len * c + e.depth * branches + (e.depth - 1) * tail + 2 * e.feature_width * model.cfg.joint_dim
 
