@@ -17,10 +17,10 @@ of its own shape: a length-C bias to every row, a T x C table to every
 item of a stack.  A tape and the tensors recorded on it belong to one
 thread.
 
-Every matrix product an op computes in its forward pass is one call of
-``_gemm``, which runs ``np.matmul`` and counts its FLOPs (see
+Every matrix product an op computes, forward or backward, is one call
+of ``_gemm``, which runs ``np.matmul`` and counts its FLOPs (see
 :mod:`dualcap.flops`) from the operand shapes; no other code counts
-them.  Backward products are not counted.
+them.  :meth:`Tape.backward` marks its replay, whose products count apart.
 
 Four ops are whole model stages with a hand-written backward, in
 place of the records the composed ops would leave on the tape.
@@ -142,15 +142,19 @@ class Tape:
             raise ContractError("backward root was not recorded on this tape, or the tape was already replayed")
         # id -> (tensor, its gradient so far); only tensors that require grad enter
         grads: dict[int, tuple[Tensor, Array]] = {id(root): (root, np.ones_like(root.data))}
-        for rec in reversed(self._records):
-            entry = grads.get(id(rec.output))
-            if entry is None:
-                continue
-            for tensor, g_in in zip(rec.inputs, rec.grad_fn(entry[1])):
-                if g_in is None or not tensor.requires_grad:
+        flops.replaying = True  # the grad functions' products count as backward FLOPs
+        try:
+            for rec in reversed(self._records):
+                entry = grads.get(id(rec.output))
+                if entry is None:
                     continue
-                prior = grads.get(id(tensor))
-                grads[id(tensor)] = (tensor, g_in if prior is None else prior[1] + g_in)
+                for tensor, g_in in zip(rec.inputs, rec.grad_fn(entry[1])):
+                    if g_in is None or not tensor.requires_grad:
+                        continue
+                    prior = grads.get(id(tensor))
+                    grads[id(tensor)] = (tensor, g_in if prior is None else prior[1] + g_in)
+        finally:
+            flops.replaying = False
         for tensor, g in grads.values():
             tensor.grad = g if tensor.grad is None else tensor.grad + g
         # The tape is spent: unlinking the outputs breaks the tensor <-> tape
@@ -239,7 +243,7 @@ def _ends(shape: tuple[int, ...], tail: tuple[int, ...]) -> bool:
 
 
 def _gemm(a: Array, b: Array, out: Array | None = None, part: str | None = None) -> Array:
-    """np.matmul(a, b), counted by :func:`flops.add_matmul`: every op's forward matrix product."""
+    """np.matmul(a, b), counted by :func:`flops.add_matmul`: every matrix product of every op, forward and backward."""
     flops.add_matmul(a, b, part)
     return np.matmul(a, b, out=out)
 
@@ -265,8 +269,8 @@ def _affine_grad(x: Array, w: Array, b: Array, g: Array, need_x: bool) -> tuple[
     """Gradients of _affine given its output's: (x's if need_x, w's, b's), as a product and add_bias give them."""
     k, n = w.shape
     rows = g.reshape(-1, n)
-    dx = (rows @ w.T).reshape(x.shape) if need_x else None
-    return dx, x.reshape(-1, k).T @ rows, g.reshape((-1,) + b.shape).sum(axis=0)
+    dx = _gemm(rows, w.T).reshape(x.shape) if need_x else None
+    return dx, _gemm(x.reshape(-1, k).T, rows), g.reshape((-1,) + b.shape).sum(axis=0)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -585,14 +589,14 @@ def _project_grad(rows: Array, stacks: list[Array], full: bool, buf: Array) -> t
     m, r = len(stacks), len(rows)
     if full:
         dy = buf.reshape(r, n * m * d)
-        drows = dy @ np.stack(stacks, axis=2).transpose(1, 0, 2, 3).reshape(k, -1).T
-        dw = (rows.T @ dy).reshape(k, n, m, d).transpose(2, 1, 0, 3)
+        drows = _gemm(dy, np.stack(stacks, axis=2).transpose(1, 0, 2, 3).reshape(k, -1).T)
+        dw = _gemm(rows.T, dy).reshape(k, n, m, d).transpose(2, 1, 0, 3)
     else:
         dy = buf.reshape(n, r, m * d)
         drows = np.empty_like(rows)
         w_t = np.concatenate([w.transpose(0, 2, 1) for w in stacks], axis=1)
-        np.matmul(dy, w_t, out=drows.reshape(r, n, k).transpose(1, 0, 2))
-        dw = np.matmul(rows.reshape(r, n, k).transpose(1, 2, 0), dy).reshape(n, k, m, d).transpose(2, 0, 1, 3)
+        _gemm(dy, w_t, out=drows.reshape(r, n, k).transpose(1, 0, 2))
+        dw = _gemm(rows.reshape(r, n, k).transpose(1, 2, 0), dy).reshape(n, k, m, d).transpose(2, 0, 1, 3)
     return drows, list(dw)
 
 
@@ -630,10 +634,11 @@ def attention(
 
     The backward is analytic: dV = P^T dO and, with dP = dO V^T,
     dS = P * (dP - rowsum(dP * P)), dQ = factor * dS K and
-    dK = factor * dS^T Q.  Matmul FLOPs count under the active scope,
-    the core's under its ``core`` part.  Returns (output (..., T, n*d),
-    the softmax weights P as an (n, ..., T_q, T_k) array, and the
-    (keys, values) the scores read).
+    dK = factor * dS^T Q.  Forward FLOPs count under the active scope,
+    the core's under its ``core`` part; the backward's four core products
+    and two per projected input count as backward FLOPs.  Returns
+    (output (..., T, n*d), the softmax weights P as an (n, ..., T_q, T_k)
+    array, and the (keys, values) the scores read).
     """
     if (wk is None) != (wv is None) or (wk is None and cached is None):
         raise ContractError("attention: give wk and wv together, or neither with cached keys and values")
@@ -681,17 +686,14 @@ def attention(
         # Gradients of the projections go straight into side-by-side slots, one buffer per input they read.
         own = context is None
         buf, slots = _grad_slots(q.shape, 3 if own else 1, q_full)
-        if own:
-            dk_slot, dv_slot = slots[1:]
-        else:
-            source_buf, (dk_slot, dv_slot) = _grad_slots(k.shape, 2, kv_full)
-        np.matmul(np.swapaxes(p, -1, -2), do, out=dv_slot)
-        ds = np.matmul(do, np.swapaxes(v, -1, -2))
+        source_buf, (dk_slot, dv_slot) = (buf, slots[1:]) if own else _grad_slots(k.shape, 2, kv_full)
+        _gemm(np.swapaxes(p, -1, -2), do, out=dv_slot)
+        ds = _gemm(do, np.swapaxes(v, -1, -2))
         ds -= np.add.reduce(ds * p, axis=-1, keepdims=True)
         ds *= p
         ds *= factor
-        np.matmul(ds, k, out=slots[0])
-        np.matmul(np.swapaxes(ds, -1, -2), q, out=dk_slot)
+        _gemm(ds, k, out=slots[0])
+        _gemm(np.swapaxes(ds, -1, -2), q, out=dk_slot)
         drows, grads = _project_grad(rows, [wq_heads, wk_heads, wv_heads] if own else [wq_heads], q_full, buf)
         if not own:
             dsource, (dwk, dwv) = _project_grad(source_rows, [wk_heads, wv_heads], kv_full, source_buf)
@@ -744,20 +746,20 @@ def channel_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, factor: flo
 
     def grad_fn(g: Array):
         do = g.reshape(out.shape).transpose(0, 2, 1, 3)
-        dm = np.matmul(np.swapaxes(xg, -1, -2), do)
-        dat = np.matmul(np.swapaxes(wv.data, -1, -2), dm)
+        dm = _gemm(np.swapaxes(xg, -1, -2), do)
+        dat = _gemm(np.swapaxes(wv.data, -1, -2), dm)
         dst = dat - np.add.reduce(dat * at, axis=-2, keepdims=True)
         dst *= at
         dst *= factor  # dS^T
-        wk_dst = np.matmul(wk.data, dst)
-        dgram_t = np.matmul(wk_dst, np.swapaxes(wq.data, -1, -2))
+        wk_dst = _gemm(wk.data, dst)
+        dgram_t = _gemm(wk_dst, np.swapaxes(wq.data, -1, -2))
         # dX_g's two terms go into buffers laid out like x, so that their sum runs over contiguous rows;
         # M^T is a product of its own, since a transposed view of M would slow the P-row product
         dx, rest = np.empty_like(out), np.empty_like(out)
-        np.matmul(do, np.matmul(a, np.swapaxes(wv.data, -1, -2)), out=dx.transpose(0, 2, 1, 3))
-        np.matmul(xg, dgram_t + np.swapaxes(dgram_t, -1, -2), out=rest.transpose(0, 2, 1, 3))
+        _gemm(do, _gemm(a, np.swapaxes(wv.data, -1, -2)), out=dx.transpose(0, 2, 1, 3))
+        _gemm(xg, dgram_t + np.swapaxes(dgram_t, -1, -2), out=rest.transpose(0, 2, 1, 3))
         dx += rest
-        dwq, dwk, dwv = np.matmul(gram, wk_dst), np.matmul(gram_wq, np.swapaxes(dst, -1, -2)), np.matmul(dm, a)
+        dwq, dwk, dwv = _gemm(gram, wk_dst), _gemm(gram_wq, np.swapaxes(dst, -1, -2)), _gemm(dm, a)
         return dx.reshape(x.shape), dwq.sum(axis=0), dwk.sum(axis=0), dwv.sum(axis=0)
 
     return _record(_new(out.reshape(x.shape)), (x, wq, wk, wv), grad_fn), a.reshape(lead + (n, k, k))
@@ -796,8 +798,8 @@ def contrastive_loss(image_vecs: Tensor, text_vecs: Tensor, temperature: Tensor)
         half = g * 0.5
         ds = np.swapaxes(cols_grad(half), -1, -2) + rows_grad(half)
         dsims = ds * inv
-        di = dsims @ text_vecs.data if image_vecs.requires_grad else None
-        dt = (image_vecs.data.T @ dsims).T if text_vecs.requires_grad else None
+        di = _gemm(dsims, text_vecs.data) if image_vecs.requires_grad else None
+        dt = _gemm(image_vecs.data.T, dsims).T if text_vecs.requires_grad else None
         return di, dt, np.full(temperature.shape, -np.sum(ds * sims) * inv * inv)
 
     out = _new(np.array([(rows_loss + cols_loss) * 0.5]))
@@ -854,18 +856,18 @@ def fused_logits(
 
     def grad_fn(g: Array):
         rows = g.reshape(-1, v)
-        d_summed = (rows @ emb.data).reshape(summed.shape)
-        d_emb = (summed.reshape(-1, c).T @ rows).T
+        d_summed = _gemm(rows, emb.data).reshape(summed.shape)
+        d_emb = _gemm(summed.reshape(-1, c).T, rows).T
         d_fused, d_cond_w, d_cond_b = _affine_grad(fused, cond_w.data, cond_b.data, d_summed, True)
         d_text = d_fused[..., d:]
         d_proj = (d_text - text * (d_text * text).sum(axis=-1, keepdims=True)) / norm
         d_means, d_txt_w, d_txt_b = _affine_grad(means, txt_w.data, txt_b.data, d_proj, True)
         # the sum over positions as a product with a row of ones, whose order of additions the chain had
-        d_image = np.matmul(np.ones((t, 1)).T, d_fused[..., :d]).reshape(image_vecs.shape)
+        d_image = _gemm(np.ones((t, 1)).T, d_fused[..., :d]).reshape(image_vecs.shape)
         grads = (d_txt_w, d_txt_b, d_cond_w, d_cond_b, d_emb)
         if pooled is not None:
             return (d_summed, d_image) + grads + (d_means,)
-        return (d_summed + np.matmul(causal.T, d_means), d_image) + grads
+        return (d_summed + _gemm(causal.T, d_means), d_image) + grads
 
     inputs = (hidden, image_vecs, txt_w, txt_b, cond_w, cond_b, emb) + (() if pooled is None else (pooled,))
     return _record(out, inputs, grad_fn)

@@ -49,7 +49,7 @@ from .autograd import (
     linear,
     take_rows,
 )
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, NonFiniteError, ShapeError
 from .init import Param, init_params
 
 MODES = ("dual", "global", "spatial", "channel")
@@ -448,14 +448,18 @@ def patch_saliency(output: EncoderOutput, block: int = -1) -> np.ndarray:
 def heatmap(output: EncoderOutput, block: int = -1) -> np.ndarray:
     """Min-max normalized saliency as a (B x) grid x grid map in [0, 1], each image on its own.
 
-    A constant saliency map normalizes to all zeros.
+    A constant saliency map normalizes to all zeros.  A non-finite one
+    raises NonFiniteError naming the block and, in a batch, the image.
     """
     saliency = patch_saliency(output, block)
     lo = saliency.min(axis=-1, keepdims=True)
-    span = saliency.max(axis=-1, keepdims=True) - lo
+    span = saliency.max(axis=-1, keepdims=True) - lo  # finite exactly when every saliency is
+    bad = ~np.isfinite(span[..., 0])
+    if bad.any():
+        image = f", image {np.argmax(bad)} of the batch" if bad.ndim else ""
+        raise NonFiniteError(f"heatmap: block {block}{image} has a non-finite saliency")
     saliency = np.divide(saliency - lo, span, out=np.zeros_like(saliency), where=span > 0)
-    g = output.cfg.grid
-    return saliency.reshape(saliency.shape[:-1] + (g, g))
+    return saliency.reshape(saliency.shape[:-1] + (output.cfg.grid,) * 2)
 
 
 def heatmap_to_gray(hm: np.ndarray) -> np.ndarray:

@@ -5,11 +5,11 @@ add per inner-product term), per item of a stack.  Counting is opt-in:
 :func:`add_matmul` records only into the counter installed by
 :func:`count_flops`, and nested :func:`scope` labels let callers split
 the total by pipeline stage.  Its one caller is ``autograd._gemm``, the
-forward matrix product of every op, which passes its operands; so FLOPs
-are counted in one place, and generation, which runs without a counter,
-pays one call and one check per product.  Only forward-pass matmuls are
-counted; backward passes bypass the counter so complexity claims stay
-comparable across train and inference.
+matrix product of every op, forward and backward; so FLOPs are counted
+in one place, and generation, which runs without a counter, pays one
+call and one check per product.  While ``Tape.backward`` replays a tape
+(:data:`replaying`), products count in :attr:`FlopCounter.backward`
+alone, so ``total`` stays comparable across train and inference.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ import numpy as np
 
 @dataclass
 class FlopCounter:
-    """Accumulated matmul FLOPs, total and per innermost scope label."""
+    """Accumulated matmul FLOPs: the forward total and per innermost scope label, and the backward total."""
 
     total: int = 0
     by_scope: dict[str, int] = field(default_factory=dict)
+    backward: int = 0
 
     def add(self, flops: int, scope: str) -> None:
         self.total += flops
@@ -35,6 +36,7 @@ class FlopCounter:
 
 _active: FlopCounter | None = None
 _scopes: list[str] = []
+replaying = False  # set by Tape.backward for the replay of a tape
 
 
 @contextmanager
@@ -70,12 +72,14 @@ def add_matmul(a: np.ndarray, b: np.ndarray, part: str | None = None) -> None:
     It costs 2*m*k*n per item of the broadcast batch; the shapes are read
     only while a counter is active.  ``part`` names a stage of a fused
     op, counted as a scope nested in the active one
-    (``spatial_window.core``); outside every scope it counts as
-    ``unscoped`` like the rest of the op.
+    (``spatial_window.core``), else ``unscoped`` outside every scope.
+    While :data:`replaying`, the count goes to ``backward`` alone.
     """
     if _active is None:
         return
     (m, k), n = a.shape[-2:], b.shape[-1]
-    items = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
-    label = ".".join(_scopes + [part] if part else _scopes) if _scopes else "unscoped"
-    _active.add(2 * items * m * k * n, label)
+    count = 2 * math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])) * m * k * n
+    if replaying:
+        _active.backward += count
+    else:
+        _active.add(count, ".".join(_scopes + [part] if part else _scopes) if _scopes else "unscoped")

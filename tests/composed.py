@@ -8,7 +8,8 @@ the fusion head's conditioning and transposed output head inside
 ``autograd.linear``.  The ops here are the per-op pieces those replaced,
 each with its own backward rule, so a test can rebuild a fused op record
 by record and compare values and gradients (and, through the same
-counted product, FLOPs), or weight an output elementwise by a probe.
+counted product, forward and backward FLOPs), or weight an output
+elementwise by a probe.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     equal unless one operand is 2-D, in which case every item of the
     other's stack multiplies it; the shared operand's gradient sums over
     the stack, and any other batch mismatch is a ShapeError naming both
-    shapes.  FLOPs count 2*m*k*n per item, through ``autograd._gemm``.
+    shapes.  FLOPs count 2*m*k*n per item, forward and backward, through
+    ``autograd._gemm``.
     """
     shape_a, shape_b = a.data.shape, b.data.shape
     if len(shape_a) < 2 or len(shape_b) < 2:
@@ -50,16 +52,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         ga = gb = None
         if a.requires_grad:
             if lead_b:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+                ga = _gemm(g, np.swapaxes(b.data, -1, -2))
                 if not lead_a:
                     ga = ga.reshape(-1, m, k).sum(axis=0)
             else:
-                ga = (g.reshape(-1, n) @ b.data.T).reshape(a.shape)
+                ga = _gemm(g.reshape(-1, n), b.data.T).reshape(a.shape)
         if b.requires_grad:
             if lead_b:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+                gb = _gemm(np.swapaxes(a.data, -1, -2), g)
             else:
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
+                gb = _gemm(a.data.reshape(-1, k).T, g.reshape(-1, n))
         return ga, gb
 
     return _record(out, (a, b), grad_fn)

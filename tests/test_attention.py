@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualcap import flops
 from dualcap.autograd import (
     Tape,
     Tensor,
@@ -139,6 +140,30 @@ class TestFusedAttention:
         for name, tensors, fused, _ in cases(rng):
             probe = Tensor(rng.standard_normal(fused().shape))
             check_grads(lambda: mean(mul(fused(), probe)), tensors, tol=1e-6)
+
+    def test_flops_equal_the_composed_ops_but_for_the_gram_form(self):
+        """Forward and backward FLOPs are the per-head chain's, but for the channel groups' Gram form.
+
+        Per item, three projections of the P rows and a transposed core
+        cost the chain 10*P*C*C_g forward and, as every operand needs a
+        gradient, twice that backward; the Gram form's two products over
+        the P rows and three C_g x C_g ones cost 4*P*C*C_g + 6*C*C_g^2
+        forward, and its ten backward products 6*P*C*C_g + 14*C*C_g^2.
+        """
+        for name, tensors, fused, composed in cases(np.random.default_rng(2050)):
+            counts = []
+            for build in (fused, composed):
+                with flops.count_flops() as counter, Tape() as tape:
+                    tape.backward(mean(build()))
+                counts.append((counter.total, counter.backward))
+            if "channel" in name:
+                (items, p, c), c_g = tensors[0].shape, tensors[1].shape[-1]
+                chain = items * 10 * p * c * c_g
+                assert counts[1] == (chain, 2 * chain), name
+                assert counts[0] == (items * (4 * p * c * c_g + 6 * c * c_g * c_g),
+                                     items * (6 * p * c * c_g + 14 * c * c_g * c_g)), name
+            else:
+                assert counts[0] == counts[1], name
 
     @pytest.mark.parametrize("seed", range(3))
     def test_cross_attention_prefill_then_cached_steps(self, seed):

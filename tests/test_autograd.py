@@ -93,6 +93,30 @@ class TestFiniteDifferenceOracles:
             visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
         assert owners == ["autograd._gemm"]
 
+    def test_every_product_in_autograd_is_a_gemm_call(self):
+        """No @, np.matmul, np.dot, np.einsum or np.tensordot in autograd.py outside _gemm, forward or backward."""
+        tree = ast.parse(Path(ag.__file__).read_text(encoding="utf-8"))
+        gemm = {id(node) for f in tree.body if getattr(f, "name", None) == "_gemm" for node in ast.walk(f)}
+        products = {"matmul", "dot", "einsum", "tensordot"}
+        bare = [node.lineno for node in ast.walk(tree) if id(node) not in gemm and (
+            isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in products)]
+        assert gemm and bare == []
+
+    def test_a_replay_that_fails_ends_the_backward_count(self):
+        """Tape.backward marks its replay for the FLOP counter and unmarks it however the replay ends."""
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+
+        def broken(g):
+            raise ZeroDivisionError("grad_fn")
+
+        with flops.count_flops() as counter, Tape() as tape:
+            root = ag._record(ag._new(np.ones(1)), (x,), broken)
+            with pytest.raises(ZeroDivisionError, match="grad_fn"):
+                tape.backward(root)
+            linear(x, x, Tensor(np.zeros(2)))
+        assert not flops.replaying and (counter.total, counter.backward) == (16, 0)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matmul_sum(self, seed):
         rng = np.random.default_rng(seed)
@@ -486,30 +510,41 @@ class TestFusedLayers:
                     np.testing.assert_array_equal(got, want, err_msg=name)
 
     def test_flops_equal_the_chain(self):
-        counts = {}
-        for name, _, fused, chain in fused_layers(np.random.default_rng(1700), True):
-            for kind, build in (("fused", fused), ("chain", chain)):
-                with flops.count_flops() as counter:
-                    build()
-                counts[name, kind] = counter.total
+        counts, backward = {}, {}
+        for x_grad in (True, False):
+            for name, _, fused, chain in fused_layers(np.random.default_rng(1700), x_grad):
+                for kind, build in (("fused", fused), ("chain", chain)):
+                    with flops.count_flops() as counter, Tape() as tape:
+                        tape.backward(mean(build()))
+                    counts[name, kind] = counter.total
+                    backward[name, kind, x_grad] = counter.backward
         # 6 rows of 4 through (4, 6), and for the FFN on through (6, 4)
         assert counts == {("linear", "fused"): 288, ("linear", "chain"): 288, ("add_norm", "fused"): 0,
                           ("add_norm", "chain"): 0, ("ffn", "fused"): 576, ("ffn", "chain"): 576}
+        # dX and dW each repeat a product's forward; without x's gradient the first product skips dX
+        want = {"linear": {True: 2 * 288, False: 288}, "add_norm": {True: 0, False: 0},
+                "ffn": {True: 2 * 576, False: 2 * 576 - 288}}
+        assert backward == {(name, kind, x_grad): want[name][x_grad]
+                            for name in want for kind in ("fused", "chain") for x_grad in (True, False)}
 
     def test_a_linear_bias_may_be_a_table_as_for_add_bias(self):
         """The patch embedding's case: a (P, C) table added to every item of a (B, P, k) stack."""
         rng = np.random.default_rng(1750)
         x, w, table = (rand(rng, *shape) for shape in [(2, 3, 4), (4, 6), (3, 6)])
         probe = Tensor(rng.standard_normal((2, 3, 6)))
-        results = []
-        for build in (lambda: linear(x, w, table), lambda: add_bias(matmul(x, w), table)):
-            zero_grads([x, w, table])
-            with flops.count_flops() as counter, Tape() as tape:
-                out = build()
-                tape.backward(mean(mul(out, probe)))
-            results.append((out.data, counter.total, x.grad, w.grad, table.grad))
-        for got, want in zip(*results):
-            np.testing.assert_array_equal(got, want)
+        for x_grad in (True, False):  # the patch embedding's pixels need no gradient
+            x.requires_grad = x_grad
+            results = []
+            for build in (lambda: linear(x, w, table), lambda: add_bias(matmul(x, w), table)):
+                zero_grads([x, w, table])
+                with flops.count_flops() as counter, Tape() as tape:
+                    out = build()
+                    tape.backward(mean(mul(out, probe)))
+                results.append((out.data, counter.total, counter.backward, x.grad, w.grad, table.grad))
+            for got, want in zip(*results):
+                np.testing.assert_array_equal(got, want)
+            # 6 rows of 4 through (4, 6): dW repeats the product, and so does dX when x needs it
+            assert results[0][1:3] == (288, 288 * (1 + x_grad)) and (results[0][3] is None) != x_grad
         with pytest.raises(ShapeError, match="linear"):
             linear(x, w, Tensor(np.zeros((2, 6))))
 

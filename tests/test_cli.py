@@ -596,6 +596,22 @@ class TestHeatmapCommand:
         assert "encoder has no blocks" in captured.err and captured.out == ""
         assert list((tmp_path / "maps").glob("*.pgm")) == []
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_model_whose_saliency_overflows_exits_4(self, trained, tmp_path, capsys):
+        """Finite parameters scaled by 1e150 overflow the attention weights; min-max scaling would map them to zeros."""
+        model, state, _ = load_model(trained["ckpt"], trained["vocab"])
+        model.flat *= 1e150
+        huge = tmp_path / "huge.ckpt"
+        save_model(huge, model, state)  # CRC-valid, and every value is finite
+        trained["vocab"].save(tmp_path / "vocab.txt")
+        image_path = trained["data"] / trained["ds"].records[0].name
+        code = main(["heatmap", "--config", str(trained["cfg"]),
+                     "--out", str(tmp_path / "maps"), str(huge), str(image_path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err == "non-finite error: heatmap: block 0 has a non-finite saliency\n" and captured.out == ""
+        assert list((tmp_path / "maps").glob("*.pgm")) == []
+
 
 class TestAblateCommand:
     def test_writes_table_with_all_variants(self, tmp_path, capsys):

@@ -27,7 +27,7 @@ from dualcap.encoder import (
     spatial_window_attention,
     split_patches,
 )
-from dualcap.errors import ConfigError, ContractError, ShapeError
+from dualcap.errors import ConfigError, ContractError, NonFiniteError, ShapeError
 
 from composed import mul
 from gradcheck import check_grads
@@ -507,6 +507,21 @@ class TestHeatmap:
             np.testing.assert_allclose(patch_saliency(batch)[i], patch_saliency(single), atol=1e-12, rtol=0)
             np.testing.assert_allclose(heatmap(batch)[i], heatmap(single), atol=1e-12, rtol=0)
             assert heatmap(batch)[i].min() == 0.0 and heatmap(batch)[i].max() == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_saliency_names_the_block_and_the_image_of_a_batch(self, bad):
+        """Min-max scaling would map it to all zeros: a map of nothing, not of a model that overflowed."""
+        out = self._output()
+        out.spatial_weights[0] = out.spatial_weights[0].copy()
+        out.spatial_weights[0][2, 1, 3] = bad
+        with pytest.raises(NonFiniteError, match=r"^heatmap: block 0 has a non-finite saliency$"):
+            heatmap(out, block=0)
+        cfg = small_cfg()
+        rng = np.random.default_rng(17)
+        batch = encode(Tensor(rng.uniform(0, 1, (3, 8, 8, 1))), cfg, init_encoder_params(cfg, rng))
+        batch.spatial_weights[-1][1, 0, 0, 0] = bad
+        with pytest.raises(NonFiniteError, match=r"^heatmap: block -1, image 1 of the batch has a non-finite saliency"):
+            heatmap(batch)
 
     @pytest.mark.parametrize("block", [1, 3, -2])
     def test_a_block_the_encoder_lacks_is_a_contract_error(self, block):

@@ -175,7 +175,11 @@ class TestFusedLogits:
     @pytest.mark.parametrize("lead, t, pooled", [((), 5, False), ((3,), 7, False), ((2,), 9, False),
                                                  ((4,), 1, True), ((2,), 6, True)])
     def test_one_op_is_bitwise_the_composed_chain(self, lead, t, pooled):
-        """Logits and every gradient equal the chain's bit for bit; FLOPs lose only the repeat's product."""
+        """Logits and every gradient equal the chain's bit for bit; FLOPs lose only the repeat's forward product.
+
+        The backward keeps the repeat's product: the image vector's
+        gradient sums over the positions as a product with a row of ones.
+        """
         rng = np.random.default_rng(70 + t)
         c, d, v = 6, 3, 11
         shapes = [lead + (t, c), lead + (d,), (c, d), (d,), (2 * d, c), (c,), (v, c)] + [lead + (t, c)] * pooled
@@ -188,10 +192,14 @@ class TestFusedLogits:
             with flops.count_flops() as counter, Tape() as tape:
                 logits = head(*inputs)
                 backward(ag.mean(composed.mul(logits, probe)))
-            results.append((len(tape) - 2, counter.total, logits.data, [x.grad for x in inputs]))
-        (records, fused_flops, *fused), (chain_records, chain_flops, *chain) = results
+            results.append((len(tape) - 2, counter.total, counter.backward, logits.data, [x.grad for x in inputs]))
+        (records, fused_flops, fused_backward, *fused), (chain_records, chain_flops, chain_backward, *chain) = results
         assert (records, chain_records) == (1, 9 if pooled else 10)
         assert fused_flops == chain_flops - 2 * math.prod(lead) * t * d
+        # each product's backward repeats it per operand that needs a gradient: twice, but once for the causal
+        # mean's constant matrix; and the row of ones adds 2*T*D per item
+        causal = 0 if pooled else 2 * math.prod(lead) * t * t * c
+        assert fused_backward == chain_backward == 2 * fused_flops - causal + 2 * math.prod(lead) * t * d
         np.testing.assert_array_equal(fused[0], chain[0])
         for got, want in zip(fused[1], chain[1]):
             assert got.shape == want.shape

@@ -222,7 +222,7 @@ def write_config(root: Path, edits) -> Path:
 
 
 def run_cli_session(edits) -> list[int]:
-    """train, then caption and eval with the same config; a train that exits 1 writes nothing.
+    """train, then caption, eval and heatmap with the same config; a train that exits 1 writes nothing.
 
     Returns the exit codes of the commands that ran.
     """
@@ -241,7 +241,8 @@ def run_cli_session(edits) -> list[int]:
         write_netpbm(image, np.zeros((entries["image_size"],) * 2 + (3,), dtype=np.uint8))
         codes = [code]
         for argv in (("caption", "--config", str(cfg), checkpoint, str(image)),
-                     ("eval", "--config", str(cfg), "--out", str(root / "eval"), checkpoint)):
+                     ("eval", "--config", str(cfg), "--out", str(root / "eval"), checkpoint),
+                     ("heatmap", "--config", str(cfg), "--out", str(root / "maps"), checkpoint, str(image))):
             code, err = cli(*argv)
             assert_documented(code, err)
             codes.append(code)
@@ -255,8 +256,8 @@ def test_a_cli_session_with_one_edit_ends_in_a_documented_exit_code(key, value):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_huge_lr_trains_finite_parameters_whose_captions_exit_4():
-    """One Adam step of lr 1e200 leaves finite parameters near 1e200, so train exits 0; the captions overflow."""
-    assert run_cli_session([("lr", 1e200)]) == [0, 4, 4]
+    """One Adam step of lr 1e200 leaves finite parameters near 1e200, so train exits 0; captions and maps overflow."""
+    assert run_cli_session([("lr", 1e200)]) == [0, 4, 4, 4]
 
 
 @pytest.mark.parametrize("key, value", CLI_EDITS, ids=[f"{key}={value}" for key, value in CLI_EDITS])

@@ -92,6 +92,17 @@ def synthetic_setup(n=8, dim=16, seed=1, pos_encoding="sinusoidal", **train_kw):
     return ds, vocab, model, pairs, TrainConfig(lr=0.003, batch_size=8, **train_kw)
 
 
+def p256_setup():
+    """synthetic_setup's ops on bigger arrays: 32 x 32 images in patches of 2 (P = 256), dim 32."""
+    _, vocab, model, _, cfg = synthetic_setup()
+    ds = make_synthetic(8, grid=32, seed=0)
+    enc = replace(model.cfg.encoder, image_size=32, patch_size=2, dim=32)
+    dec = replace(model.cfg.decoder, context_width=enc.feature_width)
+    model = build_model(replace(model.cfg, encoder=enc, decoder=dec), vocab, seed=1)
+    set_channel_stats(model, ds.mean, ds.std)
+    return ds, vocab, model, training_pairs(ds, vocab), cfg
+
+
 @pytest.fixture(scope="module")
 def overfit_run():
     """One 150-step training run on 8 synthetic pairs, shared read-only."""
@@ -343,6 +354,31 @@ def step_forward_flops(model, caption_tokens: int, batch_size: int) -> int:
     return batch_size * per_pair + 2 * batch_size * j * batch_size
 
 
+def step_backward_flops(model, caption_tokens: int, batch_size: int) -> int:
+    """Closed-form backward matmul FLOPs of one train step on equal-length captions.
+
+    A product's backward repeats its forward FLOPs once for each operand
+    that needs a gradient, so most of the step costs twice its forward:
+    a projection's dX and dW, and each attention core's four backward
+    products against its two forward ones.  Per pair, four terms differ:
+    - the patch embedding's pixels need no gradient, so it costs its
+      forward once;
+    - so does the conditioned head's causal mean, whose T x T averaging
+      matrix is a constant;
+    - the head sums each image vector's gradient over the T positions as
+      a product with a row of ones, 2*T*D, which has no forward product;
+    - each block's Gram-form channel op runs ten products of its own:
+      dM, dX's two terms over the P rows, and seven C_g x C_g ones.
+    """
+    e, j, t = model.cfg.encoder, model.cfg.joint_dim, caption_tokens
+    p, c, c_g = e.patches, e.dim, e.group_dim
+    channel_forward = 4 * p * c * c_g + 6 * c * c_g * c_g
+    channel_backward = 6 * p * c * c_g + 14 * c * c_g * c_g
+    per_pair = (-2 * p * e.patch_len * c - 2 * t * t * model.cfg.decoder.dim + 2 * t * j
+                + e.depth * (channel_backward - 2 * channel_forward))
+    return 2 * step_forward_flops(model, t, batch_size) + batch_size * per_pair
+
+
 def greedy_caption_flops(model, steps: int) -> int:
     """Closed-form forward matmul FLOPs of a greedy caption of one image that ran ``steps`` decoder steps.
 
@@ -421,14 +457,7 @@ class TestBatchedStep:
 
     @pytest.mark.parametrize("patches", [16, 256])
     def test_records_at_most_29_tape_ops(self, monkeypatch, patches):
-        ds, vocab, model, pairs, cfg = synthetic_setup()
-        if patches == 256:  # 32 x 32 images in patches of 2, dim 32: the same ops on bigger arrays
-            ds = make_synthetic(8, grid=32, seed=0)
-            enc = replace(model.cfg.encoder, image_size=32, patch_size=2, dim=32)
-            dec = replace(model.cfg.decoder, context_width=enc.feature_width)
-            model = build_model(replace(model.cfg, encoder=enc, decoder=dec), vocab, seed=1)
-            set_channel_stats(model, ds.mean, ds.std)
-            pairs = training_pairs(ds, vocab)
+        _, _, model, pairs, cfg = p256_setup() if patches == 256 else synthetic_setup()
         assert model.cfg.encoder.patches == patches
         records = []
         replay = autograd.Tape.backward
@@ -451,6 +480,19 @@ class TestBatchedStep:
             with flops.count_flops() as counter:
                 train_step(m, pairs, AdamState(), cfg)
             assert counter.total == step_forward_flops(m, next(iter(lengths)), len(pairs))
+
+    @pytest.mark.parametrize("shape", ["readme", "depth-2", "p256"])
+    def test_backward_flops_match_the_closed_form(self, shape):
+        ds, vocab, model, pairs, cfg = p256_setup() if shape == "p256" else synthetic_setup()
+        if shape == "depth-2":
+            model = build_model(replace(model.cfg, encoder=replace(model.cfg.encoder, depth=2)), vocab, seed=1)
+            set_channel_stats(model, ds.mean, ds.std)
+        (length,) = {len(p.tokens.ids) for p in pairs}
+        with flops.count_flops() as counter:
+            train_step(model, pairs, AdamState(), cfg)
+        assert counter.total == step_forward_flops(model, length, len(pairs))
+        assert counter.backward == step_backward_flops(model, length, len(pairs))
+        assert sum(counter.by_scope.values()) == counter.total  # the scopes count the forward pass alone
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("mode, pos", [(mode, "sinusoidal") for mode in ("dual", "spatial", "channel", "global")]
