@@ -192,12 +192,22 @@ def eval_records(rc: RunConfig, ds: CaptionDataset) -> list[Record]:
 
 
 def load_run_model(rc: RunConfig, checkpoint_path) -> CaptionModel:
-    """The checkpoint's model, with the vocab key's vocabulary or else the vocab.txt beside it."""
+    """The checkpoint's model, with the vocab key's vocabulary or else the vocab.txt beside it.
+
+    A vocabulary whose size is not the checkpoint's is a VocabError naming its file.
+    """
     ckpt = load_checkpoint(checkpoint_path)
     path = Path(rc.vocab) if rc.vocab else Path(checkpoint_path).parent / "vocab.txt"
     if not path.exists():
         raise DataError(f"vocabulary file {path} not found (set the vocab= config key)")
-    return model_from_checkpoint(ckpt, Vocabulary.load(path))[0]
+    vocab = Vocabulary.load(path)
+    try:
+        return model_from_checkpoint(ckpt, vocab)[0]
+    except ConfigError as e:
+        # a stored config that does not parse raises here again; one that does says how many tokens it wants
+        if ModelConfig.from_dict(ckpt.config["model"]).decoder.vocab_size == len(vocab):
+            raise
+        raise VocabError(f"vocabulary file {path} does not fit checkpoint {checkpoint_path}: {e}") from e
 
 
 def load_image(path, cfg: EncoderConfig) -> Tensor:

@@ -29,6 +29,7 @@ bounds the decoder cache a search holds.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, replace
 
@@ -76,6 +77,30 @@ LENGTH_NORM_POWER = 0.7  # beam scores divide by (generated tokens)**0.7
 # Images per generate_batch search in caption_records: a search's memory grows
 # with images x beam_width, its throughput little past 64 (figures in README).
 CAPTION_BATCH = 64
+
+
+def _keep_heap() -> None:
+    """Keep freed memory in the process heap, so train steps and requests reuse it.
+
+    A P=256 train step frees about 9 MB of temporaries.  Under glibc's
+    default policy that memory goes back to the OS between requests, and
+    the next request's first step faults all of it in again (about 2,250
+    minor faults).  Setting either threshold alone switches glibc's dynamic
+    thresholds off and faults on every step instead (about 900-1,600 at
+    P=256): large arrays are then mapped afresh, or the heap top is trimmed
+    after each step.  So both are set.  No-op where the C library has no
+    ``mallopt`` (not glibc).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: the ceiling glibc's dynamic threshold climbs to on 64-bit hosts
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: hand back to the OS only a free heap top above 1 GiB
+
+
+_keep_heap()
 
 ABLATION_VARIANTS = (
     "dual",

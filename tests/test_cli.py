@@ -360,6 +360,18 @@ class TestCaptionCommand:
         vocab = tmp_path / "vocab.txt"
         assert capsys.readouterr().err == f"data error: vocabulary file {vocab} not found (set the vocab= config key)\n"
 
+    def test_a_vocabulary_that_does_not_fit_the_checkpoint_is_a_data_error_naming_it(self, trained, tmp_path, capsys):
+        lone = tmp_path / "lone.ckpt"
+        lone.write_bytes(trained["ckpt"].read_bytes())
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("".join((trained["root"] / "vocab.txt").read_text().splitlines(keepends=True)[:3]))
+        image_path = trained["data"] / trained["ds"].records[0].name
+        code = main(["caption", "--config", str(trained["cfg"]), "--out", str(tmp_path), str(lone), str(image_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: vocabulary file {vocab} does not fit checkpoint {lone}: "
+            f"vocabulary has 7 tokens, config says {len(trained['vocab'])}\n")
+
     def test_an_image_of_another_size_is_a_data_error(self, trained, tmp_path, capsys):
         small = tmp_path / "small.ppm"
         write_netpbm(small, np.zeros((8, 8, 3), dtype=np.uint8))

@@ -12,14 +12,19 @@ A CRC-valid checkpoint whose stored model config asks for 0, 1, 2 or a
 huge count must load exactly or raise IntegrityError or ConfigError,
 never allocate what the file does not hold.  A whole CLI session, run
 in process, ends in a documented exit code with a one-line message for
-any integer key set to 0, 1 or a huge value.  Runs are derandomized and
-keep no example database.
+any integer key set to 0, 1 or a huge value.  After one clean train,
+each damaged file (a truncated or bit-flipped checkpoint, a missing or
+truncated vocab.txt) and an empty eval split ends caption, eval and
+heatmap in its documented exit code, naming the file, and so does
+ablate on a clean, a diverging, a zero-epoch and an empty-split run.
+Runs are derandomized and keep no example database.
 """
 
 import contextlib
 import copy
 import io
 import json
+import shutil
 import struct
 import tempfile
 import zlib
@@ -275,3 +280,67 @@ def test_bench_with_one_edit_ends_in_a_documented_exit_code(key, value):
 def test_a_cli_session_ends_in_a_documented_exit_code(edits):
     """Pairs of edits; every single edit runs in the test above."""
     run_cli_session(edits)
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    """One clean CLI_BASE train, and an image to caption: (run directory, image)."""
+    root = tmp_path_factory.mktemp("clean")
+    out = root / "run"
+    assert cli("train", "--config", str(write_config(root, [])), "--out", str(out)) == (0, "")
+    image = root / "image.ppm"
+    write_netpbm(image, np.zeros((CLI_BASE["image_size"],) * 2 + (3,), dtype=np.uint8))
+    return out, image
+
+
+def truncate(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def flip_seeded_bit(path: Path) -> None:
+    data = bytearray(path.read_bytes())
+    bit = int(np.random.default_rng(0).integers(8 * len(data)))
+    data[bit // 8] ^= 1 << bit % 8
+    path.write_bytes(bytes(data))
+
+
+CHECKPOINT = "epoch-0001.ckpt"
+# damaged file, damage, config edits, and the exit codes of caption, eval and heatmap
+DAMAGE = {
+    "truncated checkpoint": (CHECKPOINT, truncate, [], [3, 3, 3]),
+    "flipped checkpoint bit": (CHECKPOINT, flip_seeded_bit, [], [3, 3, 3]),
+    "missing vocab.txt": ("vocab.txt", Path.unlink, [], [2, 2, 2]),
+    "truncated vocab.txt": ("vocab.txt", truncate, [], [2, 2, 2]),
+    "empty eval_split": (None, None, [("eval_split", "val")], [0, 2, 0]),
+}
+
+
+@pytest.mark.parametrize("case", DAMAGE)
+def test_a_damaged_run_ends_in_its_exit_code_naming_the_file(clean_run, tmp_path, case):
+    name, damage, edits, expected = DAMAGE[case]
+    run, image = clean_run
+    damaged = tmp_path / "run"
+    shutil.copytree(run, damaged)
+    if damage is not None:
+        damage(damaged / name)
+    cfg, checkpoint = str(write_config(tmp_path, edits)), str(damaged / CHECKPOINT)
+    codes = []
+    for argv in (("caption", "--config", cfg, checkpoint, str(image)),
+                 ("eval", "--config", cfg, "--out", str(tmp_path / "eval"), checkpoint),
+                 ("heatmap", "--config", cfg, "--out", str(tmp_path / "maps"), checkpoint, str(image))):
+        code, err = cli(*argv)
+        assert_documented(code, err)
+        assert name is None or code == 0 or str(damaged / name) in err
+        codes.append(code)
+    assert codes == expected
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("edits, expected", [([], 0), ([("lr", 1e200)], 4), ([("epochs", 0)], 1),
+                                             ([("eval_split", "val")], 2)],
+                         ids=["clean", "lr=1e200", "epochs=0", "empty eval_split"])
+def test_ablate_ends_in_a_documented_exit_code(tmp_path, edits, expected):
+    code, err = cli("ablate", "--config", str(write_config(tmp_path, edits)), "--out", str(tmp_path / "ablate"))
+    assert_documented(code, err)
+    assert code == expected
+    assert (tmp_path / "ablate" / "ablation.txt").exists() == (code == 0)

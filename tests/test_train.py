@@ -9,6 +9,8 @@ that recomputes every prefix from scratch.
 
 import gc
 import math
+import platform
+import resource
 import sys
 from dataclasses import replace
 
@@ -604,6 +606,33 @@ class TestFit:
             fit(model, [], cfg, steps=1)
         with pytest.raises(ContractError, match="steps"):
             fit(model, pairs, cfg, steps=0)
+
+
+def no_c_library(name):
+    raise OSError("no C library to load")
+
+
+class TestHeapPolicy:
+    """Freed step memory stays in the heap between train requests (the allocator policy set at import)."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
+    def test_a_second_train_requests_first_step_takes_few_page_faults(self):
+        first_step_faults = []
+        for _ in range(2):  # a request as the CLI runs one: a fresh model, then fit epoch by epoch
+            _, _, model, pairs, cfg = p256_setup()
+            start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            state, _ = fit(model, pairs, cfg, steps=1, on_step=lambda h: first_step_faults.append(
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start))
+            fit(model, pairs, cfg, steps=1, state=state)
+            del model, pairs, state
+            gc.collect()
+        # about 2,250 when glibc hands the step's temporaries back to the OS between requests
+        assert first_step_faults[1] <= 200, first_step_faults
+
+    @pytest.mark.parametrize("cdll", [lambda name: object(), no_c_library], ids=["no mallopt", "no C library"])
+    def test_without_mallopt_the_policy_is_a_no_op(self, monkeypatch, cdll):
+        monkeypatch.setattr(train_mod.ctypes, "CDLL", cdll)
+        train_mod._keep_heap()  # returns without raising
 
 
 def log_softmax_words(row: np.ndarray) -> np.ndarray:
