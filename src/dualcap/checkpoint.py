@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import Tensor
-from .errors import ContractError, IntegrityError
+from .errors import ContractError, IntegrityError, read_file
 from .model import CaptionModel, ModelConfig, check_vocabulary, param_table
 from .textdec import Vocabulary
 from .train import AdamState
@@ -100,10 +100,7 @@ def load_checkpoint(path) -> Checkpoint:
     views of the file's bytes.
     """
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as e:
-        raise IntegrityError(f"cannot read checkpoint {path}: {e}") from e
+    data = read_file(path, IntegrityError, "checkpoint")
     if len(data) < _PREFIX or data[:4] != MAGIC:
         raise IntegrityError(f"{path}: not a checkpoint (bad magic)")
     header_len, crc = struct.unpack("<II", data[4:_PREFIX])

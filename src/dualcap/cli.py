@@ -40,6 +40,7 @@ from .errors import (
     NonFiniteError,
     ShapeError,
     VocabError,
+    read_file,
 )
 from .metrics import ScoredCorpus, format_reports, score_report
 from .model import CaptionModel, ModelConfig, build_model, encode_image, set_channel_stats
@@ -103,14 +104,8 @@ def parse_config_file(path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} not found")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"{path}: not UTF-8 text (byte {e.start})") from e
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_file(path, ConfigError, "config file", text=True).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -210,14 +205,27 @@ def load_run_model(rc: RunConfig, checkpoint_path) -> CaptionModel:
         raise VocabError(f"vocabulary file {path} does not fit checkpoint {checkpoint_path}: {e}") from e
 
 
+def check_images(images, cfg: EncoderConfig) -> None:
+    """A DataError naming the first of the (name, array) pairs whose shape the encoder does not take."""
+    want = (cfg.image_size, cfg.image_size, cfg.image_channels)
+    for name, arr in images:
+        if arr.shape != want:
+            raise DataError(f"image {name} is {arr.shape}, model expects {want}")
+
+
+def check_run_images(ds: CaptionDataset, cfg: EncoderConfig) -> None:
+    """train's and ablate's check of the dataset against the config, before either writes or trains anything."""
+    try:
+        check_images(((r.name, r.image) for r in ds.records), cfg)
+    except DataError as e:
+        raise ConfigError(f"the dataset's images do not fit image_channels {cfg.image_channels} "
+                          f"and image_size {cfg.image_size}: {e}") from e
+
+
 def load_image(path, cfg: EncoderConfig) -> Tensor:
     pixels, maxval = read_netpbm(path)
     arr = pixels.astype(np.float64) / maxval
-    if arr.shape != (cfg.image_size, cfg.image_size, cfg.image_channels):
-        raise DataError(
-            f"image {path} is {arr.shape}, model expects "
-            f"({cfg.image_size}, {cfg.image_size}, {cfg.image_channels})"
-        )
+    check_images([(path, arr)], cfg)
     return Tensor(arr)
 
 
@@ -230,7 +238,9 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--out {out} already holds a run ({used[0]} exists); give a new directory")
     ds = load_run_dataset(rc)
     vocab, _ = train_vocab(rc, ds)
-    model = build_model(model_config(rc, len(vocab)), vocab, seed=rc.seed)
+    mcfg = model_config(rc, len(vocab))
+    check_run_images(ds, mcfg.encoder)
+    model = build_model(mcfg, vocab, seed=rc.seed)
     set_channel_stats(model, ds.mean, ds.std)
     pairs = training_pairs(ds, vocab)
     check_batches(len(pairs), tcfg)  # a refused run writes nothing
@@ -238,7 +248,7 @@ def cmd_train(args) -> int:
     extra = {"seed": rc.seed}
     save_model(out / "epoch-0000.ckpt", model, None, extra=extra)
     state = None
-    with open(out / "loss.tsv", "w") as log:
+    with open(out / "loss.tsv", "w", encoding="utf-8") as log:
         log.write("step\tce\tcontrastive\ttotal\n")
 
         def on_step(h):
@@ -268,13 +278,14 @@ def cmd_eval(args) -> int:
     ds = load_run_dataset(rc)
     model = load_run_model(rc, args.checkpoint)
     records = eval_records(rc, ds)
+    check_images(((r.name, r.image) for r in records), model.cfg.encoder)
     generated = caption_records(model, records, max_len=rc.max_len, beam_width=rc.beam_width)
-    with open(out / "candidates.tsv", "w") as f:
+    with open(out / "candidates.tsv", "w", encoding="utf-8") as f:
         for name, (hypothesis, _) in generated.items():
             f.write(f"{name}\t{hypothesis}\n")
     report = score_report(ScoredCorpus.from_texts(generated))
     table = format_reports({rc.eval_split: report})
-    (out / "report.txt").write_text(table + "\n")
+    (out / "report.txt").write_text(table + "\n", encoding="utf-8")
     print(table)
     return 0
 
@@ -303,12 +314,14 @@ def cmd_ablate(args) -> int:
     if steps < 1:
         raise ConfigError("ablate needs epochs >= 1")
     eval_records(rc, ds)  # an empty eval split fails here, not after the first variant trains
+    mcfg = model_config(rc, len(vocab))
+    check_run_images(ds, mcfg.encoder)
     reports = run_ablation(
-        ds, vocab, model_config(rc, len(vocab)), train_config(rc), steps,
+        ds, vocab, mcfg, train_config(rc), steps,
         seed=rc.seed, eval_split=rc.eval_split, max_len=rc.max_len,
     )
     table = format_reports(reports)
-    (out / "ablation.txt").write_text(table + "\n")
+    (out / "ablation.txt").write_text(table + "\n", encoding="utf-8")
     print(table)
     return 0
 
@@ -390,7 +403,7 @@ def cmd_bench(args) -> int:
     rc = run_config(args)
     out = out_dir(rc)
     table = format_bench(bench_rows(rc))
-    (out / "bench.txt").write_text(table + "\n")
+    (out / "bench.txt").write_text(table + "\n", encoding="utf-8")
     print(table)
     return 0
 
@@ -433,6 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # captions print as UTF-8 whatever the locale, as files are written
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         code = _dispatch(argv)
         sys.stdout.flush()  # a reader that closed the pipe early fails here, not in the flush at exit

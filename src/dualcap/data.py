@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, read_file
 from .textdec import tokenize
 
 SPLIT_NAMES = ("train", "val", "test")
@@ -98,11 +98,7 @@ def parse_netpbm(data: bytes, source: str = "<bytes>") -> tuple[np.ndarray, int]
 def read_netpbm(path) -> tuple[np.ndarray, int]:
     """Read a PGM/PPM file; returns (uint8 pixels H x W x ch, maxval)."""
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as e:
-        raise DataError(f"cannot read image {path}: {e}") from e
-    return parse_netpbm(data, source=str(path))
+    return parse_netpbm(read_file(path, DataError, "image"), source=str(path))
 
 
 def netpbm_bytes(pixels: np.ndarray, maxval: int = 255) -> bytes:
@@ -213,14 +209,8 @@ def split_by_hash(names: list[str], ratios: tuple[float, float, float]) -> dict[
 def parse_caption_file(path) -> list[tuple[str, str]]:
     """Read filename<TAB>caption lines; errors name the 1-based line."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read captions {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text (byte {e.start})") from e
     pairs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_file(path, DataError, "captions", text=True).splitlines(), start=1):
         if not line.strip():
             continue
         if "\t" not in line:

@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
 Every failure mode maps to one of these so callers (and the CLI) can
-translate errors into exit codes without string matching.
+translate errors into exit codes without string matching, and every
+file the package reads goes through ``read_file``.
 """
+
+from pathlib import Path
 
 
 class DualcapError(Exception):
@@ -35,3 +38,14 @@ class IntegrityError(DualcapError, ValueError):
 
 class NonFiniteError(DualcapError, ArithmeticError):
     """Training produced a non-finite loss, gradient or parameter update, or generation a non-finite score."""
+
+
+def read_file(path, error: type[DualcapError], what: str, text: bool = False) -> bytes | str:
+    """A file's bytes, or its UTF-8 text when ``text`` is set; a failure to read either is ``error`` naming the file."""
+    try:
+        data = Path(path).read_bytes()
+        return data.decode("utf-8") if text else data
+    except OSError as e:
+        raise error(f"cannot read {what} {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text (byte {e.start})") from e

@@ -53,7 +53,7 @@ from .autograd import (
     take_rows,
 )
 from .encoder import sinusoidal_positions
-from .errors import ConfigError, ContractError, VocabError
+from .errors import ConfigError, ContractError, VocabError, read_file
 from .init import Param, init_params
 
 PAD_ID = 0
@@ -82,12 +82,20 @@ class Vocabulary:
         self._id_to_token = list(RESERVED_TOKENS)
         self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(RESERVED_TOKENS)}
         for tok in tokens:
-            if not tok or any(ch.isspace() for ch in tok):
-                raise VocabError(f"invalid vocabulary token {tok!r}")
-            if tok in self._token_to_id:
-                raise VocabError(f"duplicate vocabulary token {tok!r}")
-            self._token_to_id[tok] = len(self._id_to_token)
-            self._id_to_token.append(tok)
+            self._add(tok)
+
+    def _add(self, tok: str) -> None:
+        """Give ``tok`` the next id; an empty, reserved, whitespace-holding or repeated token is a VocabError."""
+        if not tok:
+            raise VocabError("empty token")
+        if tok in RESERVED_TOKENS:
+            raise VocabError(f"reserved token {tok!r}")
+        if any(ch.isspace() for ch in tok):
+            raise VocabError(f"invalid vocabulary token {tok!r}")
+        if tok in self._token_to_id:
+            raise VocabError(f"duplicate vocabulary token {tok!r}")
+        self._token_to_id[tok] = len(self._id_to_token)
+        self._id_to_token.append(tok)
 
     @classmethod
     def from_corpus(cls, texts: Iterable[str], min_freq: int = 1) -> "Vocabulary":
@@ -124,24 +132,14 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError as e:
-            raise VocabError(f"cannot read vocabulary {path}: {e}") from e
-        except UnicodeDecodeError as e:
-            raise VocabError(f"{path}: not UTF-8 text (byte {e.start})") from e
-        tokens = []
-        for i, line in enumerate(lines):
-            tok = line.strip()
-            if not tok:
-                raise VocabError(f"{path}: empty token on line {i + 1}")
-            if tok in RESERVED_TOKENS:
-                raise VocabError(f"{path}: reserved token {tok!r} on line {i + 1}")
-            tokens.append(tok)
-        try:
-            return cls(tokens)
-        except VocabError as e:
-            raise VocabError(f"{path}: {e}") from e
+        """The vocabulary ``save`` wrote; a bad token is a VocabError naming the file and the line."""
+        vocab = cls(())
+        for lineno, line in enumerate(read_file(path, VocabError, "vocabulary", text=True).splitlines(), start=1):
+            try:
+                vocab._add(line.strip())
+            except VocabError as e:
+                raise VocabError(f"{path}: {e} on line {lineno}") from e
+        return vocab
 
 
 @dataclass(frozen=True)

@@ -579,6 +579,13 @@ class TestEvalCommand:
         assert capsys.readouterr().err == "config error: unknown split 'dev', have ['test', 'train', 'val']\n"
         assert list((tmp_path / "ev").iterdir()) == []
 
+    def test_a_split_of_another_image_size_is_a_data_error_naming_the_first_image(self, trained, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "run.cfg", image_size=8)  # the split is drawn at 8x8, the model takes 16x16
+        code = main(["eval", "--config", str(cfg), "--out", str(tmp_path / "ev"), str(trained["ckpt"])])
+        assert code == 2
+        assert capsys.readouterr().err == "data error: image synthetic_0000.ppm is (8, 8, 3), model expects (16, 16, 3)\n"
+        assert list((tmp_path / "ev").iterdir()) == []
+
 
 class TestHeatmapCommand:
     def test_writes_one_pgm_per_block(self, trained, tmp_path, capsys):
@@ -723,6 +730,31 @@ class TestExitCodes:
         assert code == 2
         assert "vocab.txt: not UTF-8 text" in capsys.readouterr().err
 
+    def test_non_ascii_captions_are_written_and_printed_as_utf8_under_an_ascii_locale(self, trained, tmp_path):
+        # the trained model's "green" id renamed: its captions now hold a non-ASCII word
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text((trained["root"] / "vocab.txt").read_text().replace("green\n", "grün\n"), encoding="utf-8")
+        cfg = write_cfg(tmp_path / "run.cfg", vocab=vocab)
+        src = str(Path(dualcap.__file__).resolve().parent.parent)
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+        env.update(PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])),
+                   LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "dualcap.cli", *argv, "--config", str(cfg),
+                                   "--out", str(tmp_path)], capture_output=True, env=env)
+
+        want = {name: hypothesis.replace("green", "grün") for name, (hypothesis, _) in trained["expected"].items()}
+        proc = run("eval", str(trained["ckpt"]))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert (tmp_path / "candidates.tsv").read_text(encoding="utf-8") == "".join(
+            f"{name}\t{hypothesis}\n" for name, hypothesis in want.items())
+        green = trained["ds"].records[0]
+        assert "grün" in want[green.name]
+        proc = run("caption", str(trained["ckpt"]), str(trained["data"] / green.name))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == f"{want[green.name]}\n".encode("utf-8")
+
     @pytest.mark.parametrize("command", ["train", "ablate", "bench"])
     @pytest.mark.parametrize("where", ["file", "flag"])
     def test_a_negative_seed_is_a_config_error(self, tmp_path, capsys, command, where):
@@ -750,11 +782,21 @@ class TestExitCodes:
         assert "config error: model config is too large to allocate" in capsys.readouterr().err
         assert list((tmp_path / "run").iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["train", "ablate"])
-    def test_a_channel_count_the_dataset_lacks_is_a_config_error(self, tmp_path, capsys, command):
-        cfg = write_cfg(tmp_path / "run.cfg", image_channels=1)  # the synthetic images are RGB
+    @pytest.mark.parametrize("command, entries, message", [
+        pytest.param("train", {"image_channels": 1}, "do not fit image_channels 1", id="train"),
+        pytest.param("ablate", {"image_channels": 1}, "do not fit image_channels 1", id="ablate"),
+        pytest.param("train", {"image_size": 8}, "image_size 8: image synthetic_0000.ppm is (16, 16, 3)",
+                     id="train-image_size"),
+        pytest.param("ablate", {"image_size": 8}, "image_size 8: image synthetic_0000.ppm is (16, 16, 3)",
+                     id="ablate-image_size"),
+    ])
+    def test_a_channel_count_the_dataset_lacks_is_a_config_error(self, trained, tmp_path, capsys, command, entries,
+                                                                 message):
+        """So is an image_size the dataset's images lack: both are refused before the run writes anything."""
+        data = trained["data"]  # the synthetic images, 16x16 RGB, on disk
+        cfg = write_cfg(tmp_path / "run.cfg", synthetic=0, images=data, captions=data / "captions.tsv", **entries)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
-        assert "do not fit image_channels 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert list((tmp_path / "run").iterdir()) == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the current library."""
+"""Every demo script, and README's library quick start, runs against the current library."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +19,13 @@ def test_demo_runs(demo, tmp_path):
     run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
+
+
+def test_readme_library_quick_start_reproduces_all_eight_training_captions(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (library)", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    captions = ast.literal_eval(capsys.readouterr().out)  # the block prints name -> (caption, references)
+    assert len(captions) == 8
+    assert all(caption == references[0] for caption, references in captions.values())

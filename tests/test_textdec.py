@@ -90,6 +90,19 @@ class TestVocabulary:
         with pytest.raises(VocabError, match="cannot read vocabulary"):
             Vocabulary.load(tmp_path)
 
+    @pytest.mark.parametrize("lines, message", [
+        ("a\n\nb\n", "empty token on line 2"),
+        ("a\n<pad>\n", "reserved token '<pad>' on line 2"),
+        ("a\nb c\n", "invalid vocabulary token 'b c' on line 2"),
+        ("a\nb\na\n", "duplicate vocabulary token 'a' on line 3"),
+    ], ids=["empty", "reserved", "whitespace", "duplicate"])
+    def test_every_bad_token_names_its_file_and_line(self, tmp_path, lines, message):
+        bad = tmp_path / "vocab.txt"
+        bad.write_text(lines, encoding="utf-8")
+        with pytest.raises(VocabError) as info:
+            Vocabulary.load(bad)
+        assert str(info.value) == f"{bad}: {message}"
+
     def test_token_id_out_of_range(self):
         with pytest.raises(VocabError):
             Vocabulary([]).token(99)
