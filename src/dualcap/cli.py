@@ -1,4 +1,4 @@
-"""Command-line interface: train, caption, eval, heatmap, ablate, bench.
+"""Command-line interface: train, caption, eval, heatmap, ablate.
 
 Configuration comes from a key=value file (one pair per line, # starts
 a comment) plus the --seed and --out overrides; unknown keys are
@@ -14,24 +14,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from dataclasses import fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import flops
 from .autograd import Tensor
 from .checkpoint import load_checkpoint, model_from_checkpoint, save_model
 from .data import CaptionDataset, Record, load_dataset, make_synthetic, read_netpbm, write_netpbm
-from .encoder import (
-    EncoderConfig,
-    channel_group_attention,
-    global_attention,
-    heatmap,
-    heatmap_to_gray,
-    spatial_window_attention,
-)
+from .encoder import EncoderConfig, heatmap, heatmap_to_gray
 from .errors import (
     ConfigError,
     ContractError,
@@ -57,7 +48,6 @@ from .train import (
     training_pairs,
 )
 
-BENCH_PATCHES = (64, 128, 256, 512)
 EXIT_BROKEN_PIPE = 141  # what a shell reports for a command that SIGPIPE ended
 
 
@@ -167,7 +157,10 @@ def load_run_dataset(rc: RunConfig) -> CaptionDataset:
 
 def out_dir(rc: RunConfig) -> Path:
     out = Path(rc.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a path through or onto a file
+        raise ConfigError(f"--out {out} is not a directory that can be made: {e}") from e
     return out
 
 
@@ -326,88 +319,6 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def bench_rows(rc: RunConfig) -> list[dict]:
-    """FLOPs and wall time for each attention kernel at each patch count.
-
-    A ``dim`` whose kernel inputs cannot be allocated is a ConfigError,
-    raised before any input is drawn.
-    """
-    rows = []
-    c = rc.dim
-    if c < 1:
-        raise ConfigError(f"dim must be >= 1, got {c}")
-    for key, n in (("heads", rc.heads), ("groups", rc.groups)):
-        if n < 1:
-            raise ConfigError(f"{key} must be >= 1, got {n}")
-        if c % n != 0:
-            raise ConfigError(f"dim {c} is not a multiple of {key} {n}")
-    try:  # the inputs of the largest patch count: x, and three projections per kernel
-        np.empty(max(BENCH_PATCHES) * c + 3 * c * (c // rc.heads + c + c // rc.groups))
-    except (MemoryError, ValueError) as e:  # numpy refuses a size past int64 with a ValueError
-        raise ConfigError(f"dim {c} is too large to allocate the bench inputs: {e}") from e
-    rng = np.random.default_rng(rc.seed)
-
-    def qkv(*shape: int) -> list[Tensor]:
-        return [Tensor(rng.standard_normal(shape)) for _ in range(3)]
-
-    for p in BENCH_PATCHES:
-        x = Tensor(rng.standard_normal((p, c)))
-        heads = qkv(rc.heads, c // rc.heads, c // rc.heads)
-        spatial = qkv(c, c)
-        groups = qkv(rc.groups, c // rc.groups, c // rc.groups)
-        row = {"patches": p}
-        for kernel, run in (
-            ("global", lambda: global_attention(x, *heads)),
-            ("windowed", lambda: spatial_window_attention(x, *spatial, rc.window_patches)),
-            ("channel", lambda: channel_group_attention(x, *groups)),
-        ):
-            with flops.count_flops() as counter:
-                start = time.perf_counter()
-                run()
-                elapsed = time.perf_counter() - start
-            row[f"{kernel}_flops"] = counter.total
-            row[f"{kernel}_ms"] = elapsed * 1e3
-        rows.append(row)
-    return rows
-
-
-def fit_r2(x: np.ndarray, y: np.ndarray, degree: int) -> float:
-    coeffs = np.polyfit(x, y, degree)
-    residual = y - np.polyval(coeffs, x)
-    total = y - y.mean()
-    return 1.0 - (residual @ residual) / (total @ total)
-
-
-def format_bench(rows: list[dict]) -> str:
-    kernels = ("global", "windowed", "channel")
-    header = ["patches"]
-    for kernel in kernels:
-        header += [f"{kernel}_flops", f"{kernel}_ms"]
-    lines = ["\t".join(header)]
-    for row in rows:
-        cells = [str(row["patches"])]
-        for kernel in kernels:
-            cells += [str(row[f"{kernel}_flops"]), f"{row[f'{kernel}_ms']:.3f}"]
-        lines.append("\t".join(cells))
-    p = np.array([row["patches"] for row in rows], dtype=float)
-    for kernel in kernels:
-        y = np.array([row[f"{kernel}_flops"] for row in rows], dtype=float)
-        lines.append(
-            f"{kernel}: linear fit R^2 = {fit_r2(p, y, 1):.6f}, "
-            f"quadratic fit R^2 = {fit_r2(p, y, 2):.6f}"
-        )
-    return "\n".join(lines)
-
-
-def cmd_bench(args) -> int:
-    rc = run_config(args)
-    out = out_dir(rc)
-    table = format_bench(bench_rows(rc))
-    (out / "bench.txt").write_text(table + "\n", encoding="utf-8")
-    print(table)
-    return 0
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the CLI contract wants 1."""
 
@@ -441,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     command("eval", cmd_eval, "score generated captions on a dataset split", "checkpoint")
     command("heatmap", cmd_heatmap, "write per-block attention heatmaps as PGM", "checkpoint", "image")
     command("ablate", cmd_ablate, "train and score all attention/contrastive variants")
-    command("bench", cmd_bench, "FLOP/time scaling of the attention kernels")
     return parser
 
 

@@ -41,10 +41,10 @@ class NonFiniteError(DualcapError, ArithmeticError):
 
 
 def read_file(path, error: type[DualcapError], what: str, text: bool = False) -> bytes | str:
-    """A file's bytes, or its UTF-8 text when ``text`` is set; a failure to read either is ``error`` naming the file."""
+    """A file's bytes, or its UTF-8 text less any byte-order mark if ``text``; a failure to read is ``error`` naming the file."""
     try:
         data = Path(path).read_bytes()
-        return data.decode("utf-8") if text else data
+        return data.decode("utf-8").removeprefix("\ufeff") if text else data  # "utf-8-sig" would shift byte offsets
     except OSError as e:
         raise error(f"cannot read {what} {path}: {e}") from e
     except UnicodeDecodeError as e:

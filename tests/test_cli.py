@@ -21,9 +21,7 @@ import pytest
 
 import dualcap
 from dualcap.cli import (
-    BENCH_PATCHES,
     RunConfig,
-    bench_rows,
     main,
     model_config,
     parse_config_file,
@@ -140,6 +138,11 @@ class TestConfigParsing:
             parse_config_file(p)
         with pytest.raises(ConfigError, match="cannot read config file"):
             parse_config_file(tmp_path)
+
+    def test_a_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        p = tmp_path / "a.cfg"
+        p.write_bytes(b"\xef\xbb\xbfsynthetic = 8\n")
+        assert parse_config_file(p) == {"synthetic": "8"}
 
     def test_bad_line(self, tmp_path):
         p = tmp_path / "a.cfg"
@@ -296,6 +299,13 @@ class TestTrainCommand:
             code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 2
         assert capsys.readouterr().err == "data error: training split has no captions\n"
+        assert list((tmp_path / "run").iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [dict(groups=0), dict(groups=3), dict(heads=0), dict(window_patches=0)])
+    def test_kernel_shapes_that_do_not_fit_are_config_errors(self, tmp_path, capsys, bad):
+        cfg = write_cfg(tmp_path / "run.cfg", **bad)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert "config error" in capsys.readouterr().err
         assert list((tmp_path / "run").iterdir()) == []
 
     def test_unset_dataset_is_config_error(self, tmp_path, capsys):
@@ -658,55 +668,6 @@ class TestAblateCommand:
         assert list((tmp_path / "ab").iterdir()) == []
 
 
-class TestBenchCommand:
-    def test_table_flops_match_closed_forms(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path / "run.cfg")
-        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
-        capsys.readouterr()
-        rc = RunConfig(**{k: v for k, v in CFG_KEYS.items() if k in RunConfig.__dataclass_fields__})
-        rows = bench_rows(rc)
-        c = rc.dim
-        for row in rows:
-            p = row["patches"]
-            assert row["windowed_flops"] == 6 * p * c * c + 4 * p * rc.window_patches * c
-            c_g = c // rc.groups
-            assert row["channel_flops"] == 4 * p * c * c_g + 6 * c * c_g * c_g
-            assert row["global_flops"] == 6 * p * c * (c // rc.heads) + 4 * p * p * c
-        text = (tmp_path / "b" / "bench.txt").read_text().splitlines()
-        assert len(text) == 1 + len(BENCH_PATCHES) + 3
-        assert text[0].startswith("patches\tglobal_flops")
-
-    @pytest.mark.parametrize("bad", [dict(groups=0), dict(groups=3), dict(heads=0), dict(window_patches=0)])
-    def test_kernel_shapes_that_do_not_fit_are_config_errors(self, tmp_path, capsys, bad):
-        cfg = write_cfg(tmp_path / "run.cfg", **bad)
-        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
-        assert "config error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("dim", [0, 1, 2**30, 2**63])
-    def test_a_dim_the_kernels_cannot_take_is_a_one_line_error_naming_dim(self, tmp_path, capsys, dim):
-        """0 and 1 have no head width; 2**30 and 2**63 ask for inputs numpy refuses, before any is drawn."""
-        cfg = write_cfg(tmp_path / "run.cfg", dim=dim)
-        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: dim {'must be >= 1' if dim < 1 else dim}") and err.count("\n") == 1
-        assert not (tmp_path / "b" / "bench.txt").exists()
-
-    def test_fit_quality_separates_linear_from_quadratic(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path / "run.cfg")
-        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
-        capsys.readouterr()
-        fits = {}
-        for line in (tmp_path / "b" / "bench.txt").read_text().splitlines():
-            if "linear fit" in line:
-                kernel = line.split(":")[0]
-                parts = line.split("=")
-                fits[kernel] = (float(parts[1].split(",")[0]), float(parts[2]))
-        assert fits["windowed"][0] == pytest.approx(1.0, abs=1e-9)
-        assert fits["channel"][0] == pytest.approx(1.0, abs=1e-9)
-        assert fits["global"][1] == pytest.approx(1.0, abs=1e-9)
-        assert fits["global"][0] < 0.999
-
-
 class TestExitCodes:
     def test_text_inputs_that_are_not_utf8(self, trained, tmp_path, capsys):
         bad_cfg = tmp_path / "bad.cfg"
@@ -755,7 +716,7 @@ class TestExitCodes:
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert proc.stdout == f"{want[green.name]}\n".encode("utf-8")
 
-    @pytest.mark.parametrize("command", ["train", "ablate", "bench"])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
     @pytest.mark.parametrize("where", ["file", "flag"])
     def test_a_negative_seed_is_a_config_error(self, tmp_path, capsys, command, where):
         cfg = write_cfg(tmp_path / "run.cfg", seed=-1 if where == "file" else 0)
@@ -763,6 +724,19 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run"), *flag]) == 1
         assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "heatmap", "ablate"])
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["onto", "under"])
+    def test_an_out_through_or_onto_a_file_is_a_one_line_config_error(self, tmp_path, capsys, command, under):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / under if under else afile  # mkdir raises FileExistsError, or NotADirectoryError under it
+        positionals = {"eval": ["x.ckpt"], "heatmap": ["x.ckpt", "x.ppm"]}.get(command, [])
+        cfg = write_cfg(tmp_path / "run.cfg")
+        assert main([command, "--config", str(cfg), "--out", str(out), *positionals]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out} ") and err.count("\n") == 1 and "Traceback" not in err
+        assert afile.read_text() == "kept\n"
 
     @pytest.mark.parametrize("entries, message", [
         ({"max_len": 1, "beam_width": 0}, "max_len must be >= 3, got 1"),

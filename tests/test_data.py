@@ -162,6 +162,11 @@ class TestCaptionFile:
         with pytest.raises(DataError, match="no caption lines"):
             parse_caption_file(path)
 
+    def test_a_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "captions.tsv"
+        path.write_bytes(b"\xef\xbb\xbfa.pgm\tfirst caption\n")
+        assert parse_caption_file(path) == [("a.pgm", "first caption")]
+
     def test_a_directory_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError, match=f"cannot read captions {tmp_path}: "):
             parse_caption_file(tmp_path)

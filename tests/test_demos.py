@@ -1,5 +1,9 @@
-"""Every demo script, and README's library quick start, runs against the current library."""
+"""Every demo script and README's library quick start run against the current library.
 
+README's CLI quick start names exactly the subcommands the parser has.
+"""
+
+import argparse
 import ast
 import os
 import re
@@ -8,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from dualcap.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -29,3 +35,11 @@ def test_readme_library_quick_start_reproduces_all_eight_training_captions(capsy
     captions = ast.literal_eval(capsys.readouterr().out)  # the block prints name -> (caption, references)
     assert len(captions) == 8
     assert all(caption == references[0] for caption, references in captions.values())
+
+
+def test_readme_cli_quick_start_names_every_subcommand():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```\n(.*?)```", readme.split("## Quick start (CLI)", 1)[1], re.DOTALL).group(1)
+    named = [line.split()[1] for line in block.splitlines() if line.startswith("dualcap ")]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert named == list(sub.choices)

@@ -265,16 +265,6 @@ def test_a_huge_lr_trains_finite_parameters_whose_captions_exit_4():
     assert run_cli_session([("lr", 1e200)]) == [0, 4, 4, 4]
 
 
-@pytest.mark.parametrize("key, value", CLI_EDITS, ids=[f"{key}={value}" for key, value in CLI_EDITS])
-def test_bench_with_one_edit_ends_in_a_documented_exit_code(key, value):
-    """bench writes its table exactly when it exits 0."""
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "bench"
-        code, err = cli("bench", "--config", str(write_config(Path(tmp), [(key, value)])), "--out", str(out))
-        assert_documented(code, err)
-        assert (out / "bench.txt").exists() == (code == 0)
-
-
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(edits=st.lists(st.sampled_from(CLI_EDITS), min_size=2, max_size=2))
 def test_a_cli_session_ends_in_a_documented_exit_code(edits):

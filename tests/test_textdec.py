@@ -73,6 +73,12 @@ class TestVocabulary:
         assert loaded.encode(["red", "circle", "zzz"]) == v.encode(["red", "circle", "zzz"])
         assert len(loaded) == len(v)
 
+    def test_load_drops_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"\xef\xbb\xbfa\nred\n")
+        loaded = Vocabulary.load(path)
+        assert (loaded.token(4), loaded.token_id("a")) == ("a", 4)
+
     def test_load_rejects_bad_files(self, tmp_path):
         bad = tmp_path / "vocab.txt"
         bad.write_text("a\n\nb\n")
