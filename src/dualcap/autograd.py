@@ -226,7 +226,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     table goes to every item of a (B, T, C) stack.  This is the only
     broadcast in the package; linear's bias follows the same rule.
     """
-    if not _ends(x.shape, b.shape):
+    if not _ends(x.data.shape, b.data.shape):
         raise ShapeError(f"add_bias: bias shape must end the input shape, got {x.shape} and {b.shape}")
     out = _new(x.data + b.data)
     return _record(out, (x, b), lambda g: (g, g.reshape((-1,) + b.shape).sum(axis=0)))
@@ -239,7 +239,7 @@ def exp(x: Tensor) -> Tensor:
 
 def _ends(shape: tuple[int, ...], tail: tuple[int, ...]) -> bool:
     """Whether ``tail`` is a non-empty shape that ends ``shape``: add_bias's rule for a bias."""
-    return 0 < len(tail) <= len(shape) and shape[len(shape) - len(tail):] == tail
+    return tail != () and shape[-len(tail):] == tail
 
 
 def _gemm(a: Array, b: Array, out: Array | None = None, part: str | None = None) -> Array:
@@ -250,8 +250,9 @@ def _gemm(a: Array, b: Array, out: Array | None = None, part: str | None = None)
 
 def _affine_shapes(op: str, rows: tuple[int, ...], w: Tensor, b: Tensor) -> None:
     # an (n,) bias, or one whose shape ends the output's; the first test spares each decoder step a call
-    if w.data.ndim != 2 or len(rows) < 2 or rows[-1] != w.shape[0] or (
-            b.shape != w.shape[1:] and not _ends(rows[:-1] + w.shape[1:], b.shape)):
+    w_shape, b_shape = w.data.shape, b.data.shape
+    if len(w_shape) != 2 or len(rows) < 2 or rows[-1] != w_shape[0] or (
+            b_shape != w_shape[1:] and not _ends(rows[:-1] + w_shape[1:], b_shape)):
         raise ShapeError(f"{op}: need (..., m, k) rows, a (k, n) weight and a bias that ends the (..., m, n) output, "
                          f"got {rows}, {w.shape}, {b.shape}")
 
@@ -281,7 +282,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     stack.  Values, gradients and FLOPs are those of a matrix product
     followed by add_bias, bit for bit.
     """
-    _affine_shapes("linear", x.shape, w, b)
+    _affine_shapes("linear", x.data.shape, w, b)
     out = _new(_affine(x.data, w.data, b.data))
     return _record(out, (x, w, b), lambda g: _affine_grad(x.data, w.data, b.data, g, x.requires_grad))
 
@@ -292,8 +293,8 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     The GELU is the exact 0.5 * u * (1 + erf(u / sqrt(2))).  Values,
     gradients and FLOPs are those of the three ops, bit for bit.
     """
-    _affine_shapes("ffn", x.shape, w1, b1)
-    _affine_shapes("ffn", x.shape[:-1] + w1.shape[1:], w2, b2)
+    _affine_shapes("ffn", x.data.shape, w1, b1)
+    _affine_shapes("ffn", x.data.shape[:-1] + w1.data.shape[1:], w2, b2)
     pre = _affine(x.data, w1.data, b1.data)
     e = erf(pre * _INV_SQRT2)
     inner = 0.5 * pre * (1.0 + e)
@@ -346,14 +347,14 @@ def take_rows(x: Tensor, indices) -> Tensor:
     """Gather rows of a 2-D tensor; duplicate indices sum in the backward.
 
     The output has shape indices.shape + (columns,), so a (B, T) array of
-    ids gathers a (B, T, C) stack.
+    ids gathers a (B, T, C) stack.  Indices must have an integer dtype.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"take_rows: expected 2-D, got {x.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ShapeError(f"take_rows: index out of range for {x.shape[0]} rows")
-    out = _new(x.data[idx])
+    idx = int_ids(indices, "take_rows: indices")
+    if idx.size and np.maximum.reduce(idx.view(np.uintp), None) >= len(x.data):  # a negative id views as a huge one
+        raise ShapeError(f"take_rows: index out of range for {len(x.data)} rows")
+    out = _new(x.data.take(idx, axis=0))
 
     def grad_fn(g: Array):
         full = np.zeros_like(x.data)
@@ -361,6 +362,14 @@ def take_rows(x: Tensor, indices) -> Tensor:
         return (full,)
 
     return _record(out, (x,), grad_fn)
+
+
+def int_ids(values, what: str) -> Array:
+    """``values`` as an intp array; a non-integer dtype (an empty list aside) is a ContractError naming ``what``."""
+    ids = np.asarray(values)
+    if ids.dtype.kind not in "iu" and ids.size:
+        raise ContractError(f"{what} must be integers, got {ids.dtype}")
+    return ids.astype(np.intp, copy=False)
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -432,17 +441,18 @@ def add_norm(h: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5
     square root); gain and bias are length-C vectors applied to every
     row of a tensor of any rank.
     """
-    if h.shape != y.shape:
+    shape = h.data.shape
+    if shape != y.data.shape:
         raise ShapeError(f"add_norm: shapes differ: {h.shape} vs {y.shape}")
-    if h.data.ndim < 1:
+    if not shape:
         raise ShapeError(f"add_norm: expected at least 1-D input, got {h.shape}")
-    c = h.shape[-1]
-    if gain.shape != (c,) or bias.shape != (c,):
+    c = shape[-1]
+    if gain.data.shape != (c,) or bias.data.shape != (c,):
         raise ShapeError(f"add_norm: gain/bias must be ({c},), got {gain.shape} and {bias.shape}")
-    x = h.data + y.data
+    x, n = h.data + y.data, float(c)
     # np.mean and np.var, written out: the same sums and divisions, fewer calls
-    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / c
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / c
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = _new(xhat * gain.data + bias.data)
@@ -550,12 +560,13 @@ def _project(rows: Array, w: Array, full: bool) -> Array:
     """(R, C) rows through an (n, k, d) weight stack: (n, R, d), one GEMM per weight.
 
     Heads that all read every column are one (R, C) @ (C, n*d) product
-    against the weights side by side.
+    against the weights side by side.  Heads that slice the rows also
+    take them already split, as an (n, R, k) stack.
     """
     n, k, d = w.shape
     if full:
         return _gemm(rows, w.transpose(1, 0, 2).reshape(k, n * d)).reshape(-1, n, d).transpose(1, 0, 2)
-    return _gemm(rows.reshape(-1, n, k).transpose(1, 0, 2), w)
+    return _gemm(rows if rows.ndim == 3 else rows.reshape(-1, n, k).transpose(1, 0, 2), w)
 
 
 def _heads_first(a: Array) -> Array:
@@ -623,11 +634,11 @@ def attention(
     GEMM over all rows, the core runs on (n, ..., T, d) head stacks, and
     the head outputs concatenate back to width n*d.
 
-    ``cached`` keys and values, (n, ..., L, d) arrays, come before the
-    ones the call projects (it projects none when ``wk`` and ``wv`` are
-    None).  Such a call is a generation step and has no backward: one
-    that would be recorded (a tape is active and an input requires
-    grad) raises ContractError.
+    ``cached`` keys and values, (n, ..., L, d) arrays (others raise
+    ShapeError), come before the ones the call projects (it projects
+    none when ``wk`` and ``wv`` are None).  Such a call is a generation
+    step and has no backward: one that would be recorded (a tape is
+    active and an input requires grad) raises ContractError.
     ``mask`` is added to the scores, broadcast against (n, ..., T, T_k).
     With ``window`` each run of that many consecutive rows is one window
     whose rows attend only among themselves.
@@ -645,7 +656,8 @@ def attention(
     inputs = (x, wq) if wk is None else (x, wq, wk, wv) + (() if context is None else (context,))
     if cached is not None and Tape._active is not None and any(t.requires_grad for t in inputs):
         raise ContractError("attention: a step over cached keys and values is generation-only and cannot be recorded")
-    lead, (t, c) = x.shape[:-2], x.shape[-2:]
+    shape = x.data.shape
+    lead, (t, c) = shape[:-2], shape[-2:]
     wq_heads, q_full = _heads(wq, c)
     n, _, d = wq_heads.shape
     rows, items, rows_per_item = x.data.reshape(-1, c), lead, t
@@ -653,24 +665,31 @@ def attention(
         if window < 1 or t % window != 0:
             raise ShapeError(f"attention: {window}-row windows do not tile {t} rows")
         items, rows_per_item = lead + (t // window,), window
-    q = _project(rows, wq_heads, q_full).reshape((n,) + items + (rows_per_item, d))
+    heads_of = (n,) + items  # the leading axes of every (n, ..., T, d) stack the core reads
+    split = rows if q_full else rows.reshape(-1, n, wq_heads.shape[1]).transpose(1, 0, 2)  # split once for q, k, v
+    q = _project(split, wq_heads, q_full).reshape(heads_of + (rows_per_item, d))
+    if cached is not None and (cached[0].shape[:-2], cached[0].shape[-1], cached[1].shape) != (
+            heads_of, d, cached[0].shape):
+        raise ShapeError(f"attention: cached keys {cached[0].shape} and values {cached[1].shape} "
+                         f"do not fit queries {q.shape}: need (n, ..., L, d) with their n, items and d")
     if wk is None:
         k, v = cached
     else:
         source = x if context is None else context
-        width = source.shape[-1]
-        if source.shape[:-2] != lead:
+        width = source.data.shape[-1]
+        if source.data.shape[:-2] != lead:
             raise ShapeError(f"attention: context {source.shape} is not one map per item of {x.shape}")
-        source_rows = rows if context is None else context.data.reshape(-1, width)
+        source_rows = split if context is None else context.data.reshape(-1, width)
         (wk_heads, kv_full), (wv_heads, _) = _heads(wk, width), _heads(wv, width)
         if wk_heads.shape != wv_heads.shape or wk_heads.shape[::2] != (n, d) or (
                 context is None and wk_heads.shape != wq_heads.shape):
             raise ShapeError(f"attention: key and value weights {wk.shape}, {wv.shape} do not match queries {wq.shape}")
-        k, v = (_project(source_rows, w, kv_full).reshape((n,) + items + (-1, d)) for w in (wk_heads, wv_heads))
+        k = _project(source_rows, wk_heads, kv_full).reshape(heads_of + (-1, d))
+        v = _project(source_rows, wv_heads, kv_full).reshape(heads_of + (-1, d))
         if cached is not None:
-            k, v = np.concatenate([cached[0], k], axis=-2), np.concatenate([cached[1], v], axis=-2)
+            k, v = np.concatenate((cached[0], k), axis=-2), np.concatenate((cached[1], v), axis=-2)
 
-    p = _gemm(q, np.swapaxes(k, -1, -2), part="core")  # scores Q K^T
+    p = _gemm(q, k.swapaxes(-1, -2), part="core")  # scores Q K^T
     p *= factor
     if mask is not None:
         p += mask
@@ -687,13 +706,13 @@ def attention(
         own = context is None
         buf, slots = _grad_slots(q.shape, 3 if own else 1, q_full)
         source_buf, (dk_slot, dv_slot) = (buf, slots[1:]) if own else _grad_slots(k.shape, 2, kv_full)
-        _gemm(np.swapaxes(p, -1, -2), do, out=dv_slot)
-        ds = _gemm(do, np.swapaxes(v, -1, -2))
+        _gemm(p.swapaxes(-1, -2), do, out=dv_slot)
+        ds = _gemm(do, v.swapaxes(-1, -2))
         ds -= np.add.reduce(ds * p, axis=-1, keepdims=True)
         ds *= p
         ds *= factor
         _gemm(ds, k, out=slots[0])
-        _gemm(np.swapaxes(ds, -1, -2), q, out=dk_slot)
+        _gemm(ds.swapaxes(-1, -2), q, out=dk_slot)
         drows, grads = _project_grad(rows, [wq_heads, wk_heads, wv_heads] if own else [wq_heads], q_full, buf)
         if not own:
             dsource, (dwk, dwv) = _project_grad(source_rows, [wk_heads, wv_heads], kv_full, source_buf)
@@ -732,34 +751,34 @@ def channel_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, factor: flo
         raise ShapeError(f"channel_attention: need (G, C/G, C/G) weights for width {c}, "
                          f"got {wq.shape}, {wk.shape} and {wv.shape}")
     xg = x.data.reshape(-1, t, n, k).transpose(0, 2, 1, 3)  # (items, G, P, C_g) views of the groups' columns
-    gram = _gemm(np.swapaxes(xg, -1, -2), xg, part="core")
+    gram = _gemm(xg.swapaxes(-1, -2), xg, part="core")
     gram_wq = _gemm(gram, wq.data)
-    at = _gemm(np.swapaxes(wk.data, -1, -2), gram_wq)  # the scores transposed, made A^T in place
+    at = _gemm(wk.data.swapaxes(-1, -2), gram_wq)  # the scores transposed, made A^T in place
     at *= factor
     at -= np.maximum.reduce(at, axis=-2, keepdims=True)
     np.exp(at, out=at)
     at /= np.add.reduce(at, axis=-2, keepdims=True)
-    a = np.swapaxes(at, -1, -2)  # the weights
+    a = at.swapaxes(-1, -2)  # the weights
     m = _gemm(wv.data, at)
     out = np.empty(xg.shape[:1] + (t, n, k))  # groups side by side
     _gemm(xg, m, out=out.transpose(0, 2, 1, 3), part="core")
 
     def grad_fn(g: Array):
         do = g.reshape(out.shape).transpose(0, 2, 1, 3)
-        dm = _gemm(np.swapaxes(xg, -1, -2), do)
-        dat = _gemm(np.swapaxes(wv.data, -1, -2), dm)
+        dm = _gemm(xg.swapaxes(-1, -2), do)
+        dat = _gemm(wv.data.swapaxes(-1, -2), dm)
         dst = dat - np.add.reduce(dat * at, axis=-2, keepdims=True)
         dst *= at
         dst *= factor  # dS^T
         wk_dst = _gemm(wk.data, dst)
-        dgram_t = _gemm(wk_dst, np.swapaxes(wq.data, -1, -2))
+        dgram_t = _gemm(wk_dst, wq.data.swapaxes(-1, -2))
         # dX_g's two terms go into buffers laid out like x, so that their sum runs over contiguous rows;
         # M^T is a product of its own, since a transposed view of M would slow the P-row product
         dx, rest = np.empty_like(out), np.empty_like(out)
-        _gemm(do, _gemm(a, np.swapaxes(wv.data, -1, -2)), out=dx.transpose(0, 2, 1, 3))
-        _gemm(xg, dgram_t + np.swapaxes(dgram_t, -1, -2), out=rest.transpose(0, 2, 1, 3))
+        _gemm(do, _gemm(a, wv.data.swapaxes(-1, -2)), out=dx.transpose(0, 2, 1, 3))
+        _gemm(xg, dgram_t + dgram_t.swapaxes(-1, -2), out=rest.transpose(0, 2, 1, 3))
         dx += rest
-        dwq, dwk, dwv = _gemm(gram, wk_dst), _gemm(gram_wq, np.swapaxes(dst, -1, -2)), _gemm(dm, a)
+        dwq, dwk, dwv = _gemm(gram, wk_dst), _gemm(gram_wq, dst.swapaxes(-1, -2)), _gemm(dm, a)
         return dx.reshape(x.shape), dwq.sum(axis=0), dwk.sum(axis=0), dwv.sum(axis=0)
 
     return _record(_new(out.reshape(x.shape)), (x, wq, wk, wv), grad_fn), a.reshape(lead + (n, k, k))
@@ -796,7 +815,7 @@ def contrastive_loss(image_vecs: Tensor, text_vecs: Tensor, temperature: Tensor)
 
     def grad_fn(g: Array):
         half = g * 0.5
-        ds = np.swapaxes(cols_grad(half), -1, -2) + rows_grad(half)
+        ds = cols_grad(half).swapaxes(-1, -2) + rows_grad(half)
         dsims = ds * inv
         di = _gemm(dsims, text_vecs.data) if image_vecs.requires_grad else None
         dt = _gemm(image_vecs.data.T, dsims).T if text_vecs.requires_grad else None
@@ -831,13 +850,14 @@ def fused_logits(
     product with a column of ones that once repeated the image vector
     over the positions: a broadcast repeats it exactly.
     """
-    if hidden.data.ndim < 2 or txt_w.data.ndim != 2 or emb.data.ndim != 2:
+    shape = hidden.data.shape
+    if len(shape) < 2 or txt_w.data.ndim != 2 or emb.data.ndim != 2:
         raise ShapeError(f"fused_logits: need (..., T, C) states, a (C, D) text weight and a (V, C) embedding, "
                          f"got {hidden.shape}, {txt_w.shape} and {emb.shape}")
-    lead, (t, c), (d, v) = hidden.shape[:-2], hidden.shape[-2:], (txt_w.shape[1], emb.shape[0])
-    got = (image_vecs.shape, txt_w.shape, txt_b.shape, cond_w.shape, cond_b.shape, emb.shape,
-           hidden.shape if pooled is None else pooled.shape)
-    want = (lead + (d,), (c, d), (d,), (2 * d, c), (c,), (v, c), hidden.shape)
+    lead, (t, c), (d, v) = shape[:-2], shape[-2:], (txt_w.data.shape[1], len(emb.data))
+    got = (image_vecs.data.shape, txt_w.data.shape, txt_b.data.shape, cond_w.data.shape, cond_b.data.shape,
+           emb.data.shape, shape if pooled is None else pooled.data.shape)
+    want = (lead + (d,), (c, d), (d,), (2 * d, c), (c,), (v, c), shape)
     if got != want:
         raise ShapeError(f"fused_logits: image vectors, text weight and bias, conditioning weight and bias, "
                          f"embedding and means must be {want}, got {got}")

@@ -49,6 +49,7 @@ from .autograd import (
     attention,
     concat,
     ffn,
+    int_ids,
     slice_axis,
     take_rows,
 )
@@ -257,16 +258,14 @@ def token_ids(tokens) -> np.ndarray:
 
     A batch is a list of TokenSequences; each is PAD-padded to the
     longest, which the attention masks and a PAD ``ignore_id`` then
-    leave out.
+    leave out.  Ids that are not of an integer dtype raise ContractError.
     """
     if isinstance(tokens, TokenSequence):
-        return np.asarray(tokens.ids)
-    if isinstance(tokens, np.ndarray):
-        return tokens.astype(np.intp, copy=False)
-    if tokens and all(isinstance(seq, TokenSequence) for seq in tokens):
+        return np.asarray(tokens.ids, dtype=np.intp)
+    if not isinstance(tokens, np.ndarray) and tokens and all(isinstance(seq, TokenSequence) for seq in tokens):
         t = max(len(seq.ids) for seq in tokens)
-        return np.array([seq.ids + (PAD_ID,) * (t - len(seq.ids)) for seq in tokens])
-    return np.asarray([int(i) for i in tokens], dtype=np.intp)
+        return np.array([seq.ids + (PAD_ID,) * (t - len(seq.ids)) for seq in tokens], dtype=np.intp)
+    return int_ids(tokens, "token ids")
 
 
 def attention_masks(ids) -> Tensor:
@@ -346,14 +345,14 @@ def decode_text(
     ids = token_ids(tokens)
     if ids.size == 0:
         raise ContractError("decode_text: empty token sequence")
-    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+    if np.maximum.reduce(ids.view(np.uintp), None) >= cfg.vocab_size:  # a negative id views as a huge one
         raise VocabError(f"token id out of range for vocabulary of {cfg.vocab_size}")
     lead, t = ids.shape[:-1], ids.shape[-1]
-    cache_given = cache is not None
+    rows, cache_given = math.prod(lead), cache is not None
     if cache is None:
-        cache = DecoderCache(image=np.arange(math.prod(lead)))
-    if math.prod(lead) != len(cache.image):
-        raise ContractError(f"decode_text: {math.prod(lead)} rows of ids for a cache of {len(cache.image)} rows")
+        cache = DecoderCache(image=np.arange(rows))
+    if rows != len(cache.image):
+        raise ContractError(f"decode_text: {rows} rows of ids for a cache of {len(cache.image)} rows")
     start = cache.length
     if start and t > 1:
         raise ContractError(f"decode_text: {t} new positions for a cache of length {start}; add one at a time")
@@ -375,17 +374,17 @@ def decode_text(
                             "a partial context is for a teacher-forced pass without a cache")
 
     for i in range(cfg.depth):
-        b = f"dec.b{i}"
-        wq, wk, wv = (params[f"{b}.self.{name}"] for name in ("wq", "wk", "wv"))
+        b = f"dec.b{i}."
+        wq, wk, wv = params[b + "self.wq"], params[b + "self.wk"], params[b + "self.wv"]
         self_out, _, cache.past[i] = attention(h, wq, wk, wv, inv_sqrt, mask=mask, cached=cache.past[i])
-        h = add_norm(h, self_out, params[f"{b}.ln1.g"], params[f"{b}.ln1.b"])
+        h = add_norm(h, self_out, params[b + "ln1.g"], params[b + "ln1.b"])
 
         # a row without an image map adds an exact zero attention term: h + 0.0 is h
-        wq = params[f"{b}.cross.wq"]
+        wq = params[b + "cross.wq"]
         if context is None:
             cross_out = Tensor(np.zeros(h.shape))
         elif project:
-            wk, wv = params[f"{b}.cross.wk"], params[f"{b}.cross.wv"]
+            wk, wv = params[b + "cross.wk"], params[b + "cross.wv"]
             queries = slice_axis(h, 0, 0, len(context.data)) if partial else h
             cross_out, _, kv = attention(queries, wq, wk, wv, inv_sqrt, context=context)
             cache.cross.append(kv)
@@ -394,9 +393,9 @@ def decode_text(
                 cross_out = concat([cross_out, zeros], axis=0)
         else:
             cross_out, _, _ = attention(h, wq, None, None, inv_sqrt, cached=cache.cross[i])
-        h = add_norm(h, cross_out, params[f"{b}.ln2.g"], params[f"{b}.ln2.b"])
+        h = add_norm(h, cross_out, params[b + "ln2.g"], params[b + "ln2.b"])
 
-        ffn_out = ffn(h, *(params[f"{b}.ffn.{name}"] for name in ("w1", "b1", "w2", "b2")))
-        h = add_norm(h, ffn_out, params[f"{b}.ln3.g"], params[f"{b}.ln3.b"])
+        ffn_out = ffn(h, params[b + "ffn.w1"], params[b + "ffn.b1"], params[b + "ffn.w2"], params[b + "ffn.b2"])
+        h = add_norm(h, ffn_out, params[b + "ln3.g"], params[b + "ln3.b"])
     cache.length += t
     return h

@@ -368,6 +368,10 @@ def _beam_search(model: CaptionModel, images: Tensor, max_len: int, beam_width: 
     for each of its live rows keeps that caption whatever they become.
     Only whole images leave: dropping single rows would free beam slots
     for others and could change the answer.
+
+    Live rows stay in the order of (image, cost, ids).  Read in the order
+    of (image, ids), a step's candidates come in that of (image, ids +
+    (word,)), so one stable sort by (image, cost) ranks them.
     """
     enc_out = encode_image(model, images)
     features = enc_out.features
@@ -375,57 +379,59 @@ def _beam_search(model: CaptionModel, images: Tensor, max_len: int, beam_width: 
     n = len(images.data)
     cache = DecoderCache(image=np.arange(n))
     hidden_sum = np.zeros((n, 1, model.cfg.decoder.dim))  # each live row's sum of its hidden states
+    pooled = Tensor(hidden_sum)  # and their mean: each step puts its running means in as data
     seqs = np.full((n, 1), BOS_ID)  # the ids of every live row so far, one column per step
     cost = np.zeros(n)  # and its negated log-probability
-    rank = np.zeros(n, dtype=np.intp)  # and a rank that orders an image's live rows by their ids
+    pos = np.arange(n)  # and its candidate's place in the order of (image, ids)
     done = [[] for _ in range(n)]  # per image: (normalized score, ids) of each finished beam
     best_done = np.full(n, -np.inf)  # per image: the best of those scores
     longest = float(max_len - 1) ** LENGTH_NORM_POWER  # the length divisor of a caption of max_len ids
     words = np.array([EOS_ID, *range(UNK_ID + 1, model.cfg.decoder.vocab_size)])  # never PAD, BOS or UNK
     deciding = False  # an image may be decided once a beam of a beam_width > 1 search has finished
 
-    def finish(row: int, row_cost: float) -> None:
-        ids = (*seqs[row].tolist(), EOS_ID)
-        image = cache.image[row]
-        score = -float(row_cost) / float(len(ids) - 1) ** LENGTH_NORM_POWER
-        done[image].append((score, ids))
-        best_done[image] = max(best_done[image], score)
+    def finish(rows: np.ndarray, row_costs: np.ndarray) -> None:
+        image = cache.image.take(rows)
+        scores = -row_costs / float(seqs.shape[1]) ** LENGTH_NORM_POWER  # the ids close with EOS
+        np.maximum.at(best_done, image, scores)
+        for i, score, ids in zip(image.tolist(), scores.tolist(), seqs.take(rows, axis=0).tolist()):
+            done[i].append((score, (*ids, EOS_ID)))
 
     for step in range(max_len - 1):
         hidden = decode_text(seqs[:, -1:], model.params, model.cfg.decoder, context=features, cache=cache)
-        hidden_sum = hidden_sum + hidden.data
-        logits = conditioned_logits(model, hidden, img_rows, pooled=Tensor(hidden_sum / (step + 1))).data[:, -1, words]
-        top = logits.max(axis=1, keepdims=True)
-        lp = logits - (top + np.log(np.exp(logits - top).sum(axis=1, keepdims=True)))
+        hidden_sum += hidden.data
+        pooled.data = hidden_sum / (step + 1)
+        logits = conditioned_logits(model, hidden, img_rows, pooled=pooled).data[:, -1].take(words, axis=1)
+        top = np.maximum.reduce(logits, axis=1, keepdims=True)
+        lp = logits - (top + np.log(np.add.reduce(np.exp(logits - top), axis=1, keepdims=True)))
         if not np.isfinite(lp).all():
             image = cache.image[np.isfinite(lp).all(axis=1).argmin()]  # the first row with a non-finite score
             raise NonFiniteError(f"generate: image {image} of the batch has a non-finite score at step {step + 1}")
         costs = cost[:, None] - lp  # of every (row, next word) candidate
         if step == max_len - 2:  # out of room: close every live beam with a forced EOS
-            for row, c in enumerate(costs[:, 0]):
-                finish(row, c)
+            finish(np.arange(len(costs)), costs[:, 0])
             break
-        # only a row's own best beam_width (ties to the smaller id) can rank among its image's best
-        best = np.argsort(costs, axis=1, kind="stable")[:, :beam_width]
-        parent = np.arange(len(best)).repeat(best.shape[1])
-        cost = costs[parent, best.ravel()]
-        tok = words[best.ravel()]
-        if beam_width > 1:  # with one live row per image, that row's best token is its image's best
-            # an image's live rows hold ids of one length, so ids + (tok,) sort as (parent's ids, tok)
-            image = cache.image[parent]
-            order = np.lexsort((tok, rank[parent], cost, image))
-            image = image[order]
-            order = order[np.arange(len(order)) - np.searchsorted(image, image) < beam_width]
-            parent, tok, cost = parent[order], tok[order], cost[order]
-            rank = np.argsort(np.lexsort((tok, rank[parent])))
-        live = tok != EOS_ID
+        if beam_width == 1:  # an image's one row keeps its best word, ties to the smaller id
+            parent = pos = np.arange(len(costs))
+            word = costs.argmin(axis=1)
+            cost = costs[parent, word]
+        else:  # an image keeps its best beam_width candidates by cost, ties to the smaller ids
+            by_ids = pos.argsort()
+            flat = costs.take(by_ids, axis=0).ravel()
+            if n == 1:  # one image: the sort by (image, cost) is one by cost
+                pos = flat.argsort(kind="stable")[:beam_width]
+            else:
+                image = cache.image.repeat(len(words))
+                order = np.lexsort((flat, image))
+                pos = order[np.arange(len(order)) - image.searchsorted(image) < beam_width]
+            row, word = np.divmod(pos, len(words))
+            parent, cost = by_ids.take(row), flat.take(pos)
+        tok, live = words.take(word), word != 0  # words[0] is EOS
         ended = not live.all()
         if ended:
-            for row, c in zip(parent[~live], cost[~live]):
-                finish(row, c)
+            finish(parent[~live], cost[~live])
             deciding = beam_width > 1  # a greedy image's one row ends with its caption: nothing to decide
         if deciding:  # every row of a decided image leaves; an image with a live row that may still win stays
-            image = cache.image[parent]
+            image = cache.image.take(parent)
             undecided = np.zeros(n, dtype=bool)
             undecided[image[live & (best_done[image] <= -cost / longest)]] = True
             live &= undecided[image]
@@ -433,10 +439,11 @@ def _beam_search(model: CaptionModel, images: Tensor, max_len: int, beam_width: 
         if ended:
             if not live.any():
                 break
-            parent, tok, cost, rank = parent[live], tok[live], cost[live], rank[live]
+            parent, tok, cost, pos = parent[live], tok[live], cost[live], pos[live]
         if beam_width > 1 or len(parent) < len(cache.image):  # one beam per image, none ended: rows stay put
             cache.select(parent)
-            hidden_sum, img_rows, seqs = hidden_sum[parent], Tensor(img_rows.data[parent]), seqs[parent]
+            hidden_sum, seqs = hidden_sum.take(parent, axis=0), seqs.take(parent, axis=0)
+            img_rows.data = img_rows.data.take(parent, axis=0)  # the search's own tensor, on no tape
         seqs = np.concatenate((seqs, tok[:, None]), axis=1)
     chosen = [min(finished, key=lambda c: (-c[0], c[1]))[1] for finished in done]
     return [TokenSequence(ids=ids, length=len(ids)) for ids in chosen]

@@ -1,6 +1,7 @@
 """The fused attention op against its per-op composition and central differences."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,17 @@ class TestFusedAttention:
             with pytest.raises(ShapeError, match="windows do not tile 5 rows"):
                 attention(x, Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 4))), 1.0,
                           window=window)
+
+    @pytest.mark.parametrize("cached_shape", [(2, 1, 3, 9), (3, 1, 3, 8), (2, 2, 3, 8)],
+                             ids=["width", "heads", "rows"])
+    def test_cached_keys_and_values_that_do_not_fit_are_a_shape_error(self, cached_shape):
+        x, w = Tensor(np.zeros((1, 1, 16))), Tensor(np.zeros((2, 8, 8)))  # one row, 2 heads of width 8
+        cached = (np.zeros(cached_shape), np.zeros(cached_shape))
+        named = re.escape(f"cached keys {cached_shape} and values {cached_shape} do not fit queries (2, 1, 1, 8)")
+        with pytest.raises(ShapeError, match=named):
+            attention(x, w, w, w, 0.5, cached=cached)
+        with pytest.raises(ShapeError, match="do not fit queries"):
+            attention(x, w, None, None, 0.5, cached=cached)
 
     @pytest.mark.parametrize("keys", ["none", "wk only", "wv only"])
     def test_key_and_value_weights_come_together_or_cached_replaces_them(self, keys):

@@ -594,6 +594,14 @@ class TestShapeErrors:
         with pytest.raises(ShapeError):
             take_rows(Tensor(np.zeros((2, 3))), [0, 2])
 
+    @pytest.mark.parametrize("indices", [[1.9], np.array([0.0, 1.0]), [True]], ids=["float", "float array", "bool"])
+    def test_take_rows_refuses_indices_that_are_not_integers(self, indices):
+        with pytest.raises(ContractError, match="must be integers"):
+            take_rows(Tensor(np.arange(6.0).reshape(3, 2)), indices)
+
+    def test_take_rows_of_no_indices_is_an_empty_gather(self):
+        assert take_rows(Tensor(np.zeros((3, 2))), []).shape == (0, 2)
+
     def test_cross_entropy_bad_target(self):
         with pytest.raises(ContractError):
             cross_entropy(Tensor(np.zeros((1, 3))), [3])

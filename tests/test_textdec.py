@@ -240,6 +240,14 @@ class TestDecodeText:
         with pytest.raises(ContractError):
             decode_text([], params, cfg)
 
+    @pytest.mark.parametrize("ids", [np.array([[1.0, 4.7, 2.2]]), [1.5, 4, 2], np.array([1.0, 4.0, 2.0])],
+                             ids=["float array", "float list", "integral floats"])
+    def test_rejects_token_ids_that_are_not_integers(self, ids):
+        cfg = tiny_cfg()
+        params = init_decoder_params(cfg, np.random.default_rng(6))
+        with pytest.raises(ContractError, match="token ids must be integers"):
+            decode_text(ids, params, cfg)
+
     @pytest.mark.parametrize("ids", [[PAD_ID], [PAD_ID, 4], [[BOS_ID], [PAD_ID]], [[BOS_ID, 4], [PAD_ID, 4]]])
     def test_a_fresh_cache_rejects_a_leading_pad_at_any_length(self, ids):
         cfg = tiny_cfg()

@@ -765,6 +765,28 @@ class TestGenerate:
         assert steps == [["take_rows", "add_bias", "attention", "add_norm", "attention", "add_norm", "ffn",
                           "add_norm", "fused_logits"]] * len(steps)
 
+    def test_every_beam_4_decoder_step_makes_the_same_9_op_calls(self, monkeypatch):
+        """A beam search's step runs the greedy step's ops over its rows: its bookkeeping adds none."""
+        _, _, model, pairs, _ = synthetic_setup()
+        ops, starts = [], []
+        record, decode = autograd._record, train_mod.decode_text
+
+        def counting_record(*args):
+            ops.append(sys._getframe(1).f_code.co_name)
+            return record(*args)
+
+        def spy(*args, **kwargs):
+            starts.append(len(ops))
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(autograd, "_record", counting_record)
+        monkeypatch.setattr(train_mod, "decode_text", spy)
+        generate(model, pairs[0].image, max_len=8, beam_width=4)
+        steps = [ops[start:end] for start, end in zip(starts, starts[1:] + [len(ops)])]
+        assert len(steps) >= 2
+        assert steps == [["take_rows", "add_bias", "attention", "add_norm", "attention", "add_norm", "ffn",
+                          "add_norm", "fused_logits"]] * len(steps)
+
     def test_greedy_forward_flops_match_the_closed_form(self):
         """The cached path counts each step's products on its one new position, as the closed form does."""
         ds, vocab, model, pairs, _ = synthetic_setup()
