@@ -371,7 +371,8 @@ def _beam_search(model: CaptionModel, images: Tensor, max_len: int, beam_width: 
 
     Live rows stay in the order of (image, cost, ids).  Read in the order
     of (image, ids), a step's candidates come in that of (image, ids +
-    (word,)), so one stable sort by (image, cost) ranks them.
+    (word,)), so one stable sort by (image, cost) ranks them; it sorts only
+    those up to their row's beam_width-th lowest cost (a partition finds it).
     """
     enc_out = encode_image(model, images)
     features = enc_out.features
@@ -415,16 +416,18 @@ def _beam_search(model: CaptionModel, images: Tensor, max_len: int, beam_width: 
             word = costs.argmin(axis=1)
             cost = costs[parent, word]
         else:  # an image keeps its best beam_width candidates by cost, ties to the smaller ids
-            by_ids = pos.argsort()
-            flat = costs.take(by_ids, axis=0).ravel()
-            if n == 1:  # one image: the sort by (image, cost) is one by cost
-                pos = flat.argsort(kind="stable")[:beam_width]
-            else:
-                image = cache.image.repeat(len(words))
-                order = np.lexsort((flat, image))
-                pos = order[np.arange(len(order)) - image.searchsorted(image) < beam_width]
+            by_ids = pos.argsort()  # reorders rows within an image only, so cache.image still maps them
+            ranked = costs.take(by_ids, axis=0)
+            k = min(beam_width, len(words)) - 1  # only a row's best beam_width and their ties can rank
+            kept = ranked <= np.partition(ranked, k, axis=1)[:, k:k + 1]
+            pos, flat = kept.ravel().nonzero()[0], ranked[kept]
+            image = cache.image.take(pos // len(words))
+            order = np.lexsort((flat, image))
+            image = image.take(order)
+            order = order[np.arange(len(order)) - image.searchsorted(image) < beam_width]
+            pos, cost = pos.take(order), flat.take(order)
             row, word = np.divmod(pos, len(words))
-            parent, cost = by_ids.take(row), flat.take(pos)
+            parent = by_ids.take(row)
         tok, live = words.take(word), word != 0  # words[0] is EOS
         ended = not live.all()
         if ended:
