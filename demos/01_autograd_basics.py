@@ -3,14 +3,14 @@ Tape-based autograd in a few lines
 ==================================
 
 A Tensor wraps a float64 numpy array.  Running ops inside a Tape
-records how each output was produced; backward() replays the tape in
-reverse and accumulates gradients.  Outside a tape the same ops are
+records how each output was produced; tape.backward(loss) replays the
+tape in reverse and accumulates gradients.  Outside a tape the same ops are
 plain numpy, which is what generation uses.
 """
 
 import numpy as np
 
-from dualcap.autograd import Tape, Tensor, backward, cross_entropy, linear
+from dualcap.autograd import Tape, Tensor, cross_entropy, linear
 
 rng = np.random.default_rng(0)
 
@@ -25,9 +25,9 @@ def forward():
     return cross_entropy(linear(x, w, b), targets)
 
 
-with Tape():
+with Tape() as tape:
     loss = forward()
-backward(loss)
+    tape.backward(loss)
 
 print("loss:", loss.item())
 print("dL/dw:\n", w.grad)

@@ -5,7 +5,7 @@ masked text decoder with a contrastive image-text head, training and
 generation, caption metrics, netpbm/TSV data handling, and a CLI.
 """
 
-from .autograd import Tape, Tensor, backward, contrastive_loss
+from .autograd import Tape, Tensor, contrastive_loss
 from .data import CaptionDataset, load_dataset, make_synthetic, read_netpbm, write_netpbm
 from .encoder import EncoderConfig, encode, heatmap, init_encoder_params, patch_saliency
 from .errors import (
@@ -27,7 +27,6 @@ from .train import TrainConfig, evaluate_model, fit, generate, run_ablation, tra
 __all__ = [
     "Tape",
     "Tensor",
-    "backward",
     "CaptionDataset",
     "load_dataset",
     "make_synthetic",

@@ -1,12 +1,14 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Every value flowing through the models is a :class:`Tensor` wrapping a
-``numpy`` float64 array.  Operations executed inside a ``with Tape():``
-block append one record each (inputs, output, backward rule) to the
-active tape; :func:`backward` replays the tape once in reverse, summing
-gradients wherever a tensor fans out into several consumers.  Outside a
-tape block the same functions run as plain numpy compute, which is how
-generation and evaluation avoid graph bookkeeping.
+``numpy`` float64 array.  Operations executed inside a ``with Tape() as
+tape:`` block append one record each (output, inputs, backward rule) to
+the active tape; ``tape.backward(root)`` replays it once in reverse,
+summing gradients wherever a tensor fans out into several consumers.  A
+tensor does not point back at its tape, so a tape and its graph are
+freed by reference counting.  Outside a tape block the same functions
+run as plain numpy compute, which is how generation and evaluation
+avoid graph bookkeeping.
 
 Shapes are strict.  Ops on matrices and rows also take stacks of them,
 with leading batch axes.  :func:`add_norm`, :func:`l2_normalize` and
@@ -72,14 +74,13 @@ class Tensor:
     :func:`zero_grads` clears it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
-        self.tape: Tape | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -99,29 +100,22 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
-class _Record:
-    __slots__ = ("output", "inputs", "grad_fn")
-
-    def __init__(self, output: Tensor, inputs: tuple[Tensor, ...], grad_fn):
-        self.output = output
-        self.inputs = inputs
-        self.grad_fn = grad_fn
-
-
 class Tape:
     """Ordered log of operations; backward() replays it exactly once.
 
-    Records are appended in execution order, so every record's inputs
-    were produced earlier on the tape and a single reverse sweep in
-    :func:`backward` visits each operation once with its output gradient
-    fully accumulated.
+    Each record is an (output, inputs, grad_fn) tuple, appended in
+    execution order, so every record's inputs were produced earlier on
+    the tape and a single reverse sweep visits each operation once with
+    its output gradient fully accumulated.  A replayed tape is spent: it
+    keeps its records, so len() still counts them, but replays no more.
     """
 
     _active: "Tape | None" = None
 
     def __init__(self):
-        self._records: list[_Record] = []
+        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._outer: Tape | None = None
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         self._outer = Tape._active
@@ -136,19 +130,21 @@ class Tape:
         return len(self._records)
 
     def backward(self, root: Tensor) -> None:
+        """Populate .grad on every requires_grad tensor that root's records reach."""
         if root.size != 1:
             raise ContractError(f"backward root must be scalar, got shape {root.shape}")
-        if root.tape is not self:
+        if self._spent or not any(rec[0] is root for rec in reversed(self._records)):
             raise ContractError("backward root was not recorded on this tape, or the tape was already replayed")
+        self._spent = True
         # id -> (tensor, its gradient so far); only tensors that require grad enter
         grads: dict[int, tuple[Tensor, Array]] = {id(root): (root, np.ones_like(root.data))}
         flops.replaying = True  # the grad functions' products count as backward FLOPs
         try:
-            for rec in reversed(self._records):
-                entry = grads.get(id(rec.output))
+            for output, inputs, grad_fn in reversed(self._records):
+                entry = grads.get(id(output))
                 if entry is None:
                     continue
-                for tensor, g_in in zip(rec.inputs, rec.grad_fn(entry[1])):
+                for tensor, g_in in zip(inputs, grad_fn(entry[1])):
                     if g_in is None or not tensor.requires_grad:
                         continue
                     prior = grads.get(id(tensor))
@@ -157,18 +153,6 @@ class Tape:
             flops.replaying = False
         for tensor, g in grads.values():
             tensor.grad = g if tensor.grad is None else tensor.grad + g
-        # The tape is spent: unlinking the outputs breaks the tensor <-> tape
-        # cycle, so the step's graph is freed by reference counting, and a
-        # second backward from the same root fails the check above.
-        for rec in self._records:
-            rec.output.tape = None
-
-
-def backward(root: Tensor) -> None:
-    """Populate .grad on every requires_grad tensor reachable from root."""
-    if root.tape is None:
-        raise ContractError("backward root is not on any tape (was it computed inside 'with Tape():'?)")
-    root.tape.backward(root)
 
 
 def zero_grads(tensors: Sequence[Tensor]) -> None:
@@ -186,7 +170,6 @@ def _new(data: Array) -> Tensor:
     out.data = data
     out.requires_grad = False
     out.grad = None
-    out.tape = None
     return out
 
 
@@ -196,8 +179,7 @@ def _record(output: Tensor, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
         for t in inputs:
             if t.requires_grad:
                 output.requires_grad = True
-                output.tape = tape
-                tape._records.append(_Record(output, inputs, grad_fn))
+                tape._records.append((output, inputs, grad_fn))
                 break
     return output
 
@@ -434,12 +416,12 @@ def mean_rows(x: Tensor, counts=None) -> Tensor:
     return _record(out, (x,), grad_fn)
 
 
-def add_norm(h: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def add_norm(h: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """A post-norm residual as one op: h + y normalized over its last axis, then scaled and shifted.
 
-    The sum gets zero mean and unit variance per row (eps inside the
-    square root); gain and bias are length-C vectors applied to every
-    row of a tensor of any rank.
+    The sum gets zero mean and unit variance per row (1e-5 added to the
+    variance inside the square root); gain and bias are length-C vectors
+    applied to every row of a tensor of any rank.
     """
     shape = h.data.shape
     if shape != y.data.shape:
@@ -453,7 +435,7 @@ def add_norm(h: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5
     # np.mean and np.var, written out: the same sums and divisions, fewer calls
     centered = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv
     out = _new(xhat * gain.data + bias.data)
 
@@ -467,11 +449,11 @@ def add_norm(h: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5
     return _record(out, (h, y, gain, bias), grad_fn)
 
 
-def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale each row (or a 1-D vector) to unit Euclidean norm; any rank."""
+def l2_normalize(x: Tensor) -> Tensor:
+    """Scale each row (or a 1-D vector) to unit Euclidean norm, 1e-12 added to the squared norm; any rank."""
     if x.data.ndim < 1:
         raise ShapeError(f"l2_normalize: expected at least 1-D input, got {x.shape}")
-    norm = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) + eps)
+    norm = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) + 1e-12)
     out = _new(x.data / norm)
 
     def grad_fn(g: Array):
@@ -487,13 +469,13 @@ def cross_entropy(logits: Tensor, target_ids, ignore_id: int | None = None) -> T
     T x V logits with T targets give the mean over rows, shape (1,).  A
     stack (..., T, V) with (..., T) targets gives one mean per matrix,
     shape (...).  Rows whose target equals ignore_id are dropped from
-    their mean.  The target probability is clamped at 1e-12 before the
-    log; a clamped row contributes a constant to the loss and zero
-    gradient.
+    their mean.  Targets of a non-integer dtype raise ContractError.  The
+    target probability is clamped at 1e-12 before the log; a clamped row
+    contributes a constant to the loss and zero gradient.
     """
     if logits.data.ndim < 2:
         raise ShapeError(f"cross_entropy: logits must be at least 2-D, got {logits.shape}")
-    targets = np.asarray(target_ids, dtype=np.intp)
+    targets = int_ids(target_ids, "cross_entropy: targets")
     lead, v = logits.shape[:-2], logits.shape[-1]
     if targets.shape != logits.shape[:-1]:
         raise ShapeError(

@@ -9,19 +9,17 @@ Definitions follow the standard formulations:
 
 * BLEU: corpus-level clipped modified n-gram precision with the closest
   reference length for the brevity penalty (ties go to the shorter
-  reference).  Unsmoothed by default; optional add-epsilon smoothing
-  rescues zero match counts (a candidate with no k-grams at all still
-  scores zero).
+  reference).  Unsmoothed: an order with no clipped match scores zero.
 * ROUGE-L: per image, the max over references of the LCS-based F-score
-  with beta = 1.2; the corpus score is the mean over images.
+  with beta = 1.2 (ROUGE_BETA); the corpus score is the mean over images.
 * METEOR: exact unigram matching only (no stems or synonyms).  The
   fragmentation penalty uses the minimal chunk count over all maximum
   alignments, found by exact search that branches only where a maximum
   alignment can still be reached (exponential in the worst case).
-* CIDEr: TF-IDF weighted n-gram cosine similarity, n = 1..4, averaged
-  over n and references, scaled by 10.  IDF comes from the corpus
-  itself, so a single-image corpus degenerates to all-zero IDF and a
-  warning is raised.
+* CIDEr: TF-IDF weighted n-gram cosine similarity, n = 1..4
+  (CIDER_MAX_N), averaged over n and references, scaled by 10.  IDF
+  comes from the corpus itself, so a single-image corpus degenerates to
+  all-zero IDF and a warning is raised.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from .textdec import tokenize
 
 ROUGE_BETA = 1.2
 CIDER_MAX_N = 4
-BLEU_EPSILON = 1e-9
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,7 @@ def _closest_ref_length(cand_len: int, ref_lens: Sequence[int]) -> int:
     return min(ref_lens, key=lambda r: (abs(r - cand_len), r))
 
 
-def bleu(corpus: ScoredCorpus, n: int = 4, smoothing: bool = False) -> float:
+def bleu(corpus: ScoredCorpus, n: int = 4) -> float:
     """Corpus-level BLEU-n: geometric mean of clipped k-gram precisions.
 
     Numerators and denominators accumulate over the whole corpus before
@@ -150,12 +147,8 @@ def bleu(corpus: ScoredCorpus, n: int = 4, smoothing: bool = False) -> float:
     for k in range(1, n + 1):
         counts = corpus.ngrams(k)
         num, den = counts.clipped, counts.total
-        if den == 0:
-            return 0.0  # candidate too short for any k-gram
         if num == 0:
-            if not smoothing:
-                return 0.0
-            num = BLEU_EPSILON  # add-epsilon rescue for zero match counts
+            return 0.0  # no clipped k-gram match, or a candidate too short for any k-gram
         log_sum += math.log(num / den)
     brevity = 1.0 if cand_total > ref_total else math.exp(1.0 - ref_total / cand_total)
     return brevity * math.exp(log_sum / n)
@@ -177,8 +170,9 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return table[-1][-1]
 
 
-def rouge_l(corpus: ScoredCorpus, beta: float = ROUGE_BETA) -> float:
+def rouge_l(corpus: ScoredCorpus) -> float:
     """Mean over images of the best LCS F-score against any reference."""
+    beta2 = ROUGE_BETA * ROUGE_BETA
     total = 0.0
     for e in corpus.entries:
         best = 0.0
@@ -188,9 +182,9 @@ def rouge_l(corpus: ScoredCorpus, beta: float = ROUGE_BETA) -> float:
                 continue
             precision = lcs / len(e.candidate)
             recall = lcs / len(ref)
-            denominator = recall + beta * beta * precision
+            denominator = recall + beta2 * precision
             if denominator > 0:
-                best = max(best, (1 + beta * beta) * precision * recall / denominator)
+                best = max(best, (1 + beta2) * precision * recall / denominator)
         total += best
     return total / len(corpus.entries)
 
@@ -268,7 +262,7 @@ def meteor(corpus: ScoredCorpus) -> float:
 # CIDEr
 
 
-def cider(corpus: ScoredCorpus, max_n: int = CIDER_MAX_N) -> float:
+def cider(corpus: ScoredCorpus) -> float:
     """TF-IDF n-gram cosine similarity, averaged over n and references.
 
     IDF(g) = ln(N / max(1, df(g))) where df counts images whose
@@ -278,7 +272,7 @@ def cider(corpus: ScoredCorpus, max_n: int = CIDER_MAX_N) -> float:
     n_images = len(corpus.entries)
     if n_images == 1:
         warnings.warn("cider: single-image corpus has degenerate IDF (all zeros)", stacklevel=2)
-    orders = [corpus.ngrams(k) for k in range(1, max_n + 1)]
+    orders = [corpus.ngrams(k) for k in range(1, CIDER_MAX_N + 1)]
     idf: list[dict] = []
     for counts in orders:
         df = Counter()
@@ -306,7 +300,7 @@ def cider(corpus: ScoredCorpus, max_n: int = CIDER_MAX_N) -> float:
             cand_vec = tfidf(counts.candidates[i], weights)
             sims = [cosine(cand_vec, tfidf(ref, weights)) for ref in counts.references[i]]
             per_n.append(sum(sims) / len(sims))
-        total += 10.0 * sum(per_n) / max_n
+        total += 10.0 * sum(per_n) / CIDER_MAX_N
     return total / n_images
 
 
@@ -335,13 +329,13 @@ class ScoreReport:
         return dict(zip(self.COLUMNS, self.values()))
 
 
-def score_report(corpus: ScoredCorpus, smoothing: bool = False) -> ScoreReport:
+def score_report(corpus: ScoredCorpus) -> ScoreReport:
     """Run every metric over the corpus; BLEU-1..4 and CIDEr share its n-gram counts."""
     return ScoreReport(
-        b1=bleu(corpus, 1, smoothing),
-        b2=bleu(corpus, 2, smoothing),
-        b3=bleu(corpus, 3, smoothing),
-        b4=bleu(corpus, 4, smoothing),
+        b1=bleu(corpus, 1),
+        b2=bleu(corpus, 2),
+        b3=bleu(corpus, 3),
+        b4=bleu(corpus, 4),
         rouge_l=rouge_l(corpus),
         meteor=meteor(corpus),
         cider=cider(corpus),

@@ -2,17 +2,20 @@
 
 Text is lowercased, punctuation becomes whitespace, and tokens map
 through a frequency-ordered vocabulary with four reserved ids (PAD=0,
-BOS=1, EOS=2, UNK=3).  The decoder itself is a stack of post-norm
-transformer blocks: causal self-attention (a position sees itself and
-earlier positions only; PAD keys are masked out), cross-attention over
-encoder patch features, and a GELU feed-forward (one ``autograd.ffn``
-op), each closed by a post-norm residual (``add_norm``).  Each attention
-sublayer stores its heads stacked, one (N_h, C_in, C_h) weight per
-projection, and runs as one :func:`autograd.attention` op: the
-cross-attention keys and values are one GEMM of the context rows
-against the N_h heads side by side.  The decoder returns hidden states;
-the output head, tied to the input embedding, is applied by
-model.conditioned_logits after the fused image-text conditioning.
+BOS=1, EOS=2, UNK=3).  A caption is a :class:`TokenSequence` of BOS,
+words and EOS, never padded; :func:`token_ids` pads a batch of them to
+its longest, the one place PAD is written.  The decoder itself is a
+stack of post-norm transformer blocks: causal self-attention (a
+position sees itself and earlier positions only; PAD keys are masked
+out), cross-attention over encoder patch features, and a GELU
+feed-forward (one ``autograd.ffn`` op), each closed by a post-norm
+residual (``add_norm``).  Each attention sublayer stores its heads
+stacked, one (N_h, C_in, C_h) weight per projection, and runs as one
+:func:`autograd.attention` op: the cross-attention keys and values are
+one GEMM of the context rows against the N_h heads side by side.  The
+decoder returns hidden states; the output head, tied to the input
+embedding, is applied by model.conditioned_logits after the fused
+image-text conditioning.
 
 The cross-attention sublayer always runs.  With context=None its
 attention term is exactly zero, which makes no-context decoding
@@ -110,9 +113,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_id
-
     def token_id(self, token: str) -> int:
         return self._token_to_id.get(token, UNK_ID)
 
@@ -145,51 +145,30 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Token ids in decoder order: BOS, words, EOS, then PAD only.
-
-    ``length`` counts the real tokens (BOS through EOS inclusive);
-    ``ids[length:]`` must be PAD.
-    """
+    """Token ids in decoder order: BOS, words, EOS; ``length`` counts them all."""
 
     ids: tuple[int, ...]
-    length: int
 
     def __post_init__(self):
-        ids = tuple(int(i) for i in self.ids)
+        ids = tuple(int_ids(self.ids, "sequence ids").tolist())
         object.__setattr__(self, "ids", ids)
-        if not 2 <= self.length <= len(ids):
-            raise ContractError(f"sequence length {self.length} invalid for {len(ids)} ids")
-        if ids[0] != BOS_ID:
-            raise ContractError(f"sequence must start with BOS, got id {ids[0]}")
-        if ids[self.length - 1] != EOS_ID:
-            raise ContractError(f"sequence position {self.length - 1} must be EOS, got id {ids[self.length - 1]}")
-        body = ids[1:self.length - 1]
-        if any(i in (PAD_ID, BOS_ID, EOS_ID) for i in body):
+        if len(ids) < 2 or ids[0] != BOS_ID or ids[-1] != EOS_ID:
+            raise ContractError(f"sequence must run from BOS to EOS, got ids {ids}")
+        if any(i in (PAD_ID, BOS_ID, EOS_ID) for i in ids[1:-1]):
             raise ContractError("reserved id inside the sequence body")
-        if any(i != PAD_ID for i in ids[self.length:]):
-            raise ContractError("non-PAD id after EOS")
+
+    @property
+    def length(self) -> int:
+        return len(self.ids)
 
     def words(self) -> tuple[int, ...]:
         """The ids between BOS and EOS."""
-        return self.ids[1:self.length - 1]
+        return self.ids[1:-1]
 
 
-def encode_caption(vocab: Vocabulary, text: str, max_len: int | None = None) -> TokenSequence:
-    """Text -> BOS + token ids + EOS, padded to max_len when given.
-
-    Captions longer than max_len - 2 tokens are truncated so EOS always
-    fits.
-    """
-    word_ids = vocab.encode(tokenize(text))
-    if max_len is not None:
-        if max_len < 3:
-            raise ContractError(f"max_len must be >= 3, got {max_len}")
-        word_ids = word_ids[:max_len - 2]
-    ids = [BOS_ID, *word_ids, EOS_ID]
-    length = len(ids)
-    if max_len is not None:
-        ids.extend([PAD_ID] * (max_len - length))
-    return TokenSequence(ids=tuple(ids), length=length)
+def encode_caption(vocab: Vocabulary, text: str) -> TokenSequence:
+    """Text -> BOS + token ids + EOS."""
+    return TokenSequence(ids=(BOS_ID, *vocab.encode(tokenize(text)), EOS_ID))
 
 
 @dataclass(frozen=True)

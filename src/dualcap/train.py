@@ -449,7 +449,7 @@ def _beam_search(model: CaptionModel, images: Tensor, max_len: int, beam_width: 
             img_rows.data = img_rows.data.take(parent, axis=0)  # the search's own tensor, on no tape
         seqs = np.concatenate((seqs, tok[:, None]), axis=1)
     chosen = [min(finished, key=lambda c: (-c[0], c[1]))[1] for finished in done]
-    return [TokenSequence(ids=ids, length=len(ids)) for ids in chosen]
+    return [TokenSequence(ids=ids) for ids in chosen]
 
 
 def sequence_text(vocab: Vocabulary, seq: TokenSequence) -> str:

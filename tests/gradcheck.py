@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from dualcap.autograd import Tape, Tensor, backward, zero_grads
+from dualcap.autograd import Tape, Tensor, zero_grads
 
 
 def fd_grads(build: Callable[[], Tensor], tensors: Sequence[Tensor], h: float = 1e-5) -> list[np.ndarray]:
@@ -38,9 +38,9 @@ def analytic_grads(build: Callable[[], Tensor], tensors: Sequence[Tensor]) -> li
     for t in tensors:
         t.requires_grad = True
     zero_grads(tensors)
-    with Tape():
+    with Tape() as tape:
         out = build()
-    backward(out)
+    tape.backward(out)
     return [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
 
 

@@ -1,9 +1,11 @@
 """Tape-based autograd: finite-difference oracles and structural invariants."""
 
 import ast
+import gc
 import importlib
 import inspect
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,6 @@ from dualcap.autograd import (
     add,
     add_bias,
     add_norm,
-    backward,
     concat,
     cross_entropy,
     exp,
@@ -292,9 +293,9 @@ class TestBatchedOps:
         n = {"one": np.ones((3, 4), dtype=int), "all": np.full((3, 4), 5),
              "mixed": rng.integers(1, 6, size=(3, 4))}[counts]
         weights = Tensor(rng.standard_normal((3, 4, 6)))
-        with Tape():
+        with Tape() as tape:
             out = mean_rows(x, n)
-            backward(mean(mul(out, weights)))
+            tape.backward(mean(mul(out, weights)))
         g = np.full(out.shape, 1.0 / out.size) * weights.data  # what mean and mul hand back to mean_rows
         flat = x.data.reshape(-1, 5, 6)
         loop = np.array([np.add.reduce(flat[i, :k], axis=0) / k for i, k in enumerate(n.reshape(-1))])
@@ -317,38 +318,40 @@ class TestTapeMechanics:
     def test_fanout_accumulates_exactly_once_per_record(self):
         """A diamond graph gives grad 2+3=5; a double visit would give 10."""
         x = Tensor([[1.0, 2.0]], requires_grad=True)
-        with Tape():
+        with Tape() as tape:
             a = scale(x, 2.0)
             b = scale(x, 3.0)
             out = mean(add(a, b))
-        backward(out)
+        tape.backward(out)
         np.testing.assert_allclose(x.grad, np.full((1, 2), 5.0 / 2.0), rtol=0, atol=0)
 
     def test_grad_accumulates_across_backward_calls(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         for _ in range(2):
-            with Tape():
+            with Tape() as tape:
                 out = mean(x)
-            backward(out)
+            tape.backward(out)
         np.testing.assert_allclose(x.grad, np.full(3, 2.0 / 3.0))
         zero_grads([x])
         assert x.grad is None
 
     def test_intermediates_receive_grads(self):
         x = Tensor([1.0, 4.0], requires_grad=True)
-        with Tape():
+        with Tape() as tape:
             y = scale(x, 2.0)
             out = mean(y)
-        backward(out)
+        tape.backward(out)
         assert y.requires_grad
         np.testing.assert_allclose(y.grad, [0.5, 0.5])
 
     def test_no_tape_records_nothing(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = scale(x, 2.0)
-        assert y.tape is None and not y.requires_grad
+        assert not y.requires_grad
+        with Tape() as tape:
+            pass
         with pytest.raises(ContractError):
-            backward(mean(y))
+            tape.backward(mean(y))
 
     def test_non_grad_inputs_record_nothing(self):
         with Tape() as tape:
@@ -358,10 +361,10 @@ class TestTapeMechanics:
 
     def test_backward_requires_scalar_root(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
-        with Tape():
+        with Tape() as tape:
             y = scale(x, 2.0)
         with pytest.raises(ContractError):
-            backward(y)
+            tape.backward(y)
 
     def test_second_backward_on_the_same_root_raises(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -371,10 +374,23 @@ class TestTapeMechanics:
         first = x.grad.copy()
         with pytest.raises(ContractError):
             tape.backward(out)
-        with pytest.raises(ContractError):
-            backward(out)
         np.testing.assert_array_equal(x.grad, first)
         assert len(tape) == 2  # a spent tape still counts its records
+
+    def test_a_tape_dropped_without_a_replay_is_freed_by_reference_counting(self):
+        """No tensor points back at its tape, so no cycle keeps a step's arrays alive until a collection."""
+        gc.disable()
+        try:
+            x = Tensor(np.ones((3, 4)), requires_grad=True)
+            with Tape() as tape:
+                hidden = linear(x, Tensor(np.ones((4, 2)), requires_grad=True), Tensor(np.zeros(2)))
+                out = mean(hidden)
+            assert len(tape) == 2
+            data = weakref.ref(hidden.data)
+            del tape, hidden, out
+            assert data() is None
+        finally:
+            gc.enable()
 
     def test_root_must_be_on_the_given_tape(self):
         x = Tensor([1.0], requires_grad=True)
@@ -406,11 +422,17 @@ class TestOpSemantics:
 
     def test_cross_entropy_clamps_vanishing_probability(self):
         logits = Tensor(np.array([[0.0, 0.0, 0.0, -40.0]]), requires_grad=True)
-        with Tape():
+        with Tape() as tape:
             loss = cross_entropy(logits, [3])
         assert abs(loss.item() - (-math.log(1e-12))) < 1e-12
-        backward(loss)
+        tape.backward(loss)
         np.testing.assert_array_equal(logits.grad, np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("targets", [[1.7], np.array([1.7])], ids=["list", "array"])
+    def test_cross_entropy_refuses_non_integer_targets(self, targets):
+        """A float target raises, where truncating it would score target 1."""
+        with pytest.raises(ContractError, match="cross_entropy: targets must be integers"):
+            cross_entropy(Tensor([[0.0, 5.0, 0.0]]), targets)
 
     def test_cross_entropy_ignore_id_drops_rows(self):
         rng = np.random.default_rng(3)
@@ -437,19 +459,19 @@ class TestOpSemantics:
     def test_reshape_round_trip_is_identity(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-        with Tape():
+        with Tape() as tape:
             y = reshape(reshape(x, (3, 8)), (4, 6))
             out = mean(mul(y, y))
         np.testing.assert_array_equal(y.data, x.data)
-        backward(out)
+        tape.backward(out)
         np.testing.assert_allclose(x.grad, 2.0 * x.data / x.size)
 
     def test_embedding_duplicate_ids_sum_gradients(self):
         table = Tensor(np.zeros((4, 2)), requires_grad=True)
-        with Tape():
+        with Tape() as tape:
             rows = take_rows(table, [1, 1, 3])
             out = mean(rows)
-        backward(out)
+        tape.backward(out)
         np.testing.assert_allclose(table.grad[1], np.full(2, 2.0 / 6.0))
         np.testing.assert_allclose(table.grad[3], np.full(2, 1.0 / 6.0))
         np.testing.assert_allclose(table.grad[0], np.zeros(2))

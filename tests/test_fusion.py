@@ -7,7 +7,7 @@ import pytest
 
 import dualcap.autograd as ag
 from dualcap import flops
-from dualcap.autograd import Tape, Tensor, backward, concat, contrastive_loss, exp, reshape
+from dualcap.autograd import Tape, Tensor, concat, contrastive_loss, exp, reshape
 from dualcap.errors import ContractError, ShapeError
 from dualcap.model import INITIAL_TEMPERATURE, pool_and_project, retrieval_accuracy
 
@@ -138,7 +138,7 @@ class TestContrastiveLoss:
                       Tensor([tau], requires_grad=True)]
             with Tape() as tape:
                 loss = loss_fn(*inputs)
-            backward(loss)
+            tape.backward(loss)
             results.append([len(tape), loss.data] + [t.grad for t in inputs])
         (records, *fused), (_, *oracle) = results
         assert records == 1
@@ -163,9 +163,9 @@ class TestContrastiveLoss:
         img = Tensor(np.eye(3) + 0.1 * rng.standard_normal((3, 3)), requires_grad=True)
         txt = Tensor(np.eye(3) + 0.1 * rng.standard_normal((3, 3)), requires_grad=True)
         log_temp = Tensor([0.0], requires_grad=True)
-        with Tape():
+        with Tape() as tape:
             loss = contrastive_loss(img, txt, temperature=exp(log_temp))
-        backward(loss)
+        tape.backward(loss)
         assert log_temp.grad is not None and log_temp.grad.shape == (1,)
 
 
@@ -191,7 +191,7 @@ class TestFusedLogits:
             inputs = [Tensor(a, requires_grad=True) for a in arrays]
             with flops.count_flops() as counter, Tape() as tape:
                 logits = head(*inputs)
-                backward(ag.mean(composed.mul(logits, probe)))
+                tape.backward(ag.mean(composed.mul(logits, probe)))
             results.append((len(tape) - 2, counter.total, counter.backward, logits.data, [x.grad for x in inputs]))
         (records, fused_flops, fused_backward, *fused), (chain_records, chain_flops, chain_backward, *chain) = results
         assert (records, chain_records) == (1, 9 if pooled else 10)

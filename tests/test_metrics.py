@@ -32,7 +32,7 @@ def o_ngrams(tokens, k):
     return [tuple(tokens[i:i + k]) for i in range(len(tokens) - k + 1)]
 
 
-def oracle_bleu(entries, n, smoothing=False):
+def oracle_bleu(entries, n):
     numer = [0.0] * n
     denom = [0.0] * n
     c_total = 0
@@ -52,12 +52,8 @@ def oracle_bleu(entries, n, smoothing=False):
     product = 1.0
     for k in range(n):
         num, den = numer[k], denom[k]
-        if den == 0:
+        if den == 0 or num == 0:
             return 0.0
-        if num == 0:
-            if not smoothing:
-                return 0.0
-            num = 1e-9
         product *= num / den
     bp = 1.0 if c_total > r_total else math.exp(1 - r_total / c_total)
     return bp * product ** (1.0 / n)
@@ -249,7 +245,6 @@ class TestOracleEquivalence:
         corpus = corpus_of(entries)
         for n in (1, 2, 3, 4):
             assert abs(bleu(corpus, n) - oracle_bleu(entries, n)) < 1e-9
-        assert abs(bleu(corpus, 2, smoothing=True) - oracle_bleu(entries, 2, smoothing=True)) < 1e-9
         assert abs(rouge_l(corpus) - oracle_rouge(entries)) < 1e-9
         assert abs(meteor(corpus) - oracle_meteor(entries)) < 1e-9
         with warnings.catch_warnings():
@@ -303,13 +298,12 @@ class TestRangesAndEdges:
         assert meteor(corpus) == 0.0
         assert cider(corpus) == 0.0
 
-    def test_unsmoothed_bleu4_zero_but_smoothed_positive(self):
+    def test_unsmoothed_bleu4_is_zero_without_a_4gram_match(self):
         corpus = corpus_of([(["a", "b"], [["a", "b"]])])  # no 3-grams at all
         assert bleu(corpus, 4) == 0.0
-        assert bleu(corpus, 4, smoothing=True) == 0.0  # denominator also empty
         longer = corpus_of([(["a", "b", "c", "x"], [["a", "b", "c", "d"]])])
         assert bleu(longer, 4) == 0.0  # no matching 4-gram
-        assert bleu(longer, 4, smoothing=True) > 0.0
+        assert bleu(longer, 3) > 0.0
 
     def test_validation(self):
         with pytest.raises(ContractError):
@@ -382,17 +376,16 @@ class TestOnePass:
     @ONE_PASS
     @given(entries=branching_corpora())
     def test_score_report_equals_standalone_metrics_and_oracles(self, entries):
-        for smoothing in (False, True):
-            report = score_report(corpus_of(entries), smoothing)
-            standalone = (
-                *(bleu(corpus_of(entries), n, smoothing) for n in (1, 2, 3, 4)),
-                rouge_l(corpus_of(entries)),
-                meteor(corpus_of(entries)),
-                cider(corpus_of(entries)),
-            )
-            assert report.values() == standalone
-            for n in (1, 2, 3, 4):
-                assert abs(report.values()[n - 1] - oracle_bleu(entries, n, smoothing)) < 1e-9
+        report = score_report(corpus_of(entries))
+        standalone = (
+            *(bleu(corpus_of(entries), n) for n in (1, 2, 3, 4)),
+            rouge_l(corpus_of(entries)),
+            meteor(corpus_of(entries)),
+            cider(corpus_of(entries)),
+        )
+        assert report.values() == standalone
+        for n in (1, 2, 3, 4):
+            assert abs(report.values()[n - 1] - oracle_bleu(entries, n)) < 1e-9
         assert abs(report.rouge_l - oracle_rouge(entries)) < 1e-9
         assert abs(report.cider - oracle_cider(entries)) < 1e-9
         # the brute force enumerates up to 17M alignments for 9 equal tokens a

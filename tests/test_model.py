@@ -247,12 +247,13 @@ class TestEmbeddings:
         assert np.linalg.norm(vec.data) == pytest.approx(1.0, abs=1e-9)
 
     def test_text_embedding_ignores_padding(self):
+        """In a ragged batch the shorter caption, PAD-padded to the longer, embeds as it does alone."""
         model = tiny_model()
         short = encode_caption(model.vocab, "red dot")
-        padded = encode_caption(model.vocab, "red dot", max_len=9)
-        a = text_embedding(model, short).data
-        b = text_embedding(model, padded).data
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        longer = encode_caption(model.vocab, "red dot blue box red dot blue")
+        batch = text_embedding(model, [longer, short]).data
+        np.testing.assert_allclose(batch[1], text_embedding(model, short).data, atol=1e-12)
+        np.testing.assert_allclose(batch[0], text_embedding(model, longer).data, atol=1e-12)
 
 
 class TestConditionedLogits:

@@ -56,7 +56,7 @@ class TestVocabulary:
 
     def test_min_freq_filters(self):
         v = Vocabulary.from_corpus(["a a b"], min_freq=2)
-        assert "a" in v and "b" not in v
+        assert v.token_id("a") == 4 and len(v) == 5
         assert v.token_id("b") == UNK_ID
 
     def test_unknown_maps_to_unk(self):
@@ -117,30 +117,34 @@ class TestVocabulary:
 class TestTokenSequence:
     def test_encode_caption_structure(self):
         v = Vocabulary.from_corpus(["a red square"])
-        seq = encode_caption(v, "a red square", max_len=8)
-        assert seq.ids[0] == BOS_ID and seq.ids[seq.length - 1] == EOS_ID
-        assert seq.length == 5 and len(seq.ids) == 8
-        assert all(i == PAD_ID for i in seq.ids[5:])
+        seq = encode_caption(v, "a red square")
+        assert seq.ids[0] == BOS_ID and seq.ids[-1] == EOS_ID
+        assert seq.length == 5 == len(seq.ids)
         assert seq.words() == tuple(v.encode(["a", "red", "square"]))
-
-    def test_encode_caption_truncates_to_fit_eos(self):
-        v = Vocabulary.from_corpus(["a b c d e f"])
-        seq = encode_caption(v, "a b c d e f", max_len=5)
-        assert len(seq.ids) == 5 and seq.ids[-1] == EOS_ID and seq.length == 5
 
     def test_invariants_are_enforced(self):
         with pytest.raises(ContractError):
-            TokenSequence(ids=(4, 5, EOS_ID), length=3)  # no BOS
+            TokenSequence(ids=(4, 5, EOS_ID))  # no BOS
         with pytest.raises(ContractError):
-            TokenSequence(ids=(BOS_ID, 4, 5), length=3)  # no EOS
+            TokenSequence(ids=(BOS_ID, 4, 5))  # no EOS
         with pytest.raises(ContractError):
-            TokenSequence(ids=(BOS_ID, PAD_ID, EOS_ID), length=3)  # PAD inside
+            TokenSequence(ids=(BOS_ID, PAD_ID, EOS_ID))  # PAD inside
         with pytest.raises(ContractError):
-            TokenSequence(ids=(BOS_ID, EOS_ID, 4), length=2)  # token after EOS
+            TokenSequence(ids=(BOS_ID, EOS_ID, 4))  # token after EOS
+        with pytest.raises(ContractError):
+            TokenSequence(ids=(BOS_ID, 4, EOS_ID, PAD_ID))  # a PAD tail: batches are padded by token_ids only
+        for too_short in [(), (BOS_ID,)]:
+            with pytest.raises(ContractError):
+                TokenSequence(ids=too_short)
+
+    @pytest.mark.parametrize("ids", [(1.9, 4, 2.2), (1, 4.7, 2)], ids=["ends", "body"])
+    def test_non_integer_ids_are_refused_not_truncated(self, ids):
+        with pytest.raises(ContractError, match="sequence ids must be integers"):
+            TokenSequence(ids=ids)
 
     def test_minimal_sequence(self):
-        seq = TokenSequence(ids=(BOS_ID, EOS_ID), length=2)
-        assert seq.words() == ()
+        seq = TokenSequence(ids=(BOS_ID, EOS_ID))
+        assert seq.words() == () and seq.length == 2
 
 
 class TestMasks:
@@ -167,11 +171,11 @@ def tiny_cfg(**kw):
 
 
 def seq(*word_ids, pad_to=None):
+    """BOS, the words, EOS as a TokenSequence; with ``pad_to``, as an id list PAD-padded to that length."""
     ids = [BOS_ID, *word_ids, EOS_ID]
-    length = len(ids)
     if pad_to:
-        ids += [PAD_ID] * (pad_to - length)
-    return TokenSequence(ids=tuple(ids), length=length)
+        return ids + [PAD_ID] * (pad_to - len(ids))
+    return TokenSequence(ids=tuple(ids))
 
 
 class TestDecodeText:

