@@ -392,13 +392,14 @@ def mean_rows(x: Tensor, counts=None) -> Tensor:
     """Mean of the first ``counts`` rows of each matrix of a (..., T, C) stack.
 
     ``counts`` is one int per matrix (a plain int for a 2-D input), or
-    None for all T rows; the output has shape (..., C).  Each mean is
+    None for all T rows; counts of a non-integer dtype raise
+    ContractError.  The output has shape (..., C).  Each mean is
     taken exactly as ``x[:count].mean(axis=0)``.
     """
     if x.data.ndim < 2:
         raise ShapeError(f"mean_rows: expected at least 2-D, got {x.shape}")
     lead, (t, c) = x.shape[:-2], x.shape[-2:]
-    n = np.broadcast_to(np.asarray(t if counts is None else counts, dtype=np.intp), lead).reshape(-1)
+    n = np.broadcast_to(int_ids(t if counts is None else counts, "mean_rows: row counts"), lead).reshape(-1)
     if n.size and (n.min() < 1 or n.max() > t):
         raise ContractError(f"mean_rows: row counts must lie in [1, {t}], got {n.tolist()}")
     flat = x.data.reshape(-1, t, c)

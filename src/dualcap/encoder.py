@@ -41,6 +41,7 @@ import numpy as np
 from . import flops
 from .autograd import (
     Tensor,
+    _new,
     add_norm,
     attention,
     channel_attention,
@@ -191,21 +192,25 @@ def normalize_image(image: Tensor, mean, std) -> Tensor:
 
 
 def sinusoidal_positions(count: int, dim: int, start: int = 0) -> Tensor:
-    """Fixed sin/cos positional table over positions start .. start + count - 1, shape count x dim."""
+    """Fixed sin/cos positional table over positions start .. start + count - 1, shape count x dim.
+
+    The rows are a read-only view of a cached table: writing to them raises.
+    """
     if dim % 2 != 0:
         raise ConfigError(f"sinusoidal positions need an even dim, got {dim}")
-    return Tensor(_sinusoid_table(start + count, dim)[start:])
+    return _new(_sinusoid_table(start + count, dim)[start:])
 
 
 @functools.lru_cache(maxsize=64)
 def _sinusoid_table(count: int, dim: int) -> np.ndarray:
-    """The table behind sinusoidal_positions, built once per shape (callers get a copy of their rows)."""
+    """The table behind sinusoidal_positions, built once per shape and read-only (callers get a view of their rows)."""
     pos = np.arange(count, dtype=np.float64)[:, None]
     idx = np.arange(dim // 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * idx / dim)
     table = np.zeros((count, dim))
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
+    table.flags.writeable = False
     return table
 
 

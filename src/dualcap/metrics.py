@@ -1,21 +1,27 @@
 """Caption quality metrics: BLEU-1..4, ROUGE-L, METEOR, CIDEr.
 
 All metrics share one tokenization (the decoder's) and one container, a
-:class:`ScoredCorpus` of (candidate, references) pairs per image.  The
-corpus counts each caption's n-grams once per order, on first use
-(:meth:`ScoredCorpus.ngrams`), and BLEU-1..4 and CIDEr all read those
-counts, so :func:`score_report` counts every caption once.
-Definitions follow the standard formulations:
+:class:`ScoredCorpus` of (candidate, references) pairs per image.  On
+first use the corpus counts every caption once, all n-gram orders in
+one call (:func:`_ngram_counts`), into plain dicts that keep each
+order's n-grams in order of first occurrence; BLEU-1..4 and CIDEr all
+read those counts (:meth:`ScoredCorpus.ngrams`), so :func:`score_report`
+counts every caption once.  Float sums run in a fixed order (CIDEr's
+over a candidate's n-grams in order of first occurrence), so every value
+is reproducible bit for bit.  Definitions follow the standard formulations:
 
 * BLEU: corpus-level clipped modified n-gram precision with the closest
   reference length for the brevity penalty (ties go to the shorter
   reference).  Unsmoothed: an order with no clipped match scores zero.
 * ROUGE-L: per image, the max over references of the LCS-based F-score
   with beta = 1.2 (ROUGE_BETA); the corpus score is the mean over images.
+  The LCS is the dynamic program's table, kept one row at a time.
 * METEOR: exact unigram matching only (no stems or synonyms).  The
   fragmentation penalty uses the minimal chunk count over all maximum
-  alignments, found by exact search that branches only where a maximum
-  alignment can still be reached (exponential in the worst case).
+  alignments.  When neither side repeats a word the maximum alignment
+  is unique and one pass counts it; otherwise an exact search branches
+  only where a maximum alignment can still be reached (exponential in
+  the worst case).
 * CIDEr: TF-IDF weighted n-gram cosine similarity, n = 1..4
   (CIDER_MAX_N), averaged over n and references, scaled by 10.  IDF
   comes from the corpus itself, so a single-image corpus degenerates to
@@ -25,11 +31,9 @@ Definitions follow the standard formulations:
 from __future__ import annotations
 
 import math
-import operator
 import warnings
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import ContractError
@@ -50,14 +54,16 @@ class CorpusEntry:
 class NgramCounts:
     """One n-gram order over a corpus, counted once and read by every metric.
 
-    Lists run over the corpus entries.  ``ref_max`` holds each n-gram's
-    largest count in any one reference; ``clipped`` and ``total`` are
-    BLEU's corpus numerator and denominator for this order.
+    Lists run over the corpus entries; each count is a dict from n-gram
+    (a tuple of tokens) to count, in order of first occurrence.
+    ``ref_max`` holds each n-gram's largest count in any one reference;
+    ``clipped`` and ``total`` are BLEU's corpus numerator and
+    denominator for this order.
     """
 
-    candidates: list[Counter]
-    references: list[list[Counter]]
-    ref_max: list[Counter]
+    candidates: list[dict]
+    references: list[list[dict]]
+    ref_max: list[dict]
     clipped: int
     total: int
 
@@ -78,7 +84,7 @@ class ScoredCorpus:
             if any(len(r) == 0 for r in e.references):
                 raise ContractError(f"ScoredCorpus: image {e.image_id!r} has an empty reference")
         self.entries = list(entries)
-        self._counts: dict[int, NgramCounts] = {}
+        self._counts: list[NgramCounts] | None = None
 
     @classmethod
     def from_texts(cls, items: Mapping[str, tuple[str, Sequence[str]]]) -> "ScoredCorpus":
@@ -100,21 +106,61 @@ class ScoredCorpus:
         return len(self.entries)
 
     def ngrams(self, n: int) -> NgramCounts:
-        """The n-gram counts of every caption, built on first use and kept,
-        so the entries must not change once a metric has read them."""
-        counts = self._counts.get(n)
-        if counts is None:
-            candidates = [_ngrams(e.candidate, n) for e in self.entries]
-            references = [[_ngrams(r, n) for r in e.references] for e in self.entries]
-            ref_max = [reduce(operator.or_, refs) for refs in references]
-            clipped = sum(min(c, m[g]) for cand, m in zip(candidates, ref_max) for g, c in cand.items())
-            total = sum(cand.total() for cand in candidates)
-            counts = self._counts[n] = NgramCounts(candidates, references, ref_max, clipped, total)
-        return counts
+        """The order-n counts of every caption, n in 1..CIDER_MAX_N.
+
+        The first call counts every order of every caption and keeps
+        them, so the entries must not change once a metric has read them.
+        """
+        if not 1 <= n <= CIDER_MAX_N:
+            raise ContractError(f"ngrams: n must be in 1..{CIDER_MAX_N}, got {n}")
+        if self._counts is None:
+            self._counts = _count_orders(self.entries)
+        return self._counts[n - 1]
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(zip(*(tokens[i:] for i in range(n))))
+def _ngram_counts(tokens: Sequence[str]) -> list[dict]:
+    """One caption's n-gram counts for n = 1..CIDER_MAX_N, each order's
+    n-grams in order of first occurrence (the order Counter(zip(...)) gives)."""
+    tokens = tuple(tokens)
+    orders = []
+    for n in range(1, CIDER_MAX_N + 1):
+        counts: dict[tuple[str, ...], int] = {}
+        for i in range(len(tokens) - n + 1):
+            gram = tokens[i:i + n]
+            counts[gram] = counts.get(gram, 0) + 1
+        orders.append(counts)
+    return orders
+
+
+def _count_orders(entries: Sequence[CorpusEntry]) -> list[NgramCounts]:
+    """Every order's NgramCounts, from one _ngram_counts call per caption."""
+    cands = [_ngram_counts(e.candidate) for e in entries]
+    refs = [list(zip(*map(_ngram_counts, e.references))) for e in entries]  # per entry, per order: its references' counts
+    ref_max = [list(map(_max_counts, rs)) for rs in refs]
+    orders = []
+    for k in range(CIDER_MAX_N):
+        clipped = 0
+        for cand, maxima in zip(cands, ref_max):
+            most = maxima[k]
+            for gram, count in cand[k].items():
+                cap = most.get(gram)
+                if cap:
+                    clipped += count if count < cap else cap
+        total = sum(max(len(e.candidate) - k, 0) for e in entries)
+        orders.append(NgramCounts([c[k] for c in cands], [list(r[k]) for r in refs], [m[k] for m in ref_max], clipped, total))
+    return orders
+
+
+def _max_counts(counts: Sequence[dict]) -> dict:
+    """Each n-gram's largest count in any one of ``counts``."""
+    if len(counts) == 1:
+        return counts[0]
+    most = dict(counts[0])
+    for other in counts[1:]:
+        for gram, count in other.items():
+            if count > most.get(gram, 0):
+                most[gram] = count
+    return most
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +205,18 @@ def bleu(corpus: ScoredCorpus, n: int = 4) -> float:
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest common subsequence length by dynamic programming."""
-    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
-    for i in range(1, len(a) + 1):
-        for j in range(1, len(b) + 1):
-            if a[i - 1] == b[j - 1]:
-                table[i][j] = table[i - 1][j - 1] + 1
-            else:
-                table[i][j] = max(table[i - 1][j], table[i][j - 1])
-    return table[-1][-1]
+    """Longest common subsequence length: the dynamic program's table, one row at a time."""
+    row = [0] * (len(b) + 1)  # row[j]: LCS of the words of a so far and b[:j]
+    for x in a:
+        diagonal = 0  # row[j - 1] before this word's update
+        for j, y in enumerate(b, 1):
+            above = row[j]
+            if x == y:
+                row[j] = diagonal + 1
+            elif row[j - 1] > above:
+                row[j] = row[j - 1]
+            diagonal = above
+    return row[-1]
 
 
 def rouge_l(corpus: ScoredCorpus) -> float:
@@ -178,13 +227,11 @@ def rouge_l(corpus: ScoredCorpus) -> float:
         best = 0.0
         for ref in e.references:
             lcs = _lcs_length(e.candidate, ref)
-            if lcs == 0 or not e.candidate:
+            if lcs == 0:
                 continue
             precision = lcs / len(e.candidate)
             recall = lcs / len(ref)
-            denominator = recall + beta2 * precision
-            if denominator > 0:
-                best = max(best, (1 + beta2) * precision * recall / denominator)
+            best = max(best, (1 + beta2) * precision * recall / (recall + beta2 * precision))
         total += best
     return total / len(corpus.entries)
 
@@ -239,6 +286,28 @@ def _best_alignment(cand: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
     return matches, -chunks
 
 
+def _alignment(cand: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
+    """(max matches, min chunks) as :func:`_best_alignment` finds them.
+
+    When neither side repeats a word the maximum alignment is unique:
+    each candidate word in the reference matches its one position there.
+    One pass then counts it.  A chunk needs adjacent positions on both
+    sides, so a candidate word without a match ends the chunk before it.
+    """
+    position = {w: j for j, w in enumerate(ref)}
+    if len(position) < len(ref) or len(set(cand)) < len(cand):
+        return _best_alignment(cand, ref)
+    matches = chunks = 0
+    previous = -2  # reference position of the previous candidate word's match; -2 when it had none
+    for w in cand:
+        j = position.get(w, -2)
+        if j >= 0:
+            matches += 1
+            chunks += previous != j - 1
+        previous = j
+    return matches, chunks
+
+
 def meteor(corpus: ScoredCorpus) -> float:
     """Exact-match METEOR: harmonic mean weighted toward recall, with a
     fragmentation penalty from the minimal chunk count."""
@@ -246,7 +315,7 @@ def meteor(corpus: ScoredCorpus) -> float:
     for e in corpus.entries:
         best_score = 0.0
         for ref in e.references:
-            matches, chunks = _best_alignment(e.candidate, ref)
+            matches, chunks = _alignment(e.candidate, ref)
             if matches == 0:
                 continue
             precision = matches / len(e.candidate)
@@ -267,39 +336,39 @@ def cider(corpus: ScoredCorpus) -> float:
 
     IDF(g) = ln(N / max(1, df(g))) where df counts images whose
     references contain g.  With a single image every IDF is zero and the
-    score degenerates to 0; a warning flags that case.
+    score degenerates to 0; a warning flags that case.  Each caption's
+    TF-IDF vector and its norm are built once per order; the cosine sums
+    the candidate's n-grams in their order of first occurrence.
     """
     n_images = len(corpus.entries)
     if n_images == 1:
         warnings.warn("cider: single-image corpus has degenerate IDF (all zeros)", stacklevel=2)
-    orders = [corpus.ngrams(k) for k in range(1, CIDER_MAX_N + 1)]
-    idf: list[dict] = []
-    for counts in orders:
-        df = Counter()
-        for ref_max in counts.ref_max:
-            df.update(ref_max.keys())  # every n-gram of any reference, once per image
-        idf.append({g: math.log(n_images / c) for g, c in df.items()})
-
     unseen_idf = math.log(n_images)  # df = 0 clamps to 1 in the denominator
-
-    def tfidf(grams, weights):
-        return {gram: count * weights.get(gram, unseen_idf) for gram, count in grams.items()}
-
-    def cosine(a, b):
-        dot = sum(w * b.get(g, 0.0) for g, w in a.items())
-        na = math.sqrt(sum(w * w for w in a.values()))
-        nb = math.sqrt(sum(w * w for w in b.values()))
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        return dot / (na * nb)
-
+    per_order = []  # per order, each image's mean cosine over its references
+    for k in range(1, CIDER_MAX_N + 1):
+        counts = corpus.ngrams(k)
+        df: dict[tuple[str, ...], int] = {}
+        for ref_max in counts.ref_max:
+            for gram in ref_max:  # every n-gram of any reference, once per image
+                df[gram] = df.get(gram, 0) + 1
+        idf = {gram: math.log(n_images / c) for gram, c in df.items()}
+        means = []
+        for cand, refs in zip(counts.candidates, counts.references):
+            weights = [count * idf.get(gram, unseen_idf) for gram, count in cand.items()]
+            norm = math.sqrt(sum(w * w for w in weights))
+            sims = []
+            for ref in refs:
+                ref_vec = {gram: count * idf[gram] for gram, count in ref.items()}
+                ref_norm = math.sqrt(sum(w * w for w in ref_vec.values()))
+                if norm == 0.0 or ref_norm == 0.0:
+                    sims.append(0.0)
+                    continue
+                dot = sum(w * ref_vec.get(gram, 0.0) for gram, w in zip(cand, weights))
+                sims.append(dot / (norm * ref_norm))
+            means.append(sum(sims) / len(sims))
+        per_order.append(means)
     total = 0.0
-    for i in range(n_images):
-        per_n = []
-        for counts, weights in zip(orders, idf):
-            cand_vec = tfidf(counts.candidates[i], weights)
-            sims = [cosine(cand_vec, tfidf(ref, weights)) for ref in counts.references[i]]
-            per_n.append(sum(sims) / len(sims))
+    for per_n in zip(*per_order):
         total += 10.0 * sum(per_n) / CIDER_MAX_N
     return total / n_images
 

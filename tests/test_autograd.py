@@ -286,6 +286,11 @@ class TestBatchedOps:
         check_grads(lambda: mean(mul(mean_rows(x, [1, 3]), probe)), [x], tol=1e-6)
         np.testing.assert_array_equal(mean_rows(x, [1, 3]).data[0], x.data[0, :1].mean(axis=0))
 
+    def test_mean_rows_rejects_non_integer_counts(self):
+        x = Tensor(np.arange(12.0).reshape(2, 3, 2))
+        with pytest.raises(ContractError, match="mean_rows: row counts must be integers"):
+            mean_rows(x, [1.7, 3])  # would silently take the means of 1 and 3 rows
+
     @pytest.mark.parametrize("counts", ["one", "all", "mixed"])
     def test_mean_rows_is_bitwise_the_per_item_loop(self, counts):
         rng = np.random.default_rng(1500)

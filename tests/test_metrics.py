@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from dualcap import metrics
 from dualcap.errors import ContractError
 from dualcap.metrics import (
     CorpusEntry,
+    _alignment,
     _best_alignment,
+    _lcs_length,
+    _ngram_counts,
     ScoredCorpus,
     ScoreReport,
     bleu,
@@ -317,6 +321,8 @@ class TestRangesAndEdges:
             ScoredCorpus([entry, entry])
         with pytest.raises(ContractError):
             bleu(corpus_of([(["a"], [["a"]])]), 5)
+        with pytest.raises(ContractError, match="ngrams: n must be in 1..4"):
+            corpus_of([(["a"], [["a"]])]).ngrams(5)
 
 
 class TestReporting:
@@ -396,12 +402,13 @@ class TestOnePass:
 
     def test_score_report_counts_each_caption_once_per_order(self, monkeypatch):
         calls = []
-        real = metrics._ngrams
-        monkeypatch.setattr(metrics, "_ngrams", lambda tokens, n: calls.append(n) or real(tokens, n))
+        real = metrics._ngram_counts
+        monkeypatch.setattr(metrics, "_ngram_counts", lambda tokens: calls.append(tokens) or real(tokens))
         entries = [(["a", "b", "a"], [["a", "b"], ["b", "a", "a"]]), (["c"], [["c", "a"]])]
         score_report(corpus_of(entries))
-        # 2 candidates and 3 references, each counted once for n = 1..4
-        assert sorted(calls) == [n for n in (1, 2, 3, 4) for _ in range(5)]
+        # 2 candidates and 3 references, each counted once, every order n = 1..4 in that one call
+        captions = [tuple(c) for c, _ in entries] + [tuple(r) for _, refs in entries for r in refs]
+        assert sorted(calls) == sorted(captions)
 
 
 class TestAlignmentSearch:
@@ -438,3 +445,88 @@ class TestAlignmentSearch:
         for cand in sequences:
             for ref in sequences:
                 assert _best_alignment(cand, ref) == oracle_best_alignment(cand, ref), (cand, ref)
+
+
+PINNED_CORPUS = [
+    # several references per image
+    ("a red square at the top", ["a red square at top left", "the red square is at the top", "a square"]),
+    # repeated words on both sides: METEOR's search path
+    ("a a blue circle a blue circle", ["a blue circle and a blue square", "blue circle"]),
+    # 4-grams, none of them in a reference
+    ("the green triangle sits at bottom", ["a green triangle at the bottom", "green triangle at bottom right"]),
+    ("", ["a small circle"]),
+]
+# a corpus whose CIDEr rounds differently if its dot products or norms are
+# summed in any other order than over the candidate's n-grams as they occur
+ORDER_SENSITIVE_CORPUS = [
+    ("a circle the triangle of green right near a large blue",
+     ["a top blue small large bottom right left green left", "at left right top"]),
+    ("and circle of top green of bottom red",
+     ["red left green small red bottom triangle green of at triangle the", "large triangle red square the",
+      "square small bottom", "green and red circle circle square and small right bottom left"]),
+    ("top red small green green a red left bottom near",
+     ["circle red left of a the left bottom near bottom", "large of", "bottom", "circle of bottom"]),
+]
+# score_report on each corpus as the Counter-based scorer computed it, to the last bit
+PINNED_REPRS = [
+    (PINNED_CORPUS, {
+        "B-1": "0.7191070868408715",
+        "B-2": "0.6195129464367595",
+        "B-3": "0.4654591082037754",
+        "B-4": "0.3046266865054295",
+        "R-L": "0.5717532467532468",
+        "M": "0.5729901960784314",
+        "C": "2.6723359719516533",
+    }),
+    (ORDER_SENSITIVE_CORPUS, {
+        "B-1": "0.5517241379310345",
+        "B-2": "0.29134281629169195",
+        "B-3": "0.1545350264085983",
+        "B-4": "0.0",
+        "R-L": "0.3330576547059134",
+        "M": "0.3218717565722089",
+        "C": "0.6285045202452142",
+    }),
+]
+
+
+def table_lcs(a, b):
+    """LCS length from the full dynamic-programming table."""
+    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            if a[i - 1] == b[j - 1]:
+                table[i][j] = table[i - 1][j - 1] + 1
+            else:
+                table[i][j] = max(table[i - 1][j], table[i][j - 1])
+    return table[-1][-1]
+
+
+WORDS = [f"w{i}" for i in range(12)]
+
+
+class TestCountOnce:
+    @pytest.mark.parametrize("texts, reprs", PINNED_REPRS, ids=["cases", "order"])
+    def test_score_report_values_are_pinned_to_the_bit(self, texts, reprs):
+        corpus = corpus_of([(c.split(), [r.split() for r in refs]) for c, refs in texts])
+        assert {k: repr(v) for k, v in score_report(corpus).as_dict().items()} == reprs
+
+    @ONE_PASS
+    @given(tokens=st.lists(st.sampled_from(WORDS[:4]), max_size=12))
+    def test_one_call_counts_every_order_as_counter_does(self, tokens):
+        counts = _ngram_counts(tokens)
+        assert len(counts) == metrics.CIDER_MAX_N
+        for n, grams in enumerate(counts, 1):
+            expected = Counter(zip(*(tokens[i:] for i in range(n))))
+            assert list(grams.items()) == list(expected.items())  # same keys, counts and key order
+
+    @ONE_PASS
+    @given(cand=st.lists(st.sampled_from(WORDS), max_size=12, unique=True),
+           ref=st.lists(st.sampled_from(WORDS), max_size=12, unique=True))
+    def test_one_pass_alignment_equals_the_search_on_distinct_words(self, cand, ref):
+        assert _alignment(cand, ref) == _best_alignment(cand, ref)
+
+    @ONE_PASS
+    @given(a=st.lists(st.sampled_from(WORDS[:3]), max_size=10), b=st.lists(st.sampled_from(WORDS[:3]), max_size=10))
+    def test_rolling_lcs_equals_the_table(self, a, b):
+        assert _lcs_length(a, b) == table_lcs(a, b)
