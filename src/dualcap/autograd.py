@@ -46,6 +46,7 @@ ops it stands for: :func:`linear` (a matrix product, then add_bias),
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import accumulate
 from typing import Callable, Sequence
@@ -211,7 +212,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     if not _ends(x.data.shape, b.data.shape):
         raise ShapeError(f"add_bias: bias shape must end the input shape, got {x.shape} and {b.shape}")
     out = _new(x.data + b.data)
-    return _record(out, (x, b), lambda g: (g, g.reshape((-1,) + b.shape).sum(axis=0)))
+    return _record(out, (x, b), lambda g: (g, np.add.reduce(g.reshape((-1,) + b.shape), axis=0)))
 
 
 def exp(x: Tensor) -> Tensor:
@@ -253,7 +254,7 @@ def _affine_grad(x: Array, w: Array, b: Array, g: Array, need_x: bool) -> tuple[
     k, n = w.shape
     rows = g.reshape(-1, n)
     dx = _gemm(rows, w.T).reshape(x.shape) if need_x else None
-    return dx, _gemm(x.reshape(-1, k).T, rows), g.reshape((-1,) + b.shape).sum(axis=0)
+    return dx, _gemm(x.reshape(-1, k).T, rows), np.add.reduce(g.reshape((-1,) + b.shape), axis=0)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -278,14 +279,23 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     _affine_shapes("ffn", x.data.shape, w1, b1)
     _affine_shapes("ffn", x.data.shape[:-1] + w1.data.shape[1:], w2, b2)
     pre = _affine(x.data, w1.data, b1.data)
-    e = erf(pre * _INV_SQRT2)
-    inner = 0.5 * pre * (1.0 + e)
+    one_e = erf(pre * _INV_SQRT2)
+    one_e += 1.0  # 1 + erf(u / sqrt(2)), which the backward reads again
+    inner = 0.5 * pre * one_e
     out = _new(_affine(inner, w2.data, b2.data))
 
     def grad_fn(g: Array):
         d_inner, dw2, db2 = _affine_grad(inner, w2.data, b2.data, g, True)
-        pdf = np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
-        dx, dw1, db1 = _affine_grad(x.data, w1.data, b1.data, d_inner * (0.5 * (1.0 + e) + pre * pdf), x.requires_grad)
+        # d_inner * (0.5 * (1 + erf) + u * pdf(u)), in place: each product's factors commute
+        pdf = -0.5 * pre
+        pdf *= pre
+        np.exp(pdf, out=pdf)
+        pdf *= _INV_SQRT_2PI
+        pdf *= pre
+        d_pre = one_e * 0.5
+        d_pre += pdf
+        d_pre *= d_inner
+        dx, dw1, db1 = _affine_grad(x.data, w1.data, b1.data, d_pre, x.requires_grad)
         return dx, dw1, db1, dw2, db2
 
     return _record(out, (x, w1, b1, w2, b2), grad_fn)
@@ -321,8 +331,9 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         if ref[:axis] + ref[axis + 1:] != other[:axis] + other[axis + 1:]:
             raise ShapeError(f"concat: shapes differ off-axis: {tensors[0].shape} vs {t.shape}")
     out = _new(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors[:-1]]
-    return _record(out, tuple(tensors), lambda g: np.split(g, [*accumulate(sizes)], axis=axis))
+    bounds = [0, *accumulate(t.shape[axis] for t in tensors)]
+    lead = (np.s_[:],) * axis  # each input's gradient is its run of g along the axis, a view
+    return _record(out, tuple(tensors), lambda g: [g[lead + (np.s_[a:b],)] for a, b in zip(bounds, bounds[1:])])
 
 
 def take_rows(x: Tensor, indices) -> Tensor:
@@ -339,9 +350,10 @@ def take_rows(x: Tensor, indices) -> Tensor:
     out = _new(x.data.take(idx, axis=0))
 
     def grad_fn(g: Array):
-        full = np.zeros_like(x.data)
-        np.add.at(full, idx, g)
-        return (full,)
+        # np.add.at's sums in one call: a bin per (row, column), each summed in index order from +0.0
+        rows, c = x.data.shape
+        bins = (idx.reshape(-1, 1) * c + np.arange(c)).reshape(-1)
+        return (np.bincount(bins, g.reshape(-1), rows * c).reshape(rows, c),)
 
     return _record(out, (x,), grad_fn)
 
@@ -379,8 +391,8 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 def mean(x: Tensor) -> Tensor:
     """Mean of every element, shape (1,)."""
-    out = _new(np.array([x.data.mean()]))
     n = x.size
+    out = _new(np.array([np.add.reduce(x.data, None) / n]))  # x.data.mean(), written out
 
     def grad_fn(g: Array):
         return (np.full_like(x.data, g.reshape(-1)[0] / n),)
@@ -399,17 +411,23 @@ def mean_rows(x: Tensor, counts=None) -> Tensor:
     if x.data.ndim < 2:
         raise ShapeError(f"mean_rows: expected at least 2-D, got {x.shape}")
     lead, (t, c) = x.shape[:-2], x.shape[-2:]
-    n = np.broadcast_to(int_ids(t if counts is None else counts, "mean_rows: row counts"), lead).reshape(-1)
-    if n.size and (n.min() < 1 or n.max() > t):
-        raise ContractError(f"mean_rows: row counts must lie in [1, {t}], got {n.tolist()}")
+    if counts is None:  # every row of every matrix
+        n, kept = t, True
+        if t < 1 and math.prod(lead):
+            raise ContractError(f"mean_rows: row counts must lie in [1, {t}], got {[t] * math.prod(lead)}")
+    else:  # (items, 1) counts; kept is (items, T, 1): row r of item i is among its first n[i]
+        n = np.empty(lead, dtype=np.intp)
+        n[...] = int_ids(counts, "mean_rows: row counts")
+        n = n.reshape(-1, 1)
+        if n.size and (np.minimum.reduce(n, None) < 1 or np.maximum.reduce(n, None) > t):
+            raise ContractError(f"mean_rows: row counts must lie in [1, {t}], got {n.ravel().tolist()}")
+        kept = (np.arange(t) < n)[..., None]
     flat = x.data.reshape(-1, t, c)
-    # (items, T, 1): row r of item i is among its first n[i]; every row when counts is None
-    kept = True if counts is None else (np.arange(t) < n[:, None])[..., None]
-    out = _new((np.add.reduce(flat, axis=1, where=kept) / n[:, None]).reshape(lead + (c,)))
+    out = _new((np.add.reduce(flat, axis=1, where=kept) / n).reshape(lead + (c,)))
 
     def grad_fn(g: Array):
         full = np.empty_like(flat)
-        full[...] = (g.reshape(-1, c) / n[:, None])[:, None, :]
+        full[...] = (g.reshape(-1, c) / n)[:, None, :]
         if counts is not None:
             full[~kept[..., 0]] = 0.0
         return (full.reshape(x.shape),)
@@ -432,33 +450,35 @@ def add_norm(h: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     c = shape[-1]
     if gain.data.shape != (c,) or bias.data.shape != (c,):
         raise ShapeError(f"add_norm: gain/bias must be ({c},), got {gain.shape} and {bias.shape}")
-    x, n = h.data + y.data, float(c)
-    # np.mean and np.var, written out: the same sums and divisions, fewer calls
-    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = centered * inv
-    out = _new(xhat * gain.data + bias.data)
+    xhat, n = h.data + y.data, float(c)
+    # np.mean and np.var, written out: the same sums and divisions, fewer calls; the sum is centered and scaled in place
+    xhat -= np.add.reduce(xhat, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + 1e-5)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def grad_fn(g: Array):
         gy = g * gain.data
-        m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (gy - m1 - xhat * m2)
-        return dx, dx, (g * xhat).reshape(-1, c).sum(axis=0), g.reshape(-1, c).sum(axis=0)
+        m1 = np.add.reduce(gy, axis=-1, keepdims=True) / n  # the means of gy and gy * xhat, written out
+        m2 = np.add.reduce(gy * xhat, axis=-1, keepdims=True) / n
+        dx = gy - m1
+        dx -= xhat * m2
+        dx *= inv
+        return dx, dx, np.add.reduce((g * xhat).reshape(-1, c), axis=0), np.add.reduce(g.reshape(-1, c), axis=0)
 
-    return _record(out, (h, y, gain, bias), grad_fn)
+    return _record(_new(out), (h, y, gain, bias), grad_fn)
 
 
 def l2_normalize(x: Tensor) -> Tensor:
     """Scale each row (or a 1-D vector) to unit Euclidean norm, 1e-12 added to the squared norm; any rank."""
     if x.data.ndim < 1:
         raise ShapeError(f"l2_normalize: expected at least 1-D input, got {x.shape}")
-    norm = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) + 1e-12)
+    norm = np.sqrt(np.add.reduce(x.data * x.data, axis=-1, keepdims=True) + 1e-12)
     out = _new(x.data / norm)
 
     def grad_fn(g: Array):
-        dot = (g * out.data).sum(axis=-1, keepdims=True)
+        dot = np.add.reduce(g * out.data, axis=-1, keepdims=True)
         return ((g - out.data * dot) / norm,)
 
     return _record(out, (x,), grad_fn)
@@ -483,11 +503,10 @@ def cross_entropy(logits: Tensor, target_ids, ignore_id: int | None = None) -> T
             f"cross_entropy: need targets of shape {logits.shape[:-1]} for logits {logits.shape}, got {targets.shape}"
         )
     keep = np.ones(targets.shape, dtype=bool) if ignore_id is None else targets != ignore_id
-    n_kept = keep.sum(axis=-1)
-    if np.any(n_kept == 0):
+    n_kept = np.add.reduce(keep, axis=-1)
+    if not n_kept.all():
         raise ContractError("cross_entropy: every row is ignored")
-    valid = targets[keep]
-    if valid.min() < 0 or valid.max() >= v:
+    if np.maximum.reduce(targets[keep].view(np.uintp), None) >= v:  # a negative id views as a huge one
         raise ContractError(f"cross_entropy: target id out of range for {v} classes")
 
     loss, grad = _nll(logits.data, targets, keep, n_kept)
@@ -502,24 +521,25 @@ def _nll(logits: Array, targets: Array, keep: Array, n_kept) -> tuple[Array, Cal
     at log(1e-12), and the mean over each matrix's kept rows; a dropped
     row (not kept, or floored) gets zero gradient.
     """
-    lead, v = logits.shape[:-2], logits.shape[-1]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    rows = np.arange(targets.size)
-    cols = np.clip(targets, 0, v - 1).reshape(-1)
-    picked = log_probs.reshape(-1, v)[rows, cols].reshape(targets.shape)
+    v = logits.shape[-1]
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    # each row's target as an index into the flattened rows; a row not kept (its id may be out of range) reads column 0
+    at = np.arange(0, targets.size * v, v) + (targets * keep).reshape(-1)
+    picked = log_probs.reshape(-1).take(at).reshape(targets.shape)
     floor = math.log(LOG_FLOOR)
     dropped = (~keep | (picked < floor)).reshape(-1)
     picked = np.maximum(picked, floor)
 
     def grad(g: Array) -> Array:
-        dlogits = np.exp(log_probs).reshape(-1, v)
-        dlogits[rows, cols] -= 1.0
-        dlogits[dropped] = 0.0
-        weight = np.broadcast_to((g.reshape(lead) / n_kept)[..., None], targets.shape).reshape(-1, 1)
-        return (dlogits * weight).reshape(logits.shape)
+        dlogits = np.exp(log_probs).reshape(-1)
+        dlogits[at] -= 1.0
+        rows = dlogits.reshape(-1, targets.shape[-1], v)  # (matrices, T, V)
+        rows.reshape(-1, v)[dropped] = 0.0
+        rows *= (g.reshape(targets.shape[:-1]) / n_kept).reshape(-1, 1, 1)
+        return dlogits.reshape(logits.shape)
 
-    return -np.where(keep, picked, 0.0).sum(axis=-1) / n_kept, grad
+    return -np.add.reduce(np.where(keep, picked, 0.0), axis=-1) / n_kept, grad
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +603,7 @@ def _project_grad(rows: Array, stacks: list[Array], full: bool, buf: Array) -> t
     m, r = len(stacks), len(rows)
     if full:
         dy = buf.reshape(r, n * m * d)
-        drows = _gemm(dy, np.stack(stacks, axis=2).transpose(1, 0, 2, 3).reshape(k, -1).T)
+        drows = _gemm(dy, np.array(stacks).transpose(2, 1, 0, 3).reshape(k, -1).T)
         dw = _gemm(rows.T, dy).reshape(k, n, m, d).transpose(2, 1, 0, 3)
     else:
         dy = buf.reshape(n, r, m * d)
@@ -762,7 +782,7 @@ def channel_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, factor: flo
         _gemm(xg, dgram_t + dgram_t.swapaxes(-1, -2), out=rest.transpose(0, 2, 1, 3))
         dx += rest
         dwq, dwk, dwv = _gemm(gram, wk_dst), _gemm(gram_wq, dst.swapaxes(-1, -2)), _gemm(dm, a)
-        return dx.reshape(x.shape), dwq.sum(axis=0), dwk.sum(axis=0), dwv.sum(axis=0)
+        return dx.reshape(x.shape), *(np.add.reduce(dw, axis=0) for dw in (dwq, dwk, dwv))
 
     return _record(_new(out.reshape(x.shape)), (x, wq, wk, wv), grad_fn), a.reshape(lead + (n, k, k))
 
@@ -802,7 +822,7 @@ def contrastive_loss(image_vecs: Tensor, text_vecs: Tensor, temperature: Tensor)
         dsims = ds * inv
         di = _gemm(dsims, text_vecs.data) if image_vecs.requires_grad else None
         dt = _gemm(image_vecs.data.T, dsims).T if text_vecs.requires_grad else None
-        return di, dt, np.full(temperature.shape, -np.sum(ds * sims) * inv * inv)
+        return di, dt, np.full(temperature.shape, -np.add.reduce(ds * sims, None) * inv * inv)
 
     out = _new(np.array([(rows_loss + cols_loss) * 0.5]))
     return _record(out, (image_vecs, text_vecs, temperature), grad_fn)
@@ -845,7 +865,7 @@ def fused_logits(
         raise ShapeError(f"fused_logits: image vectors, text weight and bias, conditioning weight and bias, "
                          f"embedding and means must be {want}, got {got}")
     if pooled is None:
-        causal = np.tril(np.ones((t, t))) / np.arange(1.0, t + 1.0)[:, None]
+        causal = _causal_means(t)
         means = _gemm(causal, hidden.data)
     else:
         means = pooled.data
@@ -863,7 +883,7 @@ def fused_logits(
         d_emb = _gemm(summed.reshape(-1, c).T, rows).T
         d_fused, d_cond_w, d_cond_b = _affine_grad(fused, cond_w.data, cond_b.data, d_summed, True)
         d_text = d_fused[..., d:]
-        d_proj = (d_text - text * (d_text * text).sum(axis=-1, keepdims=True)) / norm
+        d_proj = (d_text - text * np.add.reduce(d_text * text, axis=-1, keepdims=True)) / norm
         d_means, d_txt_w, d_txt_b = _affine_grad(means, txt_w.data, txt_b.data, d_proj, True)
         # the sum over positions as a product with a row of ones, whose order of additions the chain had
         d_image = _gemm(np.ones((t, 1)).T, d_fused[..., :d]).reshape(image_vecs.shape)
@@ -874,3 +894,11 @@ def fused_logits(
 
     inputs = (hidden, image_vecs, txt_w, txt_b, cond_w, cond_b, emb) + (() if pooled is None else (pooled,))
     return _record(out, inputs, grad_fn)
+
+
+@functools.lru_cache(maxsize=64)
+def _causal_means(t: int) -> Array:
+    """fused_logits' T x T matrix whose row i averages rows 0..i, built once per length and read-only."""
+    causal = np.tril(np.ones((t, t))) / np.arange(1.0, t + 1.0)[:, None]
+    causal.flags.writeable = False
+    return causal

@@ -12,6 +12,9 @@ of each Adam moment buffer.  The payload is little-endian float64: the
 parameters in manifest order, then the first and the second moment as
 runs of ``moments`` values laid out like ``CaptionModel.flat``.  JSON
 keys are sorted, so the same state always produces byte-identical files.
+A save joins the whole file in memory, one extra copy of it, and writes
+it in one call, not one call per array, to a temporary file that it
+then renames into place.
 A load checks the manifest against the stored config's parameter table
 before it allocates anything, so it never allocates more than the file holds.
 Earlier formats are rejected by number: format 1 kept attention weights
@@ -76,13 +79,12 @@ def save_checkpoint(path, params: dict[str, Tensor], config: dict, state: AdamSt
     crc = zlib.crc32(blob)
     for arr in arrays:
         crc = zlib.crc32(arr, crc)
+    data = b"".join((MAGIC, struct.pack("<II", len(blob), crc), blob, *arrays))
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(MAGIC + struct.pack("<II", len(blob), crc) + blob)
-            for arr in arrays:
-                f.write(arr)
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

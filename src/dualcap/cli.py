@@ -38,6 +38,7 @@ from .model import CaptionModel, ModelConfig, build_model, encode_image, set_cha
 from .textdec import DecoderConfig, Vocabulary
 from .train import (
     TrainConfig,
+    _keep_heap,
     caption_records,
     check_batches,
     fit,
@@ -356,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_heap()
     if hasattr(sys.stdout, "reconfigure"):  # captions print as UTF-8 whatever the locale, as files are written
         sys.stdout.reconfigure(encoding="utf-8")
     try:

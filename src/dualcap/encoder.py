@@ -175,29 +175,40 @@ class EncoderOutput:
 def normalize_image(image: Tensor, mean, std) -> Tensor:
     """Standardize each channel: (pixel - mean[c]) / std[c].
 
-    mean and std are per-channel sequences; a non-positive std marks a
-    degenerate channel and is rejected.
+    mean and std are per-channel sequences.  A channel whose mean is not
+    finite, or whose std is not positive and finite, is rejected by
+    ContractError naming it.  The stats are laid out along whole pixel
+    rows, so the arithmetic runs over W x ch contiguous values at a time.
     """
     if image.data.ndim < 3:
         raise ShapeError(f"normalize_image: expected (B x) H x W x channels, got {image.shape}")
-    ch = image.shape[-1]
+    w, ch = image.shape[-2:]
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
     std = np.asarray(std, dtype=np.float64).reshape(-1)
     if mean.shape != (ch,) or std.shape != (ch,):
         raise ShapeError(f"normalize_image: need {ch} mean/std values, got {mean.shape} and {std.shape}")
-    bad = np.nonzero(std <= 0)[0]
-    if bad.size:
-        raise ContractError(f"normalize_image: channel {int(bad[0])} has non-positive std {std[bad[0]]}")
-    return Tensor((image.data - mean) / std)
+    for c, (m, s) in enumerate(zip(mean.tolist(), std.tolist())):
+        if not (math.isfinite(m) and 0 < s < math.inf):
+            why = "non-positive" if s <= 0 else "non-finite"
+            raise ContractError(f"normalize_image: channel {c} has {why} stats: mean {m}, std {s}")
+    rows = np.empty((2, w, ch))  # each channel's mean and std, repeated along a pixel row
+    rows[0] = mean
+    rows[1] = std
+    out = image.data - rows[0]
+    out /= rows[1]
+    return _new(out)
 
 
 def sinusoidal_positions(count: int, dim: int, start: int = 0) -> Tensor:
     """Fixed sin/cos positional table over positions start .. start + count - 1, shape count x dim.
 
-    The rows are a read-only view of a cached table: writing to them raises.
+    The rows are a read-only view of a cached table: writing to them
+    raises.  A negative count or start is a ContractError.
     """
     if dim % 2 != 0:
         raise ConfigError(f"sinusoidal positions need an even dim, got {dim}")
+    if count < 0 or start < 0:
+        raise ContractError(f"sinusoidal positions need a count and start >= 0, got {count} and {start}")
     return _new(_sinusoid_table(start + count, dim)[start:])
 
 
@@ -253,7 +264,7 @@ def embed_patches(image: Tensor, cfg: EncoderConfig, w_proj: Tensor, positions: 
     the position table as its bias, and the projection has none of its
     own, so a zero image with zero positions embeds to exactly zero.
     """
-    patches = Tensor(split_patches(image, cfg))
+    patches = _new(split_patches(image, cfg))
     if positions.shape != (cfg.patches, cfg.dim):
         raise ShapeError(f"positions must be {(cfg.patches, cfg.dim)}, got {positions.shape}")
     return linear(patches, w_proj, take_rows(positions, patch_order(cfg)))

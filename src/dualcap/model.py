@@ -24,7 +24,7 @@ generation step calls once, on each row's running mean.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 from typing import Iterator
 
@@ -56,7 +56,8 @@ class ModelConfig:
             )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields, each sub-config's as a dict of its own: ``dataclasses.asdict`` without its deep copy."""
+        return {"encoder": dict(vars(self.encoder)), "decoder": dict(vars(self.decoder)), "joint_dim": self.joint_dim}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":

@@ -36,6 +36,7 @@ batch.  Both run the same code.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -47,6 +48,7 @@ import numpy as np
 from .autograd import (
     MASK_VALUE,
     Tensor,
+    _new,
     add_bias,
     add_norm,
     attention,
@@ -255,11 +257,17 @@ def attention_masks(ids) -> Tensor:
     entries to exactly zero.  A (B, T) batch of ids gives one mask per row.
     """
     ids = np.asarray(ids)
-    if np.any(ids[..., 0] == PAD_ID):
+    if (ids[..., 0] == PAD_ID).any():
         raise ContractError("first position must not be PAD")
-    positions = np.arange(ids.shape[-1])
-    future = positions[None, :] > positions[:, None]
-    return Tensor(np.where(future | (ids[..., None, :] == PAD_ID), MASK_VALUE, 0.0))
+    return _new(np.where(ids[..., None, :] == PAD_ID, MASK_VALUE, _causal_mask(ids.shape[-1])))
+
+
+@functools.lru_cache(maxsize=64)
+def _causal_mask(t: int) -> np.ndarray:
+    """attention_masks' (T, T) mask for ids without PAD: -1e30 above the diagonal, 0.0 elsewhere; read-only."""
+    mask = np.where(np.arange(t)[None, :] > np.arange(t)[:, None], MASK_VALUE, 0.0)
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass
@@ -336,7 +344,7 @@ def decode_text(
     if start and t > 1:
         raise ContractError(f"decode_text: {t} new positions for a cache of length {start}; add one at a time")
     if not start:
-        if np.any(ids[..., 0] == PAD_ID):
+        if (ids[..., 0] == PAD_ID).any():
             raise ContractError("decode_text: first position must not be PAD")
         cache.past = [None] * cfg.depth
     c, w = cfg.dim, cfg.context_width
@@ -361,14 +369,14 @@ def decode_text(
         # a row without an image map adds an exact zero attention term: h + 0.0 is h
         wq = params[b + "cross.wq"]
         if context is None:
-            cross_out = Tensor(np.zeros(h.shape))
+            cross_out = _new(np.zeros(h.shape))
         elif project:
             wk, wv = params[b + "cross.wk"], params[b + "cross.wv"]
             queries = slice_axis(h, 0, 0, len(context.data)) if partial else h
             cross_out, _, kv = attention(queries, wq, wk, wv, inv_sqrt, context=context)
             cache.cross.append(kv)
             if partial:
-                zeros = Tensor(np.zeros((lead[0] - len(context.data),) + cross_out.shape[1:]))
+                zeros = _new(np.zeros((lead[0] - len(context.data),) + cross_out.shape[1:]))
                 cross_out = concat([cross_out, zeros], axis=0)
         else:
             cross_out, _, _ = attention(h, wq, None, None, inv_sqrt, cached=cache.cross[i])

@@ -89,7 +89,8 @@ def _keep_heap() -> None:
     thresholds off and faults on every step instead (about 900-1,600 at
     P=256): large arrays are then mapped afresh, or the heap top is trimmed
     after each step.  So both are set.  No-op where the C library has no
-    ``mallopt`` (not glibc).
+    ``mallopt`` (not glibc).  ``cli.main`` and a process's first :func:`fit`
+    set it, so importing the package leaves the process's allocator alone.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -100,7 +101,7 @@ def _keep_heap() -> None:
     mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: hand back to the OS only a free heap top above 1 GiB
 
 
-_keep_heap()
+_heap_kept = False  # whether a fit in this process has run _keep_heap
 
 ABLATION_VARIANTS = (
     "dual",
@@ -185,22 +186,32 @@ def adam_step(model: CaptionModel, state: AdamState, cfg: TrainConfig) -> None:
     they are.  A non-finite gradient or update raises NonFiniteError naming
     the step and the first such parameter, before anything changes.
     """
-    rebound = [name for name, t in model.trainable().items() if t.data.base is not model.flat]
+    params = model.trainable().items()
+    rebound = [name for name, t in params if t.data.base is not model.flat]
     if rebound:
         raise ContractError(f"adam_step: {rebound[0]!r} is no view of model.flat; write parameters in place")
     if state.m is not None and not state.m.shape == state.v.shape == model.flat.shape:
         raise ContractError(f"adam_step: moments of shapes {state.m.shape}, {state.v.shape}, flat {model.flat.shape}")
-    g = np.concatenate([np.zeros(t.size) if t.grad is None else t.grad.ravel() for t in model.trainable().values()])
+    g = np.concatenate([np.zeros(t.size) if t.grad is None else t.grad.ravel() for _, t in params])
     if not np.isfinite(g).all():
         bad = next(name for name, x in model.views(g).items() if not np.isfinite(x).all())
         raise NonFiniteError(f"step {state.step + 1}: gradient of {bad!r} is not finite")
-    t = state.step + 1
-    m, v = (0.0, 0.0) if state.m is None else (state.m, state.v)
-    m = cfg.beta1 * m + (1 - cfg.beta1) * g
-    v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-    m_hat = m / (1 - cfg.beta1 ** t)
-    v_hat = v / (1 - cfg.beta2 ** t)
-    theta = model.flat - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    t, b1, b2 = state.step + 1, cfg.beta1, cfg.beta2
+    m_old, v_old = (0.0, 0.0) if state.m is None else (state.m, state.v)
+    # b1 * m + (1 - b1) * g and b2 * v + (1 - b2) * g * g, their terms added in the other order (the same sums)
+    m = g * (1 - b1)
+    m += b1 * m_old
+    v = g * (1 - b2)
+    v *= g
+    v += b2 * v_old
+    # flat - lr * m_hat / (sqrt(v_hat) + eps), in place on m_hat and v_hat
+    step = m / (1 - b1 ** t)
+    step *= cfg.lr
+    v_hat = v / (1 - b2 ** t)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += cfg.eps
+    step /= v_hat
+    theta = np.subtract(model.flat, step, out=step)
     if not np.isfinite(theta).all():
         bad = next(name for name, x in model.views(theta).items() if not np.isfinite(x).all())
         raise NonFiniteError(f"step {t}: update of {bad!r} is not finite")
@@ -228,7 +239,7 @@ def train_step(model: CaptionModel, batch: list[TrainingPair], state: AdamState,
     if len(shapes) > 1:
         raise ShapeError(f"train_step: batch images differ in shape: {shapes}")
     zero_grads(model.trainable().values())
-    images = Tensor(np.stack([pair.image.data for pair in batch]))
+    images = Tensor([pair.image.data for pair in batch])
     seqs = [pair.tokens for pair in batch]
     ids = token_ids(seqs)
     b, towers = len(batch), 2 if cfg.contrastive_weight > 0 else 1
@@ -276,6 +287,10 @@ def fit(
     check_batches(len(pairs), cfg)
     if steps < 1:
         raise ContractError(f"fit: steps must be >= 1, got {steps}")
+    global _heap_kept
+    if not _heap_kept:
+        _keep_heap()
+        _heap_kept = True
     per_epoch = steps_per_epoch(len(pairs), cfg.batch_size)
     state = state if state is not None else AdamState()
     history = []

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dualcap.autograd as ag
 from dualcap import flops
@@ -480,6 +481,27 @@ class TestOpSemantics:
         np.testing.assert_allclose(table.grad[1], np.full(2, 2.0 / 6.0))
         np.testing.assert_allclose(table.grad[3], np.full(2, 1.0 / 6.0))
         np.testing.assert_allclose(table.grad[0], np.zeros(2))
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_take_rows_gradient_is_bitwise_np_add_at(self, data):
+        """Duplicate ids sum in index order from +0.0, as np.add.at sums them, signed zeros included."""
+        rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 4))
+        ids_shape = data.draw(st.sampled_from([(0,), (1,), (7,), (3, 4), (2, 1), (4, 3)]))
+        ids = np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=math.prod(ids_shape),
+                                          max_size=math.prod(ids_shape))), dtype=np.intp).reshape(ids_shape)
+        values = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e308, 1e308]),
+                           st.floats(allow_nan=False, allow_infinity=False))
+        g = np.array(data.draw(st.lists(values, min_size=ids.size * cols, max_size=ids.size * cols)),
+                     dtype=np.float64).reshape(ids_shape + (cols,))
+        x = Tensor(np.zeros((rows, cols)), requires_grad=True)
+        with Tape() as tape:
+            take_rows(x, ids)
+        (grad,) = tape._records[0][2](g)
+        expected = np.zeros((rows, cols))
+        with np.errstate(over="ignore"):  # two 1e308 gradients of one row sum to inf either way
+            np.add.at(expected, ids, g)
+        assert grad.shape == expected.shape and grad.tobytes() == expected.tobytes()
 
     def test_gelu_reference_values(self):
         x = Tensor(np.array([0.0, 10.0, -10.0, 1.0]))

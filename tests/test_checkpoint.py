@@ -155,6 +155,20 @@ class TestFlatMoments:
         expected = per_array_checkpoint(model.params, {"model": model.cfg.to_dict(), "seed": 1}, state.step, state.m, state.v)
         assert (tmp_path / "m.ckpt").read_bytes() == expected
 
+    def test_bytes_equal_the_per_array_writer_at_p256(self, tmp_path):
+        """The one joined write at the benchmark's larger shape: 32 x 32 images in patches of 2, dim 32."""
+        ds = make_synthetic(4, grid=32, seed=0)
+        vocab = Vocabulary.from_corpus([c for _, c in ds.caption_pairs("train")])
+        enc = EncoderConfig(image_size=32, patch_size=2, dim=32, heads=2, window_patches=4, groups=4, depth=1)
+        dec = DecoderConfig(vocab_size=len(vocab), dim=16, heads=2, depth=1, context_width=enc.feature_width)
+        model = build_model(ModelConfig(encoder=enc, decoder=dec, joint_dim=8), vocab, seed=2)
+        set_channel_stats(model, ds.mean, ds.std)
+        assert model.cfg.encoder.patches == 256
+        state, _ = fit(model, training_pairs(ds, vocab), TrainConfig(lr=0.003, batch_size=4), steps=2)
+        save_model(tmp_path / "m.ckpt", model, state, extra={"seed": 2})
+        expected = per_array_checkpoint(model.params, {"model": model.cfg.to_dict(), "seed": 2}, state.step, state.m, state.v)
+        assert (tmp_path / "m.ckpt").read_bytes() == expected
+
 
 def split_file(data: bytes) -> tuple[dict, bytes, bytes]:
     """(header, payload, stored CRC-32 bytes) of a checkpoint's bytes."""

@@ -389,6 +389,22 @@ class TestCaptionCommand:
         assert code == 2
         assert capsys.readouterr().err == f"data error: image {small} is (8, 8, 3), model expects (16, 16, 3)\n"
 
+    @pytest.mark.parametrize("name, values, channel", [("norm.std", [np.nan, 1.0, 1.0], 0),
+                                                       ("norm.mean", [0.5, np.inf, 0.5], 1)])
+    def test_non_finite_channel_stats_in_a_checkpoint_are_a_config_error(self, trained, tmp_path, capsys,
+                                                                        name, values, channel):
+        """A load copies norm.* as stored, so a CRC-valid file can carry stats that would caption NaN pixels."""
+        model, state, _ = load_model(trained["ckpt"], trained["vocab"])
+        model.params[name] = Tensor(values)
+        bad = tmp_path / "bad.ckpt"
+        save_model(bad, model, state)
+        trained["vocab"].save(tmp_path / "vocab.txt")
+        image_path = trained["data"] / trained["ds"].records[0].name
+        code = main(["caption", "--config", str(trained["cfg"]), str(bad), str(image_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"config error: normalize_image: channel {channel} has non-finite stats")
+
     def test_corrupt_checkpoint_is_integrity_error(self, trained, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"not a checkpoint at all")

@@ -288,6 +288,12 @@ class TestPatchEmbedding:
         np.testing.assert_array_equal(sinusoidal_positions(8, 8).data, table)
         np.testing.assert_array_equal(sinusoidal_positions(3, 8, start=5).data, table[5:])
 
+    @pytest.mark.parametrize("count, start", [(3, -1), (-1, 0), (-2, 5)])
+    def test_sinusoidal_positions_refuse_a_negative_count_or_start(self, count, start):
+        """Slicing the table from a negative start would return the wrong rows, (1, dim) for (3, start=-1)."""
+        with pytest.raises(ContractError, match="count and start >= 0"):
+            sinusoidal_positions(count, 4, start=start)
+
     def test_image_shape_mismatch_is_rejected(self):
         cfg = small_cfg()
         with pytest.raises(ShapeError):
@@ -307,6 +313,31 @@ class TestNormalizeImage:
     def test_degenerate_channel_is_rejected(self):
         with pytest.raises(ContractError, match="channel 1"):
             normalize_image(Tensor(np.zeros((4, 4, 3))), [0, 0, 0], [1, 0, 1])
+
+    @pytest.mark.parametrize("mean, std, channel", [
+        ([0.5, 0.5, 0.5], [np.nan, 1.0, 1.0], 0),
+        ([np.inf, 0.5, 0.5], [1.0, 1.0, 1.0], 0),
+        ([0.5, np.nan, 0.5], [1.0, 1.0, 1.0], 1),
+        ([0.5, 0.5, 0.5], [1.0, 1.0, np.inf], 2),
+        ([0.5, 0.5, -np.inf], [1.0, 1.0, 1.0], 2),
+    ])
+    def test_non_finite_stats_are_rejected_naming_the_channel(self, mean, std, channel):
+        """A NaN std passes a `std <= 0` test and would turn the whole channel into NaN."""
+        with pytest.raises(ContractError, match=f"channel {channel} has non-finite stats"):
+            normalize_image(Tensor(np.full((4, 4, 3), 0.25)), mean, std)
+
+    @pytest.mark.parametrize("shape", [(5, 6, 1), (5, 6, 3), (1, 5, 6, 3), (4, 5, 6, 1), (4, 5, 6, 3)])
+    def test_values_are_bitwise_the_per_channel_formula(self, shape):
+        rng = np.random.default_rng(8)
+        image = rng.uniform(-1.0, 2.0, shape)
+        image.flat[::7] = -0.0
+        mean, std = rng.uniform(-0.5, 0.5, shape[-1]), rng.uniform(0.1, 2.0, shape[-1])
+        mean[0] = -0.0
+        out = normalize_image(Tensor(image), mean, std).data
+        expected = np.empty(shape)
+        for c in range(shape[-1]):
+            expected[..., c] = (image[..., c] - mean[c]) / std[c]
+        assert out.shape == shape and out.tobytes() == expected.tobytes()
 
 
 class TestEncoderBlockAndEncode:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dualcap.autograd import Tape, Tensor, mean
+from dualcap import textdec
+from dualcap.autograd import MASK_VALUE, Tape, Tensor, mean
 from dualcap.errors import ConfigError, ContractError, VocabError
 from dualcap.textdec import (
     BOS_ID,
@@ -162,6 +163,23 @@ class TestMasks:
     def test_first_position_must_not_be_pad(self):
         with pytest.raises(ContractError):
             attention_masks([PAD_ID, 4])
+
+    def test_masks_equal_a_fresh_build_over_a_read_only_cached_triangle(self):
+        rng = np.random.default_rng(9)
+        for t in range(1, 13):
+            ids = rng.integers(1, 6, (3, t))
+            ids[:, 1:][rng.random((3, t - 1)) < 0.3] = PAD_ID
+            positions = np.arange(t)
+            future = positions[None, :] > positions[:, None]
+            fresh = np.where(future | (ids[..., None, :] == PAD_ID), MASK_VALUE, 0.0)
+            for rows in (ids, ids[0]):
+                mask = attention_masks(rows).data
+                assert mask.tobytes() == fresh[0 if rows.ndim == 1 else slice(None)].tobytes()
+                assert mask.flags.writeable  # each call's mask is its own array
+            triangle = textdec._causal_mask(t)
+            assert triangle.tobytes() == np.where(future, MASK_VALUE, 0.0).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                triangle[...] = 0.0
 
 
 def tiny_cfg(**kw):

@@ -9,15 +9,19 @@ that recomputes every prefix from scratch.
 
 import gc
 import math
+import os
 import platform
 import resource
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dualcap.cli as cli_mod
 import dualcap.model as model_mod
 import dualcap.train as train_mod
 from dualcap import autograd, flops
@@ -613,7 +617,7 @@ def no_c_library(name):
 
 
 class TestHeapPolicy:
-    """Freed step memory stays in the heap between train requests (the allocator policy set at import)."""
+    """Freed step memory stays in the heap between train requests (the allocator policy a first fit sets)."""
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
     def test_a_second_train_requests_first_step_takes_few_page_faults(self):
@@ -633,6 +637,36 @@ class TestHeapPolicy:
     def test_without_mallopt_the_policy_is_a_no_op(self, monkeypatch, cdll):
         monkeypatch.setattr(train_mod.ctypes, "CDLL", cdll)
         train_mod._keep_heap()  # returns without raising
+
+    def test_importing_the_package_leaves_the_allocator_alone(self):
+        code = (
+            "import ctypes\n"
+            "looked_up = []\n"
+            "class Spy(ctypes.CDLL):\n"
+            "    def __getattr__(self, name):\n"
+            "        looked_up.append(name)\n"
+            "        return super().__getattr__(name)\n"
+            "ctypes.CDLL = Spy\n"
+            "import dualcap, dualcap.cli\n"
+            "assert 'mallopt' not in looked_up, looked_up\n"
+            "dualcap.train._keep_heap()\n"
+            "assert 'mallopt' in looked_up, looked_up\n"
+        )
+        src = str(Path(train_mod.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    def test_the_first_fit_of_a_process_and_the_cli_set_the_policy(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(train_mod, "_keep_heap", lambda: calls.append("fit"))
+        monkeypatch.setattr(train_mod, "_heap_kept", False)
+        _, _, model, pairs, cfg = synthetic_setup()
+        state, _ = fit(model, pairs, cfg, steps=1)
+        fit(model, pairs, cfg, steps=1, state=state)
+        assert calls == ["fit"]
+        monkeypatch.setattr(cli_mod, "_keep_heap", lambda: calls.append("cli"))
+        assert cli_mod.main(["--help"]) == 0
+        assert calls == ["fit", "cli"]
 
 
 def log_softmax_words(row: np.ndarray) -> np.ndarray:
